@@ -6,8 +6,7 @@ truncated very-well-poised bilateral sum onto its closed product form.
 """
 
 from ._backend import backend_name
-from .config import (POLE_EPS, RECOMPUTE_EVERY, ZERO_EPS, set_working_precision,
-                     working_precision)
+from .config import POLE_EPS, RECOMPUTE_EVERY, ZERO_EPS
 from .errors import (BudgetExceeded, DomainError, NonConvergence, PoleError,
                      QSixError, Unsatisfiable)
 from .identities import (AbelInput, DEFAULT_ATOL, DEFAULT_RTOL, KNDecayReport,
@@ -47,7 +46,6 @@ __all__ = [
     "compute_V", "eval_T", "eval_phi", "eval_psi", "kn_limit",
     "map_remark1", "nabla", "q_factor", "qpochhammer", "qpochhammer_inf",
     "qpochhammer_inf_multi", "qpochhammer_multi", "render_sweep",
-    "rogers_closed", "sample", "set_working_precision", "theta",
-    "theta_multi", "truncated_S", "violations", "vwp_psi6",
-    "working_precision",
+    "rogers_closed", "sample", "theta", "theta_multi", "truncated_S",
+    "violations", "vwp_psi6",
 ]

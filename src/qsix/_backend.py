@@ -33,7 +33,6 @@ DIVERGED = _impl.DIVERGED
 
 cpow_int = _impl.cpow_int
 qpoch = _impl.qpoch
-qpoch_raw = _impl.qpoch_raw
 qpoch_inf = _impl.qpoch_inf
 series_side = _impl.series_side
 

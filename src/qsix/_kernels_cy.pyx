@@ -85,25 +85,6 @@ def qpoch(a, q, n, pole_eps):
     return 1.0 / acc, OK, 0
 
 
-def qpoch_raw(a, q, n):
-    """(a;q)_n with no pole checks; callers must have vetted the factors."""
-    cdef double complex ca = a
-    cdef double complex cq = q
-    cdef long cn = n
-    cdef double complex acc = 1.0
-    cdef double complex w = 1.0
-    cdef long k
-    if cn >= 0:
-        for k in range(cn):
-            acc = acc * (1.0 - ca * w)
-            w = w * cq
-        return acc
-    for k in range(-cn):
-        w = w / cq
-        acc = acc * (1.0 - ca * w)
-    return 1.0 / acc
-
-
 def qpoch_inf(a, q, tail_tol, max_terms, window, zero_eps):
     """(a;q)_infinity with certified geometric tail; see the pure twin."""
     cdef double complex ca = a
@@ -165,7 +146,8 @@ def series_side(num, den, q, z, direction, vwp_a, use_vwp, fixed_terms,
     adaptive stop and the powers-only periodic refresh; see there for the
     step algebra and the role swap in the downward direction.
 
-    Returns (acc, tail, used, status, bad_is_num, bad_slot, bad_exp).
+    Returns (acc, tail, used, status, bad_is_num, bad_slot, bad_exp, peak,
+    low).
     """
     cdef long rn = len(num)
     cdef long rd = len(den)
@@ -195,6 +177,8 @@ def series_side(num, den, q, z, direction, vwp_a, use_vwp, fixed_terms,
     cdef double complex h = 1.0
     cdef double complex qsq = cq * cq
     cdef double prev_abs = 1.0
+    cdef double peak = 0.0
+    cdef double low = 1.0
     cdef long run = 0
     cdef long steps = 0
     cdef long n, e
@@ -202,7 +186,7 @@ def series_side(num, den, q, z, direction, vwp_a, use_vwp, fixed_terms,
     cdef long nb = rn if down else rd
     cdef long npair = nt if nt < nb else nb
     cdef double complex r, w, f, term
-    cdef double abs_term, ratio
+    cdef double abs_term, ratio, part
 
     xs = <double complex *>PyMem_Malloc(
         (2 * (rn + rd) if rn + rd > 0 else 1) * sizeof(double complex))
@@ -230,9 +214,9 @@ def series_side(num, den, q, z, direction, vwp_a, use_vwp, fixed_terms,
         while True:
             if fixed >= 0:
                 if steps >= fixed:
-                    return acc, 0.0, steps, OK, 0, 0, 0
+                    return acc, 0.0, steps, OK, 0, 0, 0, peak, low
             elif steps >= cap:
-                return acc, float("inf"), steps, BUDGET, 0, 0, 0
+                return acc, float("inf"), steps, BUDGET, 0, 0, 0, peak, low
             n = -(steps + 1) if down else steps + 1
             e = n if down else n - 1
             if down:
@@ -240,26 +224,26 @@ def series_side(num, den, q, z, direction, vwp_a, use_vwp, fixed_terms,
                     w = xs[rn + j] * qe
                     f = 1.0 - w
                     if _cabs(f) <= zeps * (1.0 + _cabs(w)):
-                        return acc, 0.0, steps, TERMINATED, 0, j, e
+                        return acc, 0.0, steps, TERMINATED, 0, j, e, peak, low
                     ftop[j] = f
                 for i in range(rn):
                     w = xs[i] * qe
                     f = 1.0 - w
                     if _cabs(f) <= peps * (1.0 + _cabs(w)):
-                        return acc, 0.0, steps, POLE, 1, i, e
+                        return acc, 0.0, steps, POLE, 1, i, e, peak, low
                     fbot[i] = f
             else:
                 for i in range(rn):
                     w = xs[i] * qe
                     f = 1.0 - w
                     if _cabs(f) <= zeps * (1.0 + _cabs(w)):
-                        return acc, 0.0, steps, TERMINATED, 1, i, e
+                        return acc, 0.0, steps, TERMINATED, 1, i, e, peak, low
                     ftop[i] = f
                 for j in range(rd):
                     w = xs[rn + j] * qe
                     f = 1.0 - w
                     if _cabs(f) <= peps * (1.0 + _cabs(w)):
-                        return acc, 0.0, steps, POLE, 0, j, e
+                        return acc, 0.0, steps, POLE, 0, j, e, peak, low
                     fbot[j] = f
             steps += 1
             r = step_z
@@ -277,8 +261,13 @@ def series_side(num, den, q, z, direction, vwp_a, use_vwp, fixed_terms,
                 term = g
             acc = acc + term
             abs_term = _cabs(term)
+            if abs_term > peak:
+                peak = abs_term
+            part = _cabs(1.0 + acc)
+            if part < low:
+                low = part
             if abs_term > _OVERFLOW or abs_term != abs_term:
-                return acc, float("inf"), steps, DIVERGED, 0, 0, 0
+                return acc, float("inf"), steps, DIVERGED, 0, 0, 0, peak, low
             if fixed < 0:
                 ratio = abs_term / prev_abs if prev_abs > 0.0 else 2.0
                 if (steps >= n_min and ratio < 1.0
@@ -286,7 +275,7 @@ def series_side(num, den, q, z, direction, vwp_a, use_vwp, fixed_terms,
                     run += 1
                     if run >= win:
                         tail = abs_term * ratio / (1.0 - ratio)
-                        return acc, tail, steps, OK, 0, 0, 0
+                        return acc, tail, steps, OK, 0, 0, 0, peak, low
                 else:
                     run = 0
                 prev_abs = abs_term

@@ -69,23 +69,6 @@ def qpoch(a: complex, q: complex, n: int, pole_eps: float):
     return 1.0 / acc, OK, 0
 
 
-def qpoch_raw(a: complex, q: complex, n: int) -> complex:
-    """(a;q)_n with no pole checks; callers must have vetted the factors."""
-    if n >= 0:
-        acc = 1.0 + 0j
-        w = 1.0 + 0j
-        for _ in range(n):
-            acc *= 1.0 - a * w
-            w *= q
-        return acc
-    acc = 1.0 + 0j
-    w = 1.0 + 0j
-    for _ in range(-n):
-        w /= q
-        acc *= 1.0 - a * w
-    return 1.0 / acc
-
-
 def qpoch_inf(a: complex, q: complex, tail_tol: float, max_terms: int,
               window: int, zero_eps: float):
     """(a;q)_infinity = prod_{k>=0} (1 - a q^k), certified geometric tail.
@@ -176,7 +159,13 @@ def series_side(num, den, q: complex, z: complex, direction: int,
     crossing |x q^e| = 1: term profiles can dip and then hump while factors
     cross one, but no new growth can start past the last crossing.
 
-    Returns (acc, tail, used, status, bad_is_num, bad_slot, bad_exp).
+    peak is the largest |t(n)| of the steps taken and low the smallest
+    |1 + partial sum|, starting from the n = 0 term alone (low <= 1); the
+    two measure how much term rounding a consumer of the partial sums
+    inherits.
+
+    Returns (acc, tail, used, status, bad_is_num, bad_slot, bad_exp, peak,
+    low).
     """
     rn = len(num)
     rd = len(den)
@@ -202,6 +191,8 @@ def series_side(num, den, q: complex, z: complex, direction: int,
     h = 1.0 + 0j            # g * q^{2n} for the prefactor
     qsq = q * q
     prev_abs = 1.0          # |t(0)|
+    peak = 0.0              # max |t(n)| over the steps taken
+    low = 1.0               # min |1 + partial|, from the n = 0 term on
     run = 0
     steps = 0
     nt = rd if down else rn
@@ -212,9 +203,9 @@ def series_side(num, den, q: complex, z: complex, direction: int,
     while True:
         if fixed_terms >= 0:
             if steps >= fixed_terms:
-                return acc, 0.0, steps, OK, 0, 0, 0
+                return acc, 0.0, steps, OK, 0, 0, 0, peak, low
         elif steps >= max_terms:
-            return acc, float("inf"), steps, BUDGET, 0, 0, 0
+            return acc, float("inf"), steps, BUDGET, 0, 0, 0, peak, low
         n = -(steps + 1) if down else steps + 1
         e = n if down else n - 1
         if down:
@@ -222,26 +213,26 @@ def series_side(num, den, q: complex, z: complex, direction: int,
                 w = den[j] * qe
                 f = 1.0 - w
                 if abs(f) <= zero_eps * (1.0 + abs(w)):
-                    return acc, 0.0, steps, TERMINATED, 0, j, e
+                    return acc, 0.0, steps, TERMINATED, 0, j, e, peak, low
                 ftop[j] = f
             for i in range(rn):
                 w = num[i] * qe
                 f = 1.0 - w
                 if abs(f) <= pole_eps * (1.0 + abs(w)):
-                    return acc, 0.0, steps, POLE, 1, i, e
+                    return acc, 0.0, steps, POLE, 1, i, e, peak, low
                 fbot[i] = f
         else:
             for i in range(rn):
                 w = num[i] * qe
                 f = 1.0 - w
                 if abs(f) <= zero_eps * (1.0 + abs(w)):
-                    return acc, 0.0, steps, TERMINATED, 1, i, e
+                    return acc, 0.0, steps, TERMINATED, 1, i, e, peak, low
                 ftop[i] = f
             for j in range(rd):
                 w = den[j] * qe
                 f = 1.0 - w
                 if abs(f) <= pole_eps * (1.0 + abs(w)):
-                    return acc, 0.0, steps, POLE, 0, j, e
+                    return acc, 0.0, steps, POLE, 0, j, e, peak, low
                 fbot[j] = f
         steps += 1
         r = step_z
@@ -259,8 +250,13 @@ def series_side(num, den, q: complex, z: complex, direction: int,
             term = g
         acc += term
         abs_term = abs(term)
+        if abs_term > peak:
+            peak = abs_term
+        part = abs(1.0 + acc)
+        if part < low:
+            low = part
         if abs_term > _OVERFLOW or abs_term != abs_term:
-            return acc, float("inf"), steps, DIVERGED, 0, 0, 0
+            return acc, float("inf"), steps, DIVERGED, 0, 0, 0, peak, low
         if fixed_terms < 0:
             ratio = abs_term / prev_abs if prev_abs > 0.0 else 2.0
             if (steps >= n_min and ratio < 1.0
@@ -268,7 +264,7 @@ def series_side(num, den, q: complex, z: complex, direction: int,
                 run += 1
                 if run >= window:
                     tail = abs_term * ratio / (1.0 - ratio)
-                    return acc, tail, steps, OK, 0, 0, 0
+                    return acc, tail, steps, OK, 0, 0, 0, peak, low
             else:
                 run = 0
             prev_abs = abs_term

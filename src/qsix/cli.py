@@ -15,9 +15,6 @@ import dataclasses
 import json
 import sys
 
-import numpy as np
-
-from . import config
 from .errors import (BudgetExceeded, DomainError, NonConvergence, PoleError,
                      Unsatisfiable)
 from .identities import (ResidualReport, AbelInput, check_abel, check_bailey,
@@ -28,7 +25,7 @@ from .identities import (ResidualReport, AbelInput, check_abel, check_bailey,
 from .qcore import (EvalResult, QContext, TruncationPolicy, qpochhammer,
                     qpochhammer_inf, theta)
 from .report import SCHEMA, build_sweep_report, render_sweep, to_jsonable
-from .sampler import SampleConstraints, sample
+from .sampler import SampleConstraints, _draw_complex, _rng, sample
 from .series import (BaileyParams, SeriesSpec, TParams, TruncParams,
                      bailey_closed_a, bailey_closed_X, eval_phi, eval_psi,
                      eval_T, F_function, q_factor, rogers_closed,
@@ -72,8 +69,6 @@ def _add_numeric_flags(sp) -> None:
                     help="absolute tolerance for checks")
     sp.add_argument("--rtol", type=float, default=None,
                     help="relative tolerance for checks")
-    sp.add_argument("--precision", choices=config.WORKING_PRECISIONS,
-                    default=None, help="working precision")
 
 
 def _policy(args) -> TruncationPolicy:
@@ -92,18 +87,6 @@ def _tol_kw(args) -> dict:
     if args.rtol is not None:
         kw["rtol"] = args.rtol
     return kw
-
-
-def _rng(seed: int, index: int) -> np.random.Generator:
-    key = np.array([seed & 0xFFFFFFFFFFFFFFFF, index & 0xFFFFFFFFFFFFFFFF],
-                   dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key))
-
-
-def _shell_draw(g, lo: float, hi: float) -> complex:
-    mod = float(np.exp(g.uniform(np.log(lo), np.log(hi))))
-    ph = float(g.uniform(0.0, 2.0 * np.pi))
-    return complex(mod * np.cos(ph), mod * np.sin(ph))
 
 
 # ---------------------------------------------------------------------------
@@ -189,8 +172,6 @@ _EVAL_FORMS = {
 
 
 def cmd_eval(args) -> int:
-    if args.precision is not None:
-        config.set_working_precision(args.precision)
     ctx = QContext(args.q, _policy(args))
     handler = _EVAL_FORMS[args.form][0]
     result = handler(args, ctx)
@@ -334,8 +315,6 @@ def _print_check(identity: str, rep, fmt: str) -> None:
 
 
 def cmd_check(args) -> int:
-    if args.precision is not None:
-        config.set_working_precision(args.precision)
     handler = _CHECKS[args.identity][0]
     rep = handler(args, _policy(args))
     _print_check(args.identity, rep, args.format)
@@ -382,7 +361,7 @@ def _weier_amp(b, c, x, z) -> float:
 def _sw_weierstrass(index, seed, policy, tols):
     g = _rng(seed, index)
     for _ in range(1000):
-        b, c, x, z = (_shell_draw(g, 0.3, 2.5) for _ in range(4))
+        b, c, x, z = (_draw_complex(g, 0.3, 2.5) for _ in range(4))
         if _weier_amp(b, c, x, z) <= _WEIER_AMP_MAX:
             break
     else:
@@ -502,8 +481,6 @@ def run_sweep(identity: str, samples: int, seed: int,
 
 
 def cmd_sweep(args) -> int:
-    if args.precision is not None:
-        config.set_working_precision(args.precision)
     report = run_sweep(args.identity, args.samples, args.seed,
                        policy=_policy(args), atol=args.atol,
                        rtol=args.rtol)

@@ -1,14 +1,10 @@
-"""Numeric configuration knobs and the shared tolerance constants.
+"""Shared tolerance constants.
 
-Working precision is a single abstract setting. This build carries one
-backend precision (IEEE double, ~16 significant digits); every default
-tolerance in the package assumes it. The setter exists so alternative
-precisions can be wired in without touching call sites.
+Everything is IEEE double complex (~16 significant digits); every default
+tolerance in the package assumes it.
 """
 
 from __future__ import annotations
-
-from .errors import DomainError
 
 #: relative distance at which a denominator factor counts as a pole
 POLE_EPS = 1e-12
@@ -18,21 +14,3 @@ ZERO_EPS = 5e-15
 
 #: incremental series evaluation refreshes the running term this often
 RECOMPUTE_EVERY = 64
-
-WORKING_PRECISIONS = ("double",)
-
-_working_precision = "double"
-
-
-def working_precision() -> str:
-    return _working_precision
-
-
-def set_working_precision(name: str) -> None:
-    """Select the numeric backend precision. Only "double" is built in."""
-    global _working_precision
-    if name not in WORKING_PRECISIONS:
-        raise DomainError(
-            f"unsupported working precision {name!r}; "
-            f"this build provides {WORKING_PRECISIONS}")
-    _working_precision = name

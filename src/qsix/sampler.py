@@ -13,8 +13,10 @@ from typing import Mapping
 
 import numpy as np
 
-from .errors import DomainError, Unsatisfiable
-from .series import BaileyParams, TParams, TruncParams
+from .errors import (BudgetExceeded, DomainError, NonConvergence, PoleError,
+                     Unsatisfiable)
+from .qcore import DEFAULT_POLICY
+from .series import BaileyParams, TParams, TruncParams, _side
 
 #: documented convergence_caps keys and their defaults. Caps not listed for
 #: a kind are ignored by it.
@@ -34,14 +36,18 @@ DEFAULT_CAPS = {
     # t_params: |C/q^3| range (C is constructed as w q^3)
     "t_arg_min": 0.05,
     "t_arg_max": 0.9,
-    # all kinds: bound on max |term| / |full sum| in a probe walk of every
-    # series the draw feeds (min partial sum for truncated windows); caps
-    # the cancellation amplifier of term rounding in downstream checks
+    # all kinds: bound on max |term| / |full sum| over the kernel walk of
+    # every series the draw feeds (min |partial sum| for truncated
+    # windows); caps the cancellation amplifier of term rounding in
+    # downstream checks. A walk the kernel refuses counts as infinite.
     "hump_max": 1e5,
 }
 
 _SHELL_LO = 0.25
 _SHELL_HI = 4.0
+
+#: kernel refusals that make a probe walk's hump infinite
+_WALK_ERRORS = (PoleError, BudgetExceeded, NonConvergence)
 
 
 @dataclass(frozen=True)
@@ -116,81 +122,20 @@ def _margin_bad(x: complex, q: complex, margin: float,
     return False
 
 
-def _walk_side(num, den, q, z, vwp_a, direction, max_steps=400):
-    """One direction of a bilateral walk: (max |term|, sum of this side's
-    terms, min |partial sum|). Partial sums include the leading n = 0
-    term (= 1); the side sum does not. Crude and cheap: no pole checks,
-    stops once terms are negligible and every factor base has crossed
-    unit modulus (before that, a dip can be followed by renewed growth).
-    Returns (inf, 0, 0) on a vanishing denominator or non-finite term."""
-    g = 1.0 + 0j
-    q2 = 1.0 + 0j
-    side = 0.0 + 0j
-    hump = 0.0
-    low = 1.0
-    qe = 1.0 + 0j if direction > 0 else 1.0 / q
-    lg = -np.log(abs(q))
-    k_min = 3
-    for x in (*num, *den):
-        ax = abs(x)
-        if direction < 0 and 0.0 < ax < 1.0:
-            k_min = max(k_min, int(np.ceil(-np.log(ax) / lg)))
-        elif direction > 0 and ax > 1.0:
-            k_min = max(k_min, int(np.ceil(np.log(ax) / lg)))
-    k_min = min(k_min, max_steps // 2)
-    for k in range(1, max_steps + 1):
-        if direction > 0:
-            top = 1.0 + 0j
-            bot = 1.0 + 0j
-            for a in num:
-                top *= 1.0 - a * qe
-            for b in den:
-                bot *= 1.0 - b * qe
-            if bot == 0:
-                return float("inf"), 0.0 + 0j, 0.0
-            if top == 0:
-                break
-            g *= z * top / bot
-            q2 *= q * q
-            qe *= q
-        else:
-            top = 1.0 + 0j
-            bot = 1.0 + 0j
-            for b in den:
-                top *= 1.0 - b * qe
-            for a in num:
-                bot *= 1.0 - a * qe
-            if bot == 0:
-                return float("inf"), 0.0 + 0j, 0.0
-            if top == 0:
-                break
-            g *= top / (z * bot)
-            q2 /= q * q
-            qe /= q
-        t = g
-        if vwp_a is not None:
-            t = g * (1.0 - vwp_a * q2) / (1.0 - vwp_a)
-        at = abs(t)
-        if not np.isfinite(at):
-            return float("inf"), 0.0 + 0j, 0.0
-        side += t
-        hump = max(hump, at)
-        low = min(low, abs(1.0 + side))
-        if at < 1e-18 * (1.0 + abs(1.0 + side)) and k > k_min:
-            break
-    return hump, side, low
-
-
-def _hump_bilateral(num, den, q, z, vwp_a, max_steps=400) -> float:
+def _hump_bilateral(num, den, q, z, vwp_a) -> float:
     """max |term| over both directions relative to the full bilateral sum.
 
     Per-direction normalization understates the damage when the two sides
     nearly cancel against each other and the n = 0 term: every term then
     carries its rounding into a much smaller total. This ratio is the
-    amplification factor of term-level rounding in the final value."""
-    up, us, _ = _walk_side(num, den, q, z, vwp_a, +1, max_steps)
-    dn, ds, _ = _walk_side(num, den, q, z, vwp_a, -1, max_steps)
-    if not np.isfinite(up) or not np.isfinite(dn):
+    amplification factor of term-level rounding in the final value. A walk
+    the kernel refuses (pole, budget, divergence) counts as infinite."""
+    try:
+        us, _, _, _, up, _ = _side(num, den, q, z, +1, vwp_a, True, -1,
+                                   DEFAULT_POLICY)
+        ds, _, _, _, dn, _ = _side(num, den, q, z, -1, vwp_a, True, -1,
+                                   DEFAULT_POLICY)
+    except _WALK_ERRORS:
         return float("inf")
     total = abs(1.0 + us + ds)
     if total == 0.0:
@@ -339,7 +284,7 @@ def violations(kind: str, params, constraints: SampleConstraints) -> list:
                            f"a q-shift of 1")
                 break
         if not out:
-            h = _t_hump(p, scalings=4)
+            h = _t_hump(p, scalings=4, cap=con.cap("hump_max"))
             if h > con.cap("hump_max"):
                 out.append(f"bilateral term hump {h:.3g} exceeds cap")
     return out
@@ -351,16 +296,20 @@ def _S_window_hump(p: TruncParams, N: int) -> float:
     partial sum up to N is a consumed value, so the smallest one sets
     the conditioning."""
     worst = 0.0
-    for (A, C) in ((p.A, p.C), (p.A * p.q, p.C * p.q)):
-        q = p.q
+    q = p.q
+    for (A, C) in ((p.A, p.C), (p.A * q, p.C * q)):
         num = (p.B * q, p.D * q, p.E * q,
                p.B * C * p.D * p.E * q * q / (A * A))
         den = (p.D * p.E * q / A, p.B * p.E * q / A, p.B * p.D * q / A,
                A / C)
         a = p.B * p.D * p.E * q / A
         z = 1.0 / (C * q * q)
-        mx, _, low = _walk_side(num, den, q, z, a, +1, max_steps=N + 1)
-        if not np.isfinite(mx) or low == 0.0:
+        try:
+            _, _, _, _, mx, low = _side(num, den, q, z, +1, a, True, N + 1,
+                                        DEFAULT_POLICY)
+        except _WALK_ERRORS:
+            return float("inf")
+        if low == 0.0:
             return float("inf")
         worst = max(worst, max(1.0, mx) / low)
     return worst
@@ -369,7 +318,6 @@ def _S_window_hump(p: TruncParams, N: int) -> float:
 def _diff_amp(p: TruncParams, lo: int, hi: int) -> float:
     """Worst cancellation amplifier of the U and V step differences over
     n = lo..hi. A vanishing step difference counts as infinite."""
-    from .errors import PoleError
     from .identities import compute_U, compute_V
 
     worst = 0.0
@@ -386,19 +334,27 @@ def _diff_amp(p: TruncParams, lo: int, hi: int) -> float:
     return worst
 
 
-def _t_hump(p: TParams, scalings: int) -> float:
-    """Worst bilateral amplification over the scaled series family
-    C, Cq, ..., Cq^scalings. Deep scalings are where the full sum
-    collapses, so every member is probed."""
+def _t_hump(p: TParams, scalings: int, cap: float) -> float:
+    """Bilateral amplification over the scaled series family
+    C, Cq, ..., Cq^scalings, for comparison with cap.
+
+    Deep scalings are where the full sum collapses, so members are probed
+    deepest first and the probe stops at the first hump above cap, which
+    is returned rather than the worst of the family. When no member
+    exceeds cap the worst is returned, so the result exceeds cap exactly
+    when some member's hump does."""
     q, X, B, D, E = p.q, p.X, p.B, p.D, p.E
     worst = 0.0
-    for k in range(scalings + 1):
+    for k in range(scalings, -1, -1):
         C = p.C * q ** k
         num = (B * C * D * E * X * q, B * X * q, D * X * q, E * X * q)
         den = (X, C * D * E * X, B * C * E * X, B * C * D * X)
         a = B * C * D * E * X * X
         z = C / q ** 3
-        worst = max(worst, _hump_bilateral(num, den, q, z, a))
+        h = _hump_bilateral(num, den, q, z, a)
+        if h > cap:
+            return h
+        worst = max(worst, h)
     return worst
 
 

@@ -117,8 +117,13 @@ def _policy(ctx: QContext | None) -> TruncationPolicy:
 
 def _side(num, den, q, z, direction, vwp_a, use_vwp, fixed, policy,
           num_names=None, den_names=None):
-    """Run one kernel direction and translate its status into errors."""
-    acc, tail, used, status, bad_is_num, bad_slot, bad_exp = _K.series_side(
+    """Run one kernel direction and translate its status into errors.
+
+    Returns (acc, tail, used, terminated, peak, low); peak and low are the
+    kernel's largest |term| and smallest |1 + partial sum|.
+    """
+    (acc, tail, used, status, bad_is_num, bad_slot, bad_exp, peak,
+     low) = _K.series_side(
         tuple(num), tuple(den), q, z, direction, vwp_a, use_vwp, fixed,
         policy.tail_tol, policy.max_terms, policy.stagnation_window,
         POLE_EPS, ZERO_EPS, RECOMPUTE_EVERY)
@@ -137,7 +142,7 @@ def _side(num, den, q, z, direction, vwp_a, use_vwp, fixed, policy,
             f"series tail not below tolerance within {policy.max_terms} terms")
     if status == _K.DIVERGED:
         raise NonConvergence("series terms fail to decay")
-    return acc, tail, used, status == _K.TERMINATED
+    return acc, tail, used, status == _K.TERMINATED, peak, low
 
 
 def eval_phi(spec: SeriesSpec, ctx: QContext) -> EvalResult:
@@ -162,8 +167,8 @@ def eval_phi(spec: SeriesSpec, ctx: QContext) -> EvalResult:
         return EvalResult(1.0 + 0j, 0.0, 1, True)
     pol = _policy(ctx)
     den = (ctx.q,) + spec.denominators
-    acc, tail, used, exact = _side(spec.numerators, den, ctx.q, spec.z, +1,
-                                   0j, False, -1, pol)
+    acc, tail, used, exact, _, _ = _side(spec.numerators, den, ctx.q,
+                                         spec.z, +1, 0j, False, -1, pol)
     return EvalResult(1.0 + acc, tail, used + 1, exact)
 
 

@@ -10,12 +10,13 @@ import subprocess
 import sys
 
 from qsix import SampleConstraints, sample
-from qsix.cli import _rng, _shell_draw, _weier_amp, run_sweep
+from qsix.cli import _weier_amp, run_sweep
 from qsix.errors import PoleError
 from qsix.identities import (check_KN_decay, check_T_iteration,
                              check_weierstrass, compute_KN,
                              compute_KN_printed, map_remark1)
 from qsix.qcore import QContext
+from qsix.sampler import _draw_complex, _rng
 
 SEED = 7
 
@@ -44,7 +45,7 @@ def test_criterion_02_product_rearrangement_and_zeros():
     for fam_index, fam in enumerate(("b=c", "x=z", "bc=1", "xz=1")):
         for i in range(25):
             g = _rng(9000 + fam_index, i)
-            b, c, x, z = (_shell_draw(g, 0.3, 2.5) for _ in range(4))
+            b, c, x, z = (_draw_complex(g, 0.3, 2.5) for _ in range(4))
             if fam == "b=c":
                 c = b
             elif fam == "x=z":
@@ -65,8 +66,8 @@ def test_criterion_03_rearrangement_via_theta_products():
     for i in range(50):
         g = _rng(31, i)
         for _ in range(1000):
-            q = _shell_draw(g, 0.25, 0.7)
-            b, c, x, z = (_shell_draw(g, 0.3, 2.5) for _ in range(4))
+            q = _draw_complex(g, 0.25, 0.7)
+            b, c, x, z = (_draw_complex(g, 0.3, 2.5) for _ in range(4))
             if _weier_amp(b, c, x, z) <= 10.0:
                 break
         rep = check_weierstrass(b, c, x, z, ctx=QContext(q), use_theta=True)

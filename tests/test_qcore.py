@@ -9,7 +9,6 @@ from qsix import (BudgetExceeded, DomainError, PoleError, QContext,
                   TruncationPolicy, nabla, qpochhammer, qpochhammer_inf,
                   qpochhammer_inf_multi, qpochhammer_multi, theta,
                   theta_multi)
-from qsix.config import set_working_precision, working_precision
 
 # independent plain-loop value of (0.5;0.5)_inf, tail < 1e-60
 EULER_HALF = 0.2887880950866024
@@ -207,10 +206,3 @@ def test_truncation_policy_validation():
         TruncationPolicy(max_terms=0)
     with pytest.raises(DomainError):
         TruncationPolicy(stagnation_window=0)
-
-
-def test_working_precision_knob():
-    assert working_precision() == "double"
-    set_working_precision("double")
-    with pytest.raises(DomainError):
-        set_working_precision("quad")

@@ -1,6 +1,7 @@
 import pytest
 
-from qsix import DEFAULT_CAPS, SampleConstraints, sample, violations
+from qsix import (DEFAULT_CAPS, SampleConstraints, TParams,
+                  check_Q_constancy, sample, violations)
 from qsix.errors import DomainError, Unsatisfiable
 from qsix.identities import compute_U, compute_V
 
@@ -113,3 +114,18 @@ def test_constraint_validation():
         SampleConstraints(max_rejections=0)
     with pytest.raises(DomainError):
         SampleConstraints(convergence_caps={"tightness": 2.0})
+
+
+def test_long_downward_probe_walk_stays_in_range():
+    # second t_params candidate of draw 41 at seed 7: the downward walk of
+    # its deepest scaling runs for hundreds of steps, and a walk that forms
+    # the top and bottom factor products separately overflows to nan on
+    # it, so the candidate used to be rejected with an infinite hump
+    p = TParams(q=0.5380420660726305 + 0.29140916177879045j,
+                X=-0.708380820311968 - 0.21170882727346732j,
+                B=0.1297380443226278 + 0.0158594221670402j,
+                C=-0.09914895474605827 - 0.17728702216083964j,
+                D=0.36519569201858326 + 0.08031105522432255j,
+                E=-1.9902215130477614 - 2.2369933131575293j)
+    assert violations("t_params", p, SampleConstraints()) == []
+    assert check_Q_constancy(p, steps=4).passed
