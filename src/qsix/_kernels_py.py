@@ -1,17 +1,19 @@
 """Scalar numeric kernels: q-product loops and ratio-driven series sums.
 
-Pure-Python twin of the compiled extension ``qsix._kernels_cy``. The two
-implement the same algorithms step for step; any change here must be mirrored
-there. Everything operates on built-in complex scalars and returns plain
-tuples, leaving validation, naming of factors, and error raising to the
-callers in qcore/series.
+Everything operates on built-in complex scalars and returns plain tuples,
+leaving validation, naming of factors, and error raising to the callers in
+qcore/series/identities, which reach these functions through
+``qsix._backend``.
+
+A factor 1 - x q^m counts as vanished when |1 - x q^m| <= eps (1 + |x q^m|).
+Once q^m has left double range that test reads inf <= inf, so each branch
+that fires on it checks for an overflowed x q^m and reports DIVERGED (the
+walk or product left double range) instead of a zero or a pole.
 """
 
 from __future__ import annotations
 
 import math
-
-BACKEND = "python"
 
 OK = 0
 TERMINATED = 1
@@ -23,7 +25,7 @@ _OVERFLOW = 1e150
 
 
 def cpow_int(base: complex, n: int) -> complex:
-    """base**n by binary exponentiation; shared op order across backends."""
+    """base**n by binary exponentiation."""
     if n == 0:
         return 1.0 + 0j
     neg = n < 0
@@ -46,7 +48,8 @@ def qpoch(a: complex, q: complex, n: int, pole_eps: float):
 
     Returns (value, status, bad_k). For n < 0 the factors (1 - a q^-k),
     k = 1..-n, are divided out; one of them within pole_eps (relative) of
-    zero gives status POLE with bad_k = k.
+    zero gives status POLE with bad_k = k, and an a q^-k out of double range
+    gives status DIVERGED with bad_k = k.
     """
     if n == 0:
         return 1.0 + 0j, OK, 0
@@ -64,7 +67,7 @@ def qpoch(a: complex, q: complex, n: int, pole_eps: float):
         aw = a * w
         f = 1.0 - aw
         if abs(f) <= pole_eps * (1.0 + abs(aw)):
-            return complex("nan"), POLE, k
+            return complex("nan"), DIVERGED if _overflowed(aw) else POLE, k
         acc *= f
     return 1.0 / acc, OK, 0
 
@@ -103,6 +106,19 @@ def qpoch_inf(a: complex, q: complex, tail_tol: float, max_terms: int,
             run = 0
         w *= q
     return acc, float("inf"), max_terms, 0, BUDGET
+
+
+def _overflowed(w: complex) -> bool:
+    """Whether x q^m has left double range; read only where the zero or pole
+    test fired, which an infinite |x q^m| passes as inf <= inf."""
+    return abs(w) == math.inf
+
+
+def _stop(acc, steps, status, w, bad_is_num, bad_slot, bad_exp, peak, low):
+    """Return tuple of a walk stopped on a vanishing factor x q^m = w."""
+    if _overflowed(w):
+        return acc, float("inf"), steps, DIVERGED, 0, 0, 0, peak, low
+    return acc, 0.0, steps, status, bad_is_num, bad_slot, bad_exp, peak, low
 
 
 def _crossing(ax: float, lg: float, down: bool, floor: int) -> int:
@@ -164,6 +180,9 @@ def series_side(num, den, q: complex, z: complex, direction: int,
     two measure how much term rounding a consumer of the partial sums
     inherits.
 
+    A step whose x q^m has left double range ends the walk DIVERGED: the
+    zero and pole tests cannot tell such a factor from a vanished one.
+
     Returns (acc, tail, used, status, bad_is_num, bad_slot, bad_exp, peak,
     low).
     """
@@ -213,26 +232,28 @@ def series_side(num, den, q: complex, z: complex, direction: int,
                 w = den[j] * qe
                 f = 1.0 - w
                 if abs(f) <= zero_eps * (1.0 + abs(w)):
-                    return acc, 0.0, steps, TERMINATED, 0, j, e, peak, low
+                    return _stop(acc, steps, TERMINATED, w, 0, j, e, peak,
+                                 low)
                 ftop[j] = f
             for i in range(rn):
                 w = num[i] * qe
                 f = 1.0 - w
                 if abs(f) <= pole_eps * (1.0 + abs(w)):
-                    return acc, 0.0, steps, POLE, 1, i, e, peak, low
+                    return _stop(acc, steps, POLE, w, 1, i, e, peak, low)
                 fbot[i] = f
         else:
             for i in range(rn):
                 w = num[i] * qe
                 f = 1.0 - w
                 if abs(f) <= zero_eps * (1.0 + abs(w)):
-                    return acc, 0.0, steps, TERMINATED, 1, i, e, peak, low
+                    return _stop(acc, steps, TERMINATED, w, 1, i, e, peak,
+                                 low)
                 ftop[i] = f
             for j in range(rd):
                 w = den[j] * qe
                 f = 1.0 - w
                 if abs(f) <= pole_eps * (1.0 + abs(w)):
-                    return acc, 0.0, steps, POLE, 0, j, e, peak, low
+                    return _stop(acc, steps, POLE, w, 0, j, e, peak, low)
                 fbot[j] = f
         steps += 1
         r = step_z

@@ -87,12 +87,15 @@ def _scm(m: complex, e: int, z: complex):
     """Renormalizing multiply for scale-tracked products m * 2^e.
 
     Keeps |m| within [2^-8, 2^8] so superexponentially growing q-shifted
-    factorials at deeply negative index stay representable."""
+    factorials at deeply negative index stay representable. A factor out of
+    double range (an overflowed x q^-k) makes m non-finite: DomainError."""
     m = m * z
     if m == 0:
         return 0j, 0
     a = abs(m)
-    if a > 256.0 or a < 0.00390625:
+    if not 0.00390625 <= a <= 256.0:
+        if not a < math.inf:
+            raise DomainError("scaled q-product left double range")
         k = int(math.floor(math.log2(a)))
         m = complex(math.ldexp(m.real, -k), math.ldexp(m.imag, -k))
         e += k
@@ -100,7 +103,11 @@ def _scm(m: complex, e: int, z: complex):
 
 
 def _sc_value(m: complex, e: int) -> complex:
-    return complex(math.ldexp(m.real, e), math.ldexp(m.imag, e))
+    try:
+        return complex(math.ldexp(m.real, e), math.ldexp(m.imag, e))
+    except OverflowError:
+        raise DomainError(f"scaled q-product {m} * 2^{e} is out of double "
+                          f"range") from None
 
 
 def _poch_num_sc(pairs, q: complex, n: int, m: complex, e: int):
@@ -120,6 +127,9 @@ def _poch_num_sc(pairs, q: complex, n: int, m: complex, e: int):
             xw = x * w
             f = 1.0 - xw
             if abs(f) <= POLE_EPS * (1.0 + abs(xw)):
+                if abs(xw) == math.inf:  # passes the test as inf <= inf
+                    raise DomainError(
+                        f"({name})*q^(-{k}) is out of double range")
                 raise PoleError(
                     f"factor 1 - ({name})*q^(-{k}) vanishes",
                     factor=name, exponent=-k)

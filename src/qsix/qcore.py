@@ -109,7 +109,8 @@ def qpochhammer(a: complex, ctx: QContext, n: int) -> complex:
 
     For n > 0 this is the plain product (1-a)(1-aq)...(1-aq^{n-1}); n = 0
     gives 1; n < 0 divides out the factors (1 - a q^{-1})...(1 - a q^{n}),
-    raising PoleError when one of them sits within POLE_EPS of zero.
+    raising PoleError when one of them sits within POLE_EPS of zero and
+    DomainError when a q^{-k} leaves double range before k reaches -n.
 
     Examples
     --------
@@ -125,6 +126,9 @@ def qpochhammer(a: complex, ctx: QContext, n: int) -> complex:
         raise PoleError(
             f"(a;q)_{n} with a = {a}: factor 1 - a*q^(-{bad_k}) vanishes",
             factor="1 - a*q^-k", exponent=-bad_k)
+    if status == _K.DIVERGED:
+        raise DomainError(
+            f"(a;q)_{n} with a = {a}: a*q^(-{bad_k}) is out of double range")
     return val
 
 

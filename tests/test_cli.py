@@ -83,6 +83,15 @@ def test_check_divergent_series_exit_code():
     assert "did not converge" in r.stderr
 
 
+def test_check_out_of_range_index_is_domain_error():
+    # U_{-400} leaves double range: a domain error, not a traceback
+    r = run("check", "udiff", "--q", "0.45,0.1", *RECURRENCE_FLAGS[2:],
+            "--n", "-400")
+    assert r.returncode == 2
+    assert "domain error" in r.stderr
+    assert "Traceback" not in r.stderr
+
+
 def test_malformed_complex_flag_is_usage_error():
     r = run("eval", "theta", "--x", "0.5", "--q", "0.5,0")
     assert r.returncode == 64

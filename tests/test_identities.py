@@ -190,6 +190,25 @@ def test_u_pole_when_Aq2_is_one():
         compute_U(1, p)
 
 
+# |q| = 0.461: q^-917 overflows, and U_n, V_n leave double range long before
+FAR_P = dataclasses.replace(GENERIC, q=0.45 + 0.1j)
+
+
+@pytest.mark.parametrize("f, n, p", [
+    # an overflowed factor used to pass the pole test as inf <= inf
+    (compute_U, -1000, FAR_P), (compute_V, -1000, FAR_P),
+    # the scaled products used to raise OverflowError on conversion
+    (compute_U, -400, FAR_P), (compute_V, -400, FAR_P),
+    (check_U_difference, -400, FAR_P),
+    # Aq^2 = 2.1 overflows x q^-916 in a denominator factor, which used to
+    # raise OverflowError inside the renormalizing multiply
+    (compute_U, -916, dataclasses.replace(FAR_P, A=10.0)),
+])
+def test_out_of_range_index_is_domain_error(f, n, p):
+    with pytest.raises(DomainError, match="double range"):
+        f(n, p)
+
+
 # GENERIC has Aq = 1, a V pole for n <= -2; shift A off the degeneracy
 DIFF_P = dataclasses.replace(GENERIC, A=1.7)
 

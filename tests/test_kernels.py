@@ -1,23 +1,21 @@
-"""Tests of the kernel layer that run on either backend.
+"""Tests of the kernel layer, called through the `qsix._backend` binding.
 
-The walk statistics of `series_side` (largest |term|, smallest
-|1 + partial sum|) are checked against plain term-by-term sums, and the
-two kernel twins are checked to define the same public functions, so a
-function added to one of them cannot go missing from the other even on
-hosts where the compiled twin is not built.
+Each kernel is checked against a plain oracle: `cpow_int` against the
+built-in power, `qpoch` and `series_side` against term-by-term products and
+sums, `qpoch_inf` against a long truncated product. The walk statistics of
+`series_side` (largest |term|, smallest |1 + partial sum|) are checked
+against the same sums, and every stop status is pinned on a walk that
+reaches it, including walks whose running power q^m leaves double range.
 """
 
-import inspect
-import pathlib
-import re
+import math
 
 import pytest
-from test_series import psi_term_oracle
+from test_series import poch_oracle, psi_term_oracle
 
 from qsix import _backend as K
-from qsix import _kernels_py as kpy
 
-PYX = pathlib.Path(kpy.__file__).with_name("_kernels_cy.pyx")
+ARGS = (1e-15, 10000, 3, 1e-12, 5e-15, 64)
 
 
 def term(num, den, q, z, vwp_a, n):
@@ -57,7 +55,7 @@ def test_series_side_walk_stats_match_plain_sum(walk, direction, fixed):
     num, den, q, z, vwp_a = walk
     out = K.series_side(num, den, q, z, direction,
                         0j if vwp_a is None else vwp_a, vwp_a is not None,
-                        fixed, 1e-15, 10000, 3, 1e-12, 5e-15, 64)
+                        fixed, *ARGS)
     assert len(out) == 9
     acc, used, status, peak, low = out[0], out[2], out[3], out[7], out[8]
     assert status == K.OK
@@ -75,8 +73,7 @@ def test_series_side_walk_stats_match_plain_sum(walk, direction, fixed):
 def test_series_side_stats_ride_along_on_termination():
     # (1 - 2 q) = 0 at the second upward step: one term, then terminated
     num, den, q, z = (2.0 + 0j, 0.25 + 0j), (0.23 + 0j, 0.17 + 0j), 0.5, 0.4
-    out = K.series_side(num, den, q, z, 1, 0j, False, -1,
-                        1e-15, 10000, 3, 1e-12, 5e-15, 64)
+    out = K.series_side(num, den, q, z, 1, 0j, False, -1, *ARGS)
     assert out[3] == K.TERMINATED
     assert out[2] == 1
     t1 = term(num, den, q, z, None, 1)
@@ -84,13 +81,110 @@ def test_series_side_stats_ride_along_on_termination():
     assert out[8] == pytest.approx(min(1.0, abs(1.0 + t1)), rel=1e-14)
 
 
-def _public_functions(mod):
-    return {name for name, obj in vars(mod).items()
-            if inspect.isfunction(obj) and not name.startswith("_")
-            and obj.__module__ == mod.__name__}
+@pytest.mark.parametrize("base, n", [
+    (0.5 + 0j, 7), (0.5 + 0j, -9), (0.3 - 0.8j, 23), (0.3 - 0.8j, -23),
+    (1.7 + 0.2j, 0), (2.0 + 0j, 62), (-0.4 + 1.1j, -55),
+])
+def test_cpow_int_matches_builtin_power(base, n):
+    assert K.cpow_int(base, n) == pytest.approx(base ** n, rel=1e-13)
 
 
-def test_kernel_twins_define_the_same_functions():
-    compiled = set(re.findall(r"^def ([A-Za-z]\w*)\(", PYX.read_text(),
-                              re.MULTILINE))
-    assert compiled == _public_functions(kpy)
+@pytest.mark.parametrize("a, n", [
+    (0.3 + 0.1j, 6), (0.3 + 0.1j, -6), (1.4 - 0.7j, 11), (1.4 - 0.7j, -11),
+    (0.0 + 0j, 5), (2.0 + 0j, 4), (4.0 + 0j, -3),
+])
+def test_qpoch_matches_plain_product(a, n):
+    q = 0.45 + 0.15j
+    val, status, bad_k = K.qpoch(a, q, n, 1e-12)
+    assert (status, bad_k) == (K.OK, 0)
+    assert val == pytest.approx(poch_oracle(a, q, n), rel=1e-12)
+
+
+@pytest.mark.parametrize("a, q, n, status, bad_k", [
+    # 1 - q * q^-1 = 0: a genuine pole at the first factor
+    (0.45 + 0.1j, 0.45 + 0.1j, -3, K.POLE, 1),
+    # |q^-917| overflows to inf, which the pole test reads as inf <= inf
+    (0.3 + 0j, 0.45 + 0.1j, -1000, K.DIVERGED, 917),
+])
+def test_qpoch_stops_on_pole_or_overflow(a, q, n, status, bad_k):
+    val, got_status, got_k = K.qpoch(a, q, n, 1e-12)
+    assert (got_status, got_k) == (status, bad_k)
+    assert val != val
+
+
+@pytest.mark.parametrize("a", [0.3 + 0.1j, -1.4 + 0.7j, 2.5 + 0j])
+def test_qpoch_inf_within_its_bound_of_a_long_product(a):
+    q = 0.6 - 0.2j
+    val, est, terms, exact, status = K.qpoch_inf(a, q, 1e-15, 10000, 6,
+                                                 5e-15)
+    assert (exact, status) == (0, K.OK)
+    assert 0.0 < est < 1e-14 * abs(val)
+    assert abs(val - poch_oracle(a, q, 400)) <= est + 1e-14 * abs(val)
+
+
+def test_qpoch_inf_of_zero_is_exactly_one():
+    assert K.qpoch_inf(0j, 0.6 - 0.2j, 1e-15, 10000, 6, 5e-15) == (
+        1.0 + 0j, 0.0, 1, 1, K.OK)
+
+
+# (num, den, q, z, fixed)
+SIDES_OK = [
+    ((0.3 + 0j,), (0.7 + 0j,), 0.5 + 0j, 0.4 + 0j, -1),
+    ((0.3 + 0j,), (0.7 + 0j,), 0.5 + 0j, 0.4 + 0j, 25),
+    # empty parameter lists: the geometric series z + z^2 + ...
+    ((), (), 0.5 + 0j, 0.3 + 0j, -1),
+    ((), (), 0.5 + 0j, 0.3 + 0j, 9),
+]
+
+
+@pytest.mark.parametrize("side", SIDES_OK)
+def test_series_side_sum_matches_plain_sum(side):
+    num, den, q, z, fixed = side
+    acc, tail, used, status = K.series_side(num, den, q, z, 1, 0j, False,
+                                            fixed, *ARGS)[:4]
+    assert status == K.OK
+    want = sum(psi_term_oracle(num, den, q, z, n) for n in range(1, used + 1))
+    assert acc == pytest.approx(want, rel=1e-13)
+    if fixed >= 0:
+        assert (used, tail) == (fixed, 0.0)
+    else:
+        assert 0.0 < tail < 1e-15
+
+
+def test_series_side_long_downward_walk_ends_ok():
+    # several hundred steps: the interleaved step product and the
+    # multiplicative prefactor stay in range far past where the separate
+    # top and bottom products would overflow
+    q, X, B, C, D, E = 0.5, 1.2, 0.3, 0.1102, 0.35, 0.45
+    num = tuple(map(complex, (B*C*D*E*X*q, B*X*q, D*X*q, E*X*q)))
+    den = tuple(map(complex, (X, C*D*E*X, B*C*E*X, B*C*D*X)))
+    out = K.series_side(num, den, complex(q), complex(C / q ** 3), -1,
+                        complex(B*C*D*E*X*X), True, -1,
+                        1e-15, 10000, 6, 1e-12, 5e-15, 64)
+    assert out[3] == K.OK
+    assert out[2] > 250
+    assert math.isfinite(abs(out[0])) and out[1] < 1e-12
+
+
+# (num, den, q, z, direction, vwp_a, use_vwp), status, used, bad_exp
+SIDES_STOPPED = [
+    # (1 - 2 q) = 0 at the second upward step: one term, then terminated
+    (((2.0 + 0j, 3.0 + 0j), (0.23 + 0j, 0.17 + 0j), 0.5 + 0j, 0.4 + 0j,
+      1, 0j, False), K.TERMINATED, 1, 1),
+    # downward terms grow like |(0.7/0.3) / 0.4|^n past the overflow guard
+    (((0.3 + 0j,), (0.7 + 0j,), 0.5 + 0j, 0.4 + 0j, -1, 0j, False),
+     K.DIVERGED, 196, 0),
+    (((0.3 + 0.1j, 0.9j), (0.7 - 0.2j, 1.3 + 0j), 0.45 + 0.1j, 0.6 - 0.3j,
+      -1, 0.5 + 0.2j, True), K.DIVERGED, 110, 0),
+    # q^-917 overflows while the terms are still about 2e-3: den[0] q^m is
+    # inf, which the zero test reads as inf <= inf; not a termination
+    (((1.3 + 0.2j, -1.1j), (0.4 - 0.1j, 0.5 + 0j), 0.45 + 0.1j, 0.6 - 0.3j,
+      -1, 0.05 + 0.02j, True), K.DIVERGED, 916, 0),
+]
+
+
+@pytest.mark.parametrize("side, status, used, bad_exp", SIDES_STOPPED)
+def test_series_side_stop_status(side, status, used, bad_exp):
+    out = K.series_side(*side, -1, *ARGS)
+    assert (out[2], out[3], out[6]) == (used, status, bad_exp)
+    assert out[1] == (0.0 if status == K.TERMINATED else math.inf)

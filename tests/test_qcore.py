@@ -69,6 +69,12 @@ def test_qpochhammer_negative_branch_pole():
     assert exc.value.exponent == -1
 
 
+def test_qpochhammer_out_of_range_is_domain_error_not_pole():
+    # |q^-917| overflows to inf, which passes the pole test as inf <= inf
+    with pytest.raises(DomainError, match="out of double range"):
+        qpochhammer(0.3, QContext(0.45 + 0.1j), -1000)
+
+
 @pytest.mark.parametrize("a", [0.3, -0.8, 1.7 + 0.4j, 0.05 - 1.2j])
 @pytest.mark.parametrize("n", [-6, -3, -1, 0, 1, 2, 5, 11])
 def test_qpochhammer_matches_plain_loop(a, n):
