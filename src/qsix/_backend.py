@@ -7,10 +7,10 @@ implementation.
 from __future__ import annotations
 
 from ._kernels_py import (BUDGET, DIVERGED, OK, POLE, TERMINATED, cpow_int,
-                          qpoch, qpoch_inf, series_side)
+                          pow_sc, qpoch_inf, qpoch_sc, series_side)
 
 __all__ = ["BUDGET", "DIVERGED", "OK", "POLE", "TERMINATED", "backend_name",
-           "cpow_int", "qpoch", "qpoch_inf", "series_side"]
+           "cpow_int", "pow_sc", "qpoch_inf", "qpoch_sc", "series_side"]
 
 
 def backend_name() -> str:

@@ -5,6 +5,10 @@ leaving validation, naming of factors, and error raising to the callers in
 qcore/series/identities, which reach these functions through
 ``qsix._backend``.
 
+Finite q-products (`qpoch_sc`, `pow_sc`) are scale-tracked as m * 2^e with
+|m| kept in [2^-8, 2^8] by exact power-of-two rescaling, so q-shifted
+factorials that grow superexponentially in |n| stay representable.
+
 A factor 1 - x q^m counts as vanished when |1 - x q^m| <= eps (1 + |x q^m|).
 Once q^m has left double range that test reads inf <= inf, so each branch
 that fires on it checks for an overflowed x q^m and reports DIVERGED (the
@@ -23,9 +27,14 @@ DIVERGED = 4
 
 _OVERFLOW = 1e150
 
+#: window [2^-8, 2^8] that scale-tracked products keep their mantissa in
+_LO = 0.00390625
+_HI = 256.0
+
 
 def cpow_int(base: complex, n: int) -> complex:
-    """base**n by binary exponentiation."""
+    """base**n by binary exponentiation; inf when n < 0 and base**-n
+    underflows to 0."""
     if n == 0:
         return 1.0 + 0j
     neg = n < 0
@@ -39,37 +48,82 @@ def cpow_int(base: complex, n: int) -> complex:
         if e:
             b *= b
     if neg:
-        return 1.0 / acc
+        return 1.0 / acc if acc else complex(math.inf, 0.0)
     return acc
 
 
-def qpoch(a: complex, q: complex, n: int, pole_eps: float):
-    """Finite q-shifted factorial (a;q)_n for any integer n.
+def qpoch_sc(xs, q: complex, n: int, invert: bool, pole_eps: float,
+             m: complex, e: int):
+    """Multiply prod_i (x_i;q)_n, or its reciprocal when `invert`, onto the
+    scale-tracked product m * 2^e, one factor 1 - x_i q^j at a time.
 
-    Returns (value, status, bad_k). For n < 0 the factors (1 - a q^-k),
-    k = 1..-n, are divided out; one of them within pole_eps (relative) of
-    zero gives status POLE with bad_k = k, and an a q^-k out of double range
-    gives status DIVERGED with bad_k = k.
+    (x;q)_n has the factors j = 0..n-1 for n > 0 and the reciprocals of
+    j = -1..n for n < 0. A dividing factor (n < 0 without `invert`, n > 0
+    with it) within pole_eps (relative) of zero gives status POLE; an
+    overflowed x q^j there, or a product out of double range, DIVERGED.
+    Returns (m, e, status, bad_slot, bad_exp), bad_* naming the factor a
+    stop came at.
+
+    >>> qpoch_sc((0.5 + 0j,), 0.5 + 0j, 3, False, 1e-12, 1 + 0j, 0)
+    ((0.328125+0j), 0, 0, 0, 0)
+    >>> qpoch_sc((0.25 + 0j, 0.5 + 0j), 0.5 + 0j, -1, False, 1e-12, 1 + 0j, 0)
+    ((2+0j), 0, 2, 1, -1)
     """
-    if n == 0:
-        return 1.0 + 0j, OK, 0
-    if n > 0:
-        acc = 1.0 + 0j
+    down = n < 0
+    divide = down != bool(invert)
+    exps = range(-1, n - 1, -1) if down else range(n)
+    for slot, x in enumerate(xs):
         w = 1.0 + 0j
-        for _ in range(n):
-            acc *= 1.0 - a * w
-            w *= q
-        return acc, OK, 0
-    acc = 1.0 + 0j
-    w = 1.0 + 0j
-    for k in range(1, -n + 1):
-        w /= q
-        aw = a * w
-        f = 1.0 - aw
-        if abs(f) <= pole_eps * (1.0 + abs(aw)):
-            return complex("nan"), DIVERGED if _overflowed(aw) else POLE, k
-        acc *= f
-    return 1.0 / acc, OK, 0
+        for j in exps:
+            if down:
+                w /= q
+            xw = x * w
+            f = 1.0 - xw
+            if divide:
+                if abs(f) <= pole_eps * (1.0 + abs(xw)):
+                    status = DIVERGED if _overflowed(xw) else POLE
+                    return m, e, status, slot, j
+                f = 1.0 / f
+            m = m * f
+            if not _LO <= abs(m) <= _HI:
+                m, e = _rescale(m, e)
+                if not abs(m) < math.inf:
+                    return m, e, DIVERGED, slot, j
+            if not down:
+                w *= q
+    return m, e, OK, 0, 0
+
+
+def pow_sc(z: complex, count: int, m: complex, e: int):
+    """Multiply z**count onto the scale-tracked product m * 2^e one factor
+    at a time (1/z for count < 0). Returns (m, e, status).
+
+    >>> pow_sc(2.0 + 0j, 10, 1 + 0j, 0)
+    ((2+0j), 9, 0)
+    """
+    if count < 0:
+        z = 1.0 / z
+        count = -count
+    for _ in range(count):
+        m = m * z
+        if not _LO <= abs(m) <= _HI:
+            m, e = _rescale(m, e)
+            if not abs(m) < math.inf:
+                return m, e, DIVERGED
+    return m, e, OK
+
+
+def _rescale(m: complex, e: int):
+    """m * 2^e with m rescaled by a power of two to |m| near 1; zero
+    becomes (0j, 0), a non-finite m comes back unchanged."""
+    if m == 0:
+        return 0j, 0
+    a = abs(m)
+    if a < math.inf:
+        k = int(math.floor(math.log2(a)))
+        m = complex(math.ldexp(m.real, -k), math.ldexp(m.imag, -k))
+        e += k
+    return m, e
 
 
 def qpoch_inf(a: complex, q: complex, tail_tol: float, max_terms: int,

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import cmath
 import dataclasses
-import math
 from dataclasses import dataclass
 from typing import Mapping
 
@@ -19,7 +18,7 @@ from . import _backend as _K
 from .config import POLE_EPS
 from .errors import DomainError, NonConvergence, PoleError
 from .qcore import DEFAULT_POLICY, QContext, TruncationPolicy, _as_complex, \
-    nabla, qpochhammer_inf_multi, theta_multi
+    _sc_value, nabla, qpochhammer_inf_multi, theta_multi
 from .series import BaileyParams, SeriesSpec, TParams, TruncParams, \
     bailey_closed_a, bailey_closed_X, eval_phi, eval_T, F_function, \
     q_factor, rogers_closed, truncated_S, vwp_psi6
@@ -83,96 +82,36 @@ def _nabla_den(pairs) -> complex:
     return acc
 
 
-def _scm(m: complex, e: int, z: complex):
-    """Renormalizing multiply for scale-tracked products m * 2^e.
-
-    Keeps |m| within [2^-8, 2^8] so superexponentially growing q-shifted
-    factorials at deeply negative index stay representable. A factor out of
-    double range (an overflowed x q^-k) makes m non-finite: DomainError."""
-    m = m * z
-    if m == 0:
-        return 0j, 0
-    a = abs(m)
-    if not 0.00390625 <= a <= 256.0:
-        if not a < math.inf:
-            raise DomainError("scaled q-product left double range")
-        k = int(math.floor(math.log2(a)))
-        m = complex(math.ldexp(m.real, -k), math.ldexp(m.imag, -k))
-        e += k
-    return m, e
-
-
-def _sc_value(m: complex, e: int) -> complex:
-    try:
-        return complex(math.ldexp(m.real, e), math.ldexp(m.imag, e))
-    except OverflowError:
-        raise DomainError(f"scaled q-product {m} * 2^{e} is out of double "
-                          f"range") from None
-
-
-def _poch_num_sc(pairs, q: complex, n: int, m: complex, e: int):
-    """Multiply prod (x;q)_n, numerator position, onto a scaled product:
-    zeros pass through, a vanishing negative-index factor is a pole."""
-    if n >= 0:
-        for name, x in pairs:
-            w = 1.0 + 0j
-            for _ in range(n):
-                m, e = _scm(m, e, 1.0 - x * w)
-                w *= q
-        return m, e
-    for name, x in pairs:
-        w = 1.0 + 0j
-        for k in range(1, -n + 1):
-            w /= q
-            xw = x * w
-            f = 1.0 - xw
-            if abs(f) <= POLE_EPS * (1.0 + abs(xw)):
-                if abs(xw) == math.inf:  # passes the test as inf <= inf
-                    raise DomainError(
-                        f"({name})*q^(-{k}) is out of double range")
-                raise PoleError(
-                    f"factor 1 - ({name})*q^(-{k}) vanishes",
-                    factor=name, exponent=-k)
-            m, e = _scm(m, e, 1.0 / f)
-    return m, e
-
-
-def _poch_den_inv_sc(pairs, q: complex, n: int, m: complex, e: int):
-    """Multiply 1 / prod (x;q)_n, denominator position, onto a scaled
-    product.
-
-    For n >= 0 a vanishing factor is a pole; for n < 0 the reciprocal
-    factors multiply in directly, so a vanishing one yields an exact zero.
-    """
-    if n >= 0:
-        for name, x in pairs:
-            w = 1.0 + 0j
-            for k in range(n):
-                xw = x * w
-                f = 1.0 - xw
-                if abs(f) <= POLE_EPS * (1.0 + abs(xw)):
-                    raise PoleError(
-                        f"factor 1 - ({name})*q^({k}) vanishes",
+def _poch_sc(pairs, q: complex, n: int, invert: bool, m: complex, e: int):
+    """The kernel's `qpoch_sc` on (name, x) pairs: a vanishing dividing
+    factor raises PoleError naming it, and an x q^j or a product out of
+    double range raises DomainError."""
+    m, e, status, slot, k = _K.qpoch_sc(tuple(x for _, x in pairs), q, n,
+                                        invert, POLE_EPS, m, e)
+    if status == _K.POLE:
+        name = pairs[slot][0]
+        raise PoleError(f"factor 1 - ({name})*q^({k}) vanishes",
                         factor=name, exponent=k)
-                m, e = _scm(m, e, 1.0 / f)
-                w *= q
-        return m, e
-    for name, x in pairs:
-        w = 1.0 + 0j
-        for _ in range(-n):
-            w /= q
-            m, e = _scm(m, e, 1.0 - x * w)
+    if status == _K.DIVERGED:
+        raise DomainError(f"scaled q-product left double range at factor "
+                          f"1 - ({pairs[slot][0]})*q^({k})")
+    return m, e
+
+
+def _pow_sc(z: complex, count: int, m: complex, e: int):
+    """Multiply z**count onto a scale-tracked product, factor by factor."""
+    m, e, status = _K.pow_sc(z, count, m, e)
+    if status == _K.DIVERGED:
+        raise DomainError("scaled q-product left double range")
     return m, e
 
 
 def _poch_num(pairs, q: complex, n: int) -> complex:
-    m, e = _poch_num_sc(pairs, q, n, 1.0 + 0j, 0)
-    return _sc_value(m, e)
+    return _sc_value(*_poch_sc(pairs, q, n, False, 1.0 + 0j, 0))
 
 
 def _poch_den_inv(pairs, q: complex, n: int) -> complex:
-    m, e = _poch_den_inv_sc(pairs, q, n, 1.0 + 0j, 0)
-    return _sc_value(m, e)
+    return _sc_value(*_poch_sc(pairs, q, n, True, 1.0 + 0j, 0))
 
 
 # ---------------------------------------------------------------------------
@@ -261,23 +200,38 @@ def check_weierstrass(b: complex, c: complex, x: complex, z: complex,
 # ---------------------------------------------------------------------------
 # the two sequences entering summation by parts, and their step differences
 
-def compute_U(n: int, p: TruncParams) -> complex:
-    """U_n = (Bq, Dq, Eq, BDE/A^2 q;q)_n / (BD/A, BE/A, DE/A, Aq^2;q)_n."""
-    q, A, B, C, D, E = p.q, p.A, p.B, p.C, p.D, p.E
+def _u_rows(p: TruncParams):
+    """(numerator, denominator) parameter rows of U_n, as (name, x) pairs:
+    (Bq, Dq, Eq, BDE/A^2q) over (BD/A, BE/A, DE/A, Aq^2)."""
+    q, A, B, D, E = p.q, p.A, p.B, p.D, p.E
     num = (("Bq", B * q), ("Dq", D * q), ("Eq", E * q),
            ("BDE/A^2q", B * D * E / (A * A * q)))
     den = (("BD/A", B * D / A), ("BE/A", B * E / A), ("DE/A", D * E / A),
            ("Aq^2", A * q * q))
-    return _poch_num(num, q, n) * _poch_den_inv(den, q, n)
+    return num, den
+
+
+def _v_rows(p: TruncParams):
+    """(numerator, denominator) parameter rows of V_n, as (name, x) pairs:
+    (Aq^2, BCDEq/A^2) over (A/Cq, BDE/A^2q^2)."""
+    q, A, B, C, D, E = p.q, p.A, p.B, p.C, p.D, p.E
+    num = (("Aq^2", A * q * q), ("BCDEq/A^2", B * C * D * E * q / (A * A)))
+    den = (("A/Cq", A / (C * q)),
+           ("BDE/A^2q^2", B * D * E / (A * A * q * q)))
+    return num, den
+
+
+def compute_U(n: int, p: TruncParams) -> complex:
+    """U_n = (Bq, Dq, Eq, BDE/A^2 q;q)_n / (BD/A, BE/A, DE/A, Aq^2;q)_n."""
+    num, den = _u_rows(p)
+    return _poch_num(num, p.q, n) * _poch_den_inv(den, p.q, n)
 
 
 def compute_V(n: int, p: TruncParams) -> complex:
     """V_n = (Aq^2, BCDEq/A^2;q)_{n+1} / (A/Cq, BDE/A^2q^2;q)_{n+1}
     * (Cq^3)^{-n}."""
-    q, A, B, C, D, E = p.q, p.A, p.B, p.C, p.D, p.E
-    num = (("Aq^2", A * q * q), ("BCDEq/A^2", B * C * D * E * q / (A * A)))
-    den = (("A/Cq", A / (C * q)),
-           ("BDE/A^2q^2", B * D * E / (A * A * q * q)))
+    q, C = p.q, p.C
+    num, den = _v_rows(p)
     scale = _K.cpow_int(1.0 / (C * q ** 3), n)
     return _poch_num(num, q, n + 1) * _poch_den_inv(den, q, n + 1) * scale
 
@@ -290,10 +244,7 @@ def check_U_difference(n: int, p: TruncParams, atol: float = DEFAULT_ATOL,
     pref = -(D * E / A) * _K.cpow_int(q, n) * nabla(
         (B / (A * q), A * q / D, A * q / E))
     kern = 1.0 - B * D * E * _K.cpow_int(q, 2 * n + 1) / A
-    num = (("Bq", B * q), ("Dq", D * q), ("Eq", E * q),
-           ("BDE/A^2q", B * D * E / (A * A * q)))
-    den = (("BD/A", B * D / A), ("BE/A", B * E / A), ("DE/A", D * E / A),
-           ("Aq^2", A * q * q))
+    num, den = _u_rows(p)
     rhs = pref * kern * _poch_num(num, q, n) * _poch_den_inv(den, q, n + 1)
     return _report(lhs, rhs, atol, rtol)
 
@@ -303,9 +254,7 @@ def check_V_difference(n: int, p: TruncParams, atol: float = DEFAULT_ATOL,
     """V_n - V_{n-1} against its closed single-term form."""
     q, A, B, C, D, E = p.q, p.A, p.B, p.C, p.D, p.E
     lhs = compute_V(n, p) - compute_V(n - 1, p)
-    num = (("Aq^2", A * q * q), ("BCDEq/A^2", B * C * D * E * q / (A * A)))
-    den = (("A/Cq", A / (C * q)),
-           ("BDE/A^2q^2", B * D * E / (A * A * q * q)))
+    num, den = _v_rows(p)
     kern = ((1.0 - B * D * E * _K.cpow_int(q, 2 * n) / A)
             * (1.0 - C * q ** 3))
     rhs = (_poch_num(num, q, n) * _poch_den_inv(den, q, n + 1)
@@ -334,47 +283,21 @@ def _require_bde(p: TruncParams) -> None:
         raise DomainError("B, D, E must be nonzero here")
 
 
-def _vu_shared(p: TruncParams):
-    q, A, B, C, D, E = p.q, p.A, p.B, p.C, p.D, p.E
-    num1 = (("BCDEq/A^2", B * C * D * E * q / (A * A)),)
-    den1 = (("A/Cq", A / (C * q)),
-            ("BDE/A^2q^2", B * D * E / (A * A * q * q)))
-    num0 = (("Bq", B * q), ("Dq", D * q), ("Eq", E * q),
-            ("BDE/A^2q", B * D * E / (A * A * q)))
-    den0 = (("BD/A", B * D / A), ("BE/A", B * E / A), ("DE/A", D * E / A))
-    return num1, den1, num0, den0
+def _vu_sc(n: int, offset: int, p: TruncParams):
+    """V_n U_{n+offset} for offset 0 or 1, scale-tracked.
 
-
-def _vu_product_sc(n: int, p: TruncParams):
-    """V_n U_n, scale-tracked, with the (Aq^2;q) pair, shared between V's
-    numerator and U's denominator, collapsed to the single factor
-    (1 - Aq^{n+2}); the separate sequences have a removable 0*inf there."""
+    The (Aq^2;q) pair shared by V's numerator and U's denominator cancels
+    outright for offset 1 and collapses to the single factor (1 - Aq^{n+2})
+    for offset 0, where the separate sequences have a removable 0*inf."""
     q, A, C = p.q, p.A, p.C
-    num1, den1, num0, den0 = _vu_shared(p)
-    m, e = 1.0 - A * _K.cpow_int(q, n + 2), 0
-    m, e = _poch_num_sc(num1, q, n + 1, m, e)
-    m, e = _poch_den_inv_sc(den1, q, n + 1, m, e)
-    m, e = _poch_num_sc(num0, q, n, m, e)
-    m, e = _poch_den_inv_sc(den0, q, n, m, e)
-    scale = 1.0 / (C * q ** 3) if n > 0 else C * q ** 3
-    for _ in range(abs(n)):
-        m, e = _scm(m, e, scale)
-    return m, e
-
-
-def _vu_offset_sc(N: int, p: TruncParams):
-    """V_N U_{N+1}, scale-tracked; the (Aq^2;q)_{N+1} factors cancel
-    outright."""
-    q, C = p.q, p.C
-    num1, den1, num0, den0 = _vu_shared(p)
-    m, e = 1.0 + 0j, 0
-    m, e = _poch_num_sc(num1, q, N + 1, m, e)
-    m, e = _poch_den_inv_sc(den1, q, N + 1, m, e)
-    m, e = _poch_num_sc(num0, q, N + 1, m, e)
-    m, e = _poch_den_inv_sc(den0, q, N + 1, m, e)
-    for _ in range(N):
-        m, e = _scm(m, e, 1.0 / (C * q ** 3))
-    return m, e
+    vnum, vden = _v_rows(p)
+    unum, uden = _u_rows(p)
+    m = 1.0 - A * _K.cpow_int(q, n + 2) if offset == 0 else 1.0 + 0j
+    m, e = _poch_sc(vnum[1:], q, n + 1, False, m, 0)
+    m, e = _poch_sc(vden, q, n + 1, True, m, e)
+    m, e = _poch_sc(unum, q, n + offset, False, m, e)
+    m, e = _poch_sc(uden[:-1], q, n + offset, True, m, e)
+    return _pow_sc(C * q ** 3, -n, m, e)
 
 
 def compute_KN(p: TruncParams) -> complex:
@@ -388,13 +311,11 @@ def compute_KN(p: TruncParams) -> complex:
     """
     _require_bde(p)
     q, A, B, C, D, E, N = p.q, p.A, p.B, p.C, p.D, p.E, p.N
-    ckm, cke = _kn_coefficient(p), 0
-    for _ in range(N):
-        ckm, cke = _scm(ckm, cke, C * q ** 3)
-    m1, e1 = _vu_product_sc(-N - 1, p)
-    m2, e2 = _vu_offset_sc(N, p)
-    k1 = _sc_value(*_scm(m1, e1 + cke, ckm))
-    k2 = _sc_value(*_scm(m2, e2 + cke, ckm))
+    ckm, cke = _pow_sc(C * q ** 3, N, _kn_coefficient(p), 0)
+    m1, e1 = _vu_sc(-N - 1, 0, p)
+    m2, e2 = _vu_sc(N, 1, p)
+    k1 = _sc_value(*_pow_sc(ckm, 1, m1, e1 + cke))
+    k2 = _sc_value(*_pow_sc(ckm, 1, m2, e2 + cke))
     kern = ((1.0 - B * D * E * _K.cpow_int(q, 2 * N + 3) / A)
             / _nabla_den((("BDEq/A", B * D * E * q / A),)))
     num = (("Bq", B * q), ("Dq", D * q), ("Eq", E * q),

@@ -8,6 +8,7 @@ infinite q-products, and multiplicative theta functions. Everything downstream
 from __future__ import annotations
 
 import cmath
+import math
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
@@ -91,9 +92,9 @@ def nabla(xs: Iterable[complex]) -> complex:
     >>> nabla([0.5])
     (0.5+0j)
     >>> nabla([0.5, 2.0, 3.0])
-    (1+0j)
+    (1-0j)
     >>> nabla([1.0, 7.3])
-    0j
+    (-0+0j)
     """
     vals = [_as_complex(x) for x in xs]
     if not vals:
@@ -109,8 +110,8 @@ def qpochhammer(a: complex, ctx: QContext, n: int) -> complex:
 
     For n > 0 this is the plain product (1-a)(1-aq)...(1-aq^{n-1}); n = 0
     gives 1; n < 0 divides out the factors (1 - a q^{-1})...(1 - a q^{n}),
-    raising PoleError when one of them sits within POLE_EPS of zero and
-    DomainError when a q^{-k} leaves double range before k reaches -n.
+    raising PoleError when one of them sits within POLE_EPS of zero, and
+    DomainError when the value or an a q^{-k} leaves double range.
 
     Examples
     --------
@@ -119,17 +120,32 @@ def qpochhammer(a: complex, ctx: QContext, n: int) -> complex:
     (0.328125+0j)
     >>> qpochhammer(0.25, ctx, -1)
     (2+0j)
+    >>> qpochhammer(0.0, ctx, -5000)
+    (1+0j)
     """
     a = _as_complex(a)
-    val, status, bad_k = _K.qpoch(a, ctx.q, int(n), POLE_EPS)
+    if a == 0:
+        return 1.0 + 0j
+    m, e, status, _, k = _K.qpoch_sc((a,), ctx.q, int(n), False, POLE_EPS,
+                                     1.0 + 0j, 0)
     if status == _K.POLE:
         raise PoleError(
-            f"(a;q)_{n} with a = {a}: factor 1 - a*q^(-{bad_k}) vanishes",
-            factor="1 - a*q^-k", exponent=-bad_k)
+            f"(a;q)_{n} with a = {a}: factor 1 - a*q^({k}) vanishes",
+            factor="1 - a*q^-k", exponent=k)
     if status == _K.DIVERGED:
         raise DomainError(
-            f"(a;q)_{n} with a = {a}: a*q^(-{bad_k}) is out of double range")
-    return val
+            f"(a;q)_{n} with a = {a}: a*q^({k}) or the product is out of "
+            f"double range")
+    return _sc_value(m, e)
+
+
+def _sc_value(m: complex, e: int) -> complex:
+    """Value of the scale-tracked product m * 2^e."""
+    try:
+        return complex(math.ldexp(m.real, e), math.ldexp(m.imag, e))
+    except OverflowError:
+        raise DomainError(f"scaled q-product {m} * 2^{e} is out of double "
+                          f"range") from None
 
 
 def qpochhammer_multi(as_: Sequence[complex], ctx: QContext, n: int) -> complex:

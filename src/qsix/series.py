@@ -156,7 +156,7 @@ def eval_phi(spec: SeriesSpec, ctx: QContext) -> EvalResult:
     --------
     >>> ctx = QContext(0.5)
     >>> eval_phi(SeriesSpec((2.0, 0.3), (0.7,), 0.2), ctx).value
-    (0.06666666666666665+0j)
+    (0.06666666666666687+0j)
     """
     if spec.bilateral:
         raise DomainError("eval_phi expects a unilateral spec")

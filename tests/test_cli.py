@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+import math
 import subprocess
 import sys
 
@@ -30,6 +31,13 @@ def test_eval_pochhammer_empty_product():
     r = run("eval", "pochhammer", "--a", "0.5,0", "--q", "0.5,0", "--n", "0")
     assert r.returncode == 0
     assert r.stdout.splitlines()[0] == "1.0"
+
+
+def test_eval_pochhammer_deep_negative_index_is_finite():
+    r = run("eval", "pochhammer", "--a", "0.3,0", "--q", "0.45,0.1",
+            "--n", "-100")
+    assert r.returncode == 0
+    assert math.isfinite(abs(complex(r.stdout.splitlines()[0])))
 
 
 def test_eval_theta_rejects_zero_argument():

@@ -1,8 +1,11 @@
 """Tests of the kernel layer, called through the `qsix._backend` binding.
 
 Each kernel is checked against a plain oracle: `cpow_int` against the
-built-in power, `qpoch` and `series_side` against term-by-term products and
-sums, `qpoch_inf` against a long truncated product. The walk statistics of
+built-in power, the scale-tracked `qpoch_sc` and `series_side` against
+term-by-term products and sums, `pow_sc` against `cpow_int`, `qpoch_inf`
+against a long truncated product. `qpoch_sc` is also pinned on its stops
+(a pole with its slot and exponent, an overflowed power) and on a product
+that only the scale tracking keeps in range. The walk statistics of
 `series_side` (largest |term|, smallest |1 + partial sum|) are checked
 against the same sums, and every stop status is pinned on a walk that
 reaches it, including walks whose running power q^m leaves double range.
@@ -81,12 +84,31 @@ def test_series_side_stats_ride_along_on_termination():
     assert out[8] == pytest.approx(min(1.0, abs(1.0 + t1)), rel=1e-14)
 
 
-@pytest.mark.parametrize("base, n", [
+POWERS = [
     (0.5 + 0j, 7), (0.5 + 0j, -9), (0.3 - 0.8j, 23), (0.3 - 0.8j, -23),
     (1.7 + 0.2j, 0), (2.0 + 0j, 62), (-0.4 + 1.1j, -55),
-])
+]
+
+
+@pytest.mark.parametrize("base, n", POWERS)
 def test_cpow_int_matches_builtin_power(base, n):
     assert K.cpow_int(base, n) == pytest.approx(base ** n, rel=1e-13)
+
+
+def test_cpow_int_of_an_underflowed_power_is_inf():
+    # 0.5^1100 underflows to 0; its reciprocal is out of range, not 1/0
+    assert K.cpow_int(0.5 + 0j, -1100) == complex(math.inf, 0.0)
+
+
+def test_series_side_walks_on_past_an_underflowed_power():
+    # the refresh at step 1088 computes q^-1089; no factor uses it
+    out = K.series_side((), (), 0.5, 2.0, -1, 0j, False, 1100, *ARGS)
+    assert (out[2], out[3]) == (1100, K.OK)
+    assert out[0] == pytest.approx(1.0, rel=1e-15)
+
+
+def sc_value(m, e):
+    return complex(math.ldexp(m.real, e), math.ldexp(m.imag, e))
 
 
 @pytest.mark.parametrize("a, n", [
@@ -95,9 +117,52 @@ def test_cpow_int_matches_builtin_power(base, n):
 ])
 def test_qpoch_matches_plain_product(a, n):
     q = 0.45 + 0.15j
-    val, status, bad_k = K.qpoch(a, q, n, 1e-12)
-    assert (status, bad_k) == (K.OK, 0)
-    assert val == pytest.approx(poch_oracle(a, q, n), rel=1e-12)
+    for invert in (False, True):
+        m, e, status, slot, k = K.qpoch_sc((a,), q, n, invert, 1e-12,
+                                           1.0 + 0j, 0)
+        assert (status, slot, k) == (K.OK, 0, 0)
+        assert 2.0 ** -8 <= abs(m) <= 2.0 ** 8
+        want = poch_oracle(a, q, n)
+        if invert:
+            want = 1.0 / want
+        assert sc_value(m, e) == pytest.approx(want, rel=1e-12)
+
+
+@pytest.mark.parametrize("invert", [False, True])
+@pytest.mark.parametrize("n", [7, -7])
+def test_qpoch_sc_multiplies_every_slot_onto_m_e(n, invert):
+    q = 0.45 + 0.15j
+    xs = (0.3 + 0.1j, -1.4 + 0.7j)
+    m, e, status = K.qpoch_sc(xs, q, n, invert, 1e-12, 3.0 - 1.0j, 40)[:3]
+    assert status == K.OK
+    want = poch_oracle(xs[0], q, n) * poch_oracle(xs[1], q, n)
+    if invert:
+        want = 1.0 / want
+    assert sc_value(m, e) == pytest.approx((3.0 - 1.0j) * 2.0 ** 40 * want,
+                                           rel=1e-12)
+
+
+# n, invert, exponent of the vanishing factor in slot 1, and the index i of
+# the factors of slot 1 taken before it: (x;q)_i, or 1/(x;q)_i with invert
+@pytest.mark.parametrize("n, invert, bad_exp, done", [
+    (-3, False, -2, -1), (4, True, 2, 2)])
+def test_qpoch_sc_stops_on_a_pole_in_its_slot(n, invert, bad_exp, done):
+    q = 0.45 + 0.1j
+    xs = (0.3 - 0.2j, q ** -bad_exp)
+    m, e, status, slot, k = K.qpoch_sc(xs, q, n, invert, 1e-12, 1.0 + 0j, 0)
+    assert (status, slot, k) == (K.POLE, 1, bad_exp)
+    taken = poch_oracle(xs[0], q, n) * poch_oracle(xs[1], q, done)
+    if invert:
+        taken = 1.0 / taken
+    assert sc_value(m, e) == pytest.approx(taken, rel=1e-12)
+
+
+@pytest.mark.parametrize("n, invert, x", [(4, False, 4.0), (-3, True, 0.25)])
+def test_qpoch_sc_vanishing_factor_that_multiplies_in_is_exact_zero(
+        n, invert, x):
+    # x q^j = 1 exactly at j = -2 (x = 4) or j = 2 (x = 1/4) for q = 1/2
+    assert K.qpoch_sc((0.3 + 0.1j, x + 0j), 0.5 + 0j, n, invert, 1e-12,
+                      1.0 + 0j, 0) == (0j, 0, K.OK, 0, 0)
 
 
 @pytest.mark.parametrize("a, q, n, status, bad_k", [
@@ -107,9 +172,42 @@ def test_qpoch_matches_plain_product(a, n):
     (0.3 + 0j, 0.45 + 0.1j, -1000, K.DIVERGED, 917),
 ])
 def test_qpoch_stops_on_pole_or_overflow(a, q, n, status, bad_k):
-    val, got_status, got_k = K.qpoch(a, q, n, 1e-12)
-    assert (got_status, got_k) == (status, bad_k)
-    assert val != val
+    out = K.qpoch_sc((a,), q, n, False, 1e-12, 1.0 + 0j, 0)
+    assert out[2:] == (status, 0, -bad_k)
+
+
+def test_qpoch_sc_overflowed_factor_that_multiplies_in_is_diverged():
+    # with invert, 1 - a q^-917 multiplies in and makes the product inf
+    out = K.qpoch_sc((0.3 + 0j,), 0.45 + 0.1j, -1000, True, 1e-12,
+                     1.0 + 0j, 0)
+    assert out[2:] == (K.DIVERGED, 0, -917)
+
+
+def test_qpoch_sc_deep_product_stays_in_range():
+    # prod_{k=1..300} (1 - x q^-k) is about 2^49920, far past double
+    # range: the plain product is inf, while e carries the scale
+    x, q = 0.3 + 0j, 0.45 + 0.1j
+    plain = 1.0 + 0j
+    log2_want = 0.0
+    for k in range(1, 301):
+        plain *= 1.0 - x * q ** -k
+        log2_want += math.log2(abs(1.0 - x * q ** -k))
+    assert not math.isfinite(abs(plain))
+    m, e, status = K.qpoch_sc((x,), q, -300, True, 1e-12, 1.0 + 0j, 0)[:3]
+    assert status == K.OK
+    assert 2.0 ** -8 <= abs(m) <= 2.0 ** 8
+    assert math.log2(abs(m)) + e == pytest.approx(log2_want, rel=1e-12)
+
+
+@pytest.mark.parametrize("z, count", POWERS)
+def test_pow_sc_matches_cpow_int(z, count):
+    m, e, status = K.pow_sc(z, count, 1.0 + 0j, 0)
+    assert status == K.OK
+    assert sc_value(m, e) == pytest.approx(K.cpow_int(z, count), rel=1e-13)
+
+
+def test_pow_sc_non_finite_factor_is_diverged():
+    assert K.pow_sc(complex(math.inf, 0.0), 1, 1.0 + 0j, 0)[2] == K.DIVERGED
 
 
 @pytest.mark.parametrize("a", [0.3 + 0.1j, -1.4 + 0.7j, 2.5 + 0j])

@@ -75,6 +75,17 @@ def test_qpochhammer_out_of_range_is_domain_error_not_pole():
         qpochhammer(0.3, QContext(0.45 + 0.1j), -1000)
 
 
+def test_qpochhammer_of_zero_is_one_at_any_depth():
+    # 0 * q^-917 would be 0 * inf
+    assert qpochhammer(0, QContext(0.45 + 0.1j), -1000) == 1
+
+
+def test_qpochhammer_deep_negative_index_underflows_to_zero():
+    # the divided-out product overflows long before its reciprocal is
+    # tiny; the scaled product keeps the value finite instead of nan
+    assert qpochhammer(0.3, QContext(0.45 + 0.1j), -100) == 0
+
+
 @pytest.mark.parametrize("a", [0.3, -0.8, 1.7 + 0.4j, 0.05 - 1.2j])
 @pytest.mark.parametrize("n", [-6, -3, -1, 0, 1, 2, 5, 11])
 def test_qpochhammer_matches_plain_loop(a, n):
