@@ -240,8 +240,6 @@ def series_side(num, den, q: complex, z: complex, direction: int,
     Returns (acc, tail, used, status, bad_is_num, bad_slot, bad_exp, peak,
     low).
     """
-    rn = len(num)
-    rd = len(den)
     down = direction < 0
     one_minus_a = 1.0 - vwp_a if use_vwp else 1.0 + 0j
     step_z = 1.0 / z if down else z
@@ -268,8 +266,11 @@ def series_side(num, den, q: complex, z: complex, direction: int,
     low = 1.0               # min |1 + partial|, from the n = 0 term on
     run = 0
     steps = 0
-    nt = rd if down else rn
-    nb = rn if down else rd
+    # the factors on top of the step multiplier (their zeros terminate) and
+    # below it (their zeros are poles); bad_is_num flags a num-side factor
+    tops, bots, top_is_num = (den, num, 0) if down else (num, den, 1)
+    nt = len(tops)
+    nb = len(bots)
     npair = nt if nt < nb else nb
     ftop = [0j] * nt
     fbot = [0j] * nb
@@ -281,34 +282,20 @@ def series_side(num, den, q: complex, z: complex, direction: int,
             return acc, float("inf"), steps, BUDGET, 0, 0, 0, peak, low
         n = -(steps + 1) if down else steps + 1
         e = n if down else n - 1
-        if down:
-            for j in range(rd):
-                w = den[j] * qe
-                f = 1.0 - w
-                if abs(f) <= zero_eps * (1.0 + abs(w)):
-                    return _stop(acc, steps, TERMINATED, w, 0, j, e, peak,
-                                 low)
-                ftop[j] = f
-            for i in range(rn):
-                w = num[i] * qe
-                f = 1.0 - w
-                if abs(f) <= pole_eps * (1.0 + abs(w)):
-                    return _stop(acc, steps, POLE, w, 1, i, e, peak, low)
-                fbot[i] = f
-        else:
-            for i in range(rn):
-                w = num[i] * qe
-                f = 1.0 - w
-                if abs(f) <= zero_eps * (1.0 + abs(w)):
-                    return _stop(acc, steps, TERMINATED, w, 1, i, e, peak,
-                                 low)
-                ftop[i] = f
-            for j in range(rd):
-                w = den[j] * qe
-                f = 1.0 - w
-                if abs(f) <= pole_eps * (1.0 + abs(w)):
-                    return _stop(acc, steps, POLE, w, 0, j, e, peak, low)
-                fbot[j] = f
+        for k in range(nt):
+            w = tops[k] * qe
+            f = 1.0 - w
+            if abs(f) <= zero_eps * (1.0 + abs(w)):
+                return _stop(acc, steps, TERMINATED, w, top_is_num, k, e,
+                             peak, low)
+            ftop[k] = f
+        for k in range(nb):
+            w = bots[k] * qe
+            f = 1.0 - w
+            if abs(f) <= pole_eps * (1.0 + abs(w)):
+                return _stop(acc, steps, POLE, w, 1 - top_is_num, k, e,
+                             peak, low)
+            fbot[k] = f
         steps += 1
         r = step_z
         for k in range(npair):

@@ -16,7 +16,8 @@ import numpy as np
 from .errors import (BudgetExceeded, DomainError, NonConvergence, PoleError,
                      Unsatisfiable)
 from .qcore import DEFAULT_POLICY
-from .series import BaileyParams, TParams, TruncParams, _side
+from .series import BaileyParams, TParams, TruncParams, _bilateral, _s_rows, \
+    _side, _t_row, _vwp_den
 
 #: documented convergence_caps keys and their defaults. Caps not listed for
 #: a kind are ignored by it.
@@ -122,25 +123,15 @@ def _margin_bad(x: complex, q: complex, margin: float,
     return False
 
 
-def _hump_bilateral(num, den, q, z, vwp_a) -> float:
-    """max |term| over both directions relative to the full bilateral sum.
-
-    Per-direction normalization understates the damage when the two sides
-    nearly cancel against each other and the n = 0 term: every term then
-    carries its rounding into a much smaller total. This ratio is the
-    amplification factor of term-level rounding in the final value. A walk
-    the kernel refuses (pole, budget, divergence) counts as infinite."""
+def _psi6_hump(a, num, q, z) -> float:
+    """Hump of the very-well-poised bilateral sum in (a; num) at argument
+    z, read from the walks that `vwp_psi6` sums. A walk the kernel refuses
+    (pole, budget, divergence) counts as infinite."""
     try:
-        us, _, _, _, up, _ = _side(num, den, q, z, +1, vwp_a, True, -1,
-                                   DEFAULT_POLICY)
-        ds, _, _, _, dn, _ = _side(num, den, q, z, -1, vwp_a, True, -1,
-                                   DEFAULT_POLICY)
+        return _bilateral(num, _vwp_den(a, q, num), q, z, a, True, -1,
+                          DEFAULT_POLICY)[4]
     except _WALK_ERRORS:
         return float("inf")
-    total = abs(1.0 + us + ds)
-    if total == 0.0:
-        return float("inf")
-    return max(1.0, up, dn) / total
 
 
 def _trunc_factors(p: TruncParams):
@@ -269,9 +260,7 @@ def violations(kind: str, params, constraints: SampleConstraints) -> list:
                            f"a q-shift of 1")
                 break
         if not out:
-            num = (p.b, p.c, p.d, p.e)
-            den = tuple(p.a * q / v for v in num)
-            h = _hump_bilateral(num, den, q, p.series_arg, p.a)
+            h = _psi6_hump(p.a, (p.b, p.c, p.d, p.e), q, p.series_arg)
             if h > con.cap("hump_max"):
                 out.append(f"bilateral term hump {h:.3g} exceeds cap")
     else:
@@ -298,12 +287,7 @@ def _S_window_hump(p: TruncParams, N: int) -> float:
     worst = 0.0
     q = p.q
     for (A, C) in ((p.A, p.C), (p.A * q, p.C * q)):
-        num = (p.B * q, p.D * q, p.E * q,
-               p.B * C * p.D * p.E * q * q / (A * A))
-        den = (p.D * p.E * q / A, p.B * p.E * q / A, p.B * p.D * q / A,
-               A / C)
-        a = p.B * p.D * p.E * q / A
-        z = 1.0 / (C * q * q)
+        num, den, a, z = _s_rows(q, A, p.B, C, p.D, p.E)
         try:
             _, _, _, _, mx, low = _side(num, den, q, z, +1, a, True, N + 1,
                                         DEFAULT_POLICY)
@@ -343,15 +327,11 @@ def _t_hump(p: TParams, scalings: int, cap: float) -> float:
     is returned rather than the worst of the family. When no member
     exceeds cap the worst is returned, so the result exceeds cap exactly
     when some member's hump does."""
-    q, X, B, D, E = p.q, p.X, p.B, p.D, p.E
+    q = p.q
     worst = 0.0
     for k in range(scalings, -1, -1):
-        C = p.C * q ** k
-        num = (B * C * D * E * X * q, B * X * q, D * X * q, E * X * q)
-        den = (X, C * D * E * X, B * C * E * X, B * C * D * X)
-        a = B * C * D * E * X * X
-        z = C / q ** 3
-        h = _hump_bilateral(num, den, q, z, a)
+        a, num, z = _t_row(q, p.X, p.B, p.C * q ** k, p.D, p.E)
+        h = _psi6_hump(a, num, q, z)
         if h > cap:
             return h
         worst = max(worst, h)

@@ -15,7 +15,7 @@ from . import _backend as _K
 from .config import POLE_EPS, RECOMPUTE_EVERY, ZERO_EPS
 from .errors import BudgetExceeded, DomainError, NonConvergence, PoleError
 from .qcore import DEFAULT_POLICY, EvalResult, QContext, TruncationPolicy, \
-    _as_complex, _mul_results, qpochhammer_inf
+    _as_complex, _mul_results, qpochhammer_inf, qpochhammer_inf_multi
 
 
 @dataclass(frozen=True)
@@ -145,6 +145,30 @@ def _side(num, den, q, z, direction, vwp_a, use_vwp, fixed, policy,
     return acc, tail, used, status == _K.TERMINATED, peak, low
 
 
+def _bilateral(num, den, q, z, vwp_a, use_vwp, fixed, policy,
+               num_names=None, den_names=None):
+    """Both index directions around the n = 0 term of a bilateral sum.
+
+    Returns (value, tail, used, terminated, hump). The hump
+    max(1, peak up, peak down) / |value| is the factor by which term
+    rounding is amplified in the value, inf when the value is 0.
+    """
+    up = _side(num, den, q, z, +1, vwp_a, use_vwp, fixed, policy,
+               num_names, den_names)
+    down = _side(num, den, q, z, -1, vwp_a, use_vwp, fixed, policy,
+                 num_names, den_names)
+    value = 1.0 + up[0] + down[0]
+    total = abs(value)
+    hump = max(1.0, up[4], down[4]) / total if total else float("inf")
+    return (value, up[1] + down[1], up[2] + down[2] + 1, up[3] and down[3],
+            hump)
+
+
+def _vwp_den(a, q, bs) -> tuple:
+    """Denominator row a q / b_i of the very-well-poised sum in (a; b_i)."""
+    return tuple(a * q / b for b in bs)
+
+
 def eval_phi(spec: SeriesSpec, ctx: QContext) -> EvalResult:
     """Unilateral sum over n >= 0 with the implicit (q;q)_n denominator.
 
@@ -188,13 +212,8 @@ def eval_psi(spec: SeriesSpec, ctx: QContext) -> EvalResult:
     if spec.z == 0:
         raise NonConvergence("bilateral series diverges at z = 0 "
                              "(the n <= -1 terms blow up)")
-    pol = _policy(ctx)
-    up = _side(spec.numerators, spec.denominators, ctx.q, spec.z, +1,
-               0j, False, -1, pol)
-    down = _side(spec.numerators, spec.denominators, ctx.q, spec.z, -1,
-                 0j, False, -1, pol)
-    return EvalResult(1.0 + up[0] + down[0], up[1] + down[1],
-                      up[2] + down[2] + 1, up[3] and down[3])
+    return EvalResult(*_bilateral(spec.numerators, spec.denominators, ctx.q,
+                                  spec.z, 0j, False, -1, _policy(ctx))[:4])
 
 
 def vwp_psi6(a: complex, bs: Sequence[complex], z: complex,
@@ -221,18 +240,21 @@ def vwp_psi6(a: complex, bs: Sequence[complex], z: complex,
     num = tuple(_as_complex(b) for b in bs)
     if 0 in num:
         raise DomainError("very-well-poised parameters must be nonzero")
-    den = tuple(a * ctx.q / b for b in num)
-    pol = _policy(ctx)
-    up = _side(num, den, ctx.q, z, +1, a, True, -1, pol,
-               num_names, den_names)
-    down = _side(num, den, ctx.q, z, -1, a, True, -1, pol,
-                 num_names, den_names)
-    return EvalResult(1.0 + up[0] + down[0], up[1] + down[1],
-                      up[2] + down[2] + 1, up[3] and down[3])
+    return EvalResult(*_bilateral(num, _vwp_den(a, ctx.q, num), ctx.q, z, a,
+                                  True, -1, _policy(ctx), num_names,
+                                  den_names)[:4])
 
 
 _S_NUM_NAMES = ("Bq", "Dq", "Eq", "BCDEq^2/A^2")
 _S_DEN_NAMES = ("DEq/A", "BEq/A", "BDq/A", "A/C")
+
+
+def _s_rows(q, A, B, C, D, E):
+    """(numerators, denominators, kernel parameter BDEq/A, argument
+    1/Cq^2) of the window sum S_N in (A; B, C, D, E)."""
+    num = (B * q, D * q, E * q, B * C * D * E * q * q / (A * A))
+    den = (D * E * q / A, B * E * q / A, B * D * q / A, A / C)
+    return num, den, B * D * E * q / A, 1.0 / (C * q * q)
 
 
 def truncated_S(p: TruncParams) -> complex:
@@ -246,24 +268,24 @@ def truncated_S(p: TruncParams) -> complex:
     factors cut a direction short exactly, vanishing denominator factors
     raise PoleError naming the factor (A = C poles the n = 1 term already).
     """
-    q, A, B, C, D, E = p.q, p.A, p.B, p.C, p.D, p.E
-    a = B * D * E * q / A
+    num, den, a, z = _s_rows(p.q, p.A, p.B, p.C, p.D, p.E)
     if abs(1.0 - a) <= POLE_EPS * (1.0 + abs(a)):
         raise PoleError("window-sum kernel denominator 1 - BDEq/A vanishes",
                         factor="1 - BDEq/A")
-    num = (B * q, D * q, E * q, B * C * D * E * q * q / (A * A))
-    den = (D * E * q / A, B * E * q / A, B * D * q / A, A / C)
-    z = 1.0 / (C * q * q)
-    pol = DEFAULT_POLICY
-    up = _side(num, den, q, z, +1, a, True, p.N, pol,
-               _S_NUM_NAMES, _S_DEN_NAMES)
-    down = _side(num, den, q, z, -1, a, True, p.N, pol,
-                 _S_NUM_NAMES, _S_DEN_NAMES)
-    return 1.0 + up[0] + down[0]
+    return _bilateral(num, den, p.q, z, a, True, p.N, DEFAULT_POLICY,
+                      _S_NUM_NAMES, _S_DEN_NAMES)[0]
 
 
 _T_NUM_NAMES = ("BCDEXq", "BXq", "DXq", "EXq")
 _T_DEN_NAMES = ("X", "CDEX", "BCEX", "BCDX")
+
+
+def _t_row(q, X, B, C, D, E):
+    """(kernel parameter BCDEX^2, numerator row, argument C/q^3) of
+    T(X;C); the denominators are the very-well-poised a q / b_i."""
+    return (B * C * D * E * X * X,
+            (B * C * D * E * X * q, B * X * q, D * X * q, E * X * q),
+            C / q ** 3)
 
 
 def eval_T(p: TParams, ctx: QContext | None = None) -> EvalResult:
@@ -273,24 +295,18 @@ def eval_T(p: TParams, ctx: QContext | None = None) -> EvalResult:
     Convergence needs |C/q^3| < 1; outside that (including C = 0, where the
     negative-index terms blow up) NonConvergence is raised.
     """
-    q = p.q
-    z = p.series_arg
+    a, bs, z = _t_row(p.q, p.X, p.B, p.C, p.D, p.E)
     if abs(z) >= 1.0:
         raise NonConvergence(
             f"bilateral argument |C/q^3| = {abs(z)} is outside the "
             f"convergence disk")
-    X, B, C, D, E = p.X, p.B, p.C, p.D, p.E
-    a = B * C * D * E * X * X
-    bs = (B * C * D * E * X * q, B * X * q, D * X * q, E * X * q)
-    eff = QContext(q, _policy(ctx))
+    eff = QContext(p.q, _policy(ctx))
     return vwp_psi6(a, bs, z, eff, _T_NUM_NAMES, _T_DEN_NAMES)
 
 
 def _ratio_inf(ctx: QContext, num_pairs, den_pairs) -> EvalResult:
     """Ratio of infinite-product groups with named denominator poles."""
-    top = EvalResult(1.0 + 0j, 0.0, 0, True)
-    for _, val in num_pairs:
-        top = _mul_results(top, qpochhammer_inf(val, ctx))
+    top = qpochhammer_inf_multi([val for _, val in num_pairs], ctx)
     bot = EvalResult(1.0 + 0j, 0.0, 0, True)
     for name, val in den_pairs:
         r = qpochhammer_inf(val, ctx)

@@ -1,9 +1,12 @@
+import dataclasses
+
 import pytest
 
 from qsix import (DEFAULT_CAPS, SampleConstraints, TParams,
-                  check_Q_constancy, sample, violations)
+                  check_Q_constancy, sample, series, violations)
 from qsix.errors import DomainError, Unsatisfiable
-from qsix.identities import compute_U, compute_V
+from qsix.identities import (check_bailey, check_recurrence, compute_U,
+                             compute_V)
 
 KINDS = ("trunc", "bailey_a", "t_params")
 
@@ -129,3 +132,40 @@ def test_long_downward_probe_walk_stays_in_range():
                 E=-1.9902215130477614 - 2.2369933131575293j)
     assert violations("t_params", p, SampleConstraints()) == []
     assert check_Q_constancy(p, steps=4).passed
+
+
+#: per kind, the check whose series the sampler's hump probes stand for:
+#: q-constancy sums T(X;C) at C q^k, k = 0..4; bailey-a sums vwp_psi6; the
+#: recurrence at N = 8 sums the windows S_9(A;C) and S_8(Aq;Cq) probed
+CHECKED_SERIES = {
+    "t_params": lambda p: check_Q_constancy(p, steps=4),
+    "bailey_a": lambda p: check_bailey("a", p),
+    "trunc": lambda p: check_recurrence(dataclasses.replace(p, N=8)),
+}
+
+
+def _walks(monkeypatch, run):
+    """(num, den, q, z, direction, vwp_a) of every kernel walk run() makes."""
+    seen = set()
+    real = series._K.series_side
+
+    def spy(num, den, q, z, direction, vwp_a, *rest):
+        seen.add((num, den, q, z, direction, vwp_a))
+        return real(num, den, q, z, direction, vwp_a, *rest)
+
+    with monkeypatch.context() as m:
+        m.setattr(series._K, "series_side", spy)
+        run()
+    return seen
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_probes_walk_the_checked_series(kind, monkeypatch):
+    # the hump the sampler caps must be that of a series the check sums,
+    # bit for bit, not of a rewritten parameter row
+    con = SampleConstraints()
+    for p in sample(kind, con, seed=7, count=10):
+        probed = _walks(monkeypatch, lambda: violations(kind, p, con))
+        summed = _walks(monkeypatch, lambda: CHECKED_SERIES[kind](p))
+        assert probed
+        assert probed <= summed
