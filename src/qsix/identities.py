@@ -45,6 +45,9 @@ DEFAULT_RTOL = {
 
 _TINY = 1e-300
 
+#: relative tolerance on the remark-1 series-argument match
+_REMARK1_ARG_RTOL = 1e-15
+
 
 @dataclass(frozen=True)
 class ResidualReport:
@@ -222,18 +225,22 @@ def _v_rows(p: TruncParams):
 
 
 def compute_U(n: int, p: TruncParams) -> complex:
-    """U_n = (Bq, Dq, Eq, BDE/A^2 q;q)_n / (BD/A, BE/A, DE/A, Aq^2;q)_n."""
+    """U_n = (Bq, Dq, Eq, BDE/A^2 q;q)_n / (BD/A, BE/A, DE/A, Aq^2;q)_n,
+    as one scale-tracked product: at deep |n| the two halves leave double
+    range while their ratio stays in it."""
     num, den = _u_rows(p)
-    return _poch_num(num, p.q, n) * _poch_den_inv(den, p.q, n)
+    m, e = _poch_sc(num, p.q, n, False, 1.0 + 0j, 0)
+    return _sc_value(*_poch_sc(den, p.q, n, True, m, e))
 
 
 def compute_V(n: int, p: TruncParams) -> complex:
     """V_n = (Aq^2, BCDEq/A^2;q)_{n+1} / (A/Cq, BDE/A^2q^2;q)_{n+1}
-    * (Cq^3)^{-n}."""
-    q, C = p.q, p.C
+    * (Cq^3)^{-n}, as one scale-tracked product."""
+    q = p.q
     num, den = _v_rows(p)
-    scale = _K.cpow_int(1.0 / (C * q ** 3), n)
-    return _poch_num(num, q, n + 1) * _poch_den_inv(den, q, n + 1) * scale
+    m, e = _poch_sc(num, q, n + 1, False, 1.0 + 0j, 0)
+    m, e = _poch_sc(den, q, n + 1, True, m, e)
+    return _sc_value(*_pow_sc(p.C * q ** 3, -n, m, e))
 
 
 def check_U_difference(n: int, p: TruncParams, atol: float = DEFAULT_ATOL,
@@ -439,8 +446,9 @@ def check_KN_decay(p: TruncParams, N_max: int = 80, tol: float =
 
     Precondition |Cq^2| > 1; the trace actually dies out only when
     |Cq^3| > 1 (K_N tends to a finite, generically nonzero limit). passed
-    requires the final magnitude below tol and monotone decrease over the
-    last quarter of indices.
+    requires the final magnitude below tol, monotone decrease over the
+    last quarter of indices, and K_{N_max} within relative tol of the
+    limit.
     """
     if abs(p.C * p.q * p.q) <= 1.0:
         raise DomainError("decay check needs |Cq^2| > 1")
@@ -458,7 +466,7 @@ def check_KN_decay(p: TruncParams, N_max: int = 80, tol: float =
     q3 = 3 * N_max // 4
     decreasing = all(mags[k + 1] <= mags[k] * (1.0 + 1e-9)
                      for k in range(q3, N_max))
-    passed = mags[-1] < tol and decreasing
+    passed = mags[-1] < tol and decreasing and rel <= tol
     return KNDecayReport(tuple(mags), mags[-1], kn, lim, rel, decreasing,
                          passed,
                          note=f"|Cq^3| = {base:.6g}")
@@ -526,8 +534,8 @@ def check_T_iteration(p: TParams, m: int,
 def check_Q_constancy(p: TParams, steps: int = 4,
                       policy: TruncationPolicy | None = None,
                       atol: float = DEFAULT_ATOL,
-                      rtol: float = DEFAULT_RTOL["q-constancy"],
-                      qfactor_rtol: float | None = None) -> ResidualReport:
+                      rtol: float = DEFAULT_RTOL["q-constancy"]) \
+        -> ResidualReport:
     """Constancy of T(X;C)/F(C) under C -> Cq^k, k = 0..steps, plus
     agreement of the constant with the closed q_factor ratio.
 
@@ -539,8 +547,6 @@ def check_Q_constancy(p: TParams, steps: int = 4,
     if p.C == 0:
         raise DomainError("C must be nonzero")
     ctx = QContext(p.q, policy or DEFAULT_POLICY)
-    if qfactor_rtol is None:
-        qfactor_rtol = DEFAULT_RTOL["q-constancy"]
     ratios = []
     for k in range(steps + 1):
         pk = dataclasses.replace(p, C=p.C * _K.cpow_int(p.q, k))
@@ -555,8 +561,8 @@ def check_Q_constancy(p: TParams, steps: int = 4,
     lo = min(ratios, key=abs)
     qf = q_factor(p.X, p.B, p.D, p.E, ctx)
     qf_err = abs(ratios[0] - qf.value)
-    qf_ok = qf_err <= atol + qfactor_rtol * max(abs(ratios[0]),
-                                                abs(qf.value))
+    qf_ok = qf_err <= atol + DEFAULT_RTOL["q-constancy"] * max(
+        abs(ratios[0]), abs(qf.value))
     rep = _report(hi, lo, atol, rtol,
                   note=(f"spread {spread:.3e} over {steps + 1} scalings; "
                         f"|r0 - q_factor| = {qf_err:.3e}"),
@@ -651,8 +657,8 @@ def map_remark1(p: BaileyParams) -> TParams:
 def check_remark1_equivalence(p: BaileyParams,
                               policy: TruncationPolicy | None = None,
                               atol: float = DEFAULT_ATOL,
-                              rtol: float = DEFAULT_RTOL["remark1"],
-                              arg_rtol: float = 1e-15) -> ResidualReport:
+                              rtol: float = DEFAULT_RTOL["remark1"]) \
+        -> ResidualReport:
     """The bridge map must carry one closed product onto the other and make
     the two series arguments coincide: C/q^3 = a^2 q/(bcde)."""
     t = map_remark1(p)
@@ -663,7 +669,7 @@ def check_remark1_equivalence(p: BaileyParams,
     z2 = p.series_arg
     arg_err = abs(z1 - z2)
     arg_scale = max(abs(z1), abs(z2), _TINY)
-    arg_ok = arg_err <= arg_rtol * arg_scale
+    arg_ok = arg_err <= _REMARK1_ARG_RTOL * arg_scale
     return _report(lhs.value, rhs.value, atol, rtol,
                    note=f"series-argument relative mismatch "
                         f"{arg_err / arg_scale:.3e}",

@@ -123,9 +123,15 @@ def qpochhammer(a: complex, ctx: QContext, n: int) -> complex:
     >>> qpochhammer(0.0, ctx, -5000)
     (1+0j)
     """
+    return _sc_value(*_qpochhammer_sc(a, ctx, n))
+
+
+def _qpochhammer_sc(a: complex, ctx: QContext, n: int):
+    """(a;q)_n as the kernel's scale-tracked (m, e), before the conversion
+    that may underflow it to 0; raises as qpochhammer does."""
     a = _as_complex(a)
     if a == 0:
-        return 1.0 + 0j
+        return 1.0 + 0j, 0
     m, e, status, _, k = _K.qpoch_sc((a,), ctx.q, int(n), False, POLE_EPS,
                                      1.0 + 0j, 0)
     if status == _K.POLE:
@@ -136,7 +142,7 @@ def qpochhammer(a: complex, ctx: QContext, n: int) -> complex:
         raise DomainError(
             f"(a;q)_{n} with a = {a}: a*q^({k}) or the product is out of "
             f"double range")
-    return _sc_value(m, e)
+    return m, e
 
 
 def _sc_value(m: complex, e: int) -> complex:

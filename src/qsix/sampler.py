@@ -140,10 +140,9 @@ def _trunc_factors(p: TruncParams):
     limit. nonneg_only factors appear in infinite products only."""
     q, A, B, C, D, E = p.q, p.A, p.B, p.C, p.D, p.E
     A2 = A * A
-    every = [
-        D * E * q / A, B * E * q / A, B * D * q / A, A / C,
-        B * q, D * q, E * q, B * C * D * E * q * q / A2,
-        B * D * E * q / A, B * D * E / A, C * q ** 3,
+    num, den, a, _ = _s_rows(q, A, B, C, D, E)
+    return [
+        *den, *num, a, B * D * E / A, C * q ** 3,
         A * q * q, B * D / A, B * E / A, D * E / A,
         A / (C * q), B * D * E / (A2 * q * q), B * D * E / (A2 * q),
         B * C * D * E * q / A2, A * q / B, A * q / D, A * q / E,
@@ -151,19 +150,18 @@ def _trunc_factors(p: TruncParams):
         A / (B * D), A / (B * E), A / (D * E), C / A,
         B / (A * q), B * q * q, D * q * q, E * q * q,
     ]
-    return every
 
 
 def _t_factors(p: TParams):
     q, X, B, C, D, E = p.q, p.X, p.B, p.C, p.D, p.E
     m = B * C * D * E * X
+    a, num, z = _t_row(q, X, B, C, D, E)
     every = [
-        B * C * D * E * X * q, B * X * q, D * X * q, E * X * q,
-        C * D * E * X, B * C * E * X, B * C * D * X,
-        m * X, 1.0 / (m * q), 1.0 / (m * X), C / q ** 3,
+        *num, C * D * E * X, B * C * E * X, B * C * D * X,
+        a, 1.0 / (m * q), 1.0 / (m * X), z,
         B * C / q, C * D / q, C * E / q,
         B * C * D * q, B * C * E * q, C * D * E * q,
-        B * C * D * E * q ** 3, m * X * q, 1.0 / m,
+        B * C * D * E * q ** 3, a * q, 1.0 / m,
         1.0 / (B * X), 1.0 / (D * X), 1.0 / (E * X),
         1.0 / (B * q), 1.0 / (D * q), 1.0 / (E * q),
     ]

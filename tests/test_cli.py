@@ -40,6 +40,28 @@ def test_eval_pochhammer_deep_negative_index_is_finite():
     assert math.isfinite(abs(complex(r.stdout.splitlines()[0])))
 
 
+def test_eval_pochhammer_underflow_is_not_exact():
+    # the kernel's product is about 2^-5466: it converts to 0, which is
+    # neither exact nor error-free
+    r = run("eval", "pochhammer", "--a", "0.3,0", "--q", "0.45,0.1",
+            "--n", "-100")
+    assert r.returncode == 0
+    lines = r.stdout.splitlines()
+    assert complex(lines[0]) == 0
+    assert "est_error: 5e-324" in lines
+    assert "terminated: false" in lines
+
+
+def test_eval_pochhammer_exact_zero_is_terminated():
+    # (1;q)_2 has the vanished factor 1 - 1
+    r = run("eval", "pochhammer", "--a", "1,0", "--q", "0.5,0", "--n", "2")
+    assert r.returncode == 0
+    lines = r.stdout.splitlines()
+    assert complex(lines[0]) == 0
+    assert "est_error: 0.0" in lines
+    assert "terminated: true" in lines
+
+
 def test_eval_theta_rejects_zero_argument():
     r = run("eval", "theta", "--x", "0,0", "--q", "0.5,0")
     assert r.returncode == 2

@@ -32,9 +32,9 @@ DIGESTS = {
     "t-recursion":
         "5ec8f804e7e7439442cbd95901b56106b96268d4f2ad637256c2e647f36fc999",
     "udiff":
-        "989a6204174eddfe28008d532c6e5d589bf4826e9df542ffda99ef81d3b2775a",
+        "3b14311ca33815cc59e122a5dfd32b29de547694791cfe637c3d63b4037aa8b6",
     "vdiff":
-        "295ca53c3293b981d7e1b9aa8b1fee06c3fa0c0603a4b5cdd63922b2be9fe406",
+        "d39a9f82d1cc9f4662aaff63f0a19fc3f7469f03e2caf84fad3a5ae894b6e0c5",
     "weierstrass":
         "d3899865327d9ceb48f7f58cc061b57cb64f0a00f59a6e5010002c4be14e2055",
 }

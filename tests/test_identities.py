@@ -7,18 +7,21 @@ import dataclasses
 import math
 import random
 
+import mpmath
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from qsix import (AbelInput, BaileyParams, DomainError, NonConvergence,
-                  PoleError, QContext, TParams, TruncParams, check_abel,
+                  PoleError, QContext, SampleConstraints, TParams,
+                  TruncationPolicy, TruncParams, check_abel,
                   check_bailey, check_KN_decay, check_Q_constancy,
                   check_recurrence, check_remark1_equivalence, check_rogers,
                   check_T_iteration, check_T_recursion, check_U_difference,
                   check_V_difference, check_weierstrass, compute_KN,
                   compute_KN_printed, compute_U, compute_V, kn_limit,
-                  map_remark1, truncated_S)
+                  map_remark1, sample, truncated_S)
+from qsix import cli
 
 GENERIC = TruncParams(q=0.5, A=2.0, B=0.3, C=3.0, D=0.7, E=1.1, N=0)
 
@@ -190,15 +193,19 @@ def test_u_pole_when_Aq2_is_one():
         compute_U(1, p)
 
 
-# |q| = 0.461: q^-917 overflows, and U_n, V_n leave double range long before
+# |q| = 0.461: q^-917 overflows; U_n and V_n stay in double range well
+# below n = -400, though each of their q-product halves leaves it
 FAR_P = dataclasses.replace(GENERIC, q=0.45 + 0.1j)
 
 
 @pytest.mark.parametrize("f, n, p", [
     # an overflowed factor used to pass the pole test as inf <= inf
     (compute_U, -1000, FAR_P), (compute_V, -1000, FAR_P),
-    # the scaled products used to raise OverflowError on conversion
-    (compute_U, -400, FAR_P), (compute_V, -400, FAR_P),
+    # the difference checks' right sides convert their halves separately
+    (check_V_difference, -400, FAR_P),
+    # at C = 1, V_-400 is about 2^1332: the scaled product used to raise
+    # OverflowError on conversion
+    (compute_V, -400, dataclasses.replace(FAR_P, C=1.0)),
     (check_U_difference, -400, FAR_P),
     # Aq^2 = 2.1 overflows x q^-916 in a denominator factor, which used to
     # raise OverflowError inside the renormalizing multiply
@@ -207,6 +214,44 @@ FAR_P = dataclasses.replace(GENERIC, q=0.45 + 0.1j)
 def test_out_of_range_index_is_domain_error(f, n, p):
     with pytest.raises(DomainError, match="double range"):
         f(n, p)
+
+
+def _mp_poch(x, q, n):
+    """(x;q)_n in mpmath arithmetic, for any integer n."""
+    if n >= 0:
+        return mpmath.fprod(1 - x * q ** j for j in range(n))
+    return 1 / mpmath.fprod(1 - x * q ** -j for j in range(1, -n + 1))
+
+
+def _mp_U(n, p):
+    q, A, B, D, E = (mpmath.mpc(v) for v in (p.q, p.A, p.B, p.D, p.E))
+    num = (B * q, D * q, E * q, B * D * E / (A * A * q))
+    den = (B * D / A, B * E / A, D * E / A, A * q * q)
+    return (mpmath.fprod(_mp_poch(x, q, n) for x in num)
+            / mpmath.fprod(_mp_poch(x, q, n) for x in den))
+
+
+def _mp_V(n, p):
+    q, A, B, C, D, E = (mpmath.mpc(v) for v in (p.q, p.A, p.B, p.C, p.D,
+                                                  p.E))
+    num = (A * q * q, B * C * D * E * q / (A * A))
+    den = (A / (C * q), B * D * E / (A * A * q * q))
+    return (mpmath.fprod(_mp_poch(x, q, n + 1) for x in num)
+            / mpmath.fprod(_mp_poch(x, q, n + 1) for x in den)
+            * (C * q ** 3) ** -n)
+
+
+@pytest.mark.parametrize("f, oracle, n", [
+    (compute_U, _mp_U, -100), (compute_U, _mp_U, -400),
+    (compute_V, _mp_V, -100), (compute_V, _mp_V, -400),
+])
+def test_deep_negative_index_matches_high_precision(f, oracle, n):
+    # each q-product half of U_n, V_n leaves double range here while the
+    # sequence value does not (V_-400 is about 1e212)
+    with mpmath.workdps(40):
+        want = complex(oracle(n, FAR_P))
+    got = f(n, FAR_P)
+    assert abs(got - want) <= 1e-12 * abs(want)
 
 
 # GENERIC has Aq = 1, a V pole for n <= -2; shift A off the degeneracy
@@ -362,6 +407,22 @@ def test_kn_decay_grows_inside_unit_base():
     rep = check_KN_decay(p, N_max=30)
     assert not rep.passed
     assert rep.final_magnitude > 1.0
+
+
+def test_kn_decay_pass_rule_includes_the_limit():
+    # draw 17 of the kn-decay sweep at seed 7: at tol 1e-13 the trace has
+    # died out (final magnitude ~1e-29) but K_80 misses the closed limit by
+    # a relative 4.7e-12; the check and the sweep runner must both fail it
+    p = sample("trunc",
+               SampleConstraints(convergence_caps={"kn_decay_base_min": 1.5}),
+               7, 18)[17]
+    rep = check_KN_decay(p, tol=1e-13)
+    assert rep.final_magnitude < 1e-13 and rep.eventually_decreasing
+    assert 1e-13 < rep.limit_rel_err < 1e-11
+    assert not rep.passed
+    row = cli._sw_kn_decay(p, TruncationPolicy(), {"rtol": 1e-13})
+    assert row.passed == rep.passed
+    assert check_KN_decay(p).passed
 
 
 def test_kn_decay_domain():
