@@ -61,126 +61,122 @@ def _fmt(z: complex) -> str:
     return f"{z.real!r}{sign}{abs(z.imag)!r}j"
 
 
-def _add_numeric_flags(sp) -> None:
-    sp.add_argument("--tail-tol", type=float, default=None,
-                    help="tail tolerance for infinite sums and products")
-    sp.add_argument("--max-terms", type=int, default=None,
-                    help="per-side term budget")
-    sp.add_argument("--atol", type=float, default=None,
-                    help="absolute tolerance for checks")
-    sp.add_argument("--rtol", type=float, default=None,
-                    help="relative tolerance for checks")
+#: numeric flag -> (type, help); each subcommand takes the ones it reads
+_NUMERIC_FLAGS = {
+    "tail-tol": (float, "tail tolerance for infinite sums and products"),
+    "max-terms": (int, "per-side term budget"),
+    "atol": (float, "absolute tolerance for checks"),
+    "rtol": (float, "relative tolerance for checks"),
+}
+_POLICY_FLAGS = ("tail-tol", "max-terms")
+_TOL_FLAGS = ("atol", "rtol")
+_ALL_FLAGS = _POLICY_FLAGS + _TOL_FLAGS
+
+#: repeatable RE,IM flags: the parameter lists of the phi and psi forms
+_LIST_FLAGS = {"num": "numerator parameter", "den": "denominator parameter"}
+
+
+def _add_numeric_flags(sp, names) -> None:
+    for name in names:
+        kind, text = _NUMERIC_FLAGS[name]
+        sp.add_argument(f"--{name}", type=kind, default=None, help=text)
+
+
+def _row_flags(row) -> tuple:
+    """Complex flags of a parameter class (its fields but the int N) or of
+    an explicit flag row."""
+    if isinstance(row, tuple):
+        return row
+    return tuple(f.name for f in dataclasses.fields(row)
+                 if f.type == "complex")
+
+
+def _add_row_flags(sp, row, ints) -> None:
+    """RE,IM flags of a row, then its int flags (required where the
+    default is None)."""
+    for name in _row_flags(row):
+        if name in _LIST_FLAGS:
+            sp.add_argument(f"--{name}", type=_cpx, action="append",
+                            metavar="RE,IM", help=_LIST_FLAGS[name])
+        else:
+            sp.add_argument(f"--{name}", type=_cpx, required=True,
+                            metavar="RE,IM")
+    for name, default in ints:
+        sp.add_argument(f"--{name}", dest=name.replace("-", "_"), type=int,
+                        default=default, required=default is None)
+
+
+def _row(cls, args):
+    """A parameter class built from its flags; N is 0 where it is no
+    flag."""
+    return cls(**{f.name: getattr(args, f.name, 0)
+                  for f in dataclasses.fields(cls)})
+
+
+def _given(args, *dests) -> dict:
+    """The numeric flags among dests that were set, by library keyword."""
+    return {d: v for d in dests if (v := getattr(args, d, None)) is not None}
 
 
 def _policy(args) -> TruncationPolicy:
-    kw = {}
-    if args.tail_tol is not None:
-        kw["tail_tol"] = args.tail_tol
-    if args.max_terms is not None:
-        kw["max_terms"] = args.max_terms
-    return TruncationPolicy(**kw)
-
-
-def _tol_kw(args) -> dict:
-    kw = {}
-    if args.atol is not None:
-        kw["atol"] = args.atol
-    if args.rtol is not None:
-        kw["rtol"] = args.rtol
-    return kw
+    return TruncationPolicy(**_given(args, "tail_tol", "max_terms"))
 
 
 # ---------------------------------------------------------------------------
 # eval
 
-def _ev_pochhammer(args, ctx):
-    m, e = _qpochhammer_sc(args.a, ctx, args.n)
+def _ev_pochhammer(a, n, ctx):
+    m, e = _qpochhammer_sc(a, ctx, n)
     value = _sc_value(m, e)
     # a nonzero product that converts to 0 underflowed: not exact, and the
     # smallest positive double bounds what the conversion lost
     lost = value == 0 and m != 0
-    return EvalResult(value, math.ulp(0.0) if lost else 0.0, abs(args.n),
+    return EvalResult(value, math.ulp(0.0) if lost else 0.0, abs(n),
                       not lost)
 
 
-def _ev_pochhammer_inf(args, ctx):
-    return qpochhammer_inf(args.a, ctx)
+def _ev_phi(z, num, den, ctx):
+    return eval_phi(SeriesSpec(tuple(num or ()), tuple(den or ()), z), ctx)
 
 
-def _ev_theta(args, ctx):
-    return theta(args.x, ctx)
-
-
-def _ev_phi(args, ctx):
-    spec = SeriesSpec(tuple(args.num or ()), tuple(args.den or ()), args.z)
-    return eval_phi(spec, ctx)
-
-
-def _ev_psi(args, ctx):
-    spec = SeriesSpec(tuple(args.num or ()), tuple(args.den or ()), args.z,
-                      bilateral=True)
+def _ev_psi(z, num, den, ctx):
+    spec = SeriesSpec(tuple(num or ()), tuple(den or ()), z, bilateral=True)
     return eval_psi(spec, ctx)
 
 
-def _ev_s_trunc(args, ctx):
-    p = TruncParams(q=args.q, A=args.A, B=args.B, C=args.C, D=args.D,
-                    E=args.E, N=args.N)
-    value = truncated_S(p)
-    return EvalResult(value, 0.0, 2 * args.N + 1, True)
+def _ev_s_trunc(p, ctx):
+    return EvalResult(truncated_S(p), 0.0, 2 * p.N + 1, True)
 
 
-def _ev_t(args, ctx):
-    p = TParams(q=args.q, X=args.X, B=args.B, C=args.C, D=args.D, E=args.E)
-    return eval_T(p, ctx)
-
-
-def _ev_rogers_closed(args, ctx):
-    return rogers_closed(args.B, args.C, args.D, args.E, ctx)
-
-
-def _ev_bailey_closed_a(args, ctx):
-    p = BaileyParams(q=args.q, a=args.a, b=args.b, c=args.c, d=args.d,
-                     e=args.e)
-    return bailey_closed_a(p, ctx)
-
-
-def _ev_bailey_closed_x(args, ctx):
-    p = TParams(q=args.q, X=args.X, B=args.B, C=args.C, D=args.D, E=args.E)
-    return bailey_closed_X(p, ctx)
-
-
-def _ev_q_factor(args, ctx):
-    return q_factor(args.X, args.B, args.D, args.E, ctx)
-
-
-def _ev_f(args, ctx):
-    p = TParams(q=args.q, X=args.X, B=args.B, C=args.C, D=args.D, E=args.E)
-    return F_function(p, ctx)
-
-
-#: form name -> (handler, complex flags, int flags)
+#: form -> (function, parameter class or flag row, int flags, numeric flags
+#: read). A parameter class is built from its flags and called as
+#: function(row, ctx); a flag row passes its values but q (which sets ctx),
+#: then the ints: function(*values, ctx).
 _EVAL_FORMS = {
-    "pochhammer": (_ev_pochhammer, ("a", "q"), ("n",)),
-    "pochhammer-inf": (_ev_pochhammer_inf, ("a", "q"), ()),
-    "theta": (_ev_theta, ("x", "q"), ()),
-    "phi": (_ev_phi, ("z", "q"), ()),
-    "psi": (_ev_psi, ("z", "q"), ()),
-    "s-trunc": (_ev_s_trunc, ("q", "A", "B", "C", "D", "E"), ("N",)),
-    "t": (_ev_t, ("q", "X", "B", "C", "D", "E"), ()),
-    "rogers-closed": (_ev_rogers_closed, ("q", "B", "C", "D", "E"), ()),
-    "bailey-closed-a": (_ev_bailey_closed_a,
-                        ("q", "a", "b", "c", "d", "e"), ()),
-    "bailey-closed-x": (_ev_bailey_closed_x,
-                        ("q", "X", "B", "C", "D", "E"), ()),
-    "q-factor": (_ev_q_factor, ("q", "X", "B", "D", "E"), ()),
-    "f": (_ev_f, ("q", "X", "B", "C", "D", "E"), ()),
+    "pochhammer": (_ev_pochhammer, ("a", "q"), (("n", None),), ()),
+    "pochhammer-inf": (qpochhammer_inf, ("a", "q"), (), _POLICY_FLAGS),
+    "theta": (theta, ("x", "q"), (), _POLICY_FLAGS),
+    "phi": (_ev_phi, ("z", "q", "num", "den"), (), _POLICY_FLAGS),
+    "psi": (_ev_psi, ("z", "q", "num", "den"), (), _POLICY_FLAGS),
+    "s-trunc": (_ev_s_trunc, TruncParams, (("N", None),), ()),
+    "t": (eval_T, TParams, (), _POLICY_FLAGS),
+    "rogers-closed": (rogers_closed, ("q", "B", "C", "D", "E"), (),
+                      _POLICY_FLAGS),
+    "bailey-closed-a": (bailey_closed_a, BaileyParams, (), _POLICY_FLAGS),
+    "bailey-closed-x": (bailey_closed_X, TParams, (), _POLICY_FLAGS),
+    "q-factor": (q_factor, ("q", "X", "B", "D", "E"), (), _POLICY_FLAGS),
+    "f": (F_function, TParams, (), _POLICY_FLAGS),
 }
 
 
 def cmd_eval(args) -> int:
+    fn, row, ints, _ = _EVAL_FORMS[args.form]
     ctx = QContext(args.q, _policy(args))
-    handler = _EVAL_FORMS[args.form][0]
-    result = handler(args, ctx)
+    if isinstance(row, tuple):
+        names = row + tuple(name for name, _ in ints)
+        result = fn(*(getattr(args, n) for n in names if n != "q"), ctx)
+    else:
+        result = fn(_row(row, args), ctx)
     print(_fmt(result.value))
     print(f"est_error: {result.est_error!r}")
     print(f"terms_used: {result.terms_used}")
@@ -198,98 +194,42 @@ def _abel_input(seed: int, index: int, M: int, N: int) -> AbelInput:
     return AbelInput(U=U, V=V, M=M, N=N)
 
 
-def _ck_abel(args, policy):
-    return check_abel(_abel_input(args.seed, 0, args.M, args.N),
-                      **_tol_kw(args))
+def _ck_abel(args, policy, tols):
+    return check_abel(_abel_input(args.seed, 0, args.M, args.N), **tols)
 
 
-def _ck_weierstrass(args, policy):
+def _ck_weierstrass(args, policy, tols):
     ctx = QContext(args.q, policy) if args.theta else None
     return check_weierstrass(args.b, args.c, args.x, args.z, ctx=ctx,
-                             use_theta=args.theta, **_tol_kw(args))
+                             use_theta=args.theta, **tols)
 
 
-def _trunc_from(args) -> TruncParams:
-    return TruncParams(q=args.q, A=args.A, B=args.B, C=args.C, D=args.D,
-                       E=args.E, N=getattr(args, "N", 0))
+def _ck_kn_decay(args, policy, tols):
+    return _kn_decay(_row(TruncParams, args), policy, tols, args.n_max)
 
 
-def _t_from(args) -> TParams:
-    return TParams(q=args.q, X=args.X, B=args.B, C=args.C, D=args.D,
-                   E=args.E)
+def _ck_rogers(args, policy, tols):
+    return check_rogers(args.B, args.C, args.D, args.E,
+                        QContext(args.q, policy), **tols)
 
 
-def _bailey_from(args) -> BaileyParams:
-    return BaileyParams(q=args.q, a=args.a, b=args.b, c=args.c, d=args.d,
-                        e=args.e)
-
-
-def _ck_udiff(args, policy):
-    return check_U_difference(args.n, _trunc_from(args), **_tol_kw(args))
-
-
-def _ck_vdiff(args, policy):
-    return check_V_difference(args.n, _trunc_from(args), **_tol_kw(args))
-
-
-def _ck_recurrence(args, policy):
-    return check_recurrence(_trunc_from(args), **_tol_kw(args))
-
-
-def _ck_kn_decay(args, policy):
-    kw = {}
-    if args.rtol is not None:
-        kw["tol"] = args.rtol
-    return check_KN_decay(_trunc_from(args), N_max=args.n_max,
-                          policy=policy, **kw)
-
-
-def _ck_t_recursion(args, policy):
-    return check_T_recursion(_t_from(args), policy=policy, **_tol_kw(args))
-
-
-def _ck_rogers(args, policy):
-    ctx = QContext(args.q, policy)
-    return check_rogers(args.B, args.C, args.D, args.E, ctx,
-                        **_tol_kw(args))
-
-
-def _ck_q_constancy(args, policy):
-    return check_Q_constancy(_t_from(args), steps=args.steps, policy=policy,
-                             **_tol_kw(args))
-
-
-def _ck_bailey_a(args, policy):
-    return check_bailey("a", _bailey_from(args), policy=policy,
-                        **_tol_kw(args))
-
-
-def _ck_bailey_x(args, policy):
-    return check_bailey("X", _t_from(args), policy=policy, **_tol_kw(args))
-
-
-def _ck_remark1(args, policy):
-    return check_remark1_equivalence(_bailey_from(args), policy=policy,
-                                     **_tol_kw(args))
-
-
-#: identity -> (handler, complex flags, int flags with defaults)
+#: identity -> (handler, parameter class or flag row, int flags and their
+#: defaults, numeric flags read). A handler of None runs the identity's
+#: sweep runner on the one point the flags give.
 _CHECKS = {
-    "abel": (_ck_abel, (), (("M", 5), ("N", 5), ("seed", 0))),
-    "weierstrass": (_ck_weierstrass, ("b", "c", "x", "z"), ()),
-    "udiff": (_ck_udiff, ("q", "A", "B", "C", "D", "E"), (("n", 0),)),
-    "vdiff": (_ck_vdiff, ("q", "A", "B", "C", "D", "E"), (("n", 0),)),
-    "recurrence": (_ck_recurrence, ("q", "A", "B", "C", "D", "E"),
-                   (("N", 0),)),
-    "kn-decay": (_ck_kn_decay, ("q", "A", "B", "C", "D", "E"),
-                 (("n-max", 80),)),
-    "t-recursion": (_ck_t_recursion, ("q", "X", "B", "C", "D", "E"), ()),
-    "rogers": (_ck_rogers, ("q", "B", "C", "D", "E"), ()),
-    "q-constancy": (_ck_q_constancy, ("q", "X", "B", "C", "D", "E"),
-                    (("steps", 4),)),
-    "bailey-a": (_ck_bailey_a, ("q", "a", "b", "c", "d", "e"), ()),
-    "bailey-x": (_ck_bailey_x, ("q", "X", "B", "C", "D", "E"), ()),
-    "remark1": (_ck_remark1, ("q", "a", "b", "c", "d", "e"), ()),
+    "abel": (_ck_abel, (), (("M", 5), ("N", 5), ("seed", 0)), _TOL_FLAGS),
+    "weierstrass": (_ck_weierstrass, ("b", "c", "x", "z"), (), _ALL_FLAGS),
+    "udiff": (None, TruncParams, (("n", 0),), _TOL_FLAGS),
+    "vdiff": (None, TruncParams, (("n", 0),), _TOL_FLAGS),
+    "recurrence": (None, TruncParams, (("N", 0),), _TOL_FLAGS),
+    "kn-decay": (_ck_kn_decay, TruncParams, (("n-max", 80),),
+                 _POLICY_FLAGS + ("rtol",)),
+    "t-recursion": (None, TParams, (), _ALL_FLAGS),
+    "rogers": (_ck_rogers, ("q", "B", "C", "D", "E"), (), _ALL_FLAGS),
+    "q-constancy": (None, TParams, (("steps", 4),), _ALL_FLAGS),
+    "bailey-a": (None, BaileyParams, (), _ALL_FLAGS),
+    "bailey-x": (None, TParams, (), _ALL_FLAGS),
+    "remark1": (None, BaileyParams, (), _ALL_FLAGS),
 }
 
 
@@ -321,8 +261,14 @@ def _print_check(identity: str, rep, fmt: str) -> None:
 
 
 def cmd_check(args) -> int:
-    handler = _CHECKS[args.identity][0]
-    rep = handler(args, _policy(args))
+    handler, row, ints, _ = _CHECKS[args.identity]
+    policy, tols = _policy(args), _given(args, "atol", "rtol")
+    if handler is None:
+        runner = _SWEEPS[args.identity][2]
+        point = {name: (getattr(args, name),) for name, _ in ints}
+        rep = runner(_row(row, args), policy, tols, **point)
+    else:
+        rep = handler(args, policy, tols)
     _print_check(args.identity, rep, args.format)
     return 0 if rep.passed else 1
 
@@ -377,23 +323,30 @@ def _sw_weierstrass(index, seed, policy, tols):
             check_weierstrass(b, c, x, z, **tols))
 
 
-def _sw_udiff(p, policy, tols):
-    return _worst(check_U_difference(n, p, **tols) for n in range(-5, 6))
+# A runner's int keyword is the sweep's fan-out over that index; `check`
+# passes the flag's one value instead.
+
+def _sw_udiff(p, policy, tols, n=range(-5, 6)):
+    return _worst(check_U_difference(k, p, **tols) for k in n)
 
 
-def _sw_vdiff(p, policy, tols):
-    return _worst(check_V_difference(n, p, **tols) for n in range(-5, 6))
+def _sw_vdiff(p, policy, tols, n=range(-5, 6)):
+    return _worst(check_V_difference(k, p, **tols) for k in n)
 
 
-def _sw_recurrence(p, policy, tols):
-    return _worst(check_recurrence(dataclasses.replace(p, N=N), **tols)
-                  for N in range(0, 9))
+def _sw_recurrence(p, policy, tols, N=range(0, 9)):
+    return _worst(check_recurrence(dataclasses.replace(p, N=k), **tols)
+                  for k in N)
+
+
+def _kn_decay(p, policy, tols, N_max=80):
+    """check_KN_decay with the rtol flag as its one tolerance."""
+    kw = {"tol": tols["rtol"]} if "rtol" in tols else {}
+    return check_KN_decay(p, N_max=N_max, policy=policy, **kw)
 
 
 def _sw_kn_decay(p, policy, tols):
-    tol = tols.get("rtol")
-    kw = {"tol": tol} if tol is not None else {}
-    dec = check_KN_decay(p, N_max=80, policy=policy, **kw)
+    dec = _kn_decay(p, policy, tols)
     note = (f"final magnitude {dec.final_magnitude:.6e}; eventually "
             f"decreasing: {str(dec.eventually_decreasing).lower()}")
     if dec.note:
@@ -413,8 +366,9 @@ def _sw_rogers(p, policy, tols):
     return check_rogers(p.B, p.C, p.D, p.E, ctx, **tols)
 
 
-def _sw_q_constancy(p, policy, tols):
-    return check_Q_constancy(p, steps=4, policy=policy, **tols)
+def _sw_q_constancy(p, policy, tols, steps=(4,)):
+    return _worst(check_Q_constancy(p, steps=k, policy=policy, **tols)
+                  for k in steps)
 
 
 def _sw_bailey_a(p, policy, tols):
@@ -514,32 +468,17 @@ def _build_parser() -> _Parser:
 
     p_eval = sub.add_parser("eval", help="evaluate a series or closed form")
     forms = p_eval.add_subparsers(dest="form", metavar="form")
-    for form, (_, cpx_flags, int_flags) in _EVAL_FORMS.items():
+    for form, (_, row, ints, numeric) in _EVAL_FORMS.items():
         fp = forms.add_parser(form)
-        for name in cpx_flags:
-            fp.add_argument(f"--{name}", type=_cpx, required=True,
-                            metavar="RE,IM")
-        for name in int_flags:
-            fp.add_argument(f"--{name}", type=int, required=True)
-        if form in ("phi", "psi"):
-            fp.add_argument("--num", type=_cpx, action="append",
-                            metavar="RE,IM", help="numerator parameter")
-            fp.add_argument("--den", type=_cpx, action="append",
-                            metavar="RE,IM", help="denominator parameter")
-        _add_numeric_flags(fp)
+        _add_row_flags(fp, row, ints)
+        _add_numeric_flags(fp, numeric)
         fp.set_defaults(func=cmd_eval)
 
     p_check = sub.add_parser("check", help="run one identity check")
     idents = p_check.add_subparsers(dest="identity", metavar="identity")
-    for identity, (_, cpx_flags, int_flags) in _CHECKS.items():
+    for identity, (_, row, ints, numeric) in _CHECKS.items():
         ip = idents.add_parser(identity)
-        for name in cpx_flags:
-            ip.add_argument(f"--{name}", type=_cpx, required=True,
-                            metavar="RE,IM")
-        for name, default in int_flags:
-            dest = name.replace("-", "_")
-            ip.add_argument(f"--{name}", dest=dest, type=int,
-                            default=default)
+        _add_row_flags(ip, row, ints)
         if identity == "weierstrass":
             ip.add_argument("--theta", action="store_true",
                             help="theta-product form instead of plain")
@@ -547,7 +486,7 @@ def _build_parser() -> _Parser:
                             metavar="RE,IM", help="base for --theta")
         ip.add_argument("--format", choices=("text", "json"),
                         default="text")
-        _add_numeric_flags(ip)
+        _add_numeric_flags(ip, numeric)
         ip.set_defaults(func=cmd_check)
 
     p_sweep = sub.add_parser("sweep", help="randomized identity sweep")
@@ -559,7 +498,7 @@ def _build_parser() -> _Parser:
                          help="report path; stdout when omitted")
     p_sweep.add_argument("--format", choices=("json", "csv"),
                          default="json")
-    _add_numeric_flags(p_sweep)
+    _add_numeric_flags(p_sweep, _ALL_FLAGS)
     p_sweep.set_defaults(func=cmd_sweep)
 
     return top

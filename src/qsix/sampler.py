@@ -8,6 +8,7 @@ re-check is public so sweep consumers can audit samples independently.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Mapping
 
@@ -111,9 +112,9 @@ def _margin_bad(x: complex, q: complex, margin: float,
     if ax == 0.0:
         return False
     aq = abs(q)
-    lq = np.log(aq)
-    jhi = int(np.floor(np.log(_SHELL_LO / ax) / lq))
-    jlo = int(np.ceil(np.log(_SHELL_HI / ax) / lq))
+    lq = math.log(aq)
+    jhi = math.floor(math.log(_SHELL_LO / ax) / lq)
+    jlo = math.ceil(math.log(_SHELL_HI / ax) / lq)
     if nonneg_only:
         jlo = max(jlo, 0)
     for j in range(jlo, jhi + 1):

@@ -6,6 +6,8 @@ contract change, not a test fix.
 """
 
 import dataclasses
+import os
+import pathlib
 import subprocess
 import sys
 
@@ -183,8 +185,12 @@ def test_criterion_12_parameter_map_bridge():
 def test_criterion_13_sweep_determinism():
     cmd = [sys.executable, "-m", "qsix.cli", "sweep", "--identity",
            "recurrence", "--samples", "50", "--seed", "7"]
-    a = subprocess.run(cmd, capture_output=True, text=True)
-    b = subprocess.run(cmd, capture_output=True, text=True)
+    # the children import this checkout's sources
+    src = str(pathlib.Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH")))))
+    a = subprocess.run(cmd, capture_output=True, text=True, env=env)
+    b = subprocess.run(cmd, capture_output=True, text=True, env=env)
     ok = (a.returncode == 0 and b.returncode == 0
           and a.stdout == b.stdout and len(a.stdout) > 0)
     assert _verdict(13, "byte-identical repeated sweep", ok)

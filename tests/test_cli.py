@@ -2,20 +2,30 @@ import csv
 import io
 import json
 import math
+import os
+import pathlib
 import subprocess
 import sys
 
+import pytest
+
+from qsix import cli
 from qsix.identities import check_recurrence
 from qsix.series import TruncParams
 
 CMD = [sys.executable, "-m", "qsix.cli"]
+SRC = str(pathlib.Path(__file__).resolve().parents[1] / "src")
+ENV = dict(os.environ, PYTHONPATH=os.pathsep.join(
+    filter(None, (SRC, os.environ.get("PYTHONPATH")))))
 
 RECURRENCE_FLAGS = ["--q", "0.5,0", "--A", "2,0", "--B", "0.3,0",
                     "--C", "3,0", "--D", "0.7,0", "--E", "1.1,0"]
 
 
 def run(*args):
-    return subprocess.run(CMD + list(args), capture_output=True, text=True)
+    """The CLI in a child process that imports this checkout's sources."""
+    return subprocess.run(CMD + list(args), capture_output=True, text=True,
+                          env=ENV)
 
 
 def test_eval_pochhammer():
@@ -114,7 +124,9 @@ def test_check_divergent_series_exit_code():
 
 
 def test_check_out_of_range_index_is_domain_error():
-    # U_{-400} leaves double range: a domain error, not a traceback
+    # U_{-400} ~ -2.57+0.47j is in range, but the right side converts its
+    # numerator and denominator q-products separately, and those halves
+    # leave double range: a domain error, not a traceback
     r = run("check", "udiff", "--q", "0.45,0.1", *RECURRENCE_FLAGS[2:],
             "--n", "-400")
     assert r.returncode == 2
@@ -187,3 +199,111 @@ def test_sweep_unwritable_out_path():
             "--out", "/nonexistent-dir/report.json")
     assert r.returncode == 74
     assert "cannot write report" in r.stderr
+
+
+#: accepted flags of every eval form and check identity, as the parser
+#: holds them: "!" marks a required flag, "=value" a default other than None
+PINNED_FLAGS = {
+    "eval pochhammer": "--a! --q! --n!",
+    "eval pochhammer-inf": "--a! --q! --tail-tol --max-terms",
+    "eval theta": "--x! --q! --tail-tol --max-terms",
+    "eval phi": "--z! --q! --num --den --tail-tol --max-terms",
+    "eval psi": "--z! --q! --num --den --tail-tol --max-terms",
+    "eval s-trunc": "--q! --A! --B! --C! --D! --E! --N!",
+    "eval t": "--q! --X! --B! --C! --D! --E! --tail-tol --max-terms",
+    "eval rogers-closed": "--q! --B! --C! --D! --E! --tail-tol --max-terms",
+    "eval bailey-closed-a":
+        "--q! --a! --b! --c! --d! --e! --tail-tol --max-terms",
+    "eval bailey-closed-x":
+        "--q! --X! --B! --C! --D! --E! --tail-tol --max-terms",
+    "eval q-factor": "--q! --X! --B! --D! --E! --tail-tol --max-terms",
+    "eval f": "--q! --X! --B! --C! --D! --E! --tail-tol --max-terms",
+    "check abel": "--M=5 --N=5 --seed=0 --format='text' --atol --rtol",
+    "check weierstrass": "--b! --c! --x! --z! --theta=False --q=(0.5+0j) "
+                         "--format='text' --tail-tol --max-terms --atol "
+                         "--rtol",
+    "check udiff":
+        "--q! --A! --B! --C! --D! --E! --n=0 --format='text' --atol --rtol",
+    "check vdiff":
+        "--q! --A! --B! --C! --D! --E! --n=0 --format='text' --atol --rtol",
+    "check recurrence":
+        "--q! --A! --B! --C! --D! --E! --N=0 --format='text' --atol --rtol",
+    "check kn-decay": "--q! --A! --B! --C! --D! --E! --n-max=80 "
+                      "--format='text' --tail-tol --max-terms --rtol",
+    "check t-recursion": "--q! --X! --B! --C! --D! --E! --format='text' "
+                         "--tail-tol --max-terms --atol --rtol",
+    "check rogers": "--q! --B! --C! --D! --E! --format='text' --tail-tol "
+                    "--max-terms --atol --rtol",
+    "check q-constancy": "--q! --X! --B! --C! --D! --E! --steps=4 "
+                         "--format='text' --tail-tol --max-terms --atol "
+                         "--rtol",
+    "check bailey-a": "--q! --a! --b! --c! --d! --e! --format='text' "
+                      "--tail-tol --max-terms --atol --rtol",
+    "check bailey-x": "--q! --X! --B! --C! --D! --E! --format='text' "
+                      "--tail-tol --max-terms --atol --rtol",
+    "check remark1": "--q! --a! --b! --c! --d! --e! --format='text' "
+                     "--tail-tol --max-terms --atol --rtol",
+}
+
+
+def _subparsers(parser):
+    return parser._subparsers._group_actions[0].choices
+
+
+def _accepted_flags(parser) -> str:
+    out = []
+    for action in parser._actions:
+        if not action.option_strings or action.dest == "help":
+            continue
+        flag = action.option_strings[0] + ("!" if action.required else "")
+        if action.default is not None:
+            flag += f"={action.default!r}"
+        out.append(flag)
+    return " ".join(out)
+
+
+def test_eval_and_check_accept_only_the_flags_they_read():
+    top = _subparsers(cli._build_parser())
+    got = {f"{command} {name}": _accepted_flags(sp)
+           for command in ("eval", "check")
+           for name, sp in _subparsers(top[command]).items()}
+    assert got == PINNED_FLAGS
+
+
+def test_unread_flag_is_usage_error():
+    r = run("eval", "t", "--q", "0.5,0", "--X", "1.2,0", "--B", "0.3,0",
+            "--C", "0.1,0", "--D", "0.35,0", "--E", "0.45,0",
+            "--rtol", "1e-3")
+    assert r.returncode == 64
+    assert "unrecognized arguments: --rtol 1e-3" in r.stderr
+
+
+def _main_json(capsys, *argv):
+    cli.main(list(argv))
+    return json.loads(capsys.readouterr().out)
+
+
+def _point_flags(params: dict) -> list:
+    """check flags for a sweep row's params (complex fields only)."""
+    return [f"--{name}={v['re']!r},{v['im']!r}"
+            for name, v in params.items() if isinstance(v, dict)]
+
+
+@pytest.mark.parametrize("identity", ["t-recursion", "q-constancy",
+                                      "bailey-a", "bailey-x", "remark1"])
+def test_check_reports_the_sweep_row(identity, capsys):
+    row = _main_json(capsys, "sweep", "--identity", identity, "--samples",
+                     "1", "--seed", "7")["results"][0]
+    doc = _main_json(capsys, "check", identity,
+                     *_point_flags(row["params"]), "--format", "json")
+    assert doc["report"] == row["report"]
+
+
+def test_check_udiff_reports_the_sweep_row_at_its_worst_index(capsys):
+    row = _main_json(capsys, "sweep", "--identity", "udiff", "--samples",
+                     "1", "--seed", "7")["results"][0]
+    flags = _point_flags(row["params"])
+    reports = [_main_json(capsys, "check", "udiff", *flags, f"--n={k}",
+                          "--format", "json")["report"]
+               for k in range(-5, 6)]
+    assert row["report"] in reports
