@@ -16,7 +16,8 @@ from .identities import (AbelInput, DEFAULT_ATOL, DEFAULT_RTOL, KNDecayReport,
                          check_T_iteration, check_T_recursion,
                          check_U_difference, check_V_difference,
                          check_weierstrass, compute_KN, compute_KN_printed,
-                         compute_U, compute_V, kn_limit, map_remark1)
+                         compute_U, compute_V, kn_limit, kn_trace,
+                         map_remark1)
 from .qcore import (DEFAULT_POLICY, EvalResult, QContext, TruncationPolicy,
                     nabla, qpochhammer, qpochhammer_inf,
                     qpochhammer_inf_multi, qpochhammer_multi, theta,
@@ -43,7 +44,7 @@ __all__ = [
     "check_remark1_equivalence", "check_rogers", "check_T_iteration",
     "check_T_recursion", "check_U_difference", "check_V_difference",
     "check_weierstrass", "compute_KN", "compute_KN_printed", "compute_U",
-    "compute_V", "eval_T", "eval_phi", "eval_psi", "kn_limit",
+    "compute_V", "eval_T", "eval_phi", "eval_psi", "kn_limit", "kn_trace",
     "map_remark1", "nabla", "q_factor", "qpochhammer", "qpochhammer_inf",
     "qpochhammer_inf_multi", "qpochhammer_multi", "render_sweep",
     "rogers_closed", "sample", "theta", "theta_multi", "truncated_S",

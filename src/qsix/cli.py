@@ -199,7 +199,15 @@ def _ck_abel(args, policy, tols):
 
 
 def _ck_weierstrass(args, policy, tols):
-    ctx = QContext(args.q, policy) if args.theta else None
+    ctx = None
+    if args.theta:
+        ctx = QContext(0.5 + 0j if args.q is None else args.q, policy)
+    else:
+        unread = [f"--{d.replace('_', '-')}"
+                  for d in ("q", "tail_tol", "max_terms")
+                  if getattr(args, d) is not None]
+        if unread:
+            args.usage_error(f"only --theta reads {', '.join(unread)}")
     return check_weierstrass(args.b, args.c, args.x, args.z, ctx=ctx,
                              use_theta=args.theta, **tols)
 
@@ -482,8 +490,10 @@ def _build_parser() -> _Parser:
         if identity == "weierstrass":
             ip.add_argument("--theta", action="store_true",
                             help="theta-product form instead of plain")
-            ip.add_argument("--q", type=_cpx, default=0.5 + 0j,
-                            metavar="RE,IM", help="base for --theta")
+            ip.add_argument("--q", type=_cpx, default=None,
+                            metavar="RE,IM",
+                            help="base for --theta (default 0.5,0)")
+            ip.set_defaults(usage_error=ip.error)
         ip.add_argument("--format", choices=("text", "json"),
                         default="text")
         _add_numeric_flags(ip, numeric)

@@ -219,7 +219,7 @@ PINNED_FLAGS = {
     "eval q-factor": "--q! --X! --B! --D! --E! --tail-tol --max-terms",
     "eval f": "--q! --X! --B! --C! --D! --E! --tail-tol --max-terms",
     "check abel": "--M=5 --N=5 --seed=0 --format='text' --atol --rtol",
-    "check weierstrass": "--b! --c! --x! --z! --theta=False --q=(0.5+0j) "
+    "check weierstrass": "--b! --c! --x! --z! --theta=False --q "
                          "--format='text' --tail-tol --max-terms --atol "
                          "--rtol",
     "check udiff":
@@ -276,6 +276,28 @@ def test_unread_flag_is_usage_error():
             "--rtol", "1e-3")
     assert r.returncode == 64
     assert "unrecognized arguments: --rtol 1e-3" in r.stderr
+
+
+WEIERSTRASS_FLAGS = ["check", "weierstrass", "--b", "0.6,0.2", "--c",
+                     "1.3,-0.4", "--x", "0.8,0.5", "--z", "1.1,0.3"]
+
+
+@pytest.mark.parametrize("extra", [["--q", "0.9,0"], ["--tail-tol", "0.5"],
+                                   ["--max-terms", "1"]])
+def test_check_weierstrass_theta_flags_need_theta(extra, capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(WEIERSTRASS_FLAGS + extra)
+    assert exc.value.code == 64
+    assert f"only --theta reads {extra[0]}" in capsys.readouterr().err
+    assert cli.main(WEIERSTRASS_FLAGS + ["--theta"] + extra) != 64
+
+
+def test_check_weierstrass_theta_reads_q(capsys):
+    outs = []
+    for extra in ([], ["--q", "0.5,0"], ["--q", "0.9,0"]):
+        assert cli.main(WEIERSTRASS_FLAGS + ["--theta"] + extra) == 0
+        outs.append(capsys.readouterr().out)
+    assert outs[0] == outs[1] != outs[2]
 
 
 def _main_json(capsys, *argv):

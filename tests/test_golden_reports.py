@@ -20,7 +20,7 @@ DIGESTS = {
     "bailey-x":
         "0616d9d5414b9838b80fd771fb77cc37ea308d83e934471f006f4d2112aa7740",
     "kn-decay":
-        "22af69805316c8193d52c2377649a5cb91f6df98f3aa6a1706d5207bd559d1c0",
+        "b84b6eb6019f4ee0584f25429fce558ee227c8bd48bb221c94694aa87d2c7cef",
     "q-constancy":
         "01adc7d523cb773d0c49b137de83c28e017066e1b4175bdaf67e814610b4d786",
     "recurrence":
