@@ -1,0 +1,166 @@
+"""Run a fixed battery of `qsix` CLI invocations and hash what each prints.
+
+Each invocation runs as `python -m qsix.cli ARG...` in a child process
+that imports qsix from the given source tree. The battery covers every
+eval form, every check in text and json, every `--help` page, a seeded
+sweep per identity alone and with each numeric flag, and the error cases
+of `tests/test_cli.py`. One line per invocation:
+
+    EXIT SHA256(stdout) SHA256(stderr) ARG...
+
+Run it on two trees and diff the outputs to list exactly the invocations
+whose exit code or output changed:
+
+    python3 scripts/cli_battery.py --src ../old/src > old.txt
+    python3 scripts/cli_battery.py --src src > new.txt
+    diff old.txt new.txt
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+TRUNC = ["--q", "0.5,0", "--A", "2,0", "--B", "0.3,0", "--C", "3,0",
+         "--D", "0.7,0", "--E", "1.1,0"]
+#: |Cq^3| = 1.5: the K_N trace decays
+DECAY = ["--q", "0.5,0", "--A", "2,0", "--B", "0.3,0", "--C", "12,0",
+         "--D", "0.7,0", "--E", "1.1,0"]
+T_ROW = ["--q", "0.5,0", "--X", "1.2,0", "--B", "0.3,0", "--C", "0.1,0",
+         "--D", "0.35,0", "--E", "0.45,0"]
+BAILEY = ["--q", "0.5,0", "--a", "0.09,0", "--b", "0.6,0", "--c", "0.7,0",
+          "--d", "0.8,0", "--e", "0.9,0"]
+ROGERS = ["--q", "0.5,0", "--B", "0.3,0", "--C", "0.1,0", "--D", "0.35,0",
+          "--E", "0.45,0"]
+WEIER = ["--b", "0.6,0.2", "--c", "1.3,-0.4", "--x", "0.8,0.5",
+         "--z", "1.1,0.3"]
+
+EVALS = {
+    "pochhammer": ["--a", "0.5,0", "--q", "0.5,0", "--n", "3"],
+    "pochhammer-inf": ["--a", "0.5,0", "--q", "0.5,0"],
+    "theta": ["--x", "0.3,0.2", "--q", "0.5,0"],
+    "phi": ["--z", "0.2,0", "--q", "0.5,0", "--num", "2,0", "--num",
+            "0.3,0", "--den", "0.7,0"],
+    "psi": ["--z", "5,0", "--q", "0.5,0", "--num", "1,0", "--num", "0.3,0",
+            "--den", "0.7,0", "--den", "1.3,0"],
+    "s-trunc": TRUNC + ["--N", "2"],
+    "t": T_ROW,
+    "rogers-closed": ROGERS,
+    "bailey-closed-a": BAILEY,
+    "bailey-closed-x": T_ROW,
+    "q-factor": ["--q", "0.5,0", "--X", "1.2,0", "--B", "0.3,0",
+                 "--D", "0.35,0", "--E", "0.45,0"],
+    "f": T_ROW,
+}
+
+CHECKS = {
+    "abel": [],
+    "weierstrass": WEIER,
+    "udiff": TRUNC + ["--n", "2"],
+    "vdiff": TRUNC + ["--n", "-2"],
+    "recurrence": TRUNC + ["--N", "2"],
+    "kn-decay": DECAY,
+    "t-recursion": T_ROW,
+    "rogers": ROGERS,
+    "q-constancy": T_ROW,
+    "bailey-a": BAILEY,
+    "bailey-x": T_ROW,
+    "remark1": BAILEY,
+}
+
+#: a value per numeric flag that moves the output of a sweep that reads it
+SWEEP_FLAGS = (("--tail-tol", "0.5"), ("--max-terms", "1"),
+               ("--atol", "1e3"), ("--rtol", "1e-30"))
+
+
+def invocations(tmp: str) -> list:
+    out = [["--help"], ["eval", "--help"], ["check", "--help"],
+           ["sweep", "--help"]]
+    out += [["eval", form, "--help"] for form in EVALS]
+    out += [["check", name, "--help"] for name in CHECKS]
+    for form, args in EVALS.items():
+        out.append(["eval", form, *args])
+        if form not in ("pochhammer", "s-trunc"):
+            out.append(["eval", form, *args, "--tail-tol", "0.5"])
+            out.append(["eval", form, *args, "--max-terms", "1"])
+    for name, args in CHECKS.items():
+        out.append(["check", name, *args])
+        out.append(["check", name, *args, "--format", "json"])
+        for flag, value in SWEEP_FLAGS:
+            out.append(["check", name, *args, flag, value])
+    out += [
+        ["check", "weierstrass", *WEIER, "--theta"],
+        ["check", "weierstrass", *WEIER, "--theta", "--q", "0.9,0",
+         "--tail-tol", "0.5", "--max-terms", "1"],
+        ["check", "abel", "--M", "3", "--N", "7", "--seed", "4"],
+        ["check", "udiff", *TRUNC, "--n", "-400"],
+        ["check", "q-constancy", *T_ROW, "--steps", "2"],
+        ["check", "kn-decay", *DECAY, "--n-max", "40"],
+    ]
+    for name in sorted(CHECKS):
+        base = ["sweep", "--identity", name, "--samples", "5", "--seed", "7"]
+        out.append(base)
+        out += [base + [flag, value] for flag, value in SWEEP_FLAGS]
+    out += [
+        ["sweep", "--identity", "abel", "--samples", "2", "--seed", "3",
+         "--format", "csv"],
+        ["sweep", "--identity", "weierstrass", "--samples", "2", "--seed",
+         "1", "--out", os.path.join(tmp, "report.json")],
+        ["sweep", "--identity", "recurrence", "--samples", "0"],
+        ["sweep", "--identity", "recurrence", "--samples", "2", "--seed",
+         "3", "--atol", "1e-300", "--rtol", "1e-30"],
+        ["sweep", "--identity", "abel", "--samples", "1", "--out",
+         "/nonexistent-dir/report.json"],
+        ["sweep", "--identity", "abel", "--samples", "-1"],
+    ]
+    # error cases
+    out += [
+        [],
+        ["frobnicate"],
+        ["eval", "theta", "--x", "0,0", "--q", "0.5,0"],
+        ["eval", "theta", "--x", "0.5", "--q", "0.5,0"],
+        ["eval", "t", *T_ROW, "--rtol", "1e-3"],
+        ["eval", "t", "--q", "1.5,0", *T_ROW[2:]],
+        ["eval", "psi", "--z", "0.5,0", "--q", "0.5,0", "--num", "0.3,0"],
+        ["check", "recurrence", *TRUNC, "--N", "2", "--atol", "1e-300",
+         "--rtol", "1e-30"],
+        ["check", "bailey-a", "--q", "0.5,0", "--a", "2,0", "--b", "0.5,0",
+         "--c", "0.5,0", "--d", "0.5,0", "--e", "0.5,0"],
+        ["check", "rogers", "--q", "0.5,0", "--B", "0.3,0", "--C", "0,0",
+         "--D", "0.35,0", "--E", "0.45,0"],
+    ]
+    out += [["check", "weierstrass", *WEIER, flag, value]
+            for flag, value in (("--q", "0.9,0"), ("--tail-tol", "0.5"),
+                                ("--max-terms", "1"))]
+    return out
+
+
+def _sha(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--src", default=str(
+        Path(__file__).resolve().parent.parent / "src"),
+        help="source tree that holds the qsix package (default: this "
+             "checkout's src)")
+    args = parser.parse_args(argv)
+    env = dict(os.environ, PYTHONPATH=os.path.abspath(args.src))
+    with tempfile.TemporaryDirectory() as tmp:
+        for argv_ in invocations(tmp):
+            proc = subprocess.run([sys.executable, "-m", "qsix.cli", *argv_],
+                                  capture_output=True, env=env, cwd=tmp)
+            shown = " ".join(argv_).replace(tmp, "TMP")
+            print(f"{proc.returncode} {_sha(proc.stdout)} "
+                  f"{_sha(proc.stderr)} {shown}", flush=True)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

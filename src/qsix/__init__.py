@@ -6,7 +6,7 @@ truncated very-well-poised bilateral sum onto its closed product form.
 """
 
 from ._backend import backend_name
-from .config import POLE_EPS, RECOMPUTE_EVERY, ZERO_EPS
+from .config import POLE_EPS, RECOMPUTE_EVERY, STAGNATION_WINDOW, ZERO_EPS
 from .errors import (BudgetExceeded, DomainError, NonConvergence, PoleError,
                      QSixError, Unsatisfiable)
 from .identities import (AbelInput, DEFAULT_ATOL, DEFAULT_RTOL, KNDecayReport,
@@ -36,9 +36,9 @@ __all__ = [
     "DEFAULT_CAPS", "DEFAULT_POLICY", "DEFAULT_RTOL", "DomainError",
     "EvalResult", "F_function", "KNDecayReport", "NonConvergence",
     "POLE_EPS", "PoleError", "QContext", "QSixError", "RECOMPUTE_EVERY",
-    "ResidualReport", "SampleConstraints", "SeriesSpec", "SweepReport",
-    "TParams", "TruncParams", "TruncationPolicy", "Unsatisfiable",
-    "ZERO_EPS", "backend_name", "bailey_closed_X", "bailey_closed_a",
+    "ResidualReport", "STAGNATION_WINDOW", "SampleConstraints",
+    "SeriesSpec", "SweepReport", "TParams", "TruncParams",
+    "TruncationPolicy", "Unsatisfiable", "ZERO_EPS", "backend_name", "bailey_closed_X", "bailey_closed_a",
     "build_sweep_report", "check_KN_decay", "check_Q_constancy",
     "check_abel", "check_bailey", "check_recurrence",
     "check_remark1_equivalence", "check_rogers", "check_T_iteration",

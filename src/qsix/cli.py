@@ -122,6 +122,14 @@ def _policy(args) -> TruncationPolicy:
     return TruncationPolicy(**_given(args, "tail_tol", "max_terms"))
 
 
+def _reject_given(args, names, why: str) -> None:
+    """Usage error naming each of the numeric flags `names` that was set."""
+    given = [f"--{name}" for name in names
+             if getattr(args, name.replace("-", "_")) is not None]
+    if given:
+        args.usage_error(f"{why} {', '.join(given)}")
+
+
 # ---------------------------------------------------------------------------
 # eval
 
@@ -140,18 +148,17 @@ def _ev_phi(z, num, den, ctx):
 
 
 def _ev_psi(z, num, den, ctx):
-    spec = SeriesSpec(tuple(num or ()), tuple(den or ()), z, bilateral=True)
-    return eval_psi(spec, ctx)
+    return eval_psi(SeriesSpec(tuple(num or ()), tuple(den or ()), z), ctx)
 
 
-def _ev_s_trunc(p, ctx):
+def _ev_s_trunc(p, policy):
     return EvalResult(truncated_S(p), 0.0, 2 * p.N + 1, True)
 
 
 #: form -> (function, parameter class or flag row, int flags, numeric flags
 #: read). A parameter class is built from its flags and called as
-#: function(row, ctx); a flag row passes its values but q (which sets ctx),
-#: then the ints: function(*values, ctx).
+#: function(row, policy); a flag row passes its values but q (which sets
+#: ctx), then the ints: function(*values, ctx).
 _EVAL_FORMS = {
     "pochhammer": (_ev_pochhammer, ("a", "q"), (("n", None),), ()),
     "pochhammer-inf": (qpochhammer_inf, ("a", "q"), (), _POLICY_FLAGS),
@@ -176,7 +183,7 @@ def cmd_eval(args) -> int:
         names = row + tuple(name for name, _ in ints)
         result = fn(*(getattr(args, n) for n in names if n != "q"), ctx)
     else:
-        result = fn(_row(row, args), ctx)
+        result = fn(_row(row, args), ctx.policy)
     print(_fmt(result.value))
     print(f"est_error: {result.est_error!r}")
     print(f"terms_used: {result.terms_used}")
@@ -203,13 +210,8 @@ def _ck_weierstrass(args, policy, tols):
     if args.theta:
         ctx = QContext(0.5 + 0j if args.q is None else args.q, policy)
     else:
-        unread = [f"--{d.replace('_', '-')}"
-                  for d in ("q", "tail_tol", "max_terms")
-                  if getattr(args, d) is not None]
-        if unread:
-            args.usage_error(f"only --theta reads {', '.join(unread)}")
-    return check_weierstrass(args.b, args.c, args.x, args.z, ctx=ctx,
-                             use_theta=args.theta, **tols)
+        _reject_given(args, ("q",) + _POLICY_FLAGS, "only --theta reads")
+    return check_weierstrass(args.b, args.c, args.x, args.z, ctx=ctx, **tols)
 
 
 def _ck_kn_decay(args, policy, tols):
@@ -222,11 +224,12 @@ def _ck_rogers(args, policy, tols):
 
 
 #: identity -> (handler, parameter class or flag row, int flags and their
-#: defaults, numeric flags read). A handler of None runs the identity's
-#: sweep runner on the one point the flags give.
+#: defaults, numeric flags read by its check and its sweep; `check
+#: weierstrass --theta` also reads the policy flags). A handler of None
+#: runs the identity's sweep runner on the one point the flags give.
 _CHECKS = {
     "abel": (_ck_abel, (), (("M", 5), ("N", 5), ("seed", 0)), _TOL_FLAGS),
-    "weierstrass": (_ck_weierstrass, ("b", "c", "x", "z"), (), _ALL_FLAGS),
+    "weierstrass": (_ck_weierstrass, ("b", "c", "x", "z"), (), _TOL_FLAGS),
     "udiff": (None, TruncParams, (("n", 0),), _TOL_FLAGS),
     "vdiff": (None, TruncParams, (("n", 0),), _TOL_FLAGS),
     "recurrence": (None, TruncParams, (("N", 0),), _TOL_FLAGS),
@@ -447,6 +450,9 @@ def run_sweep(identity: str, samples: int, seed: int,
 
 
 def cmd_sweep(args) -> int:
+    read = _CHECKS[args.identity][3]
+    _reject_given(args, [f for f in _ALL_FLAGS if f not in read],
+                  f"--identity {args.identity} does not read")
     report = run_sweep(args.identity, args.samples, args.seed,
                        policy=_policy(args), atol=args.atol,
                        rtol=args.rtol)
@@ -494,6 +500,7 @@ def _build_parser() -> _Parser:
                             metavar="RE,IM",
                             help="base for --theta (default 0.5,0)")
             ip.set_defaults(usage_error=ip.error)
+            numeric = _POLICY_FLAGS + numeric
         ip.add_argument("--format", choices=("text", "json"),
                         default="text")
         _add_numeric_flags(ip, numeric)
@@ -509,7 +516,7 @@ def _build_parser() -> _Parser:
     p_sweep.add_argument("--format", choices=("json", "csv"),
                          default="json")
     _add_numeric_flags(p_sweep, _ALL_FLAGS)
-    p_sweep.set_defaults(func=cmd_sweep)
+    p_sweep.set_defaults(func=cmd_sweep, usage_error=p_sweep.error)
 
     return top
 

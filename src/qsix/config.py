@@ -14,3 +14,6 @@ ZERO_EPS = 5e-15
 
 #: incremental series evaluation refreshes the running term this often
 RECOMPUTE_EVERY = 64
+
+#: consecutive satisfying terms or factors before a tail counts as converged
+STAGNATION_WINDOW = 3

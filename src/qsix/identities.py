@@ -165,7 +165,7 @@ def check_abel(inp: AbelInput, atol: float = DEFAULT_ATOL,
 # three-term product difference (plain and theta form)
 
 def check_weierstrass(b: complex, c: complex, x: complex, z: complex,
-                      ctx: QContext | None = None, use_theta: bool = False,
+                      ctx: QContext | None = None,
                       atol: float = DEFAULT_ATOL,
                       rtol: float | None = None) -> ResidualReport:
     """Three-term difference identity
@@ -173,25 +173,24 @@ def check_weierstrass(b: complex, c: complex, x: complex, z: complex,
         f(cx) f(x/c) f(bz) f(z/b) - f(bx) f(x/b) f(cz) f(z/c)
             = (z/c) f(bc) f(c/b) f(xz) f(x/z)
 
-    with f = (1 - .) in the plain form and f = theta(.;q) when use_theta.
-    Requires b, c, z != 0; the theta form also needs x != 0 and a context.
+    with f = (1 - .) in the plain form and f = theta(.;q) in the theta
+    form, which is used exactly when a context is given. Requires b, c,
+    z != 0; the theta form also needs x != 0.
     """
     b, c, x, z = map(_as_complex, (b, c, x, z))
     if 0 in (b, c, z):
         raise DomainError("b, c, z must be nonzero")
     if rtol is None:
-        rtol = DEFAULT_RTOL["weierstrass-theta" if use_theta
-                            else "weierstrass"]
+        rtol = DEFAULT_RTOL["weierstrass" if ctx is None
+                            else "weierstrass-theta"]
     first = (c * x, x / c, b * z, z / b)
     second = (b * x, x / b, c * z, z / c)
     third = (b * c, c / b, x * z, x / z) if x != 0 else None
-    if not use_theta:
+    if ctx is None:
         rhs_args = (b * c, c / b, x * z, x / z if z != 0 else 0j)
         lhs = nabla(first) - nabla(second)
         rhs = (z / c) * nabla(rhs_args)
         return _report(lhs, rhs, atol, rtol)
-    if ctx is None:
-        raise DomainError("theta form needs a QContext")
     if x == 0:
         raise DomainError("theta form needs x != 0")
     t1 = theta_multi(first, ctx)
@@ -576,15 +575,14 @@ def check_T_recursion(p: TParams, policy: TruncationPolicy | None = None,
     q, X, B, C, D, E = p.q, p.X, p.B, p.C, p.D, p.E
     if C == 0:
         raise DomainError("C must be nonzero")
-    ctx = QContext(q, policy or DEFAULT_POLICY)
     m = B * C * D * E * X
     mX = m * X
     top = nabla((1.0 / (m * q), mX * q, B * C / q, C * D / q, C * E / q))
     bot = _nabla_den((("1/BCDEX^2", 1.0 / mX), ("C/q^3", C / q ** 3),
                       ("BCDX", B * C * D * X), ("BCEX", B * C * E * X),
                       ("CDEX", C * D * E * X)))
-    lhs = eval_T(p, ctx)
-    rhs = eval_T(dataclasses.replace(p, C=C * q), ctx)
+    lhs = eval_T(p, policy)
+    rhs = eval_T(dataclasses.replace(p, C=C * q), policy)
     value = (top / bot) * rhs.value
     est = lhs.est_error + abs(top / bot) * rhs.est_error
     return _report(lhs.value, value, atol, rtol,
@@ -608,15 +606,14 @@ def check_T_iteration(p: TParams, m: int,
         raise DomainError("C must be nonzero")
     if m < 1:
         raise DomainError("m must be >= 1")
-    ctx = QContext(q, policy or DEFAULT_POLICY)
     pref = (_poch_num((("BCDEq^3", B * C * D * E * q ** 3),
                        ("BC/q", B * C / q), ("CD/q", C * D / q),
                        ("CE/q", C * E / q)), q, m)
             * _poch_den_inv((("C/q^3", C / q ** 3), ("BCDq", B * C * D * q),
                              ("BCEq", B * C * E * q),
                              ("CDEq", C * D * E * q)), q, m))
-    lhs = eval_T(p, ctx)
-    rhs = eval_T(dataclasses.replace(p, C=C * _K.cpow_int(q, m)), ctx)
+    lhs = eval_T(p, policy)
+    rhs = eval_T(dataclasses.replace(p, C=C * _K.cpow_int(q, m)), policy)
     return _report(lhs.value, pref * rhs.value, atol, rtol)
 
 
@@ -635,12 +632,11 @@ def check_Q_constancy(p: TParams, steps: int = 4,
         raise DomainError("steps must be >= 1")
     if p.C == 0:
         raise DomainError("C must be nonzero")
-    ctx = QContext(p.q, policy or DEFAULT_POLICY)
     ratios = []
     for k in range(steps + 1):
         pk = dataclasses.replace(p, C=p.C * _K.cpow_int(p.q, k))
-        t = eval_T(pk, ctx)
-        f = F_function(pk, ctx)
+        t = eval_T(pk, policy)
+        f = F_function(pk, policy)
         if f.value == 0:
             raise PoleError("F vanished under scaling", factor="F(Cq^k)")
         ratios.append(t.value / f.value)
@@ -648,18 +644,14 @@ def check_Q_constancy(p: TParams, steps: int = 4,
     scale = max(abs(r) for r in ratios)
     hi = max(ratios, key=abs)
     lo = min(ratios, key=abs)
-    qf = q_factor(p.X, p.B, p.D, p.E, ctx)
+    qf = q_factor(p.X, p.B, p.D, p.E, QContext(p.q, policy or DEFAULT_POLICY))
     qf_err = abs(ratios[0] - qf.value)
     qf_ok = qf_err <= atol + DEFAULT_RTOL["q-constancy"] * max(
         abs(ratios[0]), abs(qf.value))
-    rep = _report(hi, lo, atol, rtol,
-                  note=(f"spread {spread:.3e} over {steps + 1} scalings; "
-                        f"|r0 - q_factor| = {qf_err:.3e}"),
-                  extra_ok=qf_ok)
     passed = (spread <= atol + rtol * scale) and qf_ok
-    return dataclasses.replace(rep, abs_err=spread,
-                               rel_err=spread / max(scale, _TINY),
-                               passed=passed)
+    return ResidualReport(hi, lo, spread, spread / max(scale, _TINY), passed,
+                          note=(f"spread {spread:.3e} over {steps + 1} "
+                                f"scalings; |r0 - q_factor| = {qf_err:.3e}"))
 
 
 # ---------------------------------------------------------------------------
@@ -718,14 +710,13 @@ def check_bailey(form: str, params, policy: TruncationPolicy | None = None,
         lhs = vwp_psi6(p.a, (p.b, p.c, p.d, p.e), z, ctx,
                        ("b", "c", "d", "e"),
                        ("aq/b", "aq/c", "aq/d", "aq/e"))
-        rhs = bailey_closed_a(p, ctx)
-    elif form in ("X", "x"):
+        rhs = bailey_closed_a(p, policy)
+    elif form == "X":
         t: TParams = params
         if rtol is None:
             rtol = DEFAULT_RTOL["bailey-x"]
-        ctx = QContext(t.q, policy or DEFAULT_POLICY)
-        lhs = eval_T(t, ctx)
-        rhs = bailey_closed_X(t, ctx)
+        lhs = eval_T(t, policy)
+        rhs = bailey_closed_X(t, policy)
     else:
         raise DomainError(f"unknown form {form!r}; use 'a' or 'X'")
     return _report(lhs.value, rhs.value, atol, rtol,
@@ -751,9 +742,8 @@ def check_remark1_equivalence(p: BaileyParams,
     """The bridge map must carry one closed product onto the other and make
     the two series arguments coincide: C/q^3 = a^2 q/(bcde)."""
     t = map_remark1(p)
-    ctx = QContext(p.q, policy or DEFAULT_POLICY)
-    lhs = bailey_closed_a(p, ctx)
-    rhs = bailey_closed_X(t, ctx)
+    lhs = bailey_closed_a(p, policy)
+    rhs = bailey_closed_X(t, policy)
     z1 = t.series_arg
     z2 = p.series_arg
     arg_err = abs(z1 - z2)

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 from . import _backend as _K
-from .config import POLE_EPS, ZERO_EPS
+from .config import POLE_EPS, STAGNATION_WINDOW, ZERO_EPS
 from .errors import BudgetExceeded, DomainError, PoleError
 
 
@@ -32,21 +32,19 @@ class TruncationPolicy:
         magnitude below which a term/factor counts toward stagnation.
     max_terms
         hard budget per one-sided sum or product.
-    stagnation_window
-        consecutive satisfying terms required before convergence is declared.
+
+    Convergence is declared after STAGNATION_WINDOW consecutive satisfying
+    terms.
     """
 
     tail_tol: float = 1e-15
     max_terms: int = 10000
-    stagnation_window: int = 3
 
     def __post_init__(self):
         if not self.tail_tol > 0.0:
             raise DomainError("tail_tol must be positive")
         if self.max_terms < 1:
             raise DomainError("max_terms must be >= 1")
-        if self.stagnation_window < 1:
-            raise DomainError("stagnation_window must be >= 1")
 
 
 DEFAULT_POLICY = TruncationPolicy()
@@ -165,7 +163,7 @@ def qpochhammer_multi(as_: Sequence[complex], ctx: QContext, n: int) -> complex:
 def qpochhammer_inf(a: complex, ctx: QContext) -> EvalResult:
     """Infinite product (a;q)_infinity with a certified geometric tail.
 
-    The loop stops once |a q^k| < tail_tol holds for stagnation_window
+    The loop stops once |a q^k| < tail_tol holds for STAGNATION_WINDOW
     consecutive k; est_error then bounds |true - value| via the remaining
     geometric mass. An exactly vanishing factor short-circuits to 0 with
     terminated=True; a = 0 returns 1 the same way.
@@ -179,7 +177,7 @@ def qpochhammer_inf(a: complex, ctx: QContext) -> EvalResult:
     a = _as_complex(a)
     p = ctx.policy
     val, est, terms, exact, status = _K.qpoch_inf(
-        a, ctx.q, p.tail_tol, p.max_terms, p.stagnation_window, ZERO_EPS)
+        a, ctx.q, p.tail_tol, p.max_terms, STAGNATION_WINDOW, ZERO_EPS)
     if status == _K.BUDGET:
         raise BudgetExceeded(
             f"(a;q)_inf with a = {a}: no stagnation within "

@@ -103,8 +103,7 @@ def _draw_complex(rng, lo: float, hi: float) -> complex:
     return complex(mod * np.cos(phase), mod * np.sin(phase))
 
 
-def _margin_bad(x: complex, q: complex, margin: float,
-                nonneg_only: bool = False) -> bool:
+def _margin_bad(x: complex, q: complex, margin: float) -> bool:
     """True when some reachable factor 1 - x q^j comes within margin of
     zero. Factors vanish only when |x q^j| is near 1, so only shifts
     landing |x q^j| in a fixed shell around 1 are examined."""
@@ -115,8 +114,6 @@ def _margin_bad(x: complex, q: complex, margin: float,
     lq = math.log(aq)
     jhi = math.floor(math.log(_SHELL_LO / ax) / lq)
     jlo = math.ceil(math.log(_SHELL_HI / ax) / lq)
-    if nonneg_only:
-        jlo = max(jlo, 0)
     for j in range(jlo, jhi + 1):
         xq = x * q ** j
         if abs(1.0 - xq) < margin * (1.0 + abs(xq)):
@@ -129,7 +126,7 @@ def _psi6_hump(a, num, q, z) -> float:
     z, read from the walks that `vwp_psi6` sums. A walk the kernel refuses
     (pole, budget, divergence) counts as infinite."""
     try:
-        return _bilateral(num, _vwp_den(a, q, num), q, z, a, True, -1,
+        return _bilateral(num, _vwp_den(a, q, num), q, z, a, -1,
                           DEFAULT_POLICY)[4]
     except _WALK_ERRORS:
         return float("inf")
@@ -138,7 +135,7 @@ def _psi6_hump(a, num, q, z) -> float:
 def _trunc_factors(p: TruncParams):
     """Factor arguments x whose 1 - x q^j must keep the pole margin for the
     window sums, the U/V sequences, the boundary term, and the closed
-    limit. nonneg_only factors appear in infinite products only."""
+    limit."""
     q, A, B, C, D, E = p.q, p.A, p.B, p.C, p.D, p.E
     A2 = A * A
     num, den, a, _ = _s_rows(q, A, B, C, D, E)
@@ -288,7 +285,7 @@ def _S_window_hump(p: TruncParams, N: int) -> float:
     for (A, C) in ((p.A, p.C), (p.A * q, p.C * q)):
         num, den, a, z = _s_rows(q, A, p.B, C, p.D, p.E)
         try:
-            _, _, _, _, mx, low = _side(num, den, q, z, +1, a, True, N + 1,
+            _, _, _, _, mx, low = _side(num, den, q, z, +1, a, N + 1,
                                         DEFAULT_POLICY)
         except _WALK_ERRORS:
             return float("inf")

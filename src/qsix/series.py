@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from . import _backend as _K
-from .config import POLE_EPS, RECOMPUTE_EVERY, ZERO_EPS
+from .config import POLE_EPS, RECOMPUTE_EVERY, STAGNATION_WINDOW, ZERO_EPS
 from .errors import BudgetExceeded, DomainError, NonConvergence, PoleError
 from .qcore import DEFAULT_POLICY, EvalResult, QContext, TruncationPolicy, \
     _as_complex, _mul_results, qpochhammer_inf, qpochhammer_inf_multi
@@ -22,15 +22,15 @@ from .qcore import DEFAULT_POLICY, EvalResult, QContext, TruncationPolicy, \
 class SeriesSpec:
     """Parameter lists for a generic (bi)lateral series.
 
-    Unilateral: r numerators against r-1 denominators plus the implicit
-    (q;q)_n, summed over n >= 0. Bilateral: equal-length lists, summed over
-    all integers n. z is the series argument.
+    eval_phi sums the unilateral form: r numerators against r-1
+    denominators plus the implicit (q;q)_n, over n >= 0. eval_psi sums the
+    bilateral form: equal-length lists, over all integers n. z is the
+    series argument.
     """
 
     numerators: tuple
     denominators: tuple
     z: complex
-    bilateral: bool = False
 
     def __post_init__(self):
         object.__setattr__(self, "numerators",
@@ -111,22 +111,19 @@ class TParams:
         return self.C / self.q ** 3
 
 
-def _policy(ctx: QContext | None) -> TruncationPolicy:
-    return ctx.policy if ctx is not None else DEFAULT_POLICY
-
-
-def _side(num, den, q, z, direction, vwp_a, use_vwp, fixed, policy,
+def _side(num, den, q, z, direction, vwp_a, fixed, policy,
           num_names=None, den_names=None):
-    """Run one kernel direction and translate its status into errors.
+    """Run one kernel direction and translate its status into errors. A
+    nonzero vwp_a is the very-well-poised kernel parameter.
 
     Returns (acc, tail, used, terminated, peak, low); peak and low are the
     kernel's largest |term| and smallest |1 + partial sum|.
     """
     (acc, tail, used, status, bad_is_num, bad_slot, bad_exp, peak,
      low) = _K.series_side(
-        tuple(num), tuple(den), q, z, direction, vwp_a, use_vwp, fixed,
-        policy.tail_tol, policy.max_terms, policy.stagnation_window,
-        POLE_EPS, ZERO_EPS, RECOMPUTE_EVERY)
+        tuple(num), tuple(den), q, z, direction, vwp_a, vwp_a != 0, fixed,
+        policy.tail_tol, policy.max_terms, STAGNATION_WINDOW, POLE_EPS,
+        ZERO_EPS, RECOMPUTE_EVERY)
     if status == _K.POLE:
         if bad_is_num:
             name = (num_names[bad_slot] if num_names
@@ -145,18 +142,18 @@ def _side(num, den, q, z, direction, vwp_a, use_vwp, fixed, policy,
     return acc, tail, used, status == _K.TERMINATED, peak, low
 
 
-def _bilateral(num, den, q, z, vwp_a, use_vwp, fixed, policy,
-               num_names=None, den_names=None):
+def _bilateral(num, den, q, z, vwp_a, fixed, policy, num_names=None,
+               den_names=None):
     """Both index directions around the n = 0 term of a bilateral sum.
 
     Returns (value, tail, used, terminated, hump). The hump
     max(1, peak up, peak down) / |value| is the factor by which term
     rounding is amplified in the value, inf when the value is 0.
     """
-    up = _side(num, den, q, z, +1, vwp_a, use_vwp, fixed, policy,
-               num_names, den_names)
-    down = _side(num, den, q, z, -1, vwp_a, use_vwp, fixed, policy,
-                 num_names, den_names)
+    up = _side(num, den, q, z, +1, vwp_a, fixed, policy, num_names,
+               den_names)
+    down = _side(num, den, q, z, -1, vwp_a, fixed, policy, num_names,
+                 den_names)
     value = 1.0 + up[0] + down[0]
     total = abs(value)
     hump = max(1.0, up[4], down[4]) / total if total else float("inf")
@@ -182,17 +179,14 @@ def eval_phi(spec: SeriesSpec, ctx: QContext) -> EvalResult:
     >>> eval_phi(SeriesSpec((2.0, 0.3), (0.7,), 0.2), ctx).value
     (0.06666666666666687+0j)
     """
-    if spec.bilateral:
-        raise DomainError("eval_phi expects a unilateral spec")
     if len(spec.denominators) != len(spec.numerators) - 1:
         raise DomainError("unilateral series needs r numerators and r-1 "
                           "denominators")
     if spec.z == 0:
         return EvalResult(1.0 + 0j, 0.0, 1, True)
-    pol = _policy(ctx)
     den = (ctx.q,) + spec.denominators
     acc, tail, used, exact, _, _ = _side(spec.numerators, den, ctx.q,
-                                         spec.z, +1, 0j, False, -1, pol)
+                                         spec.z, +1, 0j, -1, ctx.policy)
     return EvalResult(1.0 + acc, tail, used + 1, exact)
 
 
@@ -204,8 +198,6 @@ def eval_psi(spec: SeriesSpec, ctx: QContext) -> EvalResult:
     denominator parameters on top, so their vanishing factors terminate that
     direction while vanishing numerator factors are poles there.
     """
-    if not spec.bilateral:
-        raise DomainError("eval_psi expects a bilateral spec")
     if len(spec.denominators) != len(spec.numerators):
         raise DomainError("bilateral series needs equal-length parameter "
                           "lists")
@@ -213,7 +205,7 @@ def eval_psi(spec: SeriesSpec, ctx: QContext) -> EvalResult:
         raise NonConvergence("bilateral series diverges at z = 0 "
                              "(the n <= -1 terms blow up)")
     return EvalResult(*_bilateral(spec.numerators, spec.denominators, ctx.q,
-                                  spec.z, 0j, False, -1, _policy(ctx))[:4])
+                                  spec.z, 0j, -1, ctx.policy)[:4])
 
 
 def vwp_psi6(a: complex, bs: Sequence[complex], z: complex,
@@ -241,8 +233,7 @@ def vwp_psi6(a: complex, bs: Sequence[complex], z: complex,
     if 0 in num:
         raise DomainError("very-well-poised parameters must be nonzero")
     return EvalResult(*_bilateral(num, _vwp_den(a, ctx.q, num), ctx.q, z, a,
-                                  True, -1, _policy(ctx), num_names,
-                                  den_names)[:4])
+                                  -1, ctx.policy, num_names, den_names)[:4])
 
 
 _S_NUM_NAMES = ("Bq", "Dq", "Eq", "BCDEq^2/A^2")
@@ -272,8 +263,8 @@ def truncated_S(p: TruncParams) -> complex:
     if abs(1.0 - a) <= POLE_EPS * (1.0 + abs(a)):
         raise PoleError("window-sum kernel denominator 1 - BDEq/A vanishes",
                         factor="1 - BDEq/A")
-    return _bilateral(num, den, p.q, z, a, True, p.N, DEFAULT_POLICY,
-                      _S_NUM_NAMES, _S_DEN_NAMES)[0]
+    return _bilateral(num, den, p.q, z, a, p.N, DEFAULT_POLICY, _S_NUM_NAMES,
+                      _S_DEN_NAMES)[0]
 
 
 _T_NUM_NAMES = ("BCDEXq", "BXq", "DXq", "EXq")
@@ -288,7 +279,8 @@ def _t_row(q, X, B, C, D, E):
             C / q ** 3)
 
 
-def eval_T(p: TParams, ctx: QContext | None = None) -> EvalResult:
+def eval_T(p: TParams,
+           policy: TruncationPolicy | None = None) -> EvalResult:
     """Bilateral T(X;C): the very-well-poised sum with kernel parameter
     BCDEX^2, parameter row (BCDEXq, BXq, DXq, EXq), and argument C/q^3.
 
@@ -300,8 +292,8 @@ def eval_T(p: TParams, ctx: QContext | None = None) -> EvalResult:
         raise NonConvergence(
             f"bilateral argument |C/q^3| = {abs(z)} is outside the "
             f"convergence disk")
-    eff = QContext(p.q, _policy(ctx))
-    return vwp_psi6(a, bs, z, eff, _T_NUM_NAMES, _T_DEN_NAMES)
+    return vwp_psi6(a, bs, z, QContext(p.q, policy or DEFAULT_POLICY),
+                    _T_NUM_NAMES, _T_DEN_NAMES)
 
 
 def _ratio_inf(ctx: QContext, num_pairs, den_pairs) -> EvalResult:
@@ -335,7 +327,8 @@ def rogers_closed(B: complex, C: complex, D: complex, E: complex,
     return _ratio_inf(ctx, num, den)
 
 
-def bailey_closed_a(p: BaileyParams, ctx: QContext | None = None) -> EvalResult:
+def bailey_closed_a(p: BaileyParams,
+                    policy: TruncationPolicy | None = None) -> EvalResult:
     """Classical closed product for the bilateral sum in (a; b, c, d, e):
 
         (q, aq, q/a, aq/be, aq/ce, aq/de, aq/bc, aq/bd, aq/cd;q)_inf
@@ -345,7 +338,6 @@ def bailey_closed_a(p: BaileyParams, ctx: QContext | None = None) -> EvalResult:
     product itself is evaluated for any nonzero parameters.
     """
     q, a, b, c, d, e = p.q, p.a, p.b, p.c, p.d, p.e
-    eff = QContext(q, _policy(ctx))
     aq = a * q
     num = (("q", q), ("aq", aq), ("q/a", q / a), ("aq/be", aq / (b * e)),
            ("aq/ce", aq / (c * e)), ("aq/de", aq / (d * e)),
@@ -354,30 +346,45 @@ def bailey_closed_a(p: BaileyParams, ctx: QContext | None = None) -> EvalResult:
     den = (("aq/b", aq / b), ("aq/c", aq / c), ("aq/d", aq / d),
            ("aq/e", aq / e), ("q/b", q / b), ("q/c", q / c), ("q/d", q / d),
            ("q/e", q / e), ("a^2q/bcde", p.series_arg))
-    return _ratio_inf(eff, num, den)
+    return _ratio_inf(QContext(q, policy or DEFAULT_POLICY), num, den)
 
 
-def bailey_closed_X(p: TParams, ctx: QContext | None = None) -> EvalResult:
-    """Closed product for T(X;C) in the shifted parameter row:
+def _q_rows(q, X, B, D, E):
+    """(numerator, denominator) rows of q_factor, as (name, x) pairs."""
+    num = (("q", q), ("1/Bq", 1.0 / (B * q)), ("1/Dq", 1.0 / (D * q)),
+           ("1/Eq", 1.0 / (E * q)))
+    den = (("X", X), ("1/BX", 1.0 / (B * X)), ("1/DX", 1.0 / (D * X)),
+           ("1/EX", 1.0 / (E * X)))
+    return num, den
+
+
+def _f_rows(p: TParams):
+    """(numerator, denominator) rows of F_function, as (name, x) pairs."""
+    q, X, B, C, D, E = p.q, p.X, p.B, p.C, p.D, p.E
+    m = B * C * D * E * X
+    mX = m * X
+    num = (("BCDEX^2q", mX * q), ("q/BCDEX^2", q / mX),
+           ("BC/q", B * C / q), ("CD/q", C * D / q), ("CE/q", C * E / q))
+    den = (("1/BCDEX", 1.0 / m), ("C/q^3", C / q ** 3),
+           ("BCDX", B * C * D * X), ("BCEX", B * C * E * X),
+           ("CDEX", C * D * E * X))
+    return num, den
+
+
+def bailey_closed_X(p: TParams,
+                    policy: TruncationPolicy | None = None) -> EvalResult:
+    """Closed product for T(X;C) in the shifted parameter row, the
+    q_factor rows followed by the F_function rows:
 
         (q, 1/Bq, 1/Dq, 1/Eq, BCDEX^2 q, q/BCDEX^2, BC/q, CD/q, CE/q;q)_inf
         / (X, 1/BX, 1/DX, 1/EX, 1/BCDEX, C/q^3, BCDX, BCEX, CDEX;q)_inf.
     """
-    q, X, B, C, D, E = p.q, p.X, p.B, p.C, p.D, p.E
-    if C == 0:
+    if p.C == 0:
         raise DomainError("C must be nonzero for the closed product")
-    eff = QContext(q, _policy(ctx))
-    m = B * C * D * E * X
-    mX = m * X
-    num = (("q", q), ("1/Bq", 1.0 / (B * q)), ("1/Dq", 1.0 / (D * q)),
-           ("1/Eq", 1.0 / (E * q)), ("BCDEX^2q", mX * q),
-           ("q/BCDEX^2", q / mX), ("BC/q", B * C / q), ("CD/q", C * D / q),
-           ("CE/q", C * E / q))
-    den = (("X", X), ("1/BX", 1.0 / (B * X)), ("1/DX", 1.0 / (D * X)),
-           ("1/EX", 1.0 / (E * X)), ("1/BCDEX", 1.0 / m),
-           ("C/q^3", C / q ** 3), ("BCDX", B * C * D * X),
-           ("BCEX", B * C * E * X), ("CDEX", C * D * E * X))
-    return _ratio_inf(eff, num, den)
+    qnum, qden = _q_rows(p.q, p.X, p.B, p.D, p.E)
+    fnum, fden = _f_rows(p)
+    return _ratio_inf(QContext(p.q, policy or DEFAULT_POLICY), qnum + fnum,
+                      qden + fden)
 
 
 def q_factor(X: complex, B: complex, D: complex, E: complex,
@@ -388,18 +395,14 @@ def q_factor(X: complex, B: complex, D: complex, E: complex,
 
     Equals 1 exactly at X = q.
     """
-    q = ctx.q
     X, B, D, E = map(_as_complex, (X, B, D, E))
     if 0 in (X, B, D, E):
         raise DomainError("X, B, D, E must be nonzero")
-    num = (("q", q), ("1/Bq", 1.0 / (B * q)), ("1/Dq", 1.0 / (D * q)),
-           ("1/Eq", 1.0 / (E * q)))
-    den = (("X", X), ("1/BX", 1.0 / (B * X)), ("1/DX", 1.0 / (D * X)),
-           ("1/EX", 1.0 / (E * X)))
-    return _ratio_inf(ctx, num, den)
+    return _ratio_inf(ctx, *_q_rows(ctx.q, X, B, D, E))
 
 
-def F_function(p: TParams, ctx: QContext | None = None) -> EvalResult:
+def F_function(p: TParams,
+               policy: TruncationPolicy | None = None) -> EvalResult:
     """C-dependent product complementing q_factor:
 
         (BCDEX^2 q, q/BCDEX^2, BC/q, CD/q, CE/q;q)_inf
@@ -407,15 +410,6 @@ def F_function(p: TParams, ctx: QContext | None = None) -> EvalResult:
 
     T(X;C) / F(C) is independent of C on the convergence disk.
     """
-    q, X, B, C, D, E = p.q, p.X, p.B, p.C, p.D, p.E
-    if C == 0:
+    if p.C == 0:
         raise DomainError("C must be nonzero for F")
-    eff = QContext(q, _policy(ctx))
-    m = B * C * D * E * X
-    mX = m * X
-    num = (("BCDEX^2q", mX * q), ("q/BCDEX^2", q / mX),
-           ("BC/q", B * C / q), ("CD/q", C * D / q), ("CE/q", C * E / q))
-    den = (("1/BCDEX", 1.0 / m), ("C/q^3", C / q ** 3),
-           ("BCDX", B * C * D * X), ("BCEX", B * C * E * X),
-           ("CDEX", C * D * E * X))
-    return _ratio_inf(eff, num, den)
+    return _ratio_inf(QContext(p.q, policy or DEFAULT_POLICY), *_f_rows(p))

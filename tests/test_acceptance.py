@@ -72,7 +72,7 @@ def test_criterion_03_rearrangement_via_theta_products():
             b, c, x, z = (_draw_complex(g, 0.3, 2.5) for _ in range(4))
             if _weier_amp(b, c, x, z) <= 10.0:
                 break
-        rep = check_weierstrass(b, c, x, z, ctx=QContext(q), use_theta=True)
+        rep = check_weierstrass(b, c, x, z, ctx=QContext(q))
         ok = ok and rep.passed and rep.rel_err <= 1e-10
     assert _verdict(3, "theta-product form, 50 draws with |q| <= 0.7", ok)
 

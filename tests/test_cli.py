@@ -329,3 +329,62 @@ def test_check_udiff_reports_the_sweep_row_at_its_worst_index(capsys):
                           "--format", "json")["report"]
                for k in range(-5, 6)]
     assert row["report"] in reports
+
+
+#: numeric flags each sweep reads, from its runner; every other numeric
+#: flag is a usage error
+SWEEP_FLAGS = {
+    "abel": "--atol --rtol",
+    "weierstrass": "--atol --rtol",
+    "udiff": "--atol --rtol",
+    "vdiff": "--atol --rtol",
+    "recurrence": "--atol --rtol",
+    "kn-decay": "--tail-tol --max-terms --rtol",
+    "t-recursion": "--tail-tol --max-terms --atol --rtol",
+    "rogers": "--tail-tol --max-terms --atol --rtol",
+    "q-constancy": "--tail-tol --max-terms --atol --rtol",
+    "bailey-a": "--tail-tol --max-terms --atol --rtol",
+    "bailey-x": "--tail-tol --max-terms --atol --rtol",
+    "remark1": "--tail-tol --max-terms --atol --rtol",
+}
+NUMERIC_VALUES = {"--tail-tol": "0.5", "--max-terms": "1", "--atol": "1e3",
+                  "--rtol": "1e-30"}
+UNREAD_SWEEP_PAIRS = [(identity, flag) for identity in SWEEP_FLAGS
+                      for flag in NUMERIC_VALUES
+                      if flag not in SWEEP_FLAGS[identity].split()]
+
+
+@pytest.mark.parametrize("identity,flag", UNREAD_SWEEP_PAIRS)
+def test_sweep_unread_flag_is_usage_error(identity, flag, capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["sweep", "--identity", identity, "--samples", "5",
+                  "--seed", "7", flag, NUMERIC_VALUES[flag]])
+    assert exc.value.code == 64
+    err = capsys.readouterr().err
+    assert f"--identity {identity} does not read {flag}" in err
+
+
+def test_sweep_accepts_exactly_the_read_flags(capsys):
+    accepted = {}
+    for identity in SWEEP_FLAGS:
+        for flag, value in NUMERIC_VALUES.items():
+            try:
+                code = cli.main(["sweep", "--identity", identity,
+                                 "--samples", "0", flag, value])
+            except SystemExit as exc:
+                code = exc.code
+            assert code in (0, 64)
+            if code == 0:
+                accepted.setdefault(identity, []).append(flag)
+    capsys.readouterr()
+    assert {k: " ".join(v) for k, v in accepted.items()} == SWEEP_FLAGS
+    assert len(UNREAD_SWEEP_PAIRS) == 11
+
+
+def test_sweep_read_flag_changes_the_report(capsys):
+    args = ["sweep", "--identity", "bailey-a", "--samples", "5", "--seed",
+            "7"]
+    assert cli.main(args) == 0
+    plain = capsys.readouterr().out
+    cli.main(args + ["--max-terms", "1"])
+    assert capsys.readouterr().out != plain

@@ -118,7 +118,7 @@ def test_weierstrass_symmetry_zeros(b, c, x, z):
 
 def test_weierstrass_theta_form():
     ctx = QContext(0.5)
-    rep = check_weierstrass(1.1, 0.8, 0.6, 0.9, ctx=ctx, use_theta=True)
+    rep = check_weierstrass(1.1, 0.8, 0.6, 0.9, ctx=ctx)
     assert rep.passed
     assert rep.rel_err <= 1e-10
     assert "tail bound" in rep.note
@@ -126,7 +126,7 @@ def test_weierstrass_theta_form():
 
 def test_weierstrass_theta_zero_family():
     ctx = QContext(0.5)
-    rep = check_weierstrass(1.3, 1.3, 0.6, 0.9, ctx=ctx, use_theta=True)
+    rep = check_weierstrass(1.3, 1.3, 0.6, 0.9, ctx=ctx)
     assert rep.passed
     assert abs(rep.lhs) <= 1e-13
     assert abs(rep.rhs) <= 1e-13
@@ -136,10 +136,7 @@ def test_weierstrass_domain():
     with pytest.raises(DomainError):
         check_weierstrass(0.0, 2.0, 0.5, 0.7)
     with pytest.raises(DomainError):
-        check_weierstrass(2.0, 3.0, 0.5, 0.7, use_theta=True)
-    with pytest.raises(DomainError):
-        check_weierstrass(2.0, 3.0, 0.0, 0.7, ctx=QContext(0.5),
-                          use_theta=True)
+        check_weierstrass(2.0, 3.0, 0.0, 0.7, ctx=QContext(0.5))
 
 
 @st.composite
@@ -642,13 +639,15 @@ def test_bailey_x_form_generic():
 
 
 def test_bailey_x_form_at_unit_shift():
-    rep = check_bailey("x", dataclasses.replace(T_GENERIC, X=0.5))
+    rep = check_bailey("X", dataclasses.replace(T_GENERIC, X=0.5))
     assert rep.passed
 
 
 def test_bailey_unknown_form():
-    with pytest.raises(DomainError):
-        check_bailey("b", T_GENERIC)
+    # one spelling per form: the lower-case "x" is no alias of "X"
+    for form in ("b", "x"):
+        with pytest.raises(DomainError):
+            check_bailey(form, T_GENERIC)
 
 
 def test_remark1_map_arms():
@@ -676,7 +675,7 @@ def test_remark1_series_routes_agree():
     p = BaileyParams(q=0.5, a=0.09, b=0.6, c=0.7, d=0.8, e=0.9)
     ctx = QContext(p.q)
     direct = vwp_psi6(p.a, (p.b, p.c, p.d, p.e), p.series_arg, ctx)
-    mapped = eval_T(map_remark1(p), ctx)
+    mapped = eval_T(map_remark1(p))
     assert abs(direct.value - mapped.value) <= 1e-8 * abs(direct.value)
 
 

@@ -221,5 +221,3 @@ def test_truncation_policy_validation():
         TruncationPolicy(tail_tol=0.0)
     with pytest.raises(DomainError):
         TruncationPolicy(max_terms=0)
-    with pytest.raises(DomainError):
-        TruncationPolicy(stagnation_window=0)

@@ -4,8 +4,9 @@ import cmath
 
 import pytest
 
-from qsix import (DomainError, NonConvergence, PoleError, QContext,
-                  SeriesSpec, TParams, TruncParams, F_function,
+from qsix import (BudgetExceeded, DomainError, NonConvergence, PoleError,
+                  QContext, SeriesSpec, TParams, TruncationPolicy,
+                  TruncParams, F_function,
                   bailey_closed_a, bailey_closed_X, eval_T, eval_phi,
                   eval_psi, q_factor, qpochhammer, rogers_closed,
                   truncated_S, vwp_psi6)
@@ -91,7 +92,7 @@ def test_phi_denominator_pole():
 def test_phi_shape_validation():
     ctx = QContext(0.5)
     with pytest.raises(DomainError):
-        eval_phi(SeriesSpec((0.3,), (0.4,), 0.5, bilateral=True), ctx)
+        eval_phi(SeriesSpec((0.3,), (0.4,), 0.5), ctx)
     with pytest.raises(DomainError):
         eval_phi(SeriesSpec((0.3, 0.4), (0.5, 0.6), 0.5), ctx)
 
@@ -104,7 +105,7 @@ def test_psi_unit_numerator_reduces_to_reindexed_phi():
     # the inverted parameters
     q, b, c, d, z = 0.5, 0.3, 0.7, 1.3, 5.0
     ctx = QContext(q)
-    r = eval_psi(SeriesSpec((1.0, b), (c, d), z, bilateral=True), ctx)
+    r = eval_psi(SeriesSpec((1.0, b), (c, d), z), ctx)
     reindexed = eval_phi(
         SeriesSpec((q / c, q / d), (q / b,), c * d / (b * z)), ctx)
     tol = r.est_error + reindexed.est_error + 1e-13 * abs(r.value)
@@ -117,7 +118,7 @@ def test_psi_window_stability():
     q, z = 0.5, 0.4
     num = (1.7, 2.3)
     den = (0.23, 0.17)
-    r = eval_psi(SeriesSpec(num, den, z, bilateral=True), QContext(q))
+    r = eval_psi(SeriesSpec(num, den, z), QContext(q))
     # ratio-walk both directions; per-term products overflow at this width
     direct = 1.0 + 0j
     t = 1.0 + 0j
@@ -136,13 +137,13 @@ def test_psi_window_stability():
 
 
 def test_psi_geometric_diverges():
-    spec = SeriesSpec((0.3,), (0.3,), 0.5, bilateral=True)
+    spec = SeriesSpec((0.3,), (0.3,), 0.5)
     with pytest.raises(NonConvergence):
         eval_psi(spec, QContext(0.5))
 
 
 def test_psi_zero_argument_diverges():
-    spec = SeriesSpec((0.3,), (0.7,), 0.0, bilateral=True)
+    spec = SeriesSpec((0.3,), (0.7,), 0.0)
     with pytest.raises(NonConvergence):
         eval_psi(spec, QContext(0.5))
 
@@ -150,9 +151,9 @@ def test_psi_zero_argument_diverges():
 def test_psi_shape_validation():
     ctx = QContext(0.5)
     with pytest.raises(DomainError):
-        eval_psi(SeriesSpec((0.3,), (0.7,), 0.5), ctx)
+        eval_psi(SeriesSpec((0.3,), (), 0.5), ctx)
     with pytest.raises(DomainError):
-        eval_psi(SeriesSpec((0.3, 0.4), (0.7,), 0.5, bilateral=True), ctx)
+        eval_psi(SeriesSpec((0.3, 0.4), (0.7,), 0.5), ctx)
 
 
 # ---------------------------------------------------------------------------
@@ -191,7 +192,7 @@ def test_vwp_agrees_with_generic_bilateral():
     expanded = eval_psi(SeriesSpec(
         (q * s, -q * s) + bs,
         (s, -s) + tuple(a * q / b for b in bs),
-        z, bilateral=True), ctx)
+        z), ctx)
     tol = compact.est_error + expanded.est_error + 1e-10 * abs(compact.value)
     assert abs(compact.value - expanded.value) <= tol
 
@@ -293,7 +294,7 @@ def test_t_agrees_with_generic_bilateral():
     q = 0.4
     p = TParams(q=q, X=1.3, B=0.2, C=0.03, D=0.25, E=0.35)
     ctx = QContext(q)
-    t = eval_T(p, ctx)
+    t = eval_T(p)
     a = p.B * p.C * p.D * p.E * p.X * p.X
     bs = (p.B * p.C * p.D * p.E * p.X * q, p.B * p.X * q, p.D * p.X * q,
           p.E * p.X * q)
@@ -301,7 +302,7 @@ def test_t_agrees_with_generic_bilateral():
     expanded = eval_psi(SeriesSpec(
         (q * s, -q * s) + bs,
         (s, -s) + tuple(a * q / b for b in bs),
-        p.series_arg, bilateral=True), ctx)
+        p.series_arg), ctx)
     # the expanded rows walk a long downward hump, so roundoff dominates
     # both tails here
     tol = t.est_error + expanded.est_error + 1e-9 * abs(t.value)
@@ -342,7 +343,7 @@ def test_bailey_product_reduction_at_b_equal_a():
     q, a, c, d, e = 0.5, 0.3, 0.6, 0.7, 0.8
     p = BaileyParams(q=q, a=a, b=a, c=c, d=d, e=e)
     ctx = QContext(q)
-    closed = bailey_closed_a(p, ctx)
+    closed = bailey_closed_a(p)
     z = p.series_arg
     s = cmath.sqrt(a)
     reduced = eval_phi(SeriesSpec(
@@ -433,6 +434,19 @@ def test_f_pole_and_domain():
         F_function(TParams(q=0.5, X=1.2, B=0.3, C=0.5 ** 3, D=0.35, E=0.45))
     with pytest.raises(DomainError):
         F_function(TParams(q=0.5, X=1.2, B=0.3, C=0.0, D=0.35, E=0.45))
+
+
+@pytest.mark.parametrize("fn", [eval_T, bailey_closed_X, F_function,
+                                bailey_closed_a])
+def test_parameter_row_evaluators_read_the_policy(fn):
+    # a one-term budget cannot certify any of these tails
+    if fn is bailey_closed_a:
+        p = BaileyParams(q=0.5, a=0.09, b=0.6, c=0.7, d=0.8, e=0.9)
+    else:
+        p = TParams(q=0.5, X=1.2, B=0.3, C=0.1, D=0.35, E=0.45)
+    fn(p)
+    with pytest.raises(BudgetExceeded):
+        fn(p, TruncationPolicy(max_terms=1))
 
 
 def test_series_spec_rejects_nonfinite():
