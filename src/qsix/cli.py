@@ -302,8 +302,8 @@ def _worst(reports):
 
 def _sw_abel(index, seed, policy, tols):
     g = _rng(seed, index)
-    M = int(g.integers(0, 21))
-    N = int(g.integers(0, 21))
+    M = g.integers(0, 21)
+    N = g.integers(0, 21)
     inp = _abel_input(seed, index, M, N)
     return {"M": M, "N": N}, check_abel(inp, **tols)
 
@@ -418,10 +418,21 @@ def run_sweep(identity: str, samples: int, seed: int,
               policy: TruncationPolicy | None = None,
               atol: float | None = None, rtol: float | None = None):
     """Draw, check, and aggregate; rows are keyed by (seed, draw index),
-    so the report is reproducible independent of evaluation order."""
+    so the report is reproducible independent of evaluation order.
+
+    A policy, atol or rtol that the identity's runner does not read (the
+    flags `qsix sweep` accepts for it) raises DomainError."""
     if samples < 0:
         raise DomainError("samples must be >= 0")
     kind, caps, runner = _SWEEPS[identity]
+    read = _CHECKS[identity][3]
+    unread = [name for name, value, flags in
+              (("policy", policy, _POLICY_FLAGS), ("atol", atol, ("atol",)),
+               ("rtol", rtol, ("rtol",)))
+              if value is not None and not set(flags) & set(read)]
+    if unread:
+        raise DomainError(f"identity {identity!r} does not read "
+                          f"{', '.join(unread)}")
     policy = policy or TruncationPolicy()
     tols = {}
     if atol is not None:
@@ -453,9 +464,9 @@ def cmd_sweep(args) -> int:
     read = _CHECKS[args.identity][3]
     _reject_given(args, [f for f in _ALL_FLAGS if f not in read],
                   f"--identity {args.identity} does not read")
+    policy = _policy(args) if _given(args, "tail_tol", "max_terms") else None
     report = run_sweep(args.identity, args.samples, args.seed,
-                       policy=_policy(args), atol=args.atol,
-                       rtol=args.rtol)
+                       policy=policy, atol=args.atol, rtol=args.rtol)
     body = render_sweep(report, args.format)
     if args.out is None:
         sys.stdout.write(body)

@@ -2,7 +2,11 @@
 
 Draws are keyed by (seed, draw index) through a counter-based generator, so
 draw k is the same whether generated alone or as part of a batch, serially
-or split across workers. Every emitted tuple passes violations(); the same
+or split across workers. The generator is Philox4x64-10 (Salmon, Moraes,
+Dror, Shaw, "Parallel random numbers: as easy as 1, 2, 3", SC'11) in pure
+Python, keyed by the words (seed, index); its uniforms are bit-identical
+to those of the common library implementations keyed the same way, which
+the tests check. Every emitted tuple passes violations(); the same
 re-check is public so sweep consumers can audit samples independently.
 """
 
@@ -11,8 +15,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from typing import Mapping
-
-import numpy as np
 
 from .errors import (BudgetExceeded, DomainError, NonConvergence, PoleError,
                      Unsatisfiable)
@@ -91,16 +93,77 @@ class SampleConstraints:
         return DEFAULT_CAPS[name]
 
 
-def _rng(seed: int, index: int) -> np.random.Generator:
-    key = np.array([seed & 0xFFFFFFFFFFFFFFFF, index & 0xFFFFFFFFFFFFFFFF],
-                   dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key))
+_MASK64 = 0xFFFFFFFFFFFFFFFF
+#: Philox4x64 round multipliers and Weyl key increments
+_PHILOX_M0, _PHILOX_M1 = 0xD2E7470EE14C6C93, 0xCA5A826395121157
+_PHILOX_W0, _PHILOX_W1 = 0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B
 
 
-def _draw_complex(rng, lo: float, hi: float) -> complex:
-    mod = float(np.exp(rng.uniform(np.log(lo), np.log(hi))))
-    phase = float(rng.uniform(0.0, 2.0 * np.pi))
-    return complex(mod * np.cos(phase), mod * np.sin(phase))
+class Philox:
+    """Philox4x64-10 stream under a two-word key. The 256-bit counter
+    starts at 1 and each block of four 64-bit words is handed out in
+    order, so the word stream is that of the usual library generators."""
+
+    __slots__ = ("_k0", "_k1", "_ctr", "_buf")
+
+    def __init__(self, k0: int, k1: int):
+        self._k0, self._k1 = k0, k1
+        self._ctr = 0
+        self._buf = []
+
+    def _refill(self) -> None:
+        self._ctr += 1
+        c = self._ctr
+        c0, c1, c2, c3 = (c & _MASK64, (c >> 64) & _MASK64,
+                          (c >> 128) & _MASK64, c >> 192)
+        k0, k1 = self._k0, self._k1
+        for _ in range(10):
+            p0 = _PHILOX_M0 * c0
+            p1 = _PHILOX_M1 * c2
+            c0, c1, c2, c3 = ((p1 >> 64) ^ c1 ^ k0, p1 & _MASK64,
+                              (p0 >> 64) ^ c3 ^ k1, p0 & _MASK64)
+            k0 = (k0 + _PHILOX_W0) & _MASK64
+            k1 = (k1 + _PHILOX_W1) & _MASK64
+        # popped from the end: c0 first
+        self._buf = [c3, c2, c1, c0]
+
+    def raw(self) -> int:
+        """The next 64-bit word."""
+        if not self._buf:
+            self._refill()
+        return self._buf.pop()
+
+    def uniform(self, lo: float = 0.0, hi: float = 1.0) -> float:
+        """A double in [lo, hi) from the top 53 bits of one word."""
+        return lo + (hi - lo) * ((self.raw() >> 11) * 2.0 ** -53)
+
+    def integers(self, lo: int, hi: int) -> int:
+        """An int in [lo, hi), unbiased: words in the incomplete last
+        multiple of hi - lo are rejected."""
+        n = hi - lo
+        if n < 1:
+            raise DomainError("integers needs lo < hi")
+        limit = (1 << 64) - (1 << 64) % n
+        while True:
+            x = self.raw()
+            if x < limit:
+                return lo + x % n
+
+    def normal(self) -> float:
+        """A standard normal by Box-Muller from two uniforms; the first is
+        taken from (0, 1] so its log is finite."""
+        r = math.sqrt(-2.0 * math.log(1.0 - self.uniform()))
+        return r * math.cos(2.0 * math.pi * self.uniform())
+
+
+def _rng(seed: int, index: int) -> Philox:
+    return Philox(seed & _MASK64, index & _MASK64)
+
+
+def _draw_complex(rng: Philox, lo: float, hi: float) -> complex:
+    mod = math.exp(rng.uniform(math.log(lo), math.log(hi)))
+    phase = rng.uniform(0.0, 2.0 * math.pi)
+    return complex(mod * math.cos(phase), mod * math.sin(phase))
 
 
 def _margin_bad(x: complex, q: complex, margin: float) -> bool:

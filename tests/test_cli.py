@@ -10,7 +10,9 @@ import sys
 import pytest
 
 from qsix import cli
+from qsix.errors import DomainError
 from qsix.identities import check_recurrence
+from qsix.qcore import TruncationPolicy
 from qsix.series import TruncParams
 
 CMD = [sys.executable, "-m", "qsix.cli"]
@@ -388,3 +390,36 @@ def test_sweep_read_flag_changes_the_report(capsys):
     plain = capsys.readouterr().out
     cli.main(args + ["--max-terms", "1"])
     assert capsys.readouterr().out != plain
+
+
+#: run_sweep keyword -> the sweep flag that sets it
+SWEEP_KEYWORDS = {"policy": "--tail-tol", "atol": "--atol", "rtol": "--rtol"}
+KEYWORD_VALUES = {"policy": TruncationPolicy(max_terms=1), "atol": 1e3,
+                  "rtol": 1e-30}
+
+
+def test_run_sweep_unread_keyword_is_domain_error():
+    with pytest.raises(DomainError, match="'abel' does not read policy"):
+        cli.run_sweep("abel", 3, 7, policy=TruncationPolicy(max_terms=1))
+    with pytest.raises(DomainError, match="'kn-decay' does not read atol"):
+        cli.run_sweep("kn-decay", 2, 7, atol=1e3)
+
+
+@pytest.mark.parametrize("identity", sorted(SWEEP_FLAGS))
+def test_run_sweep_takes_the_keywords_its_flags_set(identity):
+    read = SWEEP_FLAGS[identity].split()
+    for keyword, flag in SWEEP_KEYWORDS.items():
+        kw = {keyword: KEYWORD_VALUES[keyword]}
+        if flag in read:
+            assert cli.run_sweep(identity, 0, 7, **kw).summary["total"] == 0
+        else:
+            with pytest.raises(DomainError, match=keyword):
+                cli.run_sweep(identity, 0, 7, **kw)
+
+
+def test_importing_the_cli_does_not_load_numpy():
+    code = "import sys, qsix.cli; print('numpy' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=ENV)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False\n"

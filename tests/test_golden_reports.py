@@ -14,29 +14,29 @@ from qsix import cli
 
 DIGESTS = {
     "abel":
-        "c55c5a5175326da5a196325664268f81683493e47402463e4059d2060570abd7",
+        "253315019d9564f1acb49f35fb0488d7bac196147ddde8fc38dc936050d49423",
     "bailey-a":
-        "ca9e6e9707676dfefdc217f93d2a0a76cbc05b256323f4094e4161cdfe115c62",
+        "437d32ed29e7aaeb82df61583e0d60ed5eb39cb9df579139189166a77c5bf64b",
     "bailey-x":
-        "0616d9d5414b9838b80fd771fb77cc37ea308d83e934471f006f4d2112aa7740",
+        "177e7c586bf7c61c1de1b836464e2efb498b034c60bad46cee205907bba51937",
     "kn-decay":
-        "b84b6eb6019f4ee0584f25429fce558ee227c8bd48bb221c94694aa87d2c7cef",
+        "9d7562648ae36c3c3c538b77d57f8d2b626e35577d03b276df140b8cb8e396f8",
     "q-constancy":
-        "01adc7d523cb773d0c49b137de83c28e017066e1b4175bdaf67e814610b4d786",
+        "079c050f94bb451549a35904c3ea1beb635c277e5f1e98ebf9540adda29b6adf",
     "recurrence":
-        "4699f47092330c4ab8016ff5810e0ad8c5721bf7cb5783c5b2d8f3f314c6aba7",
+        "a367798f35cd025b76521a772e258d7267aaae864ef1dde614d6f30a15ec91a6",
     "remark1":
-        "06eca12bde398f1d077bfb2ca8c9eff56911c27eadc6160d49d813ba09bd6aca",
+        "cb158c942a6328bdf78e5f2c63d4893ea5fd809509addc02d16d2355d2b9dc41",
     "rogers":
-        "403799733722882537801f34db8de9e34111500c6a4c0ba8b0f782be2f803e4c",
+        "3762d3a2cf3cb5dc2835c1622b1bcc7a6ff04ab8b752447956d3ad1442e8ddbc",
     "t-recursion":
-        "5ec8f804e7e7439442cbd95901b56106b96268d4f2ad637256c2e647f36fc999",
+        "2caa0370e081085011c510f909087e172ba3804eb0beb30315987422e7edf76f",
     "udiff":
-        "3b14311ca33815cc59e122a5dfd32b29de547694791cfe637c3d63b4037aa8b6",
+        "a6c5ab6f46d729e9e1da99bc975d68ab6343aad1f107f39e76e90ef7009e490b",
     "vdiff":
-        "d39a9f82d1cc9f4662aaff63f0a19fc3f7469f03e2caf84fad3a5ae894b6e0c5",
+        "9731f754fcd9f95dee0f21554266e9ceb1f9a3323770c00c006fee9da21c9343",
     "weierstrass":
-        "d3899865327d9ceb48f7f58cc061b57cb64f0a00f59a6e5010002c4be14e2055",
+        "21234ac2dec2c22967980c9aa3312c9c66a6af91b0a551fbd476708e3dffa218",
 }
 
 
