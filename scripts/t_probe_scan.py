@@ -1,0 +1,105 @@
+"""Count what the t_params sweeps spend on drawing and checking.
+
+For each of the four sweeps whose draws are t_params (bailey-x,
+t-recursion, q-constancy, rogers) it runs `cli.run_sweep(identity, draws,
+seed)` for every seed given and prints, per identity:
+
+- candidates: parameter sets drawn, accepted or not, and their number per
+  accepted draw;
+- walks: `series_side` kernel walks (one index direction of one sum)
+  made by the whole sweep, sampler probes included;
+- check_walks: the walks made by the checks whose rows the report keeps;
+- passed / failed / errored rows.
+
+The qsix under test is imported from `--src`, so the same scan can be run
+on two source trees and compared. Run from the checkout root:
+
+    python3 scripts/t_probe_scan.py --src src --seeds 7 --draws 20
+
+Output is deterministic.
+"""
+
+from __future__ import annotations
+
+import argparse
+import sys
+from pathlib import Path
+
+IDENTITIES = ("bailey-x", "t-recursion", "q-constancy", "rogers")
+
+
+def _seed_range(text: str) -> range:
+    lo, _, hi = text.partition("-")
+    return range(int(lo), int(hi or lo) + 1)
+
+
+def _scan(identity: str, seeds, draws: int) -> dict:
+    from qsix import _backend, cli, errors, sampler
+
+    ill = getattr(errors, "IllConditioned", ())
+    counts = dict.fromkeys(("candidates", "walks", "check_walks", "passed",
+                            "failed", "errored"), 0)
+    draw_once, series_side = sampler._draw_once, _backend.series_side
+    kind, caps, runner = cli._SWEEPS[identity]
+
+    def counted_draw(*args):
+        counts["candidates"] += 1
+        return draw_once(*args)
+
+    def counted_walk(*args):
+        counts["walks"] += 1
+        return series_side(*args)
+
+    def counted_runner(*args, **kwargs):
+        before = counts["walks"]
+        try:
+            return runner(*args, **kwargs)
+        except ill:
+            # a redrawn candidate: its walks are no kept check's
+            before = counts["walks"]
+            raise
+        finally:
+            counts["check_walks"] += counts["walks"] - before
+
+    sampler._draw_once = counted_draw
+    _backend.series_side = counted_walk
+    cli._SWEEPS[identity] = (kind, caps, counted_runner)
+    try:
+        for seed in seeds:
+            summary = cli.run_sweep(identity, draws, seed).summary
+            for key in ("passed", "failed", "errored"):
+                counts[key] += summary[key]
+    finally:
+        sampler._draw_once = draw_once
+        _backend.series_side = series_side
+        cli._SWEEPS[identity] = (kind, caps, runner)
+    return counts
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--src", default="src",
+                    help="source tree holding the qsix package")
+    ap.add_argument("--seeds", default="7",
+                    help="sweep seeds, as LO-HI or one number")
+    ap.add_argument("--draws", type=int, default=20,
+                    help="draws per sweep")
+    ap.add_argument("--identity", action="append", choices=IDENTITIES,
+                    help="sweep to scan (repeatable; default all four)")
+    args = ap.parse_args(argv)
+    sys.path.insert(0, str(Path(args.src).resolve()))
+    seeds = _seed_range(args.seeds)
+    total = len(seeds) * args.draws
+    print(f"seeds {args.seeds} draws/sweep {args.draws} draws {total}")
+    for identity in args.identity or IDENTITIES:
+        c = _scan(identity, seeds, args.draws)
+        per = c["candidates"] / total if total else 0.0
+        print(f"{identity}: candidates {c['candidates']} "
+              f"({per:.2f}/draw) walks {c['walks']} "
+              f"check_walks {c['check_walks']} passed {c['passed']} "
+              f"failed {c['failed']} errored {c['errored']}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -7,8 +7,8 @@ truncated very-well-poised bilateral sum onto its closed product form.
 
 from ._backend import backend_name
 from .config import POLE_EPS, RECOMPUTE_EVERY, STAGNATION_WINDOW, ZERO_EPS
-from .errors import (BudgetExceeded, DomainError, NonConvergence, PoleError,
-                     QSixError, Unsatisfiable)
+from .errors import (BudgetExceeded, DomainError, IllConditioned,
+                     NonConvergence, PoleError, QSixError, Unsatisfiable)
 from .identities import (AbelInput, DEFAULT_ATOL, DEFAULT_RTOL, KNDecayReport,
                          ResidualReport, check_abel, check_bailey,
                          check_KN_decay, check_Q_constancy, check_recurrence,
@@ -34,10 +34,11 @@ __version__ = "0.1.0"
 __all__ = [
     "AbelInput", "BaileyParams", "BudgetExceeded", "DEFAULT_ATOL",
     "DEFAULT_CAPS", "DEFAULT_POLICY", "DEFAULT_RTOL", "DomainError",
-    "EvalResult", "F_function", "KNDecayReport", "NonConvergence",
-    "POLE_EPS", "PoleError", "QContext", "QSixError", "RECOMPUTE_EVERY",
-    "ResidualReport", "STAGNATION_WINDOW", "SampleConstraints",
-    "SeriesSpec", "SweepReport", "TParams", "TruncParams",
+    "EvalResult", "F_function", "IllConditioned", "KNDecayReport",
+    "NonConvergence", "POLE_EPS", "PoleError", "QContext", "QSixError",
+    "RECOMPUTE_EVERY", "ResidualReport", "STAGNATION_WINDOW",
+    "SampleConstraints", "SeriesSpec", "SweepReport", "TParams",
+    "TruncParams",
     "TruncationPolicy", "Unsatisfiable", "ZERO_EPS", "backend_name", "bailey_closed_X", "bailey_closed_a",
     "build_sweep_report", "check_KN_decay", "check_Q_constancy",
     "check_abel", "check_bailey", "check_recurrence",

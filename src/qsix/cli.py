@@ -16,8 +16,8 @@ import json
 import math
 import sys
 
-from .errors import (BudgetExceeded, DomainError, NonConvergence, PoleError,
-                     Unsatisfiable)
+from .errors import (BudgetExceeded, DomainError, IllConditioned,
+                     NonConvergence, PoleError, Unsatisfiable)
 from .identities import (ResidualReport, AbelInput, check_abel, check_bailey,
                          check_KN_decay, check_Q_constancy, check_recurrence,
                          check_remark1_equivalence, check_rogers,
@@ -26,7 +26,7 @@ from .identities import (ResidualReport, AbelInput, check_abel, check_bailey,
 from .qcore import (EvalResult, QContext, TruncationPolicy, _qpochhammer_sc,
                     _sc_value, qpochhammer_inf, theta)
 from .report import SCHEMA, build_sweep_report, render_sweep, to_jsonable
-from .sampler import SampleConstraints, _draw_complex, _rng, sample
+from .sampler import SampleConstraints, _draw_complex, _rng, sample_checked
 from .series import (BaileyParams, SeriesSpec, TParams, TruncParams,
                      bailey_closed_a, bailey_closed_X, eval_phi, eval_psi,
                      eval_T, F_function, q_factor, rogers_closed,
@@ -420,6 +420,10 @@ def run_sweep(identity: str, samples: int, seed: int,
     """Draw, check, and aggregate; rows are keyed by (seed, draw index),
     so the report is reproducible independent of evaluation order.
 
+    A sampled draw is checked under the policy capped at the constraints'
+    hump_max. A check that raises IllConditioned redraws from the same
+    stream; its other errors are recorded in the draw's row.
+
     A policy, atol or rtol that the identity's runner does not read (the
     flags `qsix sweep` accepts for it) raises DomainError."""
     if samples < 0:
@@ -451,11 +455,19 @@ def run_sweep(identity: str, samples: int, seed: int,
     else:
         con = SampleConstraints(convergence_caps=caps)
         constraints = con
-        for index, p in enumerate(sample(kind, con, seed, samples)):
+        capped = dataclasses.replace(
+            policy, hump_max=min(policy.hump_max, con.cap("hump_max")))
+
+        def check(p):
             try:
-                rep = runner(p, policy, tols)
+                return runner(p, capped, tols)
+            except IllConditioned:
+                raise
             except _DRAW_ERRORS as exc:
-                rep = exc
+                return exc
+
+        for index, (p, rep) in enumerate(
+                sample_checked(kind, con, seed, samples, check)):
             rows.append((index, p, rep))
     return build_sweep_report(identity, seed, constraints, rows)
 

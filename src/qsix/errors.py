@@ -32,6 +32,12 @@ class BudgetExceeded(NonConvergence):
     """max_terms was reached before the tail criterion held."""
 
 
+class IllConditioned(NonConvergence):
+    """A sum's term hump max(1, max |term|) / |sum|, the factor by which
+    term rounding is amplified in its value, exceeds the policy's
+    hump_max."""
+
+
 class Unsatisfiable(QSixError):
     """Rejection sampling could not satisfy the constraints within the
     allowed number of proposals."""

@@ -32,6 +32,9 @@ class TruncationPolicy:
         magnitude below which a term/factor counts toward stagnation.
     max_terms
         hard budget per one-sided sum or product.
+    hump_max
+        cap on a series' term hump max(1, max |term|) / |sum|; a sum over
+        it raises IllConditioned. Products are not capped.
 
     Convergence is declared after STAGNATION_WINDOW consecutive satisfying
     terms.
@@ -39,12 +42,15 @@ class TruncationPolicy:
 
     tail_tol: float = 1e-15
     max_terms: int = 10000
+    hump_max: float = math.inf
 
     def __post_init__(self):
         if not self.tail_tol > 0.0:
             raise DomainError("tail_tol must be positive")
         if self.max_terms < 1:
             raise DomainError("max_terms must be >= 1")
+        if not self.hump_max > 0.0:
+            raise DomainError("hump_max must be positive")
 
 
 DEFAULT_POLICY = TruncationPolicy()

@@ -8,6 +8,16 @@ Python, keyed by the words (seed, index); its uniforms are bit-identical
 to those of the common library implementations keyed the same way, which
 the tests check. Every emitted tuple passes violations(); the same
 re-check is public so sweep consumers can audit samples independently.
+
+violations() audits t_params draws statically only (modulus ranges, the
+argument caps, pole margins). Their conditioning is judged on the walks
+the consuming check makes: `sample_checked` runs the check on each
+candidate and redraws from the same stream while it raises
+IllConditioned, which a sum raises when its term hump is over its
+policy's hump_max. A direct caller of sample("t_params") gets the cap by
+summing under TruncationPolicy(hump_max=...). trunc and bailey_a draws
+are still probed here: violations() walks the window sums and the
+bilateral sum their checks make.
 """
 
 from __future__ import annotations
@@ -16,8 +26,8 @@ import math
 from dataclasses import dataclass, field
 from typing import Mapping
 
-from .errors import (BudgetExceeded, DomainError, NonConvergence, PoleError,
-                     Unsatisfiable)
+from .errors import (BudgetExceeded, DomainError, IllConditioned,
+                     NonConvergence, PoleError, Unsatisfiable)
 from .qcore import DEFAULT_POLICY
 from .series import BaileyParams, TParams, TruncParams, _bilateral, _s_rows, \
     _side, _t_row, _vwp_den
@@ -43,7 +53,9 @@ DEFAULT_CAPS = {
     # all kinds: bound on max |term| / |full sum| over the kernel walk of
     # every series the draw feeds (min |partial sum| for truncated
     # windows); caps the cancellation amplifier of term rounding in
-    # downstream checks. A walk the kernel refuses counts as infinite.
+    # downstream checks. trunc and bailey_a draws are probed here, and a
+    # walk the kernel refuses counts as infinite; t_params draws are
+    # capped on their check's own walks, as TruncationPolicy.hump_max.
     "hump_max": 1e5,
 }
 
@@ -331,10 +343,6 @@ def violations(kind: str, params, constraints: SampleConstraints) -> list:
                 out.append(f"factor base {x:.6g} within pole margin of "
                            f"a q-shift of 1")
                 break
-        if not out:
-            h = _t_hump(p, scalings=4, cap=con.cap("hump_max"))
-            if h > con.cap("hump_max"):
-                out.append(f"bilateral term hump {h:.3g} exceeds cap")
     return out
 
 
@@ -374,26 +382,6 @@ def _diff_amp(p: TruncParams, lo: int, hi: int) -> float:
             if d == 0.0:
                 return float("inf")
             worst = max(worst, max(abs(a), abs(b)) / d)
-    return worst
-
-
-def _t_hump(p: TParams, scalings: int, cap: float) -> float:
-    """Bilateral amplification over the scaled series family
-    C, Cq, ..., Cq^scalings, for comparison with cap.
-
-    Deep scalings are where the full sum collapses, so members are probed
-    deepest first and the probe stops at the first hump above cap, which
-    is returned rather than the worst of the family. When no member
-    exceeds cap the worst is returned, so the result exceeds cap exactly
-    when some member's hump does."""
-    q = p.q
-    worst = 0.0
-    for k in range(scalings, -1, -1):
-        a, num, z = _t_row(q, p.X, p.B, p.C * q ** k, p.D, p.E)
-        h = _psi6_hump(a, num, q, z)
-        if h > cap:
-            return h
-        worst = max(worst, h)
     return worst
 
 
@@ -441,18 +429,39 @@ def sample(kind: str, constraints: SampleConstraints, seed: int,
     trunc draws carry N = 0; window sizes are the consumer's choice.
     Raises Unsatisfiable when a draw index exhausts max_rejections.
     """
+    return [p for p, _ in sample_checked(kind, constraints, seed, count,
+                                         lambda p: None)]
+
+
+def sample_checked(kind: str, constraints: SampleConstraints, seed: int,
+                   count: int, check) -> list:
+    """(params, check(params)) for count draws keyed by (seed, draw index).
+
+    A candidate is accepted when it passes violations() and check does not
+    raise IllConditioned on it; otherwise the next candidate is drawn from
+    the same stream. Any other error of check propagates. Raises
+    Unsatisfiable when a draw index exhausts max_rejections; it names how
+    many candidates the check's hump cap refused, and the last refusal.
+    """
     if count < 0:
         raise DomainError("count must be >= 0")
     out = []
     for index in range(count):
         rng = _rng(seed, index)
+        ill = 0
         for _ in range(constraints.max_rejections):
             p = _draw_once(kind, rng, constraints)
-            if not violations(kind, p, constraints):
-                out.append(p)
+            if violations(kind, p, constraints):
+                continue
+            try:
+                out.append((p, check(p)))
                 break
+            except IllConditioned as exc:
+                ill, last = ill + 1, exc
         else:
+            why = f", {ill} over the check's hump_max (last: {last})" \
+                if ill else ""
             raise Unsatisfiable(
                 f"draw {index} for kind {kind!r} exhausted "
-                f"{constraints.max_rejections} rejections")
+                f"{constraints.max_rejections} rejections{why}")
     return out

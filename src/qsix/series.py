@@ -13,7 +13,8 @@ from typing import Sequence
 
 from . import _backend as _K
 from .config import POLE_EPS, RECOMPUTE_EVERY, STAGNATION_WINDOW, ZERO_EPS
-from .errors import BudgetExceeded, DomainError, NonConvergence, PoleError
+from .errors import BudgetExceeded, DomainError, IllConditioned, \
+    NonConvergence, PoleError
 from .qcore import DEFAULT_POLICY, EvalResult, QContext, TruncationPolicy, \
     _as_complex, _mul_results, qpochhammer_inf, qpochhammer_inf_multi
 
@@ -142,21 +143,32 @@ def _side(num, den, q, z, direction, vwp_a, fixed, policy,
     return acc, tail, used, status == _K.TERMINATED, peak, low
 
 
+def _hump(peak: float, value: complex, policy, kind: str) -> float:
+    """max(1, peak) / |value|, inf when the value is 0; IllConditioned when
+    it is over policy.hump_max."""
+    total = abs(value)
+    hump = max(1.0, peak) / total if total else float("inf")
+    if hump > policy.hump_max:
+        raise IllConditioned(f"{kind} term hump {hump:.3g} exceeds hump_max "
+                             f"{policy.hump_max:.3g}")
+    return hump
+
+
 def _bilateral(num, den, q, z, vwp_a, fixed, policy, num_names=None,
                den_names=None):
     """Both index directions around the n = 0 term of a bilateral sum.
 
     Returns (value, tail, used, terminated, hump). The hump
     max(1, peak up, peak down) / |value| is the factor by which term
-    rounding is amplified in the value, inf when the value is 0.
+    rounding is amplified in the value, inf when the value is 0; over
+    policy.hump_max it raises IllConditioned.
     """
     up = _side(num, den, q, z, +1, vwp_a, fixed, policy, num_names,
                den_names)
     down = _side(num, den, q, z, -1, vwp_a, fixed, policy, num_names,
                  den_names)
     value = 1.0 + up[0] + down[0]
-    total = abs(value)
-    hump = max(1.0, up[4], down[4]) / total if total else float("inf")
+    hump = _hump(max(up[4], down[4]), value, policy, "bilateral")
     return (value, up[1] + down[1], up[2] + down[2] + 1, up[3] and down[3],
             hump)
 
@@ -171,7 +183,9 @@ def eval_phi(spec: SeriesSpec, ctx: QContext) -> EvalResult:
 
     Terms are updated through the single new factor each parameter
     contributes per step; a vanishing numerator factor terminates the sum
-    exactly, a vanishing denominator factor raises PoleError.
+    exactly, a vanishing denominator factor raises PoleError. A term hump
+    max(1, max |term|) / |sum| over the policy's hump_max raises
+    IllConditioned.
 
     Examples
     --------
@@ -185,8 +199,9 @@ def eval_phi(spec: SeriesSpec, ctx: QContext) -> EvalResult:
     if spec.z == 0:
         return EvalResult(1.0 + 0j, 0.0, 1, True)
     den = (ctx.q,) + spec.denominators
-    acc, tail, used, exact, _, _ = _side(spec.numerators, den, ctx.q,
-                                         spec.z, +1, 0j, -1, ctx.policy)
+    acc, tail, used, exact, peak, _ = _side(spec.numerators, den, ctx.q,
+                                            spec.z, +1, 0j, -1, ctx.policy)
+    _hump(peak, 1.0 + acc, ctx.policy, "unilateral")
     return EvalResult(1.0 + acc, tail, used + 1, exact)
 
 

@@ -1,4 +1,5 @@
 import csv
+import functools
 import io
 import json
 import math
@@ -9,8 +10,8 @@ import sys
 
 import pytest
 
-from qsix import cli
-from qsix.errors import DomainError
+from qsix import SampleConstraints, cli, sampler
+from qsix.errors import DomainError, Unsatisfiable
 from qsix.identities import check_recurrence
 from qsix.qcore import TruncationPolicy
 from qsix.series import TruncParams
@@ -415,6 +416,24 @@ def test_run_sweep_takes_the_keywords_its_flags_set(identity):
         else:
             with pytest.raises(DomainError, match=keyword):
                 cli.run_sweep(identity, 0, 7, **kw)
+
+
+def test_sweep_redraws_only_ill_conditioned_checks():
+    # a five-term budget certifies no tail: that stays a row error, it is
+    # not redrawn
+    rep = cli.run_sweep("bailey-x", 3, 7, policy=TruncationPolicy(max_terms=5))
+    assert rep.summary["errored"] == 3
+    assert {e["error"]["type"] for e in rep.results} == {"BudgetExceeded"}
+
+
+def test_sweep_exhausted_by_the_hump_cap_is_unsatisfiable(monkeypatch):
+    # under a hump cap of 1, seed 7's first bailey-x draw takes 68
+    # candidates; 20 are not enough
+    monkeypatch.setitem(sampler.DEFAULT_CAPS, "hump_max", 1.0)
+    monkeypatch.setattr(cli, "SampleConstraints", functools.partial(
+        SampleConstraints, max_rejections=20))
+    with pytest.raises(Unsatisfiable, match="over the check's hump_max"):
+        cli.run_sweep("bailey-x", 1, 7)
 
 
 def test_importing_the_cli_does_not_load_numpy():

@@ -18,7 +18,7 @@ DIGESTS = {
     "bailey-a":
         "437d32ed29e7aaeb82df61583e0d60ed5eb39cb9df579139189166a77c5bf64b",
     "bailey-x":
-        "177e7c586bf7c61c1de1b836464e2efb498b034c60bad46cee205907bba51937",
+        "a461fcd1b1e8741cac644d4b8183003f266c08266d22e814946dd849c7d9c15b",
     "kn-decay":
         "9d7562648ae36c3c3c538b77d57f8d2b626e35577d03b276df140b8cb8e396f8",
     "q-constancy":
@@ -28,9 +28,9 @@ DIGESTS = {
     "remark1":
         "cb158c942a6328bdf78e5f2c63d4893ea5fd809509addc02d16d2355d2b9dc41",
     "rogers":
-        "3762d3a2cf3cb5dc2835c1622b1bcc7a6ff04ab8b752447956d3ad1442e8ddbc",
+        "fdb41fdef1ead073aa517bcd79132d665396ffdb549b0241859fb61bbed118d9",
     "t-recursion":
-        "2caa0370e081085011c510f909087e172ba3804eb0beb30315987422e7edf76f",
+        "ed77c3e52ed9ee109b5ac6507a622cc70a08a0c78744e5fca48b0956a3597993",
     "udiff":
         "a6c5ab6f46d729e9e1da99bc975d68ab6343aad1f107f39e76e90ef7009e490b",
     "vdiff":

@@ -21,7 +21,7 @@ from qsix import (AbelInput, BaileyParams, DomainError, NonConvergence,
                   check_V_difference, check_weierstrass, compute_KN,
                   compute_KN_printed, compute_U, compute_V, kn_limit,
                   kn_trace, map_remark1, sample, truncated_S)
-from qsix import cli
+from qsix import cli, identities
 
 GENERIC = TruncParams(q=0.5, A=2.0, B=0.3, C=3.0, D=0.7, E=1.1, N=0)
 
@@ -580,6 +580,38 @@ def test_q_constancy_generic():
     assert rep.passed
     assert rep.rel_err <= 1e-9
     assert "spread" in rep.note
+
+
+def test_q_constancy_walks_every_scaling_before_any_product(monkeypatch):
+    # deepest scaling first, so that under a hump cap an ill-conditioned
+    # draw costs one walk
+    calls = []
+    real_T, real_F = identities.eval_T, identities.F_function
+
+    def spy(name, real):
+        def run(p, policy=None):
+            calls.append((name, abs(p.C)))
+            return real(p, policy)
+        return run
+
+    monkeypatch.setattr(identities, "eval_T", spy("T", real_T))
+    monkeypatch.setattr(identities, "F_function", spy("F", real_F))
+    rep = check_Q_constancy(T_GENERIC, steps=4)
+    assert [name for name, _ in calls] == ["T"] * 5 + ["F"] * 5
+    walked = [c for _, c in calls[:5]]
+    assert walked == sorted(walked)
+    assert [c for _, c in calls[5:]] == walked[::-1]
+    monkeypatch.undo()
+    assert check_Q_constancy(T_GENERIC, steps=4) == rep
+
+
+def test_q_constancy_q_factor_gate_reads_the_callers_rtol():
+    # the gate on |r0 - q_factor| used the default rtol whatever the caller
+    # passed: here 19 of the 20 draws failed it
+    rep = cli.run_sweep("q-constancy", 20, 7,
+                        policy=TruncationPolicy(tail_tol=1e-6), rtol=1e-4)
+    assert rep.summary["passed"] == 20
+    assert rep.summary["max_rel_err"] > 1e-8
 
 
 def test_q_constancy_domain():

@@ -3,7 +3,8 @@ import dataclasses
 import pytest
 
 from qsix import (DEFAULT_CAPS, SampleConstraints, TParams,
-                  check_Q_constancy, sample, series, violations)
+                  TruncationPolicy, check_Q_constancy, cli, sample, series,
+                  violations)
 from qsix.errors import DomainError, Unsatisfiable
 from qsix.identities import (check_bailey, check_recurrence, compute_U,
                              compute_V)
@@ -134,32 +135,82 @@ def test_long_downward_probe_walk_stays_in_range():
     assert check_Q_constancy(p, steps=4).passed
 
 
-#: per kind, the check whose series the sampler's hump probes stand for:
-#: q-constancy sums T(X;C) at C q^k, k = 0..4; bailey-a sums vwp_psi6; the
-#: recurrence at N = 8 sums the windows S_9(A;C) and S_8(Aq;Cq) probed
+#: per probed kind, the check whose series the sampler's hump probes
+#: stand for: bailey-a sums vwp_psi6; the recurrence at N = 8 sums the
+#: windows S_9(A;C) and S_8(Aq;Cq) probed
 CHECKED_SERIES = {
-    "t_params": lambda p: check_Q_constancy(p, steps=4),
     "bailey_a": lambda p: check_bailey("a", p),
     "trunc": lambda p: check_recurrence(dataclasses.replace(p, N=8)),
 }
 
 
-def _walks(monkeypatch, run):
-    """(num, den, q, z, direction, vwp_a) of every kernel walk run() makes."""
-    seen = set()
+def _kernel_walks(monkeypatch, run) -> list:
+    """((num, den, q, z, vwp_a), direction, acc, peak) of every kernel walk
+    run() makes, in order."""
+    walks = []
     real = series._K.series_side
 
     def spy(num, den, q, z, direction, vwp_a, *rest):
-        seen.add((num, den, q, z, direction, vwp_a))
-        return real(num, den, q, z, direction, vwp_a, *rest)
+        out = real(num, den, q, z, direction, vwp_a, *rest)
+        walks.append(((num, den, q, z, vwp_a), direction, out[0], out[7]))
+        return out
 
     with monkeypatch.context() as m:
         m.setattr(series._K, "series_side", spy)
         run()
-    return seen
+    return walks
 
 
-@pytest.mark.parametrize("kind", KINDS)
+def _walks(monkeypatch, run):
+    """(num, den, q, z, direction, vwp_a) of every kernel walk run() makes."""
+    return {(*row[:4], direction, row[4])
+            for row, direction, _, _ in _kernel_walks(monkeypatch, run)}
+
+
+def _humps(walks) -> list:
+    """max(1, peak) / |sum| of every sum made of the walks: an upward walk
+    followed by the downward walk of the same row is one bilateral sum
+    around its n = 0 term, a lone upward walk a unilateral one."""
+    out = []
+    i = 0
+    while i < len(walks):
+        row, _, acc, peak = walks[i]
+        if i + 1 < len(walks) and walks[i + 1][:2] == (row, -1):
+            acc += walks[i + 1][2]
+            peak = max(peak, walks[i + 1][3])
+            i += 1
+        i += 1
+        total = abs(1.0 + acc)
+        out.append(max(1.0, peak) / total if total else float("inf"))
+    return out
+
+
+T_SWEEPS = [identity for identity, (kind, _, _) in cli._SWEEPS.items()
+            if kind == "t_params"]
+
+
+@pytest.mark.parametrize("identity", T_SWEEPS)
+def test_t_draws_are_capped_on_their_checks_walks(identity, monkeypatch):
+    # t_params draws are audited statically; their conditioning is judged
+    # on the walks their own check makes, capped at hump_max
+    kind, caps, runner = cli._SWEEPS[identity]
+    con = SampleConstraints(convergence_caps=caps)
+    cap = con.cap("hump_max")
+    rep = cli.run_sweep(identity, 10, 7)
+    assert rep.summary["passed"] == 10
+    for entry in rep.results:
+        p = TParams(**{k: complex(v["re"], v["im"])
+                       for k, v in entry["params"].items()})
+        assert not _kernel_walks(monkeypatch,
+                                 lambda: violations(kind, p, con))
+        walks = _kernel_walks(monkeypatch,
+                              lambda: runner(p, TruncationPolicy(), {}))
+        humps = _humps(walks)
+        assert humps and max(humps) <= cap
+        runner(p, TruncationPolicy(hump_max=cap), {})
+
+
+@pytest.mark.parametrize("kind", sorted(CHECKED_SERIES))
 def test_probes_walk_the_checked_series(kind, monkeypatch):
     # the hump the sampler caps must be that of a series the check sums,
     # bit for bit, not of a rewritten parameter row

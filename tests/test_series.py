@@ -4,9 +4,9 @@ import cmath
 
 import pytest
 
-from qsix import (BudgetExceeded, DomainError, NonConvergence, PoleError,
-                  QContext, SeriesSpec, TParams, TruncationPolicy,
-                  TruncParams, F_function,
+from qsix import (BudgetExceeded, DomainError, IllConditioned,
+                  NonConvergence, PoleError, QContext, SeriesSpec, TParams,
+                  TruncationPolicy, TruncParams, F_function,
                   bailey_closed_a, bailey_closed_X, eval_T, eval_phi,
                   eval_psi, q_factor, qpochhammer, rogers_closed,
                   truncated_S, vwp_psi6)
@@ -447,6 +447,33 @@ def test_parameter_row_evaluators_read_the_policy(fn):
     fn(p)
     with pytest.raises(BudgetExceeded):
         fn(p, TruncationPolicy(max_terms=1))
+
+
+def test_phi_hump_over_the_cap_is_ill_conditioned():
+    # the n = 1 term -0.2 * 0.7 / (0.5 * 0.3) leaves the sum 1/15 and the
+    # n = 2 term vanishes, so the unilateral hump is 1 / (1/15) = 15
+    spec = SeriesSpec((2.0, 0.3), (0.7,), 0.2)
+    value = eval_phi(spec, QContext(0.5)).value
+    capped = QContext(0.5, TruncationPolicy(hump_max=15.01))
+    assert eval_phi(spec, capped).value == value
+    with pytest.raises(IllConditioned, match="unilateral term hump 15"):
+        eval_phi(spec, QContext(0.5, TruncationPolicy(hump_max=14.99)))
+
+
+def test_bilateral_hump_over_the_cap_is_ill_conditioned():
+    p = TParams(q=0.5, X=1.2, B=0.3, C=0.1, D=0.35, E=0.45)
+    assert eval_T(p, TruncationPolicy(hump_max=1e5)) == eval_T(p)
+    # no sum of at most 2 max_terms + 1 terms reaches 1e6 times its
+    # largest term
+    with pytest.raises(IllConditioned, match="bilateral term hump"):
+        eval_T(p, TruncationPolicy(hump_max=1e-6))
+    assert issubclass(IllConditioned, NonConvergence)
+
+
+@pytest.mark.parametrize("cap", [0.0, -1.0, float("nan")])
+def test_hump_cap_must_be_positive(cap):
+    with pytest.raises(DomainError, match="hump_max"):
+        TruncationPolicy(hump_max=cap)
 
 
 def test_series_spec_rejects_nonfinite():
