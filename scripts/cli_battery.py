@@ -133,6 +133,17 @@ def invocations(tmp: str) -> list:
          "--c", "0.5,0", "--d", "0.5,0", "--e", "0.5,0"],
         ["check", "rogers", "--q", "0.5,0", "--B", "0.3,0", "--C", "0,0",
          "--D", "0.35,0", "--E", "0.45,0"],
+        # out of double range: infinite products, and inputs whose modulus
+        # overflows abs()
+        ["eval", "pochhammer-inf", "--a=1e200,0", "--q=0.5,0"],
+        ["eval", "theta", "--x=1e-300,0", "--q=0.5,0"],
+        ["eval", "psi", "--num=1.5e308,1.5e308", "--den=0.5,0", "--z=0.5,0",
+         "--q=0.5,0"],
+        ["eval", "theta", "--x=1.5e308,1.5e308", "--q=0.5,0"],
+        ["eval", "pochhammer", "--a=1.5e308,1.5e308", "--q=0.5,0", "--n=3"],
+        ["eval", "pochhammer-inf", "--a=1.5e308,1.5e308", "--q=0.5,0"],
+        ["check", "weierstrass", "--b=1.5e308,1.5e308", "--c=0.3,0.1",
+         "--x=0.5,0.2", "--z=0.7,0"],
     ]
     out += [["check", "weierstrass", *WEIER, flag, value]
             for flag, value in (("--q", "0.9,0"), ("--tail-tol", "0.5"),

@@ -13,6 +13,16 @@ A factor 1 - x q^m counts as vanished when |1 - x q^m| <= eps (1 + |x q^m|).
 Once q^m has left double range that test reads inf <= inf, so each branch
 that fires on it checks for an overflowed x q^m and reports DIVERGED (the
 walk or product left double range) instead of a zero or a pole.
+
+`qpoch_inf` and `series_side` skip that test, and the other per-factor
+tests, on "quiet stretches": index ranges, worked out once per call from
+log|x| and log|q|, over which every |x q^m| stays below 1/4 or above 4.
+The computed x q^m is then below 1/2 or above 2: the incremental q^m
+drifts by ~1e-12 relative over 10^4 steps, far inside that factor of 2,
+and each end of a stretch keeps one index more. With eps <= 1/4 the test
+fires only for |x q^m| in [3/5, 5/3], so it cannot fire there. A stretch
+multiplies the same factors in the same order, so every return is bit for
+bit the one that testing each factor gives.
 """
 
 from __future__ import annotations
@@ -26,6 +36,17 @@ BUDGET = 3
 DIVERGED = 4
 
 _OVERFLOW = 1e150
+
+#: quiet stretches: factors with |x q^m| outside [1/4, 4]; log of 4
+_LOG_SHELL = math.log(4.0)
+#: largest eps for which a quiet factor's zero or pole test cannot fire
+_QUIET_EPS = 0.25
+#: no stretch for an |x| outside [1e-280, 1e280], or past a step whose
+#: |q^m| leaves [1e-300, 1e300] or, downward, whose |x q^m| tops 1e250
+_X_MIN = 1e-280
+_X_MAX = 1e280
+_LOG_NORMAL = math.log(1e300)
+_LOG_HUGE = math.log(1e250)
 
 #: window [2^-8, 2^8] that scale-tracked products keep their mantissa in
 _LO = 0.00390625
@@ -134,15 +155,29 @@ def qpoch_inf(a: complex, q: complex, tail_tol: float, max_terms: int,
     est_error bounds |true - value| through the log-tail
     sum_{j>k} |a q^j| / (1 - |a q^{k+1}|). Returns
     (value, est_error, terms, terminated, status); terminated=1 marks an
-    exact value (a == 0, or a vanished factor making the product 0).
+    exact value (a == 0, or a vanished factor making the product 0), and
+    status DIVERGED a product that left double range.
+
+    The factors with 2 tail_tol < |a q^k| < 1/4 form one quiet stretch
+    (see the module docstring): there neither the zero test nor the tail
+    window can fire, so they are multiplied in without either.
     """
     if a == 0:
         return 1.0 + 0j, 0.0, 1, 1, OK
     absq = abs(q)
+    k0, k1 = _quiet_stretch(abs(a), absq, tail_tol, zero_eps)
     acc = 1.0 + 0j
     w = 1.0 + 0j
     run = 0
-    for k in range(max_terms):
+    k = 0
+    while k < max_terms:
+        if k == k0:
+            for _ in range(k0, k1 if k1 < max_terms else max_terms):
+                acc *= 1.0 - a * w
+                w *= q
+            k = k1
+            run = 0
+            continue
         aw = a * w
         mag = abs(aw)
         f = 1.0 - aw
@@ -152,14 +187,95 @@ def qpoch_inf(a: complex, q: complex, tail_tol: float, max_terms: int,
         if mag < tail_tol:
             run += 1
             if run >= window:
+                try:
+                    size = abs(acc)
+                except OverflowError:
+                    size = math.inf
+                if not size < math.inf:
+                    return acc, math.inf, k + 1, 0, DIVERGED
                 head = mag * absq
                 s = head / (1.0 - absq)
-                est = abs(acc) * math.expm1(s / (1.0 - head))
+                est = size * math.expm1(s / (1.0 - head))
                 return acc, est, k + 1, 0, OK
         else:
             run = 0
         w *= q
+        k += 1
     return acc, float("inf"), max_terms, 0, BUDGET
+
+
+def _quiet_stretch(ax: float, absq: float, tail_tol: float, eps: float):
+    """Factor indices [k0, k1) of (a;q)_inf, |a| = ax, over which
+    2 tail_tol < |a q^k| < 1/4 and 1e-280 < |a q^k| hold with one index to
+    spare; (-1, -1) when there is none."""
+    lo = 2.0 * tail_tol
+    if lo < _X_MIN:
+        lo = _X_MIN
+    if not (_X_MIN <= ax <= _X_MAX and 0.0 < absq < 1.0
+            and eps <= _QUIET_EPS and lo < 0.25):
+        return -1, -1
+    lg = -math.log(absq)
+    lx = math.log(ax)
+    k0 = math.floor((lx + _LOG_SHELL) / lg) + 2
+    k1 = math.ceil((lx - math.log(lo)) / lg) - 1
+    kn = math.ceil(_LOG_NORMAL / lg) - 1
+    if k1 > kn:
+        k1 = kn
+    if k0 < 0:
+        k0 = 0
+    return (k0, k1) if k0 < k1 else (-1, -1)
+
+
+def _quiet_edges(xs, absq: float, down: bool, eps: float) -> list:
+    """Steps at which a walk enters or leaves a quiet stretch, the last
+    first, for popping; [] when it has none.
+
+    At step s the factors are 1 - x q^m, m = s upward and m = -(s + 1)
+    downward, for each x in xs. A step is quiet when every |x q^m| lies
+    outside [1/4, 4], with one index to spare at each end, while |q^m|
+    stays within [1e-300, 1e300] and, downward, every |x q^m| below 1e250
+    (one index to spare again). The stretches taken are the one before the
+    first factor nears the shell and the one after the last has left it;
+    only the extreme moduli of xs decide them. A zero x never vanishes a
+    factor.
+    """
+    if not (0.0 < absq < 1.0 and eps <= _QUIET_EPS):
+        return []
+    small = math.inf
+    big = 0.0
+    for x in xs:
+        ax = abs(x)
+        if ax:
+            if ax < small:
+                small = ax
+            if ax > big:
+                big = ax
+    if not (_X_MIN <= small and 0.0 < big <= _X_MAX):
+        return []
+    lg = -math.log(absq)
+    end = math.ceil(_LOG_NORMAL / lg) - 2
+    # the factor of x is in the shell for steps between (c - log 4)/lg - off
+    # and (c + log 4)/lg - off, c = log|x| upward and -log|x| downward; the
+    # smallest c enters it first and the largest leaves it last
+    if down:
+        off = 1.0
+        first = -math.log(big)
+        last = -math.log(small)
+        huge = math.ceil((_LOG_HUGE + first) / lg) - 2
+        if huge < end:
+            end = huge
+    else:
+        off = 0.0
+        first = math.log(small)
+        last = math.log(big)
+    lead = math.ceil((first - _LOG_SHELL) / lg - off) - 1
+    trail = math.floor((last + _LOG_SHELL) / lg - off) + 2
+    if trail < 0:
+        trail = 0
+    edges = [end, trail] if trail < end else []
+    if 0 < lead:
+        edges += (lead if lead < end else end, 0)
+    return edges
 
 
 def _overflowed(w: complex) -> bool:
@@ -234,6 +350,11 @@ def series_side(num, den, q: complex, z: complex, direction: int,
     two measure how much term rounding a consumer of the partial sums
     inherits.
 
+    Steps on a quiet stretch (`_quiet_edges`: every |x q^m| outside
+    [1/4, 4], and below 1e250 downward) skip the zero and pole tests,
+    which cannot fire there; the ratio product, the term, peak, low, the
+    overflow stop and the tail test run on every step.
+
     A step whose x q^m has left double range ends the walk DIVERGED: the
     zero and pole tests cannot tell such a factor from a vanished one.
 
@@ -272,38 +393,39 @@ def series_side(num, den, q: complex, z: complex, direction: int,
     nt = len(tops)
     nb = len(bots)
     npair = nt if nt < nb else nb
-    ftop = [0j] * nt
-    fbot = [0j] * nb
+    edges = _quiet_edges((*num, *den), abs(q), down,
+                         zero_eps if zero_eps > pole_eps else pole_eps)
+    edge = edges.pop() if edges else -1
+    quiet = False
     while True:
         if fixed_terms >= 0:
             if steps >= fixed_terms:
                 return acc, 0.0, steps, OK, 0, 0, 0, peak, low
         elif steps >= max_terms:
             return acc, float("inf"), steps, BUDGET, 0, 0, 0, peak, low
-        n = -(steps + 1) if down else steps + 1
-        e = n if down else n - 1
-        for k in range(nt):
-            w = tops[k] * qe
-            f = 1.0 - w
-            if abs(f) <= zero_eps * (1.0 + abs(w)):
-                return _stop(acc, steps, TERMINATED, w, top_is_num, k, e,
-                             peak, low)
-            ftop[k] = f
-        for k in range(nb):
-            w = bots[k] * qe
-            f = 1.0 - w
-            if abs(f) <= pole_eps * (1.0 + abs(w)):
-                return _stop(acc, steps, POLE, w, 1 - top_is_num, k, e,
-                             peak, low)
-            fbot[k] = f
+        if steps == edge:
+            quiet = not quiet
+            edge = edges.pop() if edges else -1
+        if not quiet:
+            e = -(steps + 1) if down else steps
+            for k in range(nt):
+                w = tops[k] * qe
+                if abs(1.0 - w) <= zero_eps * (1.0 + abs(w)):
+                    return _stop(acc, steps, TERMINATED, w, top_is_num, k,
+                                 e, peak, low)
+            for k in range(nb):
+                w = bots[k] * qe
+                if abs(1.0 - w) <= pole_eps * (1.0 + abs(w)):
+                    return _stop(acc, steps, POLE, w, 1 - top_is_num, k, e,
+                                 peak, low)
         steps += 1
         r = step_z
         for k in range(npair):
-            r = r * ftop[k] / fbot[k]
+            r = r * (1.0 - tops[k] * qe) / (1.0 - bots[k] * qe)
         for k in range(npair, nt):
-            r = r * ftop[k]
+            r = r * (1.0 - tops[k] * qe)
         for k in range(npair, nb):
-            r = r / fbot[k]
+            r = r / (1.0 - bots[k] * qe)
         g = g * r
         if use_vwp:
             h = h * r / qsq if down else h * r * qsq

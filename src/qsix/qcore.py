@@ -7,7 +7,6 @@ infinite q-products, and multiplicative theta functions. Everything downstream
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
@@ -18,10 +17,16 @@ from .errors import BudgetExceeded, DomainError, PoleError
 
 
 def _as_complex(x) -> complex:
+    """x as a complex; DomainError when it is not finite or its modulus
+    overflows abs()."""
     z = complex(x)
-    if not (cmath.isfinite(z)):
-        raise DomainError(f"non-finite input {x!r}")
-    return z
+    try:
+        if abs(z) < math.inf:
+            return z
+    except OverflowError:
+        raise DomainError(f"input {x!r}: modulus out of double "
+                          f"range") from None
+    raise DomainError(f"non-finite input {x!r}")
 
 
 @dataclass(frozen=True)
@@ -172,7 +177,8 @@ def qpochhammer_inf(a: complex, ctx: QContext) -> EvalResult:
     The loop stops once |a q^k| < tail_tol holds for STAGNATION_WINDOW
     consecutive k; est_error then bounds |true - value| via the remaining
     geometric mass. An exactly vanishing factor short-circuits to 0 with
-    terminated=True; a = 0 returns 1 the same way.
+    terminated=True; a = 0 returns 1 the same way. A product that leaves
+    double range raises DomainError.
 
     Examples
     --------
@@ -188,6 +194,9 @@ def qpochhammer_inf(a: complex, ctx: QContext) -> EvalResult:
         raise BudgetExceeded(
             f"(a;q)_inf with a = {a}: no stagnation within "
             f"{p.max_terms} factors")
+    if status == _K.DIVERGED:
+        raise DomainError(
+            f"(a;q)_inf with a = {a}: the product is out of double range")
     return EvalResult(val, est, terms, bool(exact))
 
 

@@ -137,6 +137,29 @@ def test_check_out_of_range_index_is_domain_error():
     assert "Traceback" not in r.stderr
 
 
+@pytest.mark.parametrize("args", [
+    # infinite products that leave double range (theta multiplies in
+    # (q/x;q)_inf with q/x = 5e299)
+    ("eval", "pochhammer-inf", "--a=1e200,0", "--q=0.5,0"),
+    ("eval", "theta", "--x=1e-300,0", "--q=0.5,0"),
+    # finite parts whose modulus overflows abs(): a raw OverflowError
+    ("eval", "psi", "--num=1.5e308,1.5e308", "--den=0.5,0", "--z=0.5,0",
+     "--q=0.5,0"),
+    ("eval", "theta", "--x=1.5e308,1.5e308", "--q=0.5,0"),
+    ("eval", "pochhammer", "--a=1.5e308,1.5e308", "--q=0.5,0", "--n=3"),
+    ("eval", "pochhammer-inf", "--a=1.5e308,1.5e308", "--q=0.5,0"),
+    # a check validates its inputs as every eval does
+    ("check", "weierstrass", "--b=1.5e308,1.5e308", "--c=0.3,0.1",
+     "--x=0.5,0.2", "--z=0.7,0"),
+])
+def test_out_of_range_values_are_domain_errors(args):
+    r = run(*args)
+    assert r.returncode == 2
+    assert "domain error" in r.stderr and "out of double range" in r.stderr
+    assert "Traceback" not in r.stderr
+    assert "nan" not in r.stdout
+
+
 def test_malformed_complex_flag_is_usage_error():
     r = run("eval", "theta", "--x", "0.5", "--q", "0.5,0")
     assert r.returncode == 64

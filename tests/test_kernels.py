@@ -9,14 +9,23 @@ that only the scale tracking keeps in range. The walk statistics of
 `series_side` (largest |term|, smallest |1 + partial sum|) are checked
 against the same sums, and every stop status is pinned on a walk that
 reaches it, including walks whose running power q^m leaves double range.
+
+`qpoch_inf` and `series_side` skip their zero and pole tests on quiet
+stretches. A seeded fuzz holds both to `repr`-equal returns with reference
+copies that test every factor, on inputs that put factors on, next to and
+far from their zeros and poles.
 """
 
+import cmath
 import math
+import random
 
 import pytest
 from test_series import poch_oracle, psi_term_oracle
 
 from qsix import _backend as K
+from qsix._kernels_py import (BUDGET, DIVERGED, OK, POLE, TERMINATED,
+                              _OVERFLOW, _crossing, _stop, cpow_int)
 
 ARGS = (1e-15, 10000, 3, 1e-12, 5e-15, 64)
 
@@ -220,6 +229,15 @@ def test_qpoch_inf_within_its_bound_of_a_long_product(a):
     assert abs(val - poch_oracle(a, q, 400)) <= est + 1e-14 * abs(val)
 
 
+@pytest.mark.parametrize("a", [1e200 + 0j, 5e299 + 0j])
+def test_qpoch_inf_out_of_range_product_is_diverged(a):
+    # the factors overflow the product to NaN before the tail window closes
+    val, est, terms, exact, status = K.qpoch_inf(a, 0.5 + 0j, 1e-15, 10000,
+                                                 3, 5e-15)
+    assert (est, exact, status) == (math.inf, 0, K.DIVERGED)
+    assert not math.isfinite(abs(val))
+
+
 def test_qpoch_inf_of_zero_is_exactly_one():
     assert K.qpoch_inf(0j, 0.6 - 0.2j, 1e-15, 10000, 6, 5e-15) == (
         1.0 + 0j, 0.0, 1, 1, K.OK)
@@ -286,3 +304,226 @@ def test_series_side_stop_status(side, status, used, bad_exp):
     out = K.series_side(*side, -1, *ARGS)
     assert (out[2], out[3], out[6]) == (used, status, bad_exp)
     assert out[1] == (0.0 if status == K.TERMINATED else math.inf)
+
+
+# --- the kernels with every factor tested, kept as the reference that the
+# quiet stretches must reproduce bit for bit ---
+
+
+def ref_qpoch_inf(a: complex, q: complex, tail_tol: float, max_terms: int,
+                  window: int, zero_eps: float):
+    """`qpoch_inf` with no quiet stretch: every factor pays the zero test
+    and the tail window."""
+    if a == 0:
+        return 1.0 + 0j, 0.0, 1, 1, OK
+    absq = abs(q)
+    acc = 1.0 + 0j
+    w = 1.0 + 0j
+    run = 0
+    for k in range(max_terms):
+        aw = a * w
+        mag = abs(aw)
+        f = 1.0 - aw
+        if abs(f) <= zero_eps * (1.0 + mag):
+            return 0.0 + 0j, 0.0, k + 1, 1, OK
+        acc *= f
+        if mag < tail_tol:
+            run += 1
+            if run >= window:
+                head = mag * absq
+                s = head / (1.0 - absq)
+                est = abs(acc) * math.expm1(s / (1.0 - head))
+                return acc, est, k + 1, 0, OK
+        else:
+            run = 0
+        w *= q
+    return acc, float("inf"), max_terms, 0, BUDGET
+
+
+def ref_series_side(num, den, q: complex, z: complex, direction: int,
+                    vwp_a: complex, use_vwp: bool, fixed_terms: int,
+                    tail_tol: float, max_terms: int, window: int,
+                    pole_eps: float, zero_eps: float, recompute_every: int):
+    """`series_side` with no quiet stretch: every factor of every step
+    pays its zero or pole test."""
+    down = direction < 0
+    one_minus_a = 1.0 - vwp_a if use_vwp else 1.0 + 0j
+    step_z = 1.0 / z if down else z
+    n_min = 0
+    if fixed_terms < 0:
+        lg = -math.log(abs(q))
+        for x in num:
+            n_min = _crossing(abs(x), lg, down, n_min)
+        for x in den:
+            n_min = _crossing(abs(x), lg, down, n_min)
+        if use_vwp:
+            half = _crossing(abs(vwp_a), 2.0 * lg, down, 0)
+            if half > n_min:
+                n_min = half
+        if n_min > max_terms // 2:
+            n_min = max_terms // 2
+    acc = 0j
+    g = 1.0 + 0j            # prod (num;q)_n / (den;q)_n * z^n at current n
+    qe = 1.0 / q if down else 1.0 + 0j   # q^m for the next step's factors
+    h = 1.0 + 0j            # g * q^{2n} for the prefactor
+    qsq = q * q
+    prev_abs = 1.0          # |t(0)|
+    peak = 0.0              # max |t(n)| over the steps taken
+    low = 1.0               # min |1 + partial|, from the n = 0 term on
+    run = 0
+    steps = 0
+    # the factors on top of the step multiplier (their zeros terminate) and
+    # below it (their zeros are poles); bad_is_num flags a num-side factor
+    tops, bots, top_is_num = (den, num, 0) if down else (num, den, 1)
+    nt = len(tops)
+    nb = len(bots)
+    npair = nt if nt < nb else nb
+    ftop = [0j] * nt
+    fbot = [0j] * nb
+    while True:
+        if fixed_terms >= 0:
+            if steps >= fixed_terms:
+                return acc, 0.0, steps, OK, 0, 0, 0, peak, low
+        elif steps >= max_terms:
+            return acc, float("inf"), steps, BUDGET, 0, 0, 0, peak, low
+        n = -(steps + 1) if down else steps + 1
+        e = n if down else n - 1
+        for k in range(nt):
+            w = tops[k] * qe
+            f = 1.0 - w
+            if abs(f) <= zero_eps * (1.0 + abs(w)):
+                return _stop(acc, steps, TERMINATED, w, top_is_num, k, e,
+                             peak, low)
+            ftop[k] = f
+        for k in range(nb):
+            w = bots[k] * qe
+            f = 1.0 - w
+            if abs(f) <= pole_eps * (1.0 + abs(w)):
+                return _stop(acc, steps, POLE, w, 1 - top_is_num, k, e,
+                             peak, low)
+            fbot[k] = f
+        steps += 1
+        r = step_z
+        for k in range(npair):
+            r = r * ftop[k] / fbot[k]
+        for k in range(npair, nt):
+            r = r * ftop[k]
+        for k in range(npair, nb):
+            r = r / fbot[k]
+        g = g * r
+        if use_vwp:
+            h = h * r / qsq if down else h * r * qsq
+            term = (g - vwp_a * h) / one_minus_a
+        else:
+            term = g
+        acc += term
+        abs_term = abs(term)
+        if abs_term > peak:
+            peak = abs_term
+        part = abs(1.0 + acc)
+        if part < low:
+            low = part
+        if abs_term > _OVERFLOW or abs_term != abs_term:
+            return acc, float("inf"), steps, DIVERGED, 0, 0, 0, peak, low
+        if fixed_terms < 0:
+            ratio = abs_term / prev_abs if prev_abs > 0.0 else 2.0
+            if (steps >= n_min and ratio < 1.0
+                    and abs_term <= tail_tol * (1.0 + abs(acc))):
+                run += 1
+                if run >= window:
+                    tail = abs_term * ratio / (1.0 - ratio)
+                    return acc, tail, steps, OK, 0, 0, 0, peak, low
+            else:
+                run = 0
+            prev_abs = abs_term
+        if recompute_every > 0 and steps % recompute_every == 0:
+            qe = cpow_int(q, -(steps + 1) if down else steps)
+        else:
+            qe = qe / q if down else qe * q
+
+
+def _outcome(kernel, args):
+    """repr of a kernel's return, or the name of what it raised."""
+    try:
+        return repr(kernel(*args))
+    except ArithmeticError as exc:
+        return type(exc).__name__
+
+
+def _in_range(value):
+    try:
+        return abs(value) < math.inf
+    except OverflowError:
+        return False
+
+
+def _param(rng, q):
+    """A factor base x: one time in three x = q^-j (1 + eps), so that the
+    factor 1 - x q^j vanishes or nearly does; otherwise a modulus drawn
+    log-uniformly over 1e-300..1e300 one time in five, else 1e-3..1e3."""
+    phase = cmath.exp(1j * rng.uniform(-math.pi, math.pi))
+    u = rng.random()
+    if u < 1 / 3:
+        eps = rng.choice((0.0, 1e-16, 1e-13, 1e-11))
+        return q ** -rng.randint(-20, 20) * (1.0 + eps * phase)
+    top = 300.0 if u < 1 / 3 + 2 / 15 else 3.0
+    return 10.0 ** rng.uniform(-top, top) * phase
+
+
+def _base(rng):
+    r = rng.choice((1e-3, 0.999, rng.uniform(0.05, 0.95),
+                    rng.uniform(0.05, 0.95)))
+    return r * cmath.exp(1j * rng.uniform(-math.pi, math.pi))
+
+
+def _tail_tol(rng):
+    return 10.0 ** rng.uniform(-16.0, math.log10(0.5))
+
+
+def _qpoch_inf_args(rng):
+    q = _base(rng)
+    return (_param(rng, q), q, _tail_tol(rng),
+            rng.choice((1, 3, 30, 10000, 10000)), rng.randint(1, 4), 5e-15)
+
+
+def _series_side_args(rng):
+    q = _base(rng)
+    num = tuple(_param(rng, q) for _ in range(rng.randint(0, 5)))
+    den = tuple(_param(rng, q) for _ in range(rng.randint(0, 5)))
+    z = 10.0 ** rng.uniform(-2.0, 2.0) * cmath.exp(
+        1j * rng.uniform(-math.pi, math.pi))
+    use_vwp = rng.random() < 0.5
+    vwp_a = _param(rng, q) if use_vwp else 0j
+    fixed = -1 if rng.random() < 0.7 else rng.randint(0, 40)
+    return (num, den, q, z, rng.choice((1, -1)), vwp_a, use_vwp, fixed,
+            _tail_tol(rng), rng.choice((1, 2, 3, 10, 100, 400)),
+            rng.randint(1, 4), 1e-12, 5e-15, rng.choice((64, 64, 7, 1, 0)))
+
+
+def test_qpoch_inf_matches_the_fully_tested_product():
+    rng = random.Random(13)
+    for _ in range(4000):
+        args = _qpoch_inf_args(rng)
+        got = _outcome(K.qpoch_inf, args)
+        try:
+            want = ref_qpoch_inf(*args)
+        except OverflowError:
+            # abs() of the product or the tail bound's expm1 overflowed;
+            # the kernel raises too, or reports the product out of range
+            assert got == "OverflowError" or (
+                got.endswith(f", 0, {DIVERGED})")
+                and not _in_range(K.qpoch_inf(*args)[0])), args
+            continue
+        if want[4] == OK and not _in_range(want[0]):
+            # the reference reports a product out of range as OK
+            want = (want[0], math.inf, want[2], 0, DIVERGED)
+        assert got == repr(want), args
+
+
+def test_series_side_matches_the_fully_tested_walk():
+    rng = random.Random(13)
+    cases = [_series_side_args(rng) for _ in range(3000)]
+    cases += [side + (-1, *ARGS) for side, *_ in SIDES_STOPPED]
+    for args in cases:
+        assert (_outcome(K.series_side, args)
+                == _outcome(ref_series_side, args)), args

@@ -75,6 +75,23 @@ def test_qpochhammer_out_of_range_is_domain_error_not_pole():
         qpochhammer(0.3, QContext(0.45 + 0.1j), -1000)
 
 
+def test_infinite_product_out_of_range_is_domain_error():
+    # (1e200;1/2)_inf overflows to NaN before its tail window closes
+    with pytest.raises(DomainError, match="out of double range"):
+        qpochhammer_inf(1e200, QContext(0.5))
+    # theta(1e-300) multiplies in (q/x;q)_inf with q/x = 5e299
+    with pytest.raises(DomainError, match="out of double range"):
+        theta(1e-300, QContext(0.5))
+
+
+def test_input_whose_modulus_overflows_is_domain_error():
+    # finite parts, but abs() overflows
+    with pytest.raises(DomainError, match="modulus out of double range"):
+        qpochhammer(1.5e308 + 1.5e308j, QContext(0.5), 3)
+    with pytest.raises(DomainError, match="modulus out of double range"):
+        QContext(1.5e308 + 1.5e308j)
+
+
 def test_qpochhammer_of_zero_is_one_at_any_depth():
     # 0 * q^-917 would be 0 * inf
     assert qpochhammer(0, QContext(0.45 + 0.1j), -1000) == 1
