@@ -1,13 +1,15 @@
-"""Count what the t_params sweeps spend on drawing and checking.
+"""Count what the sampled sweeps spend on drawing and checking.
 
-For each of the four sweeps whose draws are t_params (bailey-x,
-t-recursion, q-constancy, rogers) it runs `cli.run_sweep(identity, draws,
-seed)` for every seed given and prints, per identity:
+For each sweep whose draws come from the sampler (every identity with a
+sampler kind in `cli._SWEEPS`: udiff, vdiff, recurrence, kn-decay,
+t-recursion, rogers, q-constancy, bailey-a, bailey-x, remark1) it runs
+`cli.run_sweep(identity, draws, seed)` for every seed given and prints,
+per identity:
 
 - candidates: parameter sets drawn, accepted or not, and their number per
   accepted draw;
 - walks: `series_side` kernel walks (one index direction of one sum)
-  made by the whole sweep, sampler probes included;
+  made by the whole sweep, any walk of the sampler included;
 - check_walks: the walks made by the checks whose rows the report keeps;
 - passed / failed / errored rows.
 
@@ -24,8 +26,6 @@ from __future__ import annotations
 import argparse
 import sys
 from pathlib import Path
-
-IDENTITIES = ("bailey-x", "t-recursion", "q-constancy", "rogers")
 
 
 def _seed_range(text: str) -> range:
@@ -84,14 +84,21 @@ def main(argv=None) -> int:
                     help="sweep seeds, as LO-HI or one number")
     ap.add_argument("--draws", type=int, default=20,
                     help="draws per sweep")
-    ap.add_argument("--identity", action="append", choices=IDENTITIES,
-                    help="sweep to scan (repeatable; default all four)")
+    ap.add_argument("--identity", action="append",
+                    help="sampled sweep to scan (repeatable; default all)")
     args = ap.parse_args(argv)
     sys.path.insert(0, str(Path(args.src).resolve()))
+    from qsix import cli
+
+    sampled = [identity for identity, (kind, _, _) in cli._SWEEPS.items()
+               if kind]
+    unknown = set(args.identity or ()) - set(sampled)
+    if unknown:
+        ap.error(f"not a sampled sweep: {', '.join(sorted(unknown))}")
     seeds = _seed_range(args.seeds)
     total = len(seeds) * args.draws
     print(f"seeds {args.seeds} draws/sweep {args.draws} draws {total}")
-    for identity in args.identity or IDENTITIES:
+    for identity in args.identity or sampled:
         c = _scan(identity, seeds, args.draws)
         per = c["candidates"] / total if total else 0.0
         print(f"{identity}: candidates {c['candidates']} "

@@ -29,6 +29,8 @@ from __future__ import annotations
 
 import math
 
+from .config import POLE_EPS
+
 OK = 0
 TERMINATED = 1
 POLE = 2
@@ -73,21 +75,20 @@ def cpow_int(base: complex, n: int) -> complex:
     return acc
 
 
-def qpoch_sc(xs, q: complex, n: int, invert: bool, pole_eps: float,
-             m: complex, e: int):
+def qpoch_sc(xs, q: complex, n: int, invert: bool, m: complex, e: int):
     """Multiply prod_i (x_i;q)_n, or its reciprocal when `invert`, onto the
     scale-tracked product m * 2^e, one factor 1 - x_i q^j at a time.
 
     (x;q)_n has the factors j = 0..n-1 for n > 0 and the reciprocals of
     j = -1..n for n < 0. A dividing factor (n < 0 without `invert`, n > 0
-    with it) within pole_eps (relative) of zero gives status POLE; an
+    with it) within POLE_EPS (relative) of zero gives status POLE; an
     overflowed x q^j there, or a product out of double range, DIVERGED.
     Returns (m, e, status, bad_slot, bad_exp), bad_* naming the factor a
     stop came at.
 
-    >>> qpoch_sc((0.5 + 0j,), 0.5 + 0j, 3, False, 1e-12, 1 + 0j, 0)
+    >>> qpoch_sc((0.5 + 0j,), 0.5 + 0j, 3, False, 1 + 0j, 0)
     ((0.328125+0j), 0, 0, 0, 0)
-    >>> qpoch_sc((0.25 + 0j, 0.5 + 0j), 0.5 + 0j, -1, False, 1e-12, 1 + 0j, 0)
+    >>> qpoch_sc((0.25 + 0j, 0.5 + 0j), 0.5 + 0j, -1, False, 1 + 0j, 0)
     ((2+0j), 0, 2, 1, -1)
     """
     down = n < 0
@@ -101,7 +102,7 @@ def qpoch_sc(xs, q: complex, n: int, invert: bool, pole_eps: float,
             xw = x * w
             f = 1.0 - xw
             if divide:
-                if abs(f) <= pole_eps * (1.0 + abs(xw)):
+                if abs(f) <= POLE_EPS * (1.0 + abs(xw)):
                     status = DIVERGED if _overflowed(xw) else POLE
                     return m, e, status, slot, j
                 f = 1.0 / f
@@ -153,7 +154,7 @@ def qpoch_inf(a: complex, q: complex, tail_tol: float, max_terms: int,
 
     Iteration stops once |a q^k| < tail_tol for `window` consecutive k; the
     est_error bounds |true - value| through the log-tail
-    sum_{j>k} |a q^j| / (1 - |a q^{k+1}|). Returns
+    sum_{j>k} |a q^j| / (1 - |a q^{k+1}|), inf where that overflows. Returns
     (value, est_error, terms, terminated, status); terminated=1 marks an
     exact value (a == 0, or a vanished factor making the product 0), and
     status DIVERGED a product that left double range.
@@ -195,7 +196,10 @@ def qpoch_inf(a: complex, q: complex, tail_tol: float, max_terms: int,
                     return acc, math.inf, k + 1, 0, DIVERGED
                 head = mag * absq
                 s = head / (1.0 - absq)
-                est = size * math.expm1(s / (1.0 - head))
+                try:
+                    est = size * math.expm1(s / (1.0 - head))
+                except OverflowError:
+                    est = math.inf
                 return acc, est, k + 1, 0, OK
         else:
             run = 0
@@ -284,11 +288,11 @@ def _overflowed(w: complex) -> bool:
     return abs(w) == math.inf
 
 
-def _stop(acc, steps, status, w, bad_is_num, bad_slot, bad_exp, peak, low):
+def _stop(acc, steps, status, w, bad_is_num, bad_slot, bad_exp, peak):
     """Return tuple of a walk stopped on a vanishing factor x q^m = w."""
     if _overflowed(w):
-        return acc, float("inf"), steps, DIVERGED, 0, 0, 0, peak, low
-    return acc, 0.0, steps, status, bad_is_num, bad_slot, bad_exp, peak, low
+        return acc, float("inf"), steps, DIVERGED, 0, 0, 0, peak
+    return acc, 0.0, steps, status, bad_is_num, bad_slot, bad_exp, peak
 
 
 def _crossing(ax: float, lg: float, down: bool, floor: int) -> int:
@@ -345,21 +349,18 @@ def series_side(num, den, q: complex, z: complex, direction: int,
     crossing |x q^e| = 1: term profiles can dip and then hump while factors
     cross one, but no new growth can start past the last crossing.
 
-    peak is the largest |t(n)| of the steps taken and low the smallest
-    |1 + partial sum|, starting from the n = 0 term alone (low <= 1); the
-    two measure how much term rounding a consumer of the partial sums
-    inherits.
+    peak is the largest |t(n)| of the steps taken; over the sum it
+    measures how much term rounding a consumer of the sum inherits.
 
     Steps on a quiet stretch (`_quiet_edges`: every |x q^m| outside
     [1/4, 4], and below 1e250 downward) skip the zero and pole tests,
-    which cannot fire there; the ratio product, the term, peak, low, the
+    which cannot fire there; the ratio product, the term, peak, the
     overflow stop and the tail test run on every step.
 
     A step whose x q^m has left double range ends the walk DIVERGED: the
     zero and pole tests cannot tell such a factor from a vanished one.
 
-    Returns (acc, tail, used, status, bad_is_num, bad_slot, bad_exp, peak,
-    low).
+    Returns (acc, tail, used, status, bad_is_num, bad_slot, bad_exp, peak).
     """
     down = direction < 0
     one_minus_a = 1.0 - vwp_a if use_vwp else 1.0 + 0j
@@ -384,7 +385,6 @@ def series_side(num, den, q: complex, z: complex, direction: int,
     qsq = q * q
     prev_abs = 1.0          # |t(0)|
     peak = 0.0              # max |t(n)| over the steps taken
-    low = 1.0               # min |1 + partial|, from the n = 0 term on
     run = 0
     steps = 0
     # the factors on top of the step multiplier (their zeros terminate) and
@@ -400,9 +400,9 @@ def series_side(num, den, q: complex, z: complex, direction: int,
     while True:
         if fixed_terms >= 0:
             if steps >= fixed_terms:
-                return acc, 0.0, steps, OK, 0, 0, 0, peak, low
+                return acc, 0.0, steps, OK, 0, 0, 0, peak
         elif steps >= max_terms:
-            return acc, float("inf"), steps, BUDGET, 0, 0, 0, peak, low
+            return acc, float("inf"), steps, BUDGET, 0, 0, 0, peak
         if steps == edge:
             quiet = not quiet
             edge = edges.pop() if edges else -1
@@ -412,12 +412,12 @@ def series_side(num, den, q: complex, z: complex, direction: int,
                 w = tops[k] * qe
                 if abs(1.0 - w) <= zero_eps * (1.0 + abs(w)):
                     return _stop(acc, steps, TERMINATED, w, top_is_num, k,
-                                 e, peak, low)
+                                 e, peak)
             for k in range(nb):
                 w = bots[k] * qe
                 if abs(1.0 - w) <= pole_eps * (1.0 + abs(w)):
                     return _stop(acc, steps, POLE, w, 1 - top_is_num, k, e,
-                                 peak, low)
+                                 peak)
         steps += 1
         r = step_z
         for k in range(npair):
@@ -436,11 +436,8 @@ def series_side(num, den, q: complex, z: complex, direction: int,
         abs_term = abs(term)
         if abs_term > peak:
             peak = abs_term
-        part = abs(1.0 + acc)
-        if part < low:
-            low = part
         if abs_term > _OVERFLOW or abs_term != abs_term:
-            return acc, float("inf"), steps, DIVERGED, 0, 0, 0, peak, low
+            return acc, float("inf"), steps, DIVERGED, 0, 0, 0, peak
         if fixed_terms < 0:
             ratio = abs_term / prev_abs if prev_abs > 0.0 else 2.0
             if (steps >= n_min and ratio < 1.0
@@ -448,7 +445,7 @@ def series_side(num, den, q: complex, z: complex, direction: int,
                 run += 1
                 if run >= window:
                     tail = abs_term * ratio / (1.0 - ratio)
-                    return acc, tail, steps, OK, 0, 0, 0, peak, low
+                    return acc, tail, steps, OK, 0, 0, 0, peak
             else:
                 run = 0
             prev_abs = abs_term

@@ -90,7 +90,7 @@ def _poch_sc(pairs, q: complex, n: int, invert: bool, m: complex, e: int):
     factor raises PoleError naming it, and an x q^j or a product out of
     double range raises DomainError."""
     m, e, status, slot, k = _K.qpoch_sc(tuple(x for _, x in pairs), q, n,
-                                        invert, POLE_EPS, m, e)
+                                        invert, m, e)
     if status != _K.OK:
         _sc_stop(status, pairs[slot][0], k)
     return m, e
@@ -364,7 +364,7 @@ def _step_sc(rows, q: complex, invert: bool, m: complex, e: int):
     m * 2^e, or its reciprocal when `invert`: the kernel's `qpoch_sc` with
     n = 1 on the rows shifted by their q^j. Named errors as `_poch_sc`."""
     xs = tuple(x * w for pairs, w, _ in rows for _, x in pairs)
-    m, e, status, slot, _ = _K.qpoch_sc(xs, q, 1, invert, POLE_EPS, m, e)
+    m, e, status, slot, _ = _K.qpoch_sc(xs, q, 1, invert, m, e)
     if status != _K.OK:
         _sc_stop(status, *[(name, j) for pairs, _, j in rows
                             for name, _ in pairs][slot])

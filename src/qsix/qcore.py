@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 from . import _backend as _K
-from .config import POLE_EPS, STAGNATION_WINDOW, ZERO_EPS
+from .config import STAGNATION_WINDOW, ZERO_EPS
 from .errors import BudgetExceeded, DomainError, PoleError
 
 
@@ -141,8 +141,7 @@ def _qpochhammer_sc(a: complex, ctx: QContext, n: int):
     a = _as_complex(a)
     if a == 0:
         return 1.0 + 0j, 0
-    m, e, status, _, k = _K.qpoch_sc((a,), ctx.q, int(n), False, POLE_EPS,
-                                     1.0 + 0j, 0)
+    m, e, status, _, k = _K.qpoch_sc((a,), ctx.q, int(n), False, 1.0 + 0j, 0)
     if status == _K.POLE:
         raise PoleError(
             f"(a;q)_{n} with a = {a}: factor 1 - a*q^({k}) vanishes",

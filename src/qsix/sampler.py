@@ -9,15 +9,15 @@ to those of the common library implementations keyed the same way, which
 the tests check. Every emitted tuple passes violations(); the same
 re-check is public so sweep consumers can audit samples independently.
 
-violations() audits t_params draws statically only (modulus ranges, the
-argument caps, pole margins). Their conditioning is judged on the walks
-the consuming check makes: `sample_checked` runs the check on each
-candidate and redraws from the same stream while it raises
-IllConditioned, which a sum raises when its term hump is over its
-policy's hump_max. A direct caller of sample("t_params") gets the cap by
-summing under TruncationPolicy(hump_max=...). trunc and bailey_a draws
-are still probed here: violations() walks the window sums and the
-bilateral sum their checks make.
+violations() is static for every kind: modulus ranges, the argument caps
+or the decay band, pole margins and the opt-in diff_amp_max. Conditioning
+is judged on the walks the consuming check makes: `sample_checked` runs
+the check on each candidate and redraws from the same stream while it
+raises IllConditioned, which a sum raises when its term hump is over its
+policy's hump_max. sample("bailey_a") passes it one such check, the
+bilateral sum in (a; b, c, d, e) that its checks make; a direct caller of
+sample("t_params") or sample("trunc") gets the cap by summing under
+TruncationPolicy(hump_max=...).
 """
 
 from __future__ import annotations
@@ -26,11 +26,10 @@ import math
 from dataclasses import dataclass, field
 from typing import Mapping
 
-from .errors import (BudgetExceeded, DomainError, IllConditioned,
-                     NonConvergence, PoleError, Unsatisfiable)
-from .qcore import DEFAULT_POLICY
-from .series import BaileyParams, TParams, TruncParams, _bilateral, _s_rows, \
-    _side, _t_row, _vwp_den
+from .errors import DomainError, IllConditioned, PoleError, Unsatisfiable
+from .qcore import QContext, TruncationPolicy
+from .series import BaileyParams, TParams, TruncParams, _s_rows, _t_row, \
+    vwp_psi6
 
 #: documented convergence_caps keys and their defaults. Caps not listed for
 #: a kind are ignored by it.
@@ -50,20 +49,14 @@ DEFAULT_CAPS = {
     # t_params: |C/q^3| range (C is constructed as w q^3)
     "t_arg_min": 0.05,
     "t_arg_max": 0.9,
-    # all kinds: bound on max |term| / |full sum| over the kernel walk of
-    # every series the draw feeds (min |partial sum| for truncated
-    # windows); caps the cancellation amplifier of term rounding in
-    # downstream checks. trunc and bailey_a draws are probed here, and a
-    # walk the kernel refuses counts as infinite; t_params draws are
-    # capped on their check's own walks, as TruncationPolicy.hump_max.
+    # all kinds: bound on max(1, max |term|) / |sum| of the series a
+    # draw's check sums, as TruncationPolicy.hump_max; caps the
+    # cancellation amplifier of term rounding in downstream checks
     "hump_max": 1e5,
 }
 
 _SHELL_LO = 0.25
 _SHELL_HI = 4.0
-
-#: kernel refusals that make a probe walk's hump infinite
-_WALK_ERRORS = (PoleError, BudgetExceeded, NonConvergence)
 
 
 @dataclass(frozen=True)
@@ -196,17 +189,6 @@ def _margin_bad(x: complex, q: complex, margin: float) -> bool:
     return False
 
 
-def _psi6_hump(a, num, q, z) -> float:
-    """Hump of the very-well-poised bilateral sum in (a; num) at argument
-    z, read from the walks that `vwp_psi6` sums. A walk the kernel refuses
-    (pole, budget, divergence) counts as infinite."""
-    try:
-        return _bilateral(num, _vwp_den(a, q, num), q, z, a, -1,
-                          DEFAULT_POLICY)[4]
-    except _WALK_ERRORS:
-        return float("inf")
-
-
 def _trunc_factors(p: TruncParams):
     """Factor arguments x whose 1 - x q^j must keep the pole margin for the
     window sums, the U/V sequences, the boundary term, and the closed
@@ -313,10 +295,6 @@ def violations(kind: str, params, constraints: SampleConstraints) -> list:
                 out.append(f"factor base {x:.6g} within pole margin of "
                            f"a q-shift of 1")
                 break
-        if not out and "kn_decay_base_min" not in con.convergence_caps:
-            h = _S_window_hump(p, N=8)
-            if h > con.cap("hump_max"):
-                out.append(f"window-sum term hump {h:.3g} exceeds cap")
         if not out and "diff_amp_max" in con.convergence_caps:
             amp = _diff_amp(p, lo=-5, hi=5)
             if amp > con.cap("diff_amp_max"):
@@ -330,10 +308,6 @@ def violations(kind: str, params, constraints: SampleConstraints) -> list:
                 out.append(f"factor base {x:.6g} within pole margin of "
                            f"a q-shift of 1")
                 break
-        if not out:
-            h = _psi6_hump(p.a, (p.b, p.c, p.d, p.e), q, p.series_arg)
-            if h > con.cap("hump_max"):
-                out.append(f"bilateral term hump {h:.3g} exceeds cap")
     else:
         arg = abs(p.series_arg)
         if not (con.cap("t_arg_min") <= arg <= con.cap("t_arg_max")):
@@ -344,26 +318,6 @@ def violations(kind: str, params, constraints: SampleConstraints) -> list:
                            f"a q-shift of 1")
                 break
     return out
-
-
-def _S_window_hump(p: TruncParams, N: int) -> float:
-    """Worst max-term over min-|partial-sum| across the two window-sum
-    families entering the recurrence check at window size N. Every
-    partial sum up to N is a consumed value, so the smallest one sets
-    the conditioning."""
-    worst = 0.0
-    q = p.q
-    for (A, C) in ((p.A, p.C), (p.A * q, p.C * q)):
-        num, den, a, z = _s_rows(q, A, p.B, C, p.D, p.E)
-        try:
-            _, _, _, _, mx, low = _side(num, den, q, z, +1, a, N + 1,
-                                        DEFAULT_POLICY)
-        except _WALK_ERRORS:
-            return float("inf")
-        if low == 0.0:
-            return float("inf")
-        worst = max(worst, max(1.0, mx) / low)
-    return worst
 
 
 def _diff_amp(p: TruncParams, lo: int, hi: int) -> float:
@@ -427,10 +381,19 @@ def sample(kind: str, constraints: SampleConstraints, seed: int,
     by (seed, draw index).
 
     trunc draws carry N = 0; window sizes are the consumer's choice.
+    bailey_a draws also keep the bilateral sum in (a; b, c, d, e) at
+    a^2 q/(bcde) within the constraints' hump_max.
     Raises Unsatisfiable when a draw index exhausts max_rejections.
     """
+    policy = TruncationPolicy(hump_max=constraints.cap("hump_max"))
+
+    def check(p):
+        if kind == "bailey_a":
+            vwp_psi6(p.a, (p.b, p.c, p.d, p.e), p.series_arg,
+                     QContext(p.q, policy))
+
     return [p for p, _ in sample_checked(kind, constraints, seed, count,
-                                         lambda p: None)]
+                                         check)]
 
 
 def sample_checked(kind: str, constraints: SampleConstraints, seed: int,

@@ -117,14 +117,13 @@ def _side(num, den, q, z, direction, vwp_a, fixed, policy,
     """Run one kernel direction and translate its status into errors. A
     nonzero vwp_a is the very-well-poised kernel parameter.
 
-    Returns (acc, tail, used, terminated, peak, low); peak and low are the
-    kernel's largest |term| and smallest |1 + partial sum|.
+    Returns (acc, tail, used, terminated, peak); peak is the kernel's
+    largest |term|.
     """
-    (acc, tail, used, status, bad_is_num, bad_slot, bad_exp, peak,
-     low) = _K.series_side(
-        tuple(num), tuple(den), q, z, direction, vwp_a, vwp_a != 0, fixed,
-        policy.tail_tol, policy.max_terms, STAGNATION_WINDOW, POLE_EPS,
-        ZERO_EPS, RECOMPUTE_EVERY)
+    acc, tail, used, status, bad_is_num, bad_slot, bad_exp, peak = \
+        _K.series_side(tuple(num), tuple(den), q, z, direction, vwp_a,
+                       vwp_a != 0, fixed, policy.tail_tol, policy.max_terms,
+                       STAGNATION_WINDOW, POLE_EPS, ZERO_EPS, RECOMPUTE_EVERY)
     if status == _K.POLE:
         if bad_is_num:
             name = (num_names[bad_slot] if num_names
@@ -140,7 +139,7 @@ def _side(num, den, q, z, direction, vwp_a, fixed, policy,
             f"series tail not below tolerance within {policy.max_terms} terms")
     if status == _K.DIVERGED:
         raise NonConvergence("series terms fail to decay")
-    return acc, tail, used, status == _K.TERMINATED, peak, low
+    return acc, tail, used, status == _K.TERMINATED, peak
 
 
 def _hump(peak: float, value: complex, policy, kind: str) -> float:
@@ -199,8 +198,8 @@ def eval_phi(spec: SeriesSpec, ctx: QContext) -> EvalResult:
     if spec.z == 0:
         return EvalResult(1.0 + 0j, 0.0, 1, True)
     den = (ctx.q,) + spec.denominators
-    acc, tail, used, exact, peak, _ = _side(spec.numerators, den, ctx.q,
-                                            spec.z, +1, 0j, -1, ctx.policy)
+    acc, tail, used, exact, peak = _side(spec.numerators, den, ctx.q,
+                                         spec.z, +1, 0j, -1, ctx.policy)
     _hump(peak, 1.0 + acc, ctx.policy, "unilateral")
     return EvalResult(1.0 + acc, tail, used + 1, exact)
 

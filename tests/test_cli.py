@@ -75,6 +75,18 @@ def test_eval_pochhammer_exact_zero_is_terminated():
     assert "terminated: true" in lines
 
 
+def test_eval_pochhammer_inf_overflowed_tail_bound_is_inf():
+    # |q| = 0.999 with a loose tail tolerance: the tail bound overflows
+    r = run("eval", "pochhammer-inf", "--a=-0.025,-1.5",
+            "--q=0.6011714986278861,-0.7978683031913861",
+            "--tail-tol", "0.4858")
+    assert r.returncode == 0, r.stderr
+    lines = r.stdout.splitlines()
+    assert math.isfinite(abs(complex(lines[0])))
+    assert "est_error: inf" in lines
+    assert "terminated: false" in lines
+
+
 def test_eval_theta_rejects_zero_argument():
     r = run("eval", "theta", "--x", "0,0", "--q", "0.5,0")
     assert r.returncode == 2

@@ -24,7 +24,7 @@ DIGESTS = {
     "q-constancy":
         "079c050f94bb451549a35904c3ea1beb635c277e5f1e98ebf9540adda29b6adf",
     "recurrence":
-        "a367798f35cd025b76521a772e258d7267aaae864ef1dde614d6f30a15ec91a6",
+        "e6fddbdb4fd1b4b6f38ffbe70cd62447a9425c4930fbe19cb7b7b5633cc4d672",
     "remark1":
         "cb158c942a6328bdf78e5f2c63d4893ea5fd809509addc02d16d2355d2b9dc41",
     "rogers":
@@ -32,9 +32,9 @@ DIGESTS = {
     "t-recursion":
         "ed77c3e52ed9ee109b5ac6507a622cc70a08a0c78744e5fca48b0956a3597993",
     "udiff":
-        "a6c5ab6f46d729e9e1da99bc975d68ab6343aad1f107f39e76e90ef7009e490b",
+        "a336c3c69ad7fd2feffc3d5505f1b27c20f1b0007e8e2f7f375f0ee010894b94",
     "vdiff":
-        "9731f754fcd9f95dee0f21554266e9ceb1f9a3323770c00c006fee9da21c9343",
+        "5d03521a79b8f265db465d9987ddce732664e9d0ec4b8f30a65ff560cc72d87b",
     "weierstrass":
         "21234ac2dec2c22967980c9aa3312c9c66a6af91b0a551fbd476708e3dffa218",
 }

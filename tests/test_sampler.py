@@ -1,13 +1,12 @@
-import dataclasses
+import hashlib
 
 import pytest
 
 from qsix import (DEFAULT_CAPS, SampleConstraints, TParams,
-                  TruncationPolicy, check_Q_constancy, cli, sample, series,
-                  violations)
+                  TruncationPolicy, check_Q_constancy, cli, sample, sampler,
+                  series, violations)
 from qsix.errors import DomainError, Unsatisfiable
-from qsix.identities import (check_bailey, check_recurrence, compute_U,
-                             compute_V)
+from qsix.identities import check_bailey, compute_U, compute_V
 
 KINDS = ("trunc", "bailey_a", "t_params")
 
@@ -135,15 +134,6 @@ def test_long_downward_probe_walk_stays_in_range():
     assert check_Q_constancy(p, steps=4).passed
 
 
-#: per probed kind, the check whose series the sampler's hump probes
-#: stand for: bailey-a sums vwp_psi6; the recurrence at N = 8 sums the
-#: windows S_9(A;C) and S_8(Aq;Cq) probed
-CHECKED_SERIES = {
-    "bailey_a": lambda p: check_bailey("a", p),
-    "trunc": lambda p: check_recurrence(dataclasses.replace(p, N=8)),
-}
-
-
 def _kernel_walks(monkeypatch, run) -> list:
     """((num, den, q, z, vwp_a), direction, acc, peak) of every kernel walk
     run() makes, in order."""
@@ -159,12 +149,6 @@ def _kernel_walks(monkeypatch, run) -> list:
         m.setattr(series._K, "series_side", spy)
         run()
     return walks
-
-
-def _walks(monkeypatch, run):
-    """(num, den, q, z, direction, vwp_a) of every kernel walk run() makes."""
-    return {(*row[:4], direction, row[4])
-            for row, direction, _, _ in _kernel_walks(monkeypatch, run)}
 
 
 def _humps(walks) -> list:
@@ -201,8 +185,6 @@ def test_t_draws_are_capped_on_their_checks_walks(identity, monkeypatch):
     for entry in rep.results:
         p = TParams(**{k: complex(v["re"], v["im"])
                        for k, v in entry["params"].items()})
-        assert not _kernel_walks(monkeypatch,
-                                 lambda: violations(kind, p, con))
         walks = _kernel_walks(monkeypatch,
                               lambda: runner(p, TruncationPolicy(), {}))
         humps = _humps(walks)
@@ -210,13 +192,46 @@ def test_t_draws_are_capped_on_their_checks_walks(identity, monkeypatch):
         runner(p, TruncationPolicy(hump_max=cap), {})
 
 
-@pytest.mark.parametrize("kind", sorted(CHECKED_SERIES))
-def test_probes_walk_the_checked_series(kind, monkeypatch):
-    # the hump the sampler caps must be that of a series the check sums,
-    # bit for bit, not of a rewritten parameter row
-    con = SampleConstraints()
-    for p in sample(kind, con, seed=7, count=10):
-        probed = _walks(monkeypatch, lambda: violations(kind, p, con))
-        summed = _walks(monkeypatch, lambda: CHECKED_SERIES[kind](p))
-        assert probed
-        assert probed <= summed
+#: (kind, convergence caps) of every sampled sweep
+SAMPLED = sorted({(kind, tuple(sorted(caps.items())))
+                  for kind, caps, _ in cli._SWEEPS.values() if kind})
+
+
+@pytest.mark.parametrize("kind, caps", SAMPLED, ids=[
+    "-".join((kind, *dict(caps))) for kind, caps in SAMPLED])
+def test_violations_makes_no_kernel_walk(kind, caps, monkeypatch):
+    # the audit is static for every kind; conditioning is judged on the
+    # walks of the check that consumes the draw
+    con = SampleConstraints(convergence_caps=dict(caps))
+    rng = sampler._rng(7, 0)
+    accepted = 0
+    for _ in range(20):
+        p = sampler._draw_once(kind, rng, con)
+        walks = _kernel_walks(monkeypatch, lambda: violations(kind, p, con))
+        assert not walks
+        accepted += not violations(kind, p, con)
+    assert accepted
+
+
+def test_bailey_draws_pass_the_capped_check():
+    # sample("bailey_a") caps the bilateral sum that check_bailey makes
+    policy = TruncationPolicy(hump_max=DEFAULT_CAPS["hump_max"])
+    for p in sample("bailey_a", SampleConstraints(), seed=3, count=30):
+        assert check_bailey("a", p, policy).passed
+
+
+#: SHA-256 of repr(sample("bailey_a", SampleConstraints(), seed, 300)),
+#: recorded while the hump cap was a walk inside violations(); the draws
+#: of direct callers must not move with where the cap is applied
+BAILEY_A_DRAWS = {
+    0: "1a83b0fcc503182613d5de585bbb94e1ddfeb5d0445f5f7aa4d75501898f535c",
+    1: "13c10a835ca3f89789fe1e8044ddc8a88e4f4b4c3b320338195e71adb1ff8e66",
+    2: "abdd583f035c23fb684087a2e1df688ad9ac034e51e68a5d72a5656037ce2f7a",
+}
+
+
+@pytest.mark.parametrize("seed", sorted(BAILEY_A_DRAWS))
+def test_bailey_draws_are_pinned(seed):
+    draws = sample("bailey_a", SampleConstraints(), seed, 300)
+    digest = hashlib.sha256(repr(draws).encode()).hexdigest()
+    assert digest == BAILEY_A_DRAWS[seed]
