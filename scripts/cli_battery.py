@@ -31,6 +31,14 @@ TRUNC = ["--q", "0.5,0", "--A", "2,0", "--B", "0.3,0", "--C", "3,0",
 #: |Cq^3| = 1.5: the K_N trace decays
 DECAY = ["--q", "0.5,0", "--A", "2,0", "--B", "0.3,0", "--C", "12,0",
          "--D", "0.7,0", "--E", "1.1,0"]
+#: draw 0 of the kn-decay sweep's constraints at seed 7: |Cq^3|^N leaves
+#: double range from N = 721 on, and the trace's products at N = 1453
+DEEP = ["--q=-0.1725449327356391,0.5888542634739417",
+        "--A=-0.3457868776715326,0.23375279228661966",
+        "--B=-0.043616728090425404,-0.12516465332302956",
+        "--C=-6.983978107630233,-9.242399533964713",
+        "--D=-0.19907636077886315,-0.18827245322853386",
+        "--E=0.024083875454167663,-0.10211358699091796"]
 T_ROW = ["--q", "0.5,0", "--X", "1.2,0", "--B", "0.3,0", "--C", "0.1,0",
          "--D", "0.35,0", "--E", "0.45,0"]
 BAILEY = ["--q", "0.5,0", "--a", "0.09,0", "--b", "0.6,0", "--c", "0.7,0",
@@ -102,6 +110,11 @@ def invocations(tmp: str) -> list:
         ["check", "q-constancy", *T_ROW, "--steps", "2"],
         ["check", "kn-decay", *DECAY, "--n-max", "40"],
     ]
+    out += [["check", "kn-decay", *DEEP, "--n-max", n]
+            for n in ("4", "200", "800", "2000")]
+    # Dq = q^2: the trace's factor 1 - (Dq) q^-3 vanishes at N = 2
+    out.append(["check", "kn-decay", *DECAY[:8], "--D", "0.25,0",
+                *DECAY[10:]])
     for name in sorted(CHECKS):
         base = ["sweep", "--identity", name, "--samples", "5", "--seed", "7"]
         out.append(base)

@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import cmath
 import dataclasses
+import math
+import sys
 from dataclasses import dataclass
 from typing import Mapping
 
@@ -44,6 +46,10 @@ DEFAULT_RTOL = {
 }
 
 _TINY = 1e-300
+
+#: logs of 2 and of the largest double
+_LOG_2 = math.log(2.0)
+_LOG_MAX = math.log(sys.float_info.max)
 
 #: relative tolerance on the remark-1 series-argument match
 _REMARK1_ARG_RTOL = 1e-15
@@ -359,64 +365,39 @@ def compute_KN(p: TruncParams) -> complex:
                      _poch_sc(den, q, N + 1, True, 1.0 + 0j, 0))
 
 
-def _step_sc(rows, q: complex, invert: bool, m: complex, e: int):
-    """Multiply one factor 1 - x q^j per x of each (pairs, q^j, j) row onto
-    m * 2^e, or its reciprocal when `invert`: the kernel's `qpoch_sc` with
-    n = 1 on the rows shifted by their q^j. Named errors as `_poch_sc`."""
-    xs = tuple(x * w for pairs, w, _ in rows for _, x in pairs)
-    m, e, status, slot, _ = _K.qpoch_sc(xs, q, 1, invert, m, e)
-    if status != _K.OK:
-        _sc_stop(status, *[(name, j) for pairs, _, j in rows
-                            for name, _ in pairs][slot])
-    return m, e
-
-
 def kn_trace(p: TruncParams, N_max: int) -> list:
     """K_N for N = 0..N_max in one pass; p.N is not read.
 
-    Each product of compute_KN is carried from N to N+1 and gains one
-    factor per row slot, and each power of Cq^3 one multiply, so the pass
-    costs O(N_max) factors where N_max + 1 compute_KN calls cost
-    O(N_max^2). q^{+-j} is carried as `qpoch_sc` builds it (w *= q upward,
-    w /= q downward), so every factor 1 - x q^j is bit for bit the one
-    compute_KN multiplies; only the multiply order differs. The leading
-    factor 1 - Aq^{1-N} of the V U product at -N-1 is not a running
-    product and is applied after the carried one. A vanishing dividing
+    The kernel's `kn_trace_sc` carries each product of compute_KN from N
+    to N+1, one factor per row slot and one multiply per power of Cq^3, so
+    the pass costs O(N_max) factors where N_max + 1 compute_KN calls cost
+    O(N_max^2). Every factor 1 - x q^j is bit for bit the one compute_KN
+    multiplies; only the multiply order differs. Each K_N is assembled from
+    the carried pieces as compute_KN assembles it. A vanishing dividing
     factor raises PoleError naming it and its exponent, at the first N
-    whose compute_KN contains it.
+    whose compute_KN contains it; a product that leaves double range
+    raises DomainError.
     """
+    if N_max < 0:
+        raise DomainError("N_max must be >= 0")
     _require_bde(p)
-    q, A, C = p.q, p.A, p.C
-    cq3 = C * q ** 3
-    ck = (_kn_coefficient(p), 0)
+    q = p.q
+    coeff = _kn_coefficient(p)
     vnum, vden = _v_rows(p)
     unum, uden = _u_rows(p)
-    vnum, uden = vnum[1:], uden[:-1]
     num, den = _k3_rows(p)
+    rows = (vnum[1:], vden, unum, uden[:-1], num, den)
     kden = _kn_den(p)
-    low = high = num3 = den3 = (1.0 + 0j, 0)
-    up = down = 1.0 + 0j
-    out = []
-    for N in range(N_max + 1):
-        # V_{-N-1} holds the factors j = -1..-N, U_{-N-1} also j = -N-1
-        vdown, down = down, down / q
-        low = _step_sc(((vnum if N else (), vdown, -N),
-                        (unum, down, -N - 1)), q, True, *low)
-        low = _step_sc(((vden if N else (), vdown, -N),
-                        (uden, down, -N - 1)), q, False, *low)
-        low = _pow_sc(cq3, 1, *low)
-        # V_N U_{N+1} and the K3 rows hold the factors j = 0..N
-        high = _step_sc(((vnum + unum, up, N),), q, False, *high)
-        high = _step_sc(((vden + uden, up, N),), q, True, *high)
-        num3 = _step_sc(((num, up, N),), q, False, *num3)
-        den3 = _step_sc(((den, up, N),), q, True, *den3)
-        up = up * q
-        if N:
-            ck = _pow_sc(cq3, 1, *ck)
-            high = _pow_sc(cq3, -1, *high)
-        lead = _pow_sc(1.0 - A * _K.cpow_int(q, 1 - N), 1, *low)
-        out.append(_kn_value(p, N, lead, high, ck, kden, num3, den3))
-    return out
+    pieces, status, row, slot, k = _K.kn_trace_sc(
+        *(tuple(x for _, x in r) for r in rows), q, p.A, p.C * q ** 3,
+        coeff, N_max)
+    out = [_kn_value(p, N, *piece[:3], kden, *piece[3:])
+           for N, piece in enumerate(pieces)]
+    if status == _K.OK:
+        return out
+    if row < 0:
+        raise DomainError("scaled q-product left double range")
+    _sc_stop(status, rows[row][slot][0], k)
 
 
 def compute_KN_printed(p: TruncParams) -> complex:
@@ -524,6 +505,21 @@ def kn_limit(p: TruncParams, policy: TruncationPolicy | None = None) -> complex:
     return pref * (th1.value - scale * th2.value) / bot.value
 
 
+def _decay_magnitude(kn: complex, base: float, N: int) -> float:
+    """|kn| / base**N; taken in logs where base**N or |kn| leaves double
+    range, so it comes out as 0.0 or inf only where the quotient itself
+    leaves that range."""
+    try:
+        return abs(kn) / base ** N
+    except (OverflowError, ZeroDivisionError):
+        pass
+    half = math.hypot(0.5 * kn.real, 0.5 * kn.imag)
+    if not 0.0 < half < math.inf:
+        return half
+    log = math.log(half) + _LOG_2 - N * math.log(base)
+    return math.exp(log) if log <= _LOG_MAX else math.inf
+
+
 def check_KN_decay(p: TruncParams, N_max: int = 80, tol: float =
                    DEFAULT_RTOL["kn-decay"],
                    policy: TruncationPolicy | None = None) -> KNDecayReport:
@@ -545,7 +541,7 @@ def check_KN_decay(p: TruncParams, N_max: int = 80, tol: float =
         raise DomainError("N_max too small to judge decay")
     base = abs(p.C * p.q ** 3)
     kns = kn_trace(p, N_max)
-    mags = [abs(kn) / base ** N for N, kn in enumerate(kns)]
+    mags = [_decay_magnitude(kn, base, N) for N, kn in enumerate(kns)]
     kn = kns[-1]
     lim = kn_limit(p, policy)
     scale = max(abs(kn), abs(lim))

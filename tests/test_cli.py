@@ -104,6 +104,32 @@ def test_check_recurrence_matches_library():
     assert float(lines["rel_err"]) <= 1e-9
 
 
+#: draw 0 of the kn-decay sweep's constraints at seed 7, |Cq^3| = 2.68
+KN_DEEP_FLAGS = ["--q=-0.1725449327356391,0.5888542634739417",
+                 "--A=-0.3457868776715326,0.23375279228661966",
+                 "--B=-0.043616728090425404,-0.12516465332302956",
+                 "--C=-6.983978107630233,-9.242399533964713",
+                 "--D=-0.19907636077886315,-0.18827245322853386",
+                 "--E=0.024083875454167663,-0.10211358699091796"]
+
+
+def test_check_kn_decay_past_double_range_of_the_power():
+    # |Cq^3|^N overflows from N = 721 on: the magnitudes used to raise a
+    # raw OverflowError
+    r = run("check", "kn-decay", *KN_DEEP_FLAGS, "--n-max", "800")
+    assert r.returncode == 0, r.stderr
+    lines = dict(ln.split(": ", 1) for ln in r.stdout.splitlines())
+    assert lines["passed"] == "true"
+    assert lines["final_magnitude"] == "0.0"
+
+
+def test_check_kn_decay_product_out_of_double_range_is_domain_error():
+    r = run("check", "kn-decay", *KN_DEEP_FLAGS, "--n-max", "2000")
+    assert r.returncode == 2
+    assert r.stderr.strip() == ("domain error: scaled q-product left double "
+                                "range at factor 1 - (Bq)*q^(-1454)")
+
+
 def test_check_json_format():
     r = run("check", "recurrence", *RECURRENCE_FLAGS, "--format", "json")
     assert r.returncode == 0

@@ -481,6 +481,107 @@ def test_kn_trace_raises_compute_kn_pole():
     assert str(got.value) == str(want)
 
 
+# a factor of each dividing row of the trace's products made to vanish at
+# a known N (q = 1/2, so every q-power is exact): (changed parameters, the
+# N of the stop, factor, exponent)
+KN_TRACE_POLES = {
+    # V numerator, in V_{-N-1}: BCDEq/A^2 = q^2
+    "v-num": ({"C": 0.25 * 4.0 / (0.3 * 0.7 * 1.1 * 0.5)}, 2, "BCDEq/A^2",
+              -2),
+    # U numerator, in U_{-N-1}: Dq = q^3
+    "u-num": ({"D": 0.25}, 2, "Dq", -3),
+    # V denominator, in V_N: BDE/A^2q^2 = q^-1
+    "v-den": ({"E": 4.0 * 0.5 / (0.3 * 0.7)}, 1, "BDE/A^2q^2", 1),
+    # U denominator, in U_{N+1}: BE/A = 1 (at N > 0 the K3 row's BEq/A
+    # would vanish one N sooner)
+    "u-den": ({"E": 2.0 / 0.3}, 0, "BE/A", 0),
+    # K3 denominator: BDq/A = q^-1
+    "k3-den": ({"D": 2.0 / (0.3 * 0.25)}, 1, "BDq/A", 1),
+}
+
+
+@pytest.mark.parametrize("change, n_stop, factor, exponent",
+                         KN_TRACE_POLES.values(), ids=KN_TRACE_POLES)
+def test_kn_trace_pole_in_each_dividing_row(change, n_stop, factor,
+                                            exponent):
+    p = dataclasses.replace(GENERIC, **change)
+    if n_stop:
+        assert len(kn_trace(p, n_stop - 1)) == n_stop
+    with pytest.raises(PoleError) as got:
+        kn_trace(p, n_stop + 3)
+    assert (got.value.factor, got.value.exponent) == (factor, exponent)
+    assert str(got.value) == f"factor 1 - ({factor})*q^({exponent}) vanishes"
+
+
+def test_kn_trace_runs_on_past_a_vanished_k3_numerator_factor():
+    # Eq = q^-1: the K3 numerator row (and U_{N+1} in the V U product at N)
+    # only multiplies, so from N = 1 on its vanished factor zeroes K3 and
+    # that product, and the trace runs on
+    p = dataclasses.replace(GENERIC, E=4.0, C=12.0)
+    trace = kn_trace(p, 4)
+    assert len(trace) == 5
+    for N, kn in enumerate(trace):
+        want = compute_KN(dataclasses.replace(p, N=N))
+        assert abs(kn - want) <= 1e-12 * abs(want), N
+
+
+#: draw 0 of the kn-decay sweep's constraints at seed 7, |Cq^3| = 2.68
+KN_DEEP = TruncParams(
+    q=-0.1725449327356391 + 0.5888542634739417j,
+    A=-0.3457868776715326 + 0.23375279228661966j,
+    B=-0.043616728090425404 - 0.12516465332302956j,
+    C=-6.983978107630233 - 9.242399533964713j,
+    D=-0.19907636077886315 - 0.18827245322853386j,
+    E=0.024083875454167663 - 0.10211358699091796j, N=0)
+
+
+def test_kn_deep_point_is_the_sampled_draw():
+    assert sample("trunc", KN_DECAY_DRAWS, 7, 1)[0] == KN_DEEP
+
+
+def test_kn_trace_product_out_of_double_range_is_domain_error():
+    # the downward V U product's factor 1 - (Bq) q^-1454 overflows
+    with pytest.raises(DomainError) as got:
+        kn_trace(KN_DEEP, 2000)
+    assert str(got.value) == ("scaled q-product left double range at "
+                              "factor 1 - (Bq)*q^(-1454)")
+    assert len(kn_trace(KN_DEEP, 1452)) == 1453
+
+
+def test_kn_trace_rejects_negative_n_max():
+    with pytest.raises(DomainError, match="N_max must be >= 0"):
+        kn_trace(GENERIC, -1)
+
+
+def test_kn_decay_magnitude_past_double_range_of_the_power():
+    # |Cq^3|^N overflows from N = 721 on; the magnitudes up to N = 80 stay
+    # bit for bit those of the default trace
+    rep = check_KN_decay(KN_DEEP, N_max=800)
+    assert rep.passed
+    assert rep.magnitudes[:81] == check_KN_decay(KN_DEEP).magnitudes
+    assert all(0.0 <= m < math.inf for m in rep.magnitudes)
+    base = abs(KN_DEEP.C * KN_DEEP.q ** 3)
+    kn = kn_trace(KN_DEEP, 725)[-1]
+    with mpmath.workdps(30):
+        want = float(mpmath.mpf(abs(kn)) / mpmath.mpf(base) ** 725)
+    assert 1e-307 < want < 1e-300
+    assert abs(rep.magnitudes[725] - want) <= 1e-12 * want
+    assert rep.final_magnitude == 0.0
+
+
+def test_kn_decay_product_out_of_double_range_is_domain_error():
+    with pytest.raises(DomainError, match=r"q\^\(-1454\)"):
+        check_KN_decay(KN_DEEP, N_max=2000)
+
+
+@pytest.mark.parametrize("n_max", range(5))
+def test_kn_trace_length(n_max):
+    p = dataclasses.replace(GENERIC, C=12.0)
+    trace = kn_trace(p, n_max)
+    assert len(trace) == n_max + 1
+    assert trace == kn_trace(p, 4)[:n_max + 1]
+
+
 def _mp_vu(n, offset, p):
     """V_n U_{n+offset} with V's (Aq^2;q)_{n+1} over U's (Aq^2;q)_{n+offset}
     taken as their quotient, 1 for offset 1 and 1 - Aq^{n+2} for 0."""

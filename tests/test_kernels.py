@@ -15,16 +15,27 @@ tail bound that overflows.
 stretches. A seeded fuzz holds both to `repr`-equal returns with reference
 copies that test every factor, on inputs that put factors on, next to and
 far from their zeros and poles.
+
+`kn_trace_sc` carries a whole K_N decay trace in one call. Another fuzz
+holds `kn_trace` to a reference trace that makes one `qpoch_sc` call per
+row step: `repr`-equal lists, or the same exception and message. Its
+draws come from the kn-decay band and from plain trunc draws, some with a
+factor set on or next to its pole or zero, at N_max up to 200 and at
+depths where a product leaves double range.
 """
 
 import cmath
+import dataclasses
 import math
 import random
 
 import pytest
 from test_series import poch_oracle, psi_term_oracle
 
+from qsix import SampleConstraints, TruncParams, sample
 from qsix import _backend as K
+from qsix import identities as ID
+from qsix.errors import QSixError
 from qsix._kernels_py import (BUDGET, DIVERGED, OK, POLE, TERMINATED,
                               _OVERFLOW, _crossing, _stop, cpow_int)
 
@@ -517,3 +528,119 @@ def test_series_side_matches_the_fully_tested_walk():
     for args in cases:
         assert (_outcome(K.series_side, args)
                 == _outcome(ref_series_side, args)), args
+
+
+# --- the K_N trace with one `qpoch_sc` call per row step, kept as the
+# reference that the one-call kernel must reproduce bit for bit ---
+
+
+def _ref_step_sc(rows, q: complex, invert: bool, m: complex, e: int):
+    """One factor 1 - x q^j per x of each (pairs, q^j, j) row onto m * 2^e,
+    or its reciprocal when `invert`: `qpoch_sc` with n = 1 on the rows
+    shifted by their q^j."""
+    xs = tuple(x * w for pairs, w, _ in rows for _, x in pairs)
+    m, e, status, slot, _ = K.qpoch_sc(xs, q, 1, invert, m, e)
+    if status != K.OK:
+        ID._sc_stop(status, *[(name, j) for pairs, _, j in rows
+                               for name, _ in pairs][slot])
+    return m, e
+
+
+def ref_kn_trace(p, N_max: int) -> list:
+    """K_N for N = 0..N_max, each product carried from N to N+1 one row
+    step at a time."""
+    ID._require_bde(p)
+    q, A, C = p.q, p.A, p.C
+    cq3 = C * q ** 3
+    ck = (ID._kn_coefficient(p), 0)
+    vnum, vden = ID._v_rows(p)
+    unum, uden = ID._u_rows(p)
+    vnum, uden = vnum[1:], uden[:-1]
+    num, den = ID._k3_rows(p)
+    kden = ID._kn_den(p)
+    low = high = num3 = den3 = (1.0 + 0j, 0)
+    up = down = 1.0 + 0j
+    out = []
+    for N in range(N_max + 1):
+        vdown, down = down, down / q
+        low = _ref_step_sc(((vnum if N else (), vdown, -N),
+                            (unum, down, -N - 1)), q, True, *low)
+        low = _ref_step_sc(((vden if N else (), vdown, -N),
+                            (uden, down, -N - 1)), q, False, *low)
+        low = ID._pow_sc(cq3, 1, *low)
+        high = _ref_step_sc(((vnum + unum, up, N),), q, False, *high)
+        high = _ref_step_sc(((vden + uden, up, N),), q, True, *high)
+        num3 = _ref_step_sc(((num, up, N),), q, False, *num3)
+        den3 = _ref_step_sc(((den, up, N),), q, True, *den3)
+        up = up * q
+        if N:
+            ck = ID._pow_sc(cq3, 1, *ck)
+            high = ID._pow_sc(cq3, -1, *high)
+        lead = ID._pow_sc(1.0 - A * cpow_int(q, 1 - N), 1, *low)
+        out.append(ID._kn_value(p, N, lead, high, ck, kden, num3, den3))
+    return out
+
+
+def _trace_outcome(trace, p, n_max):
+    """repr of a trace, or what it raised with its message and factor."""
+    try:
+        return repr(trace(p, n_max))
+    except (QSixError, ArithmeticError) as exc:
+        return repr((type(exc).__name__, str(exc),
+                     getattr(exc, "factor", None),
+                     getattr(exc, "exponent", None)))
+
+
+#: ways to put one factor of a trace row on, or next to, 1 - t q^-k = 0
+#: for t = q^k (1 + eps): the V and U numerators (poles downward), the V
+#: denominator, the U denominator or K3's BEq/A one N sooner, K3's
+#: denominators, and the U and K3 numerator Eq (an exact zero)
+_KN_STOPS = (
+    lambda p, t: {"D": t},
+    lambda p, t: {"C": t * p.A * p.A / (p.B * p.D * p.E * p.q)},
+    lambda p, t: {"E": p.A * p.A * p.q * p.q / (p.B * p.D * t)},
+    lambda p, t: {"E": p.A / (p.B * t)},
+    lambda p, t: {"D": p.A / (p.B * p.q * t)},
+    lambda p, t: {"C": p.A * t},
+    lambda p, t: {"E": 1.0 / (p.q * t)},
+)
+
+
+KN_DECAY = SampleConstraints(convergence_caps={"kn_decay_base_min": 1.5})
+
+
+def _kn_trace_cases():
+    rng = random.Random(15)
+    band = sample("trunc", KN_DECAY, 15, 200)
+    plain = sample("trunc", SampleConstraints(), 15, 150)
+    stopped = []
+    for p in rng.sample(band, 75) + rng.sample(plain, 75):
+        eps = rng.choice((0.0, 1e-16, 1e-13, 1e-11))
+        phase = cmath.exp(1j * rng.uniform(-math.pi, math.pi))
+        t = p.q ** rng.randint(0, 6) * (1.0 + eps * phase)
+        stopped.append(dataclasses.replace(
+            p, **rng.choice(_KN_STOPS)(p, t)))
+    cases = [(p, rng.choice((0, 1, 2, 3, 4, 80, 80, rng.randint(5, 200))))
+             for p in band + plain + stopped]
+    generic = TruncParams(q=0.5, A=2.0, B=0.3, C=3.0, D=0.7, E=1.1, N=0)
+    # the poles pinned row by row in test_identities.py, and a vanished K3
+    # numerator factor
+    for change in ({"C": 0.5}, {"C": 8.658008658008658}, {"D": 0.25},
+                   {"E": 9.523809523809524}, {"E": 6.666666666666667},
+                   {"D": 26.666666666666668}, {"E": 4.0, "C": 12.0},
+                   # Aq/B and BDEq/A vanish in the coefficient at once; A^2
+                   # underflows
+                   {"B": 1.0, "D": 2.0 / 0.55}, {"A": 1e-200}):
+        cases.append((dataclasses.replace(generic, **change), 6))
+    # downward factors that leave double range, the first at N = 1453
+    cases.append((sample("trunc", KN_DECAY, 7, 1)[0], 2000))
+    cases += [(p, 3000) for p in plain[:8] + band[:4]]
+    return cases
+
+
+def test_kn_trace_matches_the_row_step_trace():
+    cases = _kn_trace_cases()
+    assert len(cases) >= 500
+    for p, n_max in cases:
+        assert (_trace_outcome(ID.kn_trace, p, n_max)
+                == _trace_outcome(ref_kn_trace, p, n_max)), (p, n_max)
