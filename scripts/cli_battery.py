@@ -39,6 +39,9 @@ DEEP = ["--q=-0.1725449327356391,0.5888542634739417",
         "--C=-6.983978107630233,-9.242399533964713",
         "--D=-0.19907636077886315,-0.18827245322853386",
         "--E=0.024083875454167663,-0.10211358699091796"]
+#: A = 1e-200: A^2 q^2 underflows to 0
+TINY_A = ["--q", "0.5,0", "--A", "1e-200,0", "--B", "0.3,0", "--C", "12,0",
+          "--D", "0.7,0", "--E", "1.1,0"]
 T_ROW = ["--q", "0.5,0", "--X", "1.2,0", "--B", "0.3,0", "--C", "0.1,0",
          "--D", "0.35,0", "--E", "0.45,0"]
 BAILEY = ["--q", "0.5,0", "--a", "0.09,0", "--b", "0.6,0", "--c", "0.7,0",
@@ -158,6 +161,10 @@ def invocations(tmp: str) -> list:
         ["check", "weierstrass", "--b=1.5e308,1.5e308", "--c=0.3,0.1",
          "--x=0.5,0.2", "--z=0.7,0"],
     ]
+    # A^2 q^2 underflows to 0
+    out += [["check", name, *TINY_A] for name in ("kn-decay", "recurrence",
+                                                  "udiff", "vdiff")]
+    out.append(["eval", "s-trunc", *TINY_A, "--N", "3"])
     out += [["check", "weierstrass", *WEIER, flag, value]
             for flag, value in (("--q", "0.9,0"), ("--tail-tol", "0.5"),
                                 ("--max-terms", "1"))]

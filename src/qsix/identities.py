@@ -299,23 +299,6 @@ def _require_bde(p: TruncParams) -> None:
         raise DomainError("B, D, E must be nonzero here")
 
 
-def _vu_sc(n: int, offset: int, p: TruncParams):
-    """V_n U_{n+offset} for offset 0 or 1, scale-tracked.
-
-    The (Aq^2;q) pair shared by V's numerator and U's denominator cancels
-    outright for offset 1 and collapses to the single factor (1 - Aq^{n+2})
-    for offset 0, where the separate sequences have a removable 0*inf."""
-    q, A, C = p.q, p.A, p.C
-    vnum, vden = _v_rows(p)
-    unum, uden = _u_rows(p)
-    m = 1.0 - A * _K.cpow_int(q, n + 2) if offset == 0 else 1.0 + 0j
-    m, e = _poch_sc(vnum[1:], q, n + 1, False, m, 0)
-    m, e = _poch_sc(vden, q, n + 1, True, m, e)
-    m, e = _poch_sc(unum, q, n + offset, False, m, e)
-    m, e = _poch_sc(uden[:-1], q, n + offset, True, m, e)
-    return _pow_sc(C * q ** 3, -n, m, e)
-
-
 def _k3_rows(p: TruncParams):
     """(numerator, denominator) rows of the window correction K3, taken to
     index N+1: (Bq, Dq, Eq, BCDEq^2/A^2) over (A/C, BDq/A, BEq/A, DEq/A)."""
@@ -345,41 +328,15 @@ def _kn_value(p: TruncParams, N: int, low, high, ck, kden: complex, num3,
     return k1 - k2 + k3 * _K.cpow_int(q, N - 2) / C
 
 
-def compute_KN(p: TruncParams) -> complex:
-    """Boundary term K_N assembled from its three constituents.
+def _kn_pieces(p: TruncParams, N_max: int) -> list:
+    """The scale-tracked pieces of K_N for N = 0..N_max from one
+    `kn_trace_sc` call (see there), or the PoleError or DomainError of the
+    first factor that stops it.
 
-    K_N = K1 - K2 + K3 * q^{N-2}/C with K1/K2 the two evaluated boundary
-    products V U at -N-1 and (N, N+1) times the shared coefficient and
-    (Cq^3)^N, and K3 the off-by-one window correction term. The V U pieces
-    are evaluated fused and scale-tracked: their intermediates grow
-    superexponentially in N while K_N itself stays bounded.
-    """
-    _require_bde(p)
-    q, C, N = p.q, p.C, p.N
-    ck = _pow_sc(C * q ** 3, N, _kn_coefficient(p), 0)
-    low = _vu_sc(-N - 1, 0, p)
-    high = _vu_sc(N, 1, p)
-    num, den = _k3_rows(p)
-    return _kn_value(p, N, low, high, ck, _kn_den(p),
-                     _poch_sc(num, q, N + 1, False, 1.0 + 0j, 0),
-                     _poch_sc(den, q, N + 1, True, 1.0 + 0j, 0))
-
-
-def kn_trace(p: TruncParams, N_max: int) -> list:
-    """K_N for N = 0..N_max in one pass; p.N is not read.
-
-    The kernel's `kn_trace_sc` carries each product of compute_KN from N
-    to N+1, one factor per row slot and one multiply per power of Cq^3, so
-    the pass costs O(N_max) factors where N_max + 1 compute_KN calls cost
-    O(N_max^2). Every factor 1 - x q^j is bit for bit the one compute_KN
-    multiplies; only the multiply order differs. Each K_N is assembled from
-    the carried pieces as compute_KN assembles it. A vanishing dividing
-    factor raises PoleError naming it and its exponent, at the first N
-    whose compute_KN contains it; a product that leaves double range
-    raises DomainError.
-    """
-    if N_max < 0:
-        raise DomainError("N_max must be >= 0")
+    The (Aq^2;q) pair shared by V's numerator and U's denominator cancels
+    outright in V_N U_{N+1} and collapses to the leading factor 1 - Aq^{1-N}
+    in V_{-N-1} U_{-N-1}, where the separate sequences have a removable
+    0*inf; so neither row carries it."""
     _require_bde(p)
     q = p.q
     coeff = _kn_coefficient(p)
@@ -387,22 +344,52 @@ def kn_trace(p: TruncParams, N_max: int) -> list:
     unum, uden = _u_rows(p)
     num, den = _k3_rows(p)
     rows = (vnum[1:], vden, unum, uden[:-1], num, den)
-    kden = _kn_den(p)
     pieces, status, row, slot, k = _K.kn_trace_sc(
         *(tuple(x for _, x in r) for r in rows), q, p.A, p.C * q ** 3,
         coeff, N_max)
-    out = [_kn_value(p, N, *piece[:3], kden, *piece[3:])
-           for N, piece in enumerate(pieces)]
     if status == _K.OK:
-        return out
+        return pieces
     if row < 0:
         raise DomainError("scaled q-product left double range")
     _sc_stop(status, rows[row][slot][0], k)
 
 
+def compute_KN(p: TruncParams) -> complex:
+    """Boundary term K_N at N = p.N, the last entry of `kn_trace(p, p.N)`.
+
+    K_N = K1 - K2 + K3 * q^{N-2}/C with K1/K2 the two evaluated boundary
+    products V U at -N-1 and (N, N+1) times the shared coefficient and
+    (Cq^3)^N, and K3 the off-by-one window correction term. The V U pieces
+    are scale-tracked: their intermediates grow superexponentially in N
+    while K_N itself stays bounded.
+    """
+    piece = _kn_pieces(p, p.N)[-1]
+    return _kn_value(p, p.N, *piece[:3], _kn_den(p), *piece[3:])
+
+
+def kn_trace(p: TruncParams, N_max: int) -> list:
+    """K_N for N = 0..N_max in one pass; p.N is not read.
+
+    The kernel's `kn_trace_sc` carries each product of K_N from N to N+1,
+    one factor per row slot and one multiply per power of Cq^3, so the
+    pass costs O(N_max) factors. compute_KN is the last entry of the same
+    pass: compute_KN(p) == kn_trace(p, p.N)[p.N] bit for bit. A vanishing
+    dividing factor raises PoleError naming it and its exponent, at the
+    first N whose K_N contains it; a product that leaves double range
+    raises DomainError.
+    """
+    if N_max < 0:
+        raise DomainError("N_max must be >= 0")
+    pieces = _kn_pieces(p, N_max)
+    kden = _kn_den(p)
+    return [_kn_value(p, N, *piece[:3], kden, *piece[3:])
+            for N, piece in enumerate(pieces)]
+
+
 def compute_KN_printed(p: TruncParams) -> complex:
-    """K_N in its fully displayed three-summand form (cross-check only;
-    compute_KN is the primary definition)."""
+    """K_N in its fully displayed three-summand form: an independent
+    cross-check of compute_KN, which assembles K_N from the scale-tracked
+    pieces of `kn_trace_sc`."""
     _require_bde(p)
     q, A, B, C, D, E, N = p.q, p.A, p.B, p.C, p.D, p.E, p.N
     s1 = (_K.cpow_int(q, N - 2)

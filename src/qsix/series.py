@@ -60,6 +60,8 @@ class TruncParams:
             raise DomainError("|q| must lie in (0, 1)")
         if self.A == 0 or self.C == 0:
             raise DomainError("A and C must be nonzero")
+        if self.A * self.A * self.q * self.q == 0:
+            raise DomainError("A^2 q^2 underflows to 0")
         if self.N < 0:
             raise DomainError("window size N must be >= 0")
 

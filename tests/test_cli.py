@@ -130,6 +130,23 @@ def test_check_kn_decay_product_out_of_double_range_is_domain_error():
                                 "range at factor 1 - (Bq)*q^(-1454)")
 
 
+#: A^2 q^2 underflows to 0; the K_N, U and V rows divide by it
+TINY_A_FLAGS = ["--q", "0.5,0", "--A", "1e-200,0", "--B", "0.3,0",
+                "--C", "12,0", "--D", "0.7,0", "--E", "1.1,0"]
+
+
+@pytest.mark.parametrize("args", [
+    ("check", "kn-decay"), ("check", "recurrence"), ("check", "udiff"),
+    ("check", "vdiff"), ("eval", "s-trunc", "--N", "3"),
+])
+def test_underflowed_a_squared_is_domain_error(args):
+    # these used to exit 1 with a raw ZeroDivisionError
+    r = run(*args[:2], *TINY_A_FLAGS, *args[2:])
+    assert r.returncode == 2
+    assert "domain error" in r.stderr
+    assert "Traceback" not in r.stderr
+
+
 def test_check_json_format():
     r = run("check", "recurrence", *RECURRENCE_FLAGS, "--format", "json")
     assert r.returncode == 0

@@ -24,7 +24,7 @@ DIGESTS = {
     "q-constancy":
         "079c050f94bb451549a35904c3ea1beb635c277e5f1e98ebf9540adda29b6adf",
     "recurrence":
-        "e6fddbdb4fd1b4b6f38ffbe70cd62447a9425c4930fbe19cb7b7b5633cc4d672",
+        "0d8b877305da44ccef58c5a2be14292d3554d8291b784bb18256b3dcea498463",
     "remark1":
         "cb158c942a6328bdf78e5f2c63d4893ea5fd809509addc02d16d2355d2b9dc41",
     "rogers":

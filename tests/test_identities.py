@@ -456,11 +456,11 @@ KN_DECAY_DRAWS = SampleConstraints(
 @pytest.mark.parametrize("p", [dataclasses.replace(GENERIC, C=12.0)]
                          + sample("trunc", KN_DECAY_DRAWS, 7, 20))
 def test_kn_trace_matches_compute_kn(p):
+    # compute_KN is the last entry of the same kernel pass: equal bit for bit
     trace = kn_trace(p, 80)
     assert len(trace) == 81
     for N, kn in enumerate(trace):
-        want = compute_KN(dataclasses.replace(p, N=N))
-        assert abs(kn - want) <= 1e-12 * abs(want), N
+        assert compute_KN(dataclasses.replace(p, N=N)) == kn, N
 
 
 def test_kn_trace_raises_compute_kn_pole():
@@ -511,6 +511,10 @@ def test_kn_trace_pole_in_each_dividing_row(change, n_stop, factor,
         kn_trace(p, n_stop + 3)
     assert (got.value.factor, got.value.exponent) == (factor, exponent)
     assert str(got.value) == f"factor 1 - ({factor})*q^({exponent}) vanishes"
+    with pytest.raises(PoleError) as single:
+        compute_KN(dataclasses.replace(p, N=n_stop))
+    assert (single.value.factor, single.value.exponent) == (factor, exponent)
+    assert str(single.value) == str(got.value)
 
 
 def test_kn_trace_runs_on_past_a_vanished_k3_numerator_factor():
@@ -521,8 +525,7 @@ def test_kn_trace_runs_on_past_a_vanished_k3_numerator_factor():
     trace = kn_trace(p, 4)
     assert len(trace) == 5
     for N, kn in enumerate(trace):
-        want = compute_KN(dataclasses.replace(p, N=N))
-        assert abs(kn - want) <= 1e-12 * abs(want), N
+        assert compute_KN(dataclasses.replace(p, N=N)) == kn, N
 
 
 #: draw 0 of the kn-decay sweep's constraints at seed 7, |Cq^3| = 2.68
@@ -546,6 +549,9 @@ def test_kn_trace_product_out_of_double_range_is_domain_error():
     assert str(got.value) == ("scaled q-product left double range at "
                               "factor 1 - (Bq)*q^(-1454)")
     assert len(kn_trace(KN_DEEP, 1452)) == 1453
+    with pytest.raises(DomainError) as single:
+        compute_KN(dataclasses.replace(KN_DEEP, N=1453))
+    assert str(single.value) == str(got.value)
 
 
 def test_kn_trace_rejects_negative_n_max():

@@ -35,7 +35,7 @@ from test_series import poch_oracle, psi_term_oracle
 from qsix import SampleConstraints, TruncParams, sample
 from qsix import _backend as K
 from qsix import identities as ID
-from qsix.errors import QSixError
+from qsix.errors import DomainError, QSixError
 from qsix._kernels_py import (BUDGET, DIVERGED, OK, POLE, TERMINATED,
                               _OVERFLOW, _crossing, _stop, cpow_int)
 
@@ -628,9 +628,8 @@ def _kn_trace_cases():
     for change in ({"C": 0.5}, {"C": 8.658008658008658}, {"D": 0.25},
                    {"E": 9.523809523809524}, {"E": 6.666666666666667},
                    {"D": 26.666666666666668}, {"E": 4.0, "C": 12.0},
-                   # Aq/B and BDEq/A vanish in the coefficient at once; A^2
-                   # underflows
-                   {"B": 1.0, "D": 2.0 / 0.55}, {"A": 1e-200}):
+                   # Aq/B and BDEq/A vanish in the coefficient at once
+                   {"B": 1.0, "D": 2.0 / 0.55}):
         cases.append((dataclasses.replace(generic, **change), 6))
     # downward factors that leave double range, the first at N = 1453
     cases.append((sample("trunc", KN_DECAY, 7, 1)[0], 2000))
@@ -644,3 +643,11 @@ def test_kn_trace_matches_the_row_step_trace():
     for p, n_max in cases:
         assert (_trace_outcome(ID.kn_trace, p, n_max)
                 == _trace_outcome(ref_kn_trace, p, n_max)), (p, n_max)
+
+
+def test_underflowed_a_squared_is_refused_with_the_parameters():
+    # A^2 q^2 underflows to 0: every K_N row that divides by it would raise
+    # a raw ZeroDivisionError, so no trace is ever asked for
+    generic = TruncParams(q=0.5, A=2.0, B=0.3, C=3.0, D=0.7, E=1.1, N=0)
+    with pytest.raises(DomainError, match=r"A\^2 q\^2 underflows to 0"):
+        dataclasses.replace(generic, A=1e-200)
