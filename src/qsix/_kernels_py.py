@@ -10,7 +10,7 @@ Finite q-products (`qpoch_sc`, `pow_sc`) are scale-tracked as m * 2^e with
 factorials that grow superexponentially in |n| stay representable.
 `kn_trace_sc` carries the products of the boundary term K_N from N to
 N+1 for a whole decay trace in one call, with the factors, tests and
-rescaling of `qpoch_sc` and `pow_sc`.
+rescaling of `qpoch_sc` and `pow_sc`, and assembles each K_N from them.
 
 A factor 1 - x q^m counts as vanished when |1 - x q^m| <= eps (1 + |x q^m|).
 Once q^m has left double range that test reads inf <= inf, so each branch
@@ -138,20 +138,25 @@ def pow_sc(z: complex, count: int, m: complex, e: int):
     return m, e, OK
 
 
-#: the row steps of one K_N trace step, in the order they are multiplied
-#: in: (product, row, carried power, divide); products 0-3 are low, high,
-#: num3 and den3, rows are kn_trace_sc's arguments in order, and the
-#: powers are q^-N, q^-N-1 and q^N. Row -1 is low's factor Cq^3.
+#: the steps of one K_N trace step, in the order they are taken:
+#: (product, row, carried power, divide); products 0-4 are low, high,
+#: num3, den3 and ck, rows 0-5 are kn_trace_sc's arguments in order, and
+#: the powers are q^-N, q^-N-1 and q^N, a step on q^-N starting at N = 1.
+#: Row -1 multiplies by Cq^3, or by 1/Cq^3 with divide, from N = 1 on q^-N.
 _KN_STEPS = ((0, 0, 0, True), (0, 2, 1, True), (0, 1, 0, False),
-             (0, 3, 1, False), (0, -1, 0, False),
+             (0, 3, 1, False), (0, -1, 2, False),
              (1, 0, 2, False), (1, 2, 2, False), (1, 1, 2, True),
-             (1, 3, 2, True), (2, 4, 2, False), (3, 5, 2, True))
+             (1, 3, 2, True), (2, 4, 2, False), (3, 5, 2, True),
+             (4, -1, 0, False), (1, -1, 0, True))
+
+#: the row of a K_N trace stop at a piece whose value leaves double range
+ROW_VALUE = -2
 
 
 def kn_trace_sc(vnum, vden, unum, uden, num3, den3, q: complex, A: complex,
-                cq3: complex, coeff: complex, n_max: int):
-    """The scale-tracked pieces of K_N for N = 0..n_max, each product
-    carried from N to N+1.
+                C: complex, bde: complex, kden: complex, coeff: complex,
+                n_max: int):
+    """K_N = K1 - K2 + K3 q^{N-2}/C for N = 0..n_max in one pass.
 
     low is V_{-N-1} U_{-N-1} without its leading factor: the rows vnum and
     vden take the factor 1 - x q^-N (from N = 1), unum and uden
@@ -159,76 +164,90 @@ def kn_trace_sc(vnum, vden, unum, uden, num3, den3, q: complex, A: complex,
     is V_N U_{N+1} (Cq^3)^-N: vnum and unum take 1 - x q^N, vden and uden
     divide by it, and from N = 1 one factor 1/Cq^3. num3 and den3 are the
     K3 rows' products with 1 - x q^N, den3 dividing; ck is coeff (Cq^3)^N.
-    q^{+-N} is carried as `qpoch_sc` builds it (up *= q, down /= q); each
-    factor is tested, inverted and multiplied in as `qpoch_sc` does and
-    each power of Cq^3 as `pow_sc` does.
+    Each is carried from N to N+1, q^{+-N} as `qpoch_sc` builds it (up *=
+    q, down /= q); each factor is tested, inverted, multiplied in and
+    rescaled as `qpoch_sc` does, written out here, and each scalar factor
+    as `pow_sc` does. K1 = low (1 - A q^{1-N}) ck and K2 = high ck take
+    their scalar factors in that order, K3 = (1 - bde q^{2N+3}/A)/kden num3
+    den3 (bde = BDE, kden = 1 - BDEq/A); K1, K2, num3 and den3 become
+    doubles in that order.
 
-    Returns (pieces, status, row, slot, exp). pieces[N] is (low, high, ck,
-    num3, den3) as (m, e) pairs, low times its leading factor
-    1 - A q^{1-N}. A stop (POLE, or DIVERGED for an overflowed x q^j or a
-    product out of double range) names the factor 1 - x q^exp by its row
-    (0-5 in argument order) and slot, or has row -1 for a power of Cq^3 or
-    the leading factor; pieces then ends before the N of the stop.
+    Returns (kns, status, row, slot, exp), kns ending before the N of a
+    stop. A stop (POLE, or DIVERGED for an overflowed x q^j or a product
+    out of double range) names the factor 1 - x q^exp by its row (0-5 in
+    argument order) and slot, has row -1 for a scalar factor, or has row
+    ROW_VALUE for a piece m * 2^e out of double range, with m and e in
+    place of slot and exp.
     """
     rows = (vnum, vden, unum, uden, num3, den3)
     eps, lo, hi, inf = POLE_EPS, _LO, _HI, math.inf
-    ms = [1.0 + 0j] * 4
-    es = [0] * 4
-    cm, ce = coeff, 0
+    floor, log2, ldexp = math.floor, math.log2, math.ldexp
+    cq3 = C * q ** 3
+    icq3 = 1.0 / cq3
+    ms = [1.0 + 0j] * 4 + [coeff]
+    es = [0] * 5
     up = down = 1.0 + 0j
     out = []
     for N in range(n_max + 1):
         vdown, down = down, down / q
         ws = (vdown, down, up)
         for k, row, iw, divide in _KN_STEPS:
+            if not (iw or N):
+                continue
             m = ms[k]
             e = es[k]
             if row < 0:
-                m, e, status = pow_sc(cq3, 1, m, e)
-                if status:
-                    return out, status, -1, 0, 0
-            elif iw or N:
+                m = m * (icq3 if divide else cq3)
+                if not lo <= abs(m) <= hi:
+                    m, e = _rescale(m, e)
+                    if not abs(m) < inf:
+                        return out, DIVERGED, -1, 0, 0
+            else:
                 w = ws[iw]
                 slot = 0
-                if divide:
-                    for x in rows[row]:
+                for x in rows[row]:
+                    if divide:
                         xw = x * w
                         f = 1.0 - xw
                         if abs(f) <= eps * (1.0 + abs(xw)):
                             status = DIVERGED if _overflowed(xw) else POLE
                             return out, status, row, slot, (-N, -N - 1, N)[iw]
                         m = m * (1.0 / f)
-                        if not lo <= abs(m) <= hi:
-                            m, e = _rescale(m, e)
-                            if not abs(m) < inf:
-                                return (out, DIVERGED, row, slot,
-                                        (-N, -N - 1, N)[iw])
-                        slot += 1
-                else:
-                    for x in rows[row]:
+                    else:
                         m = m * (1.0 - x * w)
-                        if not lo <= abs(m) <= hi:
-                            m, e = _rescale(m, e)
-                            if not abs(m) < inf:
-                                return (out, DIVERGED, row, slot,
-                                        (-N, -N - 1, N)[iw])
-                        slot += 1
+                    a = abs(m)
+                    if not lo <= a <= hi:
+                        if not a < inf:
+                            return (out, DIVERGED, row, slot,
+                                    (-N, -N - 1, N)[iw])
+                        if a:
+                            j = floor(log2(a))
+                            m = complex(ldexp(m.real, -j), ldexp(m.imag, -j))
+                            e += j
+                        else:
+                            m, e = 0j, 0
+                    slot += 1
             ms[k] = m
             es[k] = e
         up = up * q
-        if N:
-            cm, ce, status = pow_sc(cq3, 1, cm, ce)
-            if status:
-                return out, status, -1, 0, 0
-            ms[1], es[1], status = pow_sc(cq3, -1, ms[1], es[1])
-            if status:
-                return out, status, -1, 0, 0
-        lm, le, status = pow_sc(1.0 - A * cpow_int(q, 1 - N), 1, ms[0],
-                                es[0])
-        if status:
-            return out, status, -1, 0, 0
-        out.append(((lm, le), (ms[1], es[1]), (cm, ce), (ms[2], es[2]),
-                    (ms[3], es[3])))
+        ck = (ms[4], es[4])
+        lead = (1.0 - A * cpow_int(q, 1 - N), 0)
+        vals = []
+        for m, e, zs in zip(ms, es, ((lead, ck), (ck,), (), ())):
+            for z, ez in zs:
+                m = m * z
+                e += ez
+                if not lo <= abs(m) <= hi:
+                    m, e = _rescale(m, e)
+                    if not abs(m) < inf:
+                        return out, DIVERGED, -1, 0, 0
+            try:
+                vals.append(complex(ldexp(m.real, e), ldexp(m.imag, e)))
+            except OverflowError:
+                return out, DIVERGED, ROW_VALUE, m, e
+        k1, k2, v3, d3 = vals
+        kern = (1.0 - bde * cpow_int(q, 2 * N + 3) / A) / kden
+        out.append(k1 - k2 + kern * v3 * d3 * cpow_int(q, N - 2) / C)
     return out, OK, 0, 0, 0
 
 

@@ -17,12 +17,12 @@ import math
 import sys
 
 from .errors import (BudgetExceeded, DomainError, IllConditioned,
-                     NonConvergence, PoleError, Unsatisfiable)
-from .identities import (ResidualReport, AbelInput, check_abel, check_bailey,
-                         check_KN_decay, check_Q_constancy, check_recurrence,
+                     NonConvergence, PoleError, QSixError, Unsatisfiable)
+from .identities import (ResidualReport, AbelInput, _recurrence, check_abel,
+                         check_bailey, check_KN_decay, check_Q_constancy,
                          check_remark1_equivalence, check_rogers,
                          check_T_recursion, check_U_difference,
-                         check_V_difference, check_weierstrass)
+                         check_V_difference, check_weierstrass, kn_trace)
 from .qcore import (EvalResult, QContext, TruncationPolicy, _qpochhammer_sc,
                     _sc_value, qpochhammer_inf, theta)
 from .report import SCHEMA, build_sweep_report, render_sweep, to_jsonable
@@ -346,8 +346,14 @@ def _sw_vdiff(p, policy, tols, n=range(-5, 6)):
 
 
 def _sw_recurrence(p, policy, tols, N=range(0, 9)):
-    return _worst(check_recurrence(dataclasses.replace(p, N=k), **tols)
-                  for k in N)
+    """check_recurrence at each N, every K_N from one trace; a trace that
+    stops leaves each check to compute its own K_N, and stop, as it would."""
+    try:
+        kns = dict(enumerate(kn_trace(p, max(N))))
+    except (QSixError, ArithmeticError):
+        kns = {}
+    return _worst(_recurrence(dataclasses.replace(p, N=k), kns.get(k),
+                              **tols) for k in N)
 
 
 def _kn_decay(p, policy, tols, N_max=80):

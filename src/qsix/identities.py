@@ -310,86 +310,54 @@ def _k3_rows(p: TruncParams):
     return num, den
 
 
-def _kn_den(p: TruncParams) -> complex:
-    """The K3 kernel's denominator factor 1 - BDEq/A."""
-    return _nabla_den((("BDEq/A", p.B * p.D * p.E * p.q / p.A),))
+def compute_KN(p: TruncParams) -> complex:
+    """Boundary term K_N at N = p.N, the last entry of `kn_trace(p, p.N)`:
+    K_N = K1 - K2 + K3 * q^{N-2}/C with K1/K2 the two evaluated boundary
+    products V U at -N-1 and (N, N+1) times the shared coefficient and
+    (Cq^3)^N, and K3 the off-by-one window correction term, assembled in
+    the kernel from scale-tracked pieces that grow superexponentially in N
+    while K_N itself stays bounded."""
+    return kn_trace(p, p.N)[-1]
 
 
-def _kn_value(p: TruncParams, N: int, low, high, ck, kden: complex, num3,
-              den3) -> complex:
-    """K_N from its scale-tracked pieces: the V U products low (at -N-1,
-    leading factor included) and high (at N, N+1), ck the coefficient times
-    (Cq^3)^N, and the K3 rows num3 and den3."""
-    q, A, B, C, D, E = p.q, p.A, p.B, p.C, p.D, p.E
-    k1 = _sc_value(*_pow_sc(ck[0], 1, low[0], low[1] + ck[1]))
-    k2 = _sc_value(*_pow_sc(ck[0], 1, high[0], high[1] + ck[1]))
-    kern = (1.0 - B * D * E * _K.cpow_int(q, 2 * N + 3) / A) / kden
-    k3 = kern * _sc_value(*num3) * _sc_value(*den3)
-    return k1 - k2 + k3 * _K.cpow_int(q, N - 2) / C
+def kn_trace(p: TruncParams, N_max: int) -> list:
+    """K_N for N = 0..N_max from one `kn_trace_sc` call; p.N is not read.
 
-
-def _kn_pieces(p: TruncParams, N_max: int) -> list:
-    """The scale-tracked pieces of K_N for N = 0..N_max from one
-    `kn_trace_sc` call (see there), or the PoleError or DomainError of the
-    first factor that stops it.
-
-    The (Aq^2;q) pair shared by V's numerator and U's denominator cancels
-    outright in V_N U_{N+1} and collapses to the leading factor 1 - Aq^{1-N}
-    in V_{-N-1} U_{-N-1}, where the separate sequences have a removable
-    0*inf; so neither row carries it."""
+    The kernel carries each product of K_N from N to N+1 and assembles
+    each K_N as it goes, so the call costs O(N_max) factors; compute_KN is
+    its last entry, bit for bit. A vanishing dividing factor raises
+    PoleError naming it and its exponent, at the first N whose K_N
+    contains it; a product or a piece of K_N out of double range raises
+    DomainError. The (Aq^2;q) pair shared by V's numerator and U's
+    denominator cancels outright in V_N U_{N+1} and collapses to the
+    leading factor 1 - Aq^{1-N} in V_{-N-1} U_{-N-1}, where the separate
+    sequences have a removable 0*inf; so neither row carries it.
+    """
+    if N_max < 0:
+        raise DomainError("N_max must be >= 0")
     _require_bde(p)
-    q = p.q
     coeff = _kn_coefficient(p)
     vnum, vden = _v_rows(p)
     unum, uden = _u_rows(p)
     num, den = _k3_rows(p)
     rows = (vnum[1:], vden, unum, uden[:-1], num, den)
-    pieces, status, row, slot, k = _K.kn_trace_sc(
-        *(tuple(x for _, x in r) for r in rows), q, p.A, p.C * q ** 3,
-        coeff, N_max)
+    bde = p.B * p.D * p.E
+    kns, status, row, slot, k = _K.kn_trace_sc(
+        *(tuple(x for _, x in r) for r in rows), p.q, p.A, p.C, bde,
+        _nabla_den((("BDEq/A", bde * p.q / p.A),)), coeff, N_max)
     if status == _K.OK:
-        return pieces
+        return kns
+    if row == _K.ROW_VALUE:
+        _sc_value(slot, k)  # raises the DomainError naming m * 2^e
     if row < 0:
         raise DomainError("scaled q-product left double range")
     _sc_stop(status, rows[row][slot][0], k)
 
 
-def compute_KN(p: TruncParams) -> complex:
-    """Boundary term K_N at N = p.N, the last entry of `kn_trace(p, p.N)`.
-
-    K_N = K1 - K2 + K3 * q^{N-2}/C with K1/K2 the two evaluated boundary
-    products V U at -N-1 and (N, N+1) times the shared coefficient and
-    (Cq^3)^N, and K3 the off-by-one window correction term. The V U pieces
-    are scale-tracked: their intermediates grow superexponentially in N
-    while K_N itself stays bounded.
-    """
-    piece = _kn_pieces(p, p.N)[-1]
-    return _kn_value(p, p.N, *piece[:3], _kn_den(p), *piece[3:])
-
-
-def kn_trace(p: TruncParams, N_max: int) -> list:
-    """K_N for N = 0..N_max in one pass; p.N is not read.
-
-    The kernel's `kn_trace_sc` carries each product of K_N from N to N+1,
-    one factor per row slot and one multiply per power of Cq^3, so the
-    pass costs O(N_max) factors. compute_KN is the last entry of the same
-    pass: compute_KN(p) == kn_trace(p, p.N)[p.N] bit for bit. A vanishing
-    dividing factor raises PoleError naming it and its exponent, at the
-    first N whose K_N contains it; a product that leaves double range
-    raises DomainError.
-    """
-    if N_max < 0:
-        raise DomainError("N_max must be >= 0")
-    pieces = _kn_pieces(p, N_max)
-    kden = _kn_den(p)
-    return [_kn_value(p, N, *piece[:3], kden, *piece[3:])
-            for N, piece in enumerate(pieces)]
-
-
 def compute_KN_printed(p: TruncParams) -> complex:
     """K_N in its fully displayed three-summand form: an independent
-    cross-check of compute_KN, which assembles K_N from the scale-tracked
-    pieces of `kn_trace_sc`."""
+    cross-check of compute_KN, whose K_N the kernel `kn_trace_sc`
+    assembles from scale-tracked pieces."""
     _require_bde(p)
     q, A, B, C, D, E, N = p.q, p.A, p.B, p.C, p.D, p.E, p.N
     s1 = (_K.cpow_int(q, N - 2)
@@ -439,6 +407,12 @@ def check_recurrence(p: TruncParams, atol: float = DEFAULT_ATOL,
     p.N names the window of the right-hand side; the left side evaluates at
     N+1 with the same (A, C).
     """
+    return _recurrence(p, None, atol, rtol)
+
+
+def _recurrence(p: TruncParams, kn, atol: float = DEFAULT_ATOL,
+                rtol: float = DEFAULT_RTOL["recurrence"]) -> ResidualReport:
+    """check_recurrence with K_N given, or computed in its turn if None."""
     _require_bde(p)
     q, A, B, C, D, E, N = p.q, p.A, p.B, p.C, p.D, p.E, p.N
     lhs = truncated_S(dataclasses.replace(p, N=N + 1))
@@ -450,8 +424,8 @@ def check_recurrence(p: TruncParams, atol: float = DEFAULT_ATOL,
                            ("Aq/B", A * q / B), ("Aq/D", A * q / D),
                            ("Aq/E", A * q / E))))
     shifted = dataclasses.replace(p, A=A * q, C=C * q)
-    rhs = (compute_KN(p) * _K.cpow_int(C * q ** 3, -N)
-           + coeff * truncated_S(shifted))
+    kn = compute_KN(p) if kn is None else kn
+    rhs = kn * _K.cpow_int(C * q ** 3, -N) + coeff * truncated_S(shifted)
     return _report(lhs, rhs, atol, rtol)
 
 
@@ -613,19 +587,20 @@ def check_Q_constancy(p: TParams, steps: int = 4,
     lhs/rhs are the max/min-modulus ratios; abs_err is the worst pairwise
     spread.
 
-    T is walked at C q^steps down to C before any product is built: the
-    deep scalings are where the sum collapses, so under a capped policy an
-    ill-conditioned draw raises at its first walk.
+    Each scaling C q^k is built just before its walk, k = steps down to 0,
+    and before any product: the deep scalings are where the sum collapses,
+    so a capped policy refuses an ill-conditioned draw at its first walk.
     """
     if steps < 1:
         raise DomainError("steps must be >= 1")
     if p.C == 0:
         raise DomainError("C must be nonzero")
-    scaled = [dataclasses.replace(p, C=p.C * _K.cpow_int(p.q, k))
-              for k in range(steps + 1)]
-    ts = [eval_T(pk, policy) for pk in reversed(scaled)][::-1]
+    walked = []
+    for k in range(steps, -1, -1):
+        pk = dataclasses.replace(p, C=p.C * _K.cpow_int(p.q, k))
+        walked.append((pk, eval_T(pk, policy)))
     ratios = []
-    for pk, t in zip(scaled, ts):
+    for pk, t in reversed(walked):
         f = F_function(pk, policy)
         if f.value == 0:
             raise PoleError("F vanished under scaling", factor="F(Cq^k)")

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import functools
 import io
 import json
@@ -10,9 +11,9 @@ import sys
 
 import pytest
 
-from qsix import SampleConstraints, cli, sampler
+from qsix import SampleConstraints, cli, identities, sample, sampler
 from qsix.errors import DomainError, Unsatisfiable
-from qsix.identities import check_recurrence
+from qsix.identities import check_recurrence, kn_trace
 from qsix.qcore import TruncationPolicy
 from qsix.series import TruncParams
 
@@ -102,6 +103,35 @@ def test_check_recurrence_matches_library():
         TruncParams(q=0.5, A=2.0, B=0.3, C=3.0, D=0.7, E=1.1, N=2))
     assert abs(float(lines["lhs"]) - rep.lhs) <= 1e-12 * abs(rep.lhs)
     assert float(lines["rel_err"]) <= 1e-9
+
+
+def _outcome(fn, *args):
+    """What fn returns, or the type and message of what it raises."""
+    try:
+        return fn(*args)
+    except Exception as exc:
+        return type(exc).__name__, str(exc)
+
+
+#: trunc draws, and a point whose K_N trace stops at N = 2 on the pole of
+#: the K3 denominator factor 1 - (A/C) q^2; there the checks stop first in
+#: truncated_S, whose message for the same factor differs from the trace's
+@pytest.mark.parametrize("p", sample("trunc", SampleConstraints(), 7, 8)
+                         + [TruncParams(q=0.5, A=2.0, B=0.3, C=0.5, D=0.7,
+                                        E=1.1, N=0)])
+def test_recurrence_runner_reads_one_trace_per_draw(p, monkeypatch):
+    want = _outcome(lambda: cli._worst(
+        check_recurrence(dataclasses.replace(p, N=k)) for k in range(9)))
+    traces, singles = [], []
+    monkeypatch.setattr(cli, "kn_trace",
+                        lambda *a: traces.append(a) or kn_trace(*a))
+    compute_KN = identities.compute_KN
+    monkeypatch.setattr(identities, "compute_KN",
+                        lambda q: singles.append(q) or compute_KN(q))
+    assert _outcome(cli._sw_recurrence, p, None, {}) == want
+    assert traces == [(p, 8)]
+    # a check computes its own K_N only after the trace has stopped
+    assert not singles or _outcome(kn_trace, p, 8)[0] == "PoleError"
 
 
 #: draw 0 of the kn-decay sweep's constraints at seed 7, |Cq^3| = 2.68

@@ -36,6 +36,7 @@ from qsix import SampleConstraints, TruncParams, sample
 from qsix import _backend as K
 from qsix import identities as ID
 from qsix.errors import DomainError, QSixError
+from qsix.qcore import _sc_value
 from qsix._kernels_py import (BUDGET, DIVERGED, OK, POLE, TERMINATED,
                               _OVERFLOW, _crossing, _stop, cpow_int)
 
@@ -557,7 +558,7 @@ def ref_kn_trace(p, N_max: int) -> list:
     unum, uden = ID._u_rows(p)
     vnum, uden = vnum[1:], uden[:-1]
     num, den = ID._k3_rows(p)
-    kden = ID._kn_den(p)
+    kden = ID._nabla_den((("BDEq/A", p.B * p.D * p.E * q / A),))
     low = high = num3 = den3 = (1.0 + 0j, 0)
     up = down = 1.0 + 0j
     out = []
@@ -577,8 +578,21 @@ def ref_kn_trace(p, N_max: int) -> list:
             ck = ID._pow_sc(cq3, 1, *ck)
             high = ID._pow_sc(cq3, -1, *high)
         lead = ID._pow_sc(1.0 - A * cpow_int(q, 1 - N), 1, *low)
-        out.append(ID._kn_value(p, N, lead, high, ck, kden, num3, den3))
+        out.append(_ref_kn_value(p, N, lead, high, ck, kden, num3, den3))
     return out
+
+
+def _ref_kn_value(p, N: int, low, high, ck, kden: complex, num3,
+                  den3) -> complex:
+    """K_N from its scale-tracked pieces: the V U products low (at -N-1,
+    leading factor included) and high (at N, N+1), ck the coefficient times
+    (Cq^3)^N, and the K3 rows num3 and den3."""
+    q, A, B, C, D, E = p.q, p.A, p.B, p.C, p.D, p.E
+    k1 = _sc_value(*ID._pow_sc(ck[0], 1, low[0], low[1] + ck[1]))
+    k2 = _sc_value(*ID._pow_sc(ck[0], 1, high[0], high[1] + ck[1]))
+    kern = (1.0 - B * D * E * cpow_int(q, 2 * N + 3) / A) / kden
+    k3 = kern * _sc_value(*num3) * _sc_value(*den3)
+    return k1 - k2 + k3 * cpow_int(q, N - 2) / C
 
 
 def _trace_outcome(trace, p, n_max):
@@ -643,6 +657,31 @@ def test_kn_trace_matches_the_row_step_trace():
     for p, n_max in cases:
         assert (_trace_outcome(ID.kn_trace, p, n_max)
                 == _trace_outcome(ref_kn_trace, p, n_max)), (p, n_max)
+
+
+#: points where a piece of K_N is past double range as a value while every
+#: carried product is still in range, scale-tracked: (C, the N of the
+#: stop, the piece's m and e), K1 at the first point and the K3 numerator
+#: product at the second. Neither the fuzz nor 3000 random wide-range
+#: draws gave a K2 stop, and the K3 denominator product cannot give one:
+#: each of its 4 (N+1) factors is a reciprocal bounded by the pole test
+_PIECE_STOPS = ((1e20, 19, "(1.5756507206158372+0j)", 1042),
+                (1e100, 3, "(1.8124341161916346-0j)", 1294))
+
+
+@pytest.mark.parametrize("C, n_stop, m, e", _PIECE_STOPS)
+def test_kn_trace_stops_at_a_piece_out_of_double_range(C, n_stop, m, e):
+    p = TruncParams(q=0.5, A=2.0, B=0.3, C=C, D=0.7, E=1.1, N=0)
+    assert len(ID.kn_trace(p, n_stop - 1)) == n_stop
+    want = f"scaled q-product {m} * 2^{e} is out of double range"
+    with pytest.raises(DomainError) as got:
+        ID.kn_trace(p, n_stop + 5)
+    assert str(got.value) == want
+    with pytest.raises(DomainError) as single:
+        ID.compute_KN(dataclasses.replace(p, N=n_stop))
+    assert str(single.value) == want
+    assert (_trace_outcome(ID.kn_trace, p, n_stop + 5)
+            == _trace_outcome(ref_kn_trace, p, n_stop + 5))
 
 
 def test_underflowed_a_squared_is_refused_with_the_parameters():
