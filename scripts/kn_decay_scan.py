@@ -27,8 +27,8 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
 
 from workloads import op_seed  # noqa: E402
 
-from qsix import (DEFAULT_RTOL, QSixError, SampleConstraints,  # noqa: E402
-                  check_KN_decay, sample)
+from qsix import (DEFAULT_RTOL, QSixError, check_KN_decay,  # noqa: E402
+                  sample)
 from qsix.cli import _SWEEPS, run_sweep  # noqa: E402
 
 
@@ -39,8 +39,7 @@ def _seed_range(text: str) -> range:
 
 def _why(seed: int) -> str:
     """The parts of the pass rule that the draw at `seed` misses."""
-    caps = _SWEEPS["kn-decay"][1]
-    p = sample("trunc", SampleConstraints(convergence_caps=caps), seed, 1)[0]
+    p = sample("trunc", _SWEEPS["kn-decay"][1], seed, 1)[0]
     try:
         rep = check_KN_decay(p)
     except QSixError as exc:  # the sweep recorded an errored draw

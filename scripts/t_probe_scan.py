@@ -11,7 +11,9 @@ per identity:
 - walks: `series_side` kernel walks (one index direction of one sum)
   made by the whole sweep, any walk of the sampler included;
 - check_walks: the walks made by the checks whose rows the report keeps;
-- passed / failed / errored rows.
+- passed / failed / errored rows;
+- a |q| histogram in bins of 0.05: per bin, the accepted draws and the
+  candidates drawn there, so the share accepted by |q| can be read off.
 
 The qsix under test is imported from `--src`, so the same scan can be run
 on two source trees and compared. Run from the checkout root:
@@ -25,6 +27,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from collections import Counter
 from pathlib import Path
 
 
@@ -39,12 +42,15 @@ def _scan(identity: str, seeds, draws: int) -> dict:
     ill = getattr(errors, "IllConditioned", ())
     counts = dict.fromkeys(("candidates", "walks", "check_walks", "passed",
                             "failed", "errored"), 0)
+    drawn, accepted = Counter(), Counter()
     draw_once, series_side = sampler._draw_once, _backend.series_side
-    kind, caps, runner = cli._SWEEPS[identity]
+    kind, con, runner = cli._SWEEPS[identity]
 
     def counted_draw(*args):
         counts["candidates"] += 1
-        return draw_once(*args)
+        p = draw_once(*args)
+        drawn[_q_bin(abs(p.q))] += 1
+        return p
 
     def counted_walk(*args):
         counts["walks"] += 1
@@ -63,17 +69,26 @@ def _scan(identity: str, seeds, draws: int) -> dict:
 
     sampler._draw_once = counted_draw
     _backend.series_side = counted_walk
-    cli._SWEEPS[identity] = (kind, caps, counted_runner)
+    cli._SWEEPS[identity] = (kind, con, counted_runner)
     try:
         for seed in seeds:
-            summary = cli.run_sweep(identity, draws, seed).summary
+            rep = cli.run_sweep(identity, draws, seed)
             for key in ("passed", "failed", "errored"):
-                counts[key] += summary[key]
+                counts[key] += rep.summary[key]
+            for entry in rep.results:
+                q = entry["params"]["q"]
+                accepted[_q_bin(abs(complex(q["re"], q["im"])))] += 1
     finally:
         sampler._draw_once = draw_once
         _backend.series_side = series_side
-        cli._SWEEPS[identity] = (kind, caps, runner)
+        cli._SWEEPS[identity] = (kind, con, runner)
+    counts["hist"] = {b: (accepted[b], drawn[b]) for b in sorted(drawn)}
     return counts
+
+
+def _q_bin(aq: float) -> int:
+    """Index of the |q| bin [0.05 k, 0.05 (k + 1)) holding aq."""
+    return int(aq * 20.0)
 
 
 def main(argv=None) -> int:
@@ -105,6 +120,9 @@ def main(argv=None) -> int:
               f"({per:.2f}/draw) walks {c['walks']} "
               f"check_walks {c['check_walks']} passed {c['passed']} "
               f"failed {c['failed']} errored {c['errored']}")
+        for b, (acc, cand) in c["hist"].items():
+            print(f"  |q| {b / 20:.2f}-{(b + 1) / 20:.2f}: accepted {acc} "
+                  f"of {cand} candidates ({100.0 * acc / cand:.1f}%)")
     return 0
 
 

@@ -7,12 +7,12 @@ implementation.
 from __future__ import annotations
 
 from ._kernels_py import (BUDGET, DIVERGED, OK, POLE, ROW_VALUE, TERMINATED,
-                          cpow_int, kn_trace_sc, pow_sc, qpoch_inf, qpoch_sc,
-                          series_side)
+                          cpow_int, kn_trace_sc, margin_hit, pow_sc,
+                          qpoch_inf, qpoch_sc, series_side)
 
 __all__ = ["BUDGET", "DIVERGED", "OK", "POLE", "ROW_VALUE", "TERMINATED",
-           "backend_name", "cpow_int", "kn_trace_sc", "pow_sc", "qpoch_inf",
-           "qpoch_sc", "series_side"]
+           "backend_name", "cpow_int", "kn_trace_sc", "margin_hit", "pow_sc",
+           "qpoch_inf", "qpoch_sc", "series_side"]
 
 
 def backend_name() -> str:

@@ -26,6 +26,15 @@ and each end of a stretch keeps one index more. With eps <= 1/4 the test
 fires only for |x q^m| in [3/5, 5/3], so it cannot fire there. A stretch
 multiplies the same factors in the same order, so every return is bit for
 bit the one that testing each factor gives.
+
+`margin_hit`, the sampler's pole-margin audit, tests 1 - x q^j for every
+integer j. As |1 - y| >= ||y| - 1|, |1 - y| < m (1 + |y|) needs |y| in
+[(1-m)/(1+m), (1+m)/(1-m)], or in the shell [1/4, 4] that the audit has
+always tested once m >= 3/5; only the j with log|x q^j| in that band,
+widened by 1e-6 at each end, are visited. The computed |x q^j| is within
+1e-12 relative of |x| |q|^j for the |j| of a draw's factors, and the logs
+fixing the j range are off by under 1e-13, so no j whose test can fire is
+left out and the first hit is the one that testing the whole shell finds.
 """
 
 from __future__ import annotations
@@ -53,6 +62,10 @@ _X_MAX = 1e280
 _LOG_NORMAL = math.log(1e300)
 _LOG_HUGE = math.log(1e250)
 
+#: pole-margin audit: the margin from which its band is the shell [1/4, 4],
+#: and the guard on the band's log at each end
+_MARGIN_SHELL, _MARGIN_GUARD = 0.6, 1e-6
+
 #: window [2^-8, 2^8] that scale-tracked products keep their mantissa in
 _LO = 0.00390625
 _HI = 256.0
@@ -76,6 +89,37 @@ def cpow_int(base: complex, n: int) -> complex:
     if neg:
         return 1.0 / acc if acc else complex(math.inf, 0.0)
     return acc
+
+
+def margin_hit(xs, q: complex, margin: float):
+    """The first x in xs with |1 - x q^j| < margin (1 + |x q^j|) for some
+    integer j in the band of the module docstring, or None; a zero x has
+    no such j. Each q**j is computed once per call.
+
+    >>> margin_hit((0.3 + 0j, 4.001 + 0j), 0.5 + 0j, 1e-3)
+    (4.001+0j)
+    >>> margin_hit((0.3 + 0j, 0j), 0.5 + 0j, 1e-3) is None
+    True
+    """
+    if margin < _MARGIN_SHELL:
+        band = math.log((1.0 + margin) / (1.0 - margin)) + _MARGIN_GUARD
+    else:
+        band = _LOG_SHELL + _MARGIN_GUARD
+    inv = 1.0 / math.log(abs(q))
+    log, ceil, floor = math.log, math.ceil, math.floor
+    pw = {}
+    for x in xs:
+        if not x:
+            continue
+        lx = log(abs(x))
+        for j in range(ceil((band - lx) * inv), floor((-band - lx) * inv) + 1):
+            qj = pw.get(j)
+            if qj is None:
+                qj = pw[j] = q ** j
+            xq = x * qj
+            if abs(1.0 - xq) < margin * (1.0 + abs(xq)):
+                return x
+    return None
 
 
 def qpoch_sc(xs, q: complex, n: int, invert: bool, m: complex, e: int):
@@ -184,6 +228,16 @@ def kn_trace_sc(vnum, vden, unum, uden, num3, den3, q: complex, A: complex,
     floor, log2, ldexp = math.floor, math.log2, math.ldexp
     cq3 = C * q ** 3
     icq3 = 1.0 / cq3
+    # q^k = qk[k + off], k = -off..2 n_max + 3, bit for bit cpow_int's:
+    # pw[k] = pw[k - 2^t] q^(2^t), 2^t the top bit of k; q^-k = 1/q^k
+    pw = [1.0 + 0j]
+    bit, sq = 1, complex(q)
+    for k in range(1, 2 * n_max + 4):
+        if k == 2 * bit:
+            bit, sq = k, sq * sq
+        pw.append(pw[k - bit] * sq)
+    off = max(n_max - 1, 2)
+    qk = [1.0 / w if w else complex(inf, 0.0) for w in pw[off:0:-1]] + pw
     ms = [1.0 + 0j] * 4 + [coeff]
     es = [0] * 5
     up = down = 1.0 + 0j
@@ -231,7 +285,7 @@ def kn_trace_sc(vnum, vden, unum, uden, num3, den3, q: complex, A: complex,
             es[k] = e
         up = up * q
         ck = (ms[4], es[4])
-        lead = (1.0 - A * cpow_int(q, 1 - N), 0)
+        lead = (1.0 - A * qk[off + 1 - N], 0)
         vals = []
         for m, e, zs in zip(ms, es, ((lead, ck), (ck,), (), ())):
             for z, ez in zs:
@@ -246,8 +300,8 @@ def kn_trace_sc(vnum, vden, unum, uden, num3, den3, q: complex, A: complex,
             except OverflowError:
                 return out, DIVERGED, ROW_VALUE, m, e
         k1, k2, v3, d3 = vals
-        kern = (1.0 - bde * cpow_int(q, 2 * N + 3) / A) / kden
-        out.append(k1 - k2 + kern * v3 * d3 * cpow_int(q, N - 2) / C)
+        kern = (1.0 - bde * qk[off + 2 * N + 3] / A) / kden
+        out.append(k1 - k2 + kern * v3 * d3 * qk[off + N - 2] / C)
     return out, OK, 0, 0, 0
 
 

@@ -400,20 +400,27 @@ def _sw_remark1(p, policy, tols):
     return check_remark1_equivalence(p, policy=policy, **tols)
 
 
-#: identity -> (sampler kind or None, convergence caps, runner)
+_DIFF = SampleConstraints(convergence_caps={"diff_amp_max": 300.0})
+_T_ARG = SampleConstraints(convergence_caps={"t_arg_max": 0.8})
+
+#: identity -> (sampler kind or None, its SampleConstraints or None,
+#: runner); q-constancy draws |q| >= 0.4, where its walks at C q^4 can be
+#: conditioned
 _SWEEPS = {
-    "abel": (None, {}, _sw_abel),
-    "weierstrass": (None, {}, _sw_weierstrass),
-    "udiff": ("trunc", {"diff_amp_max": 300.0}, _sw_udiff),
-    "vdiff": ("trunc", {"diff_amp_max": 300.0}, _sw_vdiff),
-    "recurrence": ("trunc", {}, _sw_recurrence),
-    "kn-decay": ("trunc", {"kn_decay_base_min": 1.5}, _sw_kn_decay),
-    "t-recursion": ("t_params", {"t_arg_max": 0.8}, _sw_t_recursion),
-    "rogers": ("t_params", {"t_arg_max": 0.8}, _sw_rogers),
-    "q-constancy": ("t_params", {}, _sw_q_constancy),
-    "bailey-a": ("bailey_a", {}, _sw_bailey_a),
-    "bailey-x": ("t_params", {"t_arg_max": 0.8}, _sw_bailey_x),
-    "remark1": ("bailey_a", {}, _sw_remark1),
+    "abel": (None, None, _sw_abel),
+    "weierstrass": (None, None, _sw_weierstrass),
+    "udiff": ("trunc", _DIFF, _sw_udiff),
+    "vdiff": ("trunc", _DIFF, _sw_vdiff),
+    "recurrence": ("trunc", SampleConstraints(), _sw_recurrence),
+    "kn-decay": ("trunc", SampleConstraints(
+        convergence_caps={"kn_decay_base_min": 1.5}), _sw_kn_decay),
+    "t-recursion": ("t_params", _T_ARG, _sw_t_recursion),
+    "rogers": ("t_params", _T_ARG, _sw_rogers),
+    "q-constancy": ("t_params", SampleConstraints(q_modulus_range=(0.4, 0.7)),
+                    _sw_q_constancy),
+    "bailey-a": ("bailey_a", SampleConstraints(), _sw_bailey_a),
+    "bailey-x": ("t_params", _T_ARG, _sw_bailey_x),
+    "remark1": ("bailey_a", SampleConstraints(), _sw_remark1),
 }
 
 #: errors recorded per draw instead of aborting the sweep
@@ -434,7 +441,7 @@ def run_sweep(identity: str, samples: int, seed: int,
     flags `qsix sweep` accepts for it) raises DomainError."""
     if samples < 0:
         raise DomainError("samples must be >= 0")
-    kind, caps, runner = _SWEEPS[identity]
+    kind, con, runner = _SWEEPS[identity]
     read = _CHECKS[identity][3]
     unread = [name for name, value, flags in
               (("policy", policy, _POLICY_FLAGS), ("atol", atol, ("atol",)),
@@ -459,7 +466,6 @@ def run_sweep(identity: str, samples: int, seed: int,
                 params, rep = {}, exc
             rows.append((index, params, rep))
     else:
-        con = SampleConstraints(convergence_caps=caps)
         constraints = con
         capped = dataclasses.replace(
             policy, hump_max=min(policy.hump_max, con.cap("hump_max")))

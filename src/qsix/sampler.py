@@ -10,14 +10,16 @@ the tests check. Every emitted tuple passes violations(); the same
 re-check is public so sweep consumers can audit samples independently.
 
 violations() is static for every kind: modulus ranges, the argument caps
-or the decay band, pole margins and the opt-in diff_amp_max. Conditioning
-is judged on the walks the consuming check makes: `sample_checked` runs
-the check on each candidate and redraws from the same stream while it
-raises IllConditioned, which a sum raises when its term hump is over its
-policy's hump_max. sample("bailey_a") passes it one such check, the
-bilateral sum in (a; b, c, d, e) that its checks make; a direct caller of
-sample("t_params") or sample("trunc") gets the cap by summing under
-TruncationPolicy(hump_max=...).
+or the decay band, pole margins (one kernel pass, `margin_hit`) and the
+opt-in diff_amp_max. Conditioning is judged on the walks the consuming
+check makes: `sample_checked` runs the check on each candidate and
+redraws from the same stream while it raises IllConditioned, which a sum
+raises when its term hump is over its policy's hump_max. sample("bailey_a")
+passes it one such check, the bilateral sum in (a; b, c, d, e) that its
+checks make; a direct caller of sample("t_params") or sample("trunc")
+gets the cap by summing under TruncationPolicy(hump_max=...). Where a
+check is seldom conditioned, its sweep draws from a narrower region
+instead of redrawing (q-constancy's q_modulus_range).
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Mapping
 
+from ._backend import margin_hit
 from .errors import DomainError, IllConditioned, PoleError, Unsatisfiable
 from .qcore import QContext, TruncationPolicy
 from .series import BaileyParams, TParams, TruncParams, _s_rows, _t_row, \
@@ -55,17 +58,16 @@ DEFAULT_CAPS = {
     "hump_max": 1e5,
 }
 
-_SHELL_LO = 0.25
-_SHELL_HI = 4.0
-
 
 @dataclass(frozen=True)
 class SampleConstraints:
     """Acceptance region for one draw.
 
-    pole_margin is the minimum relative distance of every reachable
-    denominator factor 1 - x q^j from zero. convergence_caps overrides
-    entries of DEFAULT_CAPS.
+    q_modulus_range bounds |q|: the q-constancy sweep takes (0.4, 0.7),
+    since below 0.4 few candidates' walks at C q^4 are conditioned, and
+    its report's constraints say so. pole_margin is the minimum relative
+    distance of every reachable denominator factor 1 - x q^j from zero.
+    convergence_caps overrides entries of DEFAULT_CAPS.
     """
 
     q_modulus_range: tuple = (0.25, 0.7)
@@ -171,24 +173,6 @@ def _draw_complex(rng: Philox, lo: float, hi: float) -> complex:
     return complex(mod * math.cos(phase), mod * math.sin(phase))
 
 
-def _margin_bad(x: complex, q: complex, margin: float) -> bool:
-    """True when some reachable factor 1 - x q^j comes within margin of
-    zero. Factors vanish only when |x q^j| is near 1, so only shifts
-    landing |x q^j| in a fixed shell around 1 are examined."""
-    ax = abs(x)
-    if ax == 0.0:
-        return False
-    aq = abs(q)
-    lq = math.log(aq)
-    jhi = math.floor(math.log(_SHELL_LO / ax) / lq)
-    jlo = math.ceil(math.log(_SHELL_HI / ax) / lq)
-    for j in range(jlo, jhi + 1):
-        xq = x * q ** j
-        if abs(1.0 - xq) < margin * (1.0 + abs(xq)):
-            return True
-    return False
-
-
 def _trunc_factors(p: TruncParams):
     """Factor arguments x whose 1 - x q^j must keep the pole margin for the
     window sums, the U/V sequences, the boundary term, and the closed
@@ -241,41 +225,24 @@ def _bailey_factors(p: BaileyParams):
     return every
 
 
+#: kind -> the parameters held to param_modulus_range (C is built from a
+#: capped argument instead)
+_MODULUS_CHECKED = {"trunc": "ABDE", "bailey_a": "abcde", "t_params": "XBDE"}
+
+
 def violations(kind: str, params, constraints: SampleConstraints) -> list:
     """Reasons the draw fails its constraints; empty means acceptable."""
-    con = constraints
-    out = []
-    margin = con.pole_margin
+    if kind not in _MODULUS_CHECKED:
+        raise DomainError(f"unknown sample kind {kind!r}")
+    p, con, out = params, constraints, []
+    q = p.q
     qlo, qhi = con.q_modulus_range
     plo, phi = con.param_modulus_range
-
-    if kind == "trunc":
-        p: TruncParams = params
-        q = p.q
-        values = (p.A, p.B, p.C, p.D, p.E)
-        names = "ABCDE"
-    elif kind == "bailey_a":
-        p = params
-        q = p.q
-        values = (p.a, p.b, p.c, p.d, p.e)
-        names = ("a", "b", "c", "d", "e")
-    elif kind == "t_params":
-        p = params
-        q = p.q
-        values = (p.X, p.B, p.C, p.D, p.E)
-        names = ("X", "B", "C", "D", "E")
-    else:
-        raise DomainError(f"unknown sample kind {kind!r}")
-
     if not (qlo <= abs(q) <= qhi):
         out.append(f"|q| = {abs(q):.6g} outside q_modulus_range")
-    for name, v in zip(names, values):
-        ok_lo = plo
-        if kind == "trunc" and name == "C":
-            continue
-        if kind == "t_params" and name == "C":
-            continue
-        if not (ok_lo <= abs(v) <= phi):
+    for name in _MODULUS_CHECKED[kind]:
+        v = getattr(p, name)
+        if not (plo <= abs(v) <= phi):
             out.append(f"|{name}| = {abs(v):.6g} outside "
                        f"param_modulus_range")
 
@@ -290,33 +257,26 @@ def violations(kind: str, params, constraints: SampleConstraints) -> list:
             if not (con.cap("trunc_arg_min") <= arg
                     <= con.cap("trunc_arg_max")):
                 out.append(f"|1/(Cq^2)| = {arg:.6g} outside trunc arg caps")
-        for x in _trunc_factors(p):
-            if _margin_bad(x, q, margin):
-                out.append(f"factor base {x:.6g} within pole margin of "
-                           f"a q-shift of 1")
-                break
-        if not out and "diff_amp_max" in con.convergence_caps:
-            amp = _diff_amp(p, lo=-5, hi=5)
-            if amp > con.cap("diff_amp_max"):
-                out.append(f"difference amplifier {amp:.3g} exceeds cap")
+        factors = _trunc_factors(p)
     elif kind == "bailey_a":
         arg = abs(p.series_arg)
         if arg > con.cap("bailey_a_arg_max"):
             out.append(f"|a^2 q/(bcde)| = {arg:.6g} exceeds cap")
-        for x in _bailey_factors(p):
-            if _margin_bad(x, q, margin):
-                out.append(f"factor base {x:.6g} within pole margin of "
-                           f"a q-shift of 1")
-                break
+        factors = _bailey_factors(p)
     else:
         arg = abs(p.series_arg)
         if not (con.cap("t_arg_min") <= arg <= con.cap("t_arg_max")):
             out.append(f"|C/q^3| = {arg:.6g} outside t arg caps")
-        for x in _t_factors(p):
-            if _margin_bad(x, q, margin):
-                out.append(f"factor base {x:.6g} within pole margin of "
-                           f"a q-shift of 1")
-                break
+        factors = _t_factors(p)
+    x = margin_hit(factors, q, con.pole_margin)
+    if x is not None:
+        out.append(f"factor base {x:.6g} within pole margin of a q-shift "
+                   f"of 1")
+    if (kind == "trunc" and not out
+            and "diff_amp_max" in con.convergence_caps):
+        amp = _diff_amp(p, lo=-5, hi=5)
+        if amp > con.cap("diff_amp_max"):
+            out.append(f"difference amplifier {amp:.3g} exceeds cap")
     return out
 
 

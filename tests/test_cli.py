@@ -1,6 +1,5 @@
 import csv
 import dataclasses
-import functools
 import io
 import json
 import math
@@ -538,8 +537,9 @@ def test_sweep_exhausted_by_the_hump_cap_is_unsatisfiable(monkeypatch):
     # under a hump cap of 1, seed 7's first bailey-x draw takes 68
     # candidates; 20 are not enough
     monkeypatch.setitem(sampler.DEFAULT_CAPS, "hump_max", 1.0)
-    monkeypatch.setattr(cli, "SampleConstraints", functools.partial(
-        SampleConstraints, max_rejections=20))
+    kind, con, runner = cli._SWEEPS["bailey-x"]
+    monkeypatch.setitem(cli._SWEEPS, "bailey-x", (
+        kind, dataclasses.replace(con, max_rejections=20), runner))
     with pytest.raises(Unsatisfiable, match="over the check's hump_max"):
         cli.run_sweep("bailey-x", 1, 7)
 

@@ -22,7 +22,7 @@ DIGESTS = {
     "kn-decay":
         "9d7562648ae36c3c3c538b77d57f8d2b626e35577d03b276df140b8cb8e396f8",
     "q-constancy":
-        "079c050f94bb451549a35904c3ea1beb635c277e5f1e98ebf9540adda29b6adf",
+        "e3fc16129fa5e7016aea448f41a9ea3c61fb13872bafef896f7fae4d1e2d7b8e",
     "recurrence":
         "0d8b877305da44ccef58c5a2be14292d3554d8291b784bb18256b3dcea498463",
     "remark1":

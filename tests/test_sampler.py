@@ -1,12 +1,17 @@
+import cmath
 import hashlib
+import json
+import math
 
 import pytest
 
 from qsix import (DEFAULT_CAPS, SampleConstraints, TParams,
                   TruncationPolicy, check_Q_constancy, cli, sample, sampler,
                   series, violations)
+from qsix._backend import margin_hit
 from qsix.errors import DomainError, Unsatisfiable
 from qsix.identities import check_bailey, compute_U, compute_V
+from qsix.report import render_sweep, to_jsonable
 
 KINDS = ("trunc", "bailey_a", "t_params")
 
@@ -177,8 +182,7 @@ T_SWEEPS = [identity for identity, (kind, _, _) in cli._SWEEPS.items()
 def test_t_draws_are_capped_on_their_checks_walks(identity, monkeypatch):
     # t_params draws are audited statically; their conditioning is judged
     # on the walks their own check makes, capped at hump_max
-    kind, caps, runner = cli._SWEEPS[identity]
-    con = SampleConstraints(convergence_caps=caps)
+    kind, con, runner = cli._SWEEPS[identity]
     cap = con.cap("hump_max")
     rep = cli.run_sweep(identity, 10, 7)
     assert rep.summary["passed"] == 10
@@ -192,17 +196,16 @@ def test_t_draws_are_capped_on_their_checks_walks(identity, monkeypatch):
         runner(p, TruncationPolicy(hump_max=cap), {})
 
 
-#: (kind, convergence caps) of every sampled sweep
-SAMPLED = sorted({(kind, tuple(sorted(caps.items())))
-                  for kind, caps, _ in cli._SWEEPS.values() if kind})
+#: (kind, constraints) of every sampled sweep, each pair once
+SAMPLED = list({repr(row[:2]): row[:2] for row in cli._SWEEPS.values()
+                if row[0]}.values())
 
 
-@pytest.mark.parametrize("kind, caps", SAMPLED, ids=[
-    "-".join((kind, *dict(caps))) for kind, caps in SAMPLED])
-def test_violations_makes_no_kernel_walk(kind, caps, monkeypatch):
+@pytest.mark.parametrize("kind, con", SAMPLED, ids=[
+    "-".join((kind, *con.convergence_caps)) for kind, con in SAMPLED])
+def test_violations_makes_no_kernel_walk(kind, con, monkeypatch):
     # the audit is static for every kind; conditioning is judged on the
     # walks of the check that consumes the draw
-    con = SampleConstraints(convergence_caps=dict(caps))
     rng = sampler._rng(7, 0)
     accepted = 0
     for _ in range(20):
@@ -235,3 +238,88 @@ def test_bailey_draws_are_pinned(seed):
     draws = sample("bailey_a", SampleConstraints(), seed, 300)
     digest = hashlib.sha256(repr(draws).encode()).hexdigest()
     assert digest == BAILEY_A_DRAWS[seed]
+
+
+SAMPLED_SWEEPS = [identity for identity, (kind, _, _) in cli._SWEEPS.items()
+                  if kind]
+
+
+@pytest.mark.parametrize("identity", SAMPLED_SWEEPS)
+def test_report_constraints_are_the_sweeps_own(identity):
+    # the report says which region was drawn from, |q| range included
+    con = cli._SWEEPS[identity][1]
+    doc = json.loads(render_sweep(cli.run_sweep(identity, 1, 7), "json"))
+    assert doc["constraints"] == json.loads(json.dumps(to_jsonable(con)))
+
+
+def test_q_constancy_draws_keep_their_q_range():
+    rep = cli.run_sweep("q-constancy", 30, 7)
+    assert rep.summary["passed"] == 30
+    for entry in rep.results:
+        q = entry["params"]["q"]
+        assert 0.4 <= abs(complex(q["re"], q["im"])) <= 0.7
+
+
+_SHELL_LO = 0.25
+_SHELL_HI = 4.0
+
+
+def _ref_margin_bad(x: complex, q: complex, margin: float) -> bool:
+    """The pole-margin audit as it was before the kernel's band: every
+    shift landing |x q^j| in the shell [1/4, 4] is tested."""
+    ax = abs(x)
+    if ax == 0.0:
+        return False
+    aq = abs(q)
+    lq = math.log(aq)
+    jhi = math.floor(math.log(_SHELL_LO / ax) / lq)
+    jlo = math.ceil(math.log(_SHELL_HI / ax) / lq)
+    for j in range(jlo, jhi + 1):
+        xq = x * q ** j
+        if abs(1.0 - xq) < margin * (1.0 + abs(xq)):
+            return True
+    return False
+
+
+def _ref_first(xs, q, margin):
+    return next((x for x in xs if _ref_margin_bad(x, q, margin)), None)
+
+
+_FACTORS = {"trunc": sampler._trunc_factors,
+            "bailey_a": sampler._bailey_factors,
+            "t_params": sampler._t_factors}
+
+#: |q| ranges: the default one and both ends of it and of (0, 1)
+_Q_RANGES = ((0.25, 0.7), (0.25, 0.26), (0.69, 0.7), (0.02, 0.03),
+             (0.97, 0.98))
+
+
+@pytest.mark.parametrize("margin", (1e-3, 1e-2, 0.1, 0.25, 0.9))
+def test_margin_audit_matches_the_shell_loop(margin):
+    # the kernel's audit visits only the band where the test can fire;
+    # its first bad factor base must be the full shell loop's
+    hits = misses = 0
+    for kind, factors in _FACTORS.items():
+        for index, qr in enumerate(_Q_RANGES):
+            con = SampleConstraints(q_modulus_range=qr)
+            rng = sampler._rng(18, index)
+            for _ in range(20):
+                p = sampler._draw_once(kind, rng, con)
+                q = p.q
+                xs = factors(p)
+                # bases next to q^-j, and a zero base among them
+                near = []
+                for _ in range(6):
+                    j = rng.integers(-5, 6)
+                    rel = math.exp(rng.uniform(math.log(1e-6),
+                                               math.log(1e-1)))
+                    turn = cmath.exp(1j * rng.uniform(0.0, 2 * math.pi))
+                    near.append(q ** -j * (1.0 + rel * turn))
+                cases = [xs, [0j, *near], [*near[3:], 0j, *xs]]
+                cases += [[x] for x in (*xs, *near)]
+                for case in cases:
+                    want = _ref_first(case, q, margin)
+                    assert margin_hit(case, q, margin) == want
+                    hits += want is not None
+                    misses += want is None
+    assert hits > 100 and misses > 100
