@@ -3,8 +3,9 @@
 Each invocation runs as `python -m qsix.cli ARG...` in a child process
 that imports qsix from the given source tree. The battery covers every
 eval form, every check in text and json, every `--help` page, a seeded
-sweep per identity alone and with each numeric flag, and the error cases
-of `tests/test_cli.py`. One line per invocation:
+sweep per identity alone and with each numeric flag, the error cases
+of `tests/test_cli.py`, and one named pole per row family that reads the
+factor-base tables. One line per invocation:
 
     EXIT SHA256(stdout) SHA256(stderr) ARG...
 
@@ -83,6 +84,31 @@ CHECKS = {
     "bailey-x": T_ROW,
     "remark1": BAILEY,
 }
+
+#: one invocation per row family that reads the factor-base tables, each
+#: ending in a named PoleError: U_n's BD/A and V_n's A/Cq at q^0, the
+#: recurrence coefficient's Aq/B, the K_N limit's (1/B;q)_inf at B = q^5
+#: (past --n-max, so the trace keeps clear of it), the closed products'
+#: q/b, C/q^3, BCEX, 1/BX and BCDq, and the T recursion's C/q^3
+POLES = [
+    ["check", "udiff", "--q", "0.5,0", "--A", "2,0", "--B", "0.5,0",
+     "--C", "3,0", "--D", "4,0", "--E", "1.1,0", "--n", "2"],
+    ["check", "vdiff", "--q", "0.5,0", "--A", "2,0", "--B", "0.3,0",
+     "--C", "4,0", "--D", "0.7,0", "--E", "1.1,0", "--n", "0"],
+    ["check", "recurrence", "--q", "0.5,0", "--A", "3,0", "--B", "1.5,0",
+     "--C", "5,0", "--D", "0.7,0", "--E", "1.1,0", "--N", "2"],
+    ["check", "kn-decay", *DECAY[:4], "--B", "0.03125,0", *DECAY[6:],
+     "--n-max", "4"],
+    ["eval", "bailey-closed-a", *BAILEY[:4], "--b", "0.5,0", *BAILEY[6:]],
+    ["eval", "bailey-closed-x", *T_ROW[:6], "--C", "0.125,0", *T_ROW[8:]],
+    ["eval", "f", "--q", "0.6,0", "--X", "2,0", "--B", "0.5,0", "--C",
+     "0.5,0", "--D", "0.3,0", "--E", "2,0"],
+    ["eval", "q-factor", "--q", "0.6,0", "--X", "2,0", "--B", "0.5,0",
+     "--D", "0.35,0", "--E", "0.45,0"],
+    ["eval", "rogers-closed", "--q", "0.5,0", "--B", "0.4,0", "--C", "2.5,0",
+     "--D", "2,0", "--E", "0.45,0"],
+    ["check", "t-recursion", *T_ROW[:6], "--C", "0.125,0", *T_ROW[8:]],
+]
 
 #: a value per numeric flag that moves the output of a sweep that reads it
 SWEEP_FLAGS = (("--tail-tol", "0.5"), ("--max-terms", "1"),
@@ -168,7 +194,7 @@ def invocations(tmp: str) -> list:
     out += [["check", "weierstrass", *WEIER, flag, value]
             for flag, value in (("--q", "0.9,0"), ("--tail-tol", "0.5"),
                                 ("--max-terms", "1"))]
-    return out
+    return out + POLES
 
 
 def _sha(data: bytes) -> str:

@@ -28,13 +28,13 @@ multiplies the same factors in the same order, so every return is bit for
 bit the one that testing each factor gives.
 
 `margin_hit`, the sampler's pole-margin audit, tests 1 - x q^j for every
-integer j. As |1 - y| >= ||y| - 1|, |1 - y| < m (1 + |y|) needs |y| in
-[(1-m)/(1+m), (1+m)/(1-m)], or in the shell [1/4, 4] that the audit has
-always tested once m >= 3/5; only the j with log|x q^j| in that band,
-widened by 1e-6 at each end, are visited. The computed |x q^j| is within
-1e-12 relative of |x| |q|^j for the |j| of a draw's factors, and the logs
-fixing the j range are off by under 1e-13, so no j whose test can fire is
-left out and the first hit is the one that testing the whole shell finds.
+integer j, at a margin m in (0, 1). As |1 - y| >= ||y| - 1|,
+|1 - y| < m (1 + |y|) needs |y| in [(1-m)/(1+m), (1+m)/(1-m)]; only the j
+with log|x q^j| in that band, widened by 1e-6 at each end, are visited.
+The computed |x q^j| is within 1e-12 relative of |x| |q|^j for the |j| of
+a draw's factors, and the logs fixing the j range are off by under
+1e-13, so no j whose test can fire is left out and the first hit is the
+one that testing every j finds.
 """
 
 from __future__ import annotations
@@ -62,9 +62,8 @@ _X_MAX = 1e280
 _LOG_NORMAL = math.log(1e300)
 _LOG_HUGE = math.log(1e250)
 
-#: pole-margin audit: the margin from which its band is the shell [1/4, 4],
-#: and the guard on the band's log at each end
-_MARGIN_SHELL, _MARGIN_GUARD = 0.6, 1e-6
+#: pole-margin audit: the guard on the band's log at each end
+_MARGIN_GUARD = 1e-6
 
 #: window [2^-8, 2^8] that scale-tracked products keep their mantissa in
 _LO = 0.00390625
@@ -94,31 +93,27 @@ def cpow_int(base: complex, n: int) -> complex:
 def margin_hit(xs, q: complex, margin: float):
     """The first x in xs with |1 - x q^j| < margin (1 + |x q^j|) for some
     integer j in the band of the module docstring, or None; a zero x has
-    no such j. Each q**j is computed once per call.
+    no such j. margin must lie in (0, 1).
 
     >>> margin_hit((0.3 + 0j, 4.001 + 0j), 0.5 + 0j, 1e-3)
     (4.001+0j)
     >>> margin_hit((0.3 + 0j, 0j), 0.5 + 0j, 1e-3) is None
     True
     """
-    if margin < _MARGIN_SHELL:
-        band = math.log((1.0 + margin) / (1.0 - margin)) + _MARGIN_GUARD
-    else:
-        band = _LOG_SHELL + _MARGIN_GUARD
+    band = math.log((1.0 + margin) / (1.0 - margin)) + _MARGIN_GUARD
     inv = 1.0 / math.log(abs(q))
     log, ceil, floor = math.log, math.ceil, math.floor
-    pw = {}
     for x in xs:
         if not x:
             continue
         lx = log(abs(x))
-        for j in range(ceil((band - lx) * inv), floor((-band - lx) * inv) + 1):
-            qj = pw.get(j)
-            if qj is None:
-                qj = pw[j] = q ** j
-            xq = x * qj
+        # at small margins the band holds no j for most x
+        j, last = ceil((band - lx) * inv), floor((-band - lx) * inv)
+        while j <= last:
+            xq = x * q ** j
             if abs(1.0 - xq) < margin * (1.0 + abs(xq)):
                 return x
+            j += 1
     return None
 
 

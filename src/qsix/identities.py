@@ -21,9 +21,10 @@ from .config import POLE_EPS
 from .errors import DomainError, NonConvergence, PoleError
 from .qcore import DEFAULT_POLICY, QContext, TruncationPolicy, _as_complex, \
     _sc_value, nabla, qpochhammer_inf_multi, theta_multi
-from .series import BaileyParams, SeriesSpec, TParams, TruncParams, \
-    bailey_closed_a, bailey_closed_X, eval_phi, eval_T, F_function, \
-    q_factor, rogers_closed, truncated_S, vwp_psi6
+from .series import _BAILEY_DEN, _ROGERS_DEN, _ROGERS_NUM, _S_DEN, _S_NUM, \
+    BaileyParams, SeriesSpec, TParams, TruncParams, bailey_closed_a, \
+    bailey_closed_X, eval_phi, eval_T, F_function, q_factor, rogers_closed, \
+    truncated_S, vwp_psi6
 
 DEFAULT_ATOL = 1e-12
 
@@ -212,86 +213,69 @@ def check_weierstrass(b: complex, c: complex, x: complex, z: complex,
 # ---------------------------------------------------------------------------
 # the two sequences entering summation by parts, and their step differences
 
-def _u_rows(p: TruncParams):
-    """(numerator, denominator) parameter rows of U_n, as (name, x) pairs:
-    (Bq, Dq, Eq, BDE/A^2q) over (BD/A, BE/A, DE/A, Aq^2)."""
-    q, A, B, D, E = p.q, p.A, p.B, p.D, p.E
-    num = (("Bq", B * q), ("Dq", D * q), ("Eq", E * q),
-           ("BDE/A^2q", B * D * E / (A * A * q)))
-    den = (("BD/A", B * D / A), ("BE/A", B * E / A), ("DE/A", D * E / A),
-           ("Aq^2", A * q * q))
-    return num, den
-
-
-def _v_rows(p: TruncParams):
-    """(numerator, denominator) parameter rows of V_n, as (name, x) pairs:
-    (Aq^2, BCDEq/A^2) over (A/Cq, BDE/A^2q^2)."""
-    q, A, B, C, D, E = p.q, p.A, p.B, p.C, p.D, p.E
-    num = (("Aq^2", A * q * q), ("BCDEq/A^2", B * C * D * E * q / (A * A)))
-    den = (("A/Cq", A / (C * q)),
-           ("BDE/A^2q^2", B * D * E / (A * A * q * q)))
-    return num, den
+#: the numerator and denominator rows of U_n and of V_n
+_U_NUM = ("Bq", "Dq", "Eq", "BDE/A^2q")
+_U_DEN = ("BD/A", "BE/A", "DE/A", "Aq^2")
+_V_NUM, _V_DEN = ("Aq^2", "BCDEq/A^2"), ("A/Cq", "BDE/A^2q^2")
 
 
 def compute_U(n: int, p: TruncParams) -> complex:
     """U_n = (Bq, Dq, Eq, BDE/A^2 q;q)_n / (BD/A, BE/A, DE/A, Aq^2;q)_n,
     as one scale-tracked product: at deep |n| the two halves leave double
     range while their ratio stays in it."""
-    num, den = _u_rows(p)
-    m, e = _poch_sc(num, p.q, n, False, 1.0 + 0j, 0)
-    return _sc_value(*_poch_sc(den, p.q, n, True, m, e))
+    m, e = _poch_sc(p.pairs(_U_NUM), p.q, n, False, 1.0 + 0j, 0)
+    return _sc_value(*_poch_sc(p.pairs(_U_DEN), p.q, n, True, m, e))
 
 
 def compute_V(n: int, p: TruncParams) -> complex:
     """V_n = (Aq^2, BCDEq/A^2;q)_{n+1} / (A/Cq, BDE/A^2q^2;q)_{n+1}
     * (Cq^3)^{-n}, as one scale-tracked product."""
-    q = p.q
-    num, den = _v_rows(p)
-    m, e = _poch_sc(num, q, n + 1, False, 1.0 + 0j, 0)
-    m, e = _poch_sc(den, q, n + 1, True, m, e)
-    return _sc_value(*_pow_sc(p.C * q ** 3, -n, m, e))
+    m, e = _poch_sc(p.pairs(_V_NUM), p.q, n + 1, False, 1.0 + 0j, 0)
+    m, e = _poch_sc(p.pairs(_V_DEN), p.q, n + 1, True, m, e)
+    return _sc_value(*_pow_sc(p.base("Cq^3"), -n, m, e))
 
 
 def check_U_difference(n: int, p: TruncParams, atol: float = DEFAULT_ATOL,
                        rtol: float = DEFAULT_RTOL["udiff"]) -> ResidualReport:
     """U_n - U_{n+1} against its closed single-term form."""
-    q, A, B, C, D, E = p.q, p.A, p.B, p.C, p.D, p.E
+    q, A, B, D, E = p.q, p.A, p.B, p.D, p.E
     lhs = compute_U(n, p) - compute_U(n + 1, p)
-    pref = -(D * E / A) * _K.cpow_int(q, n) * nabla(
-        (B / (A * q), A * q / D, A * q / E))
+    pref = -p.base("DE/A") * _K.cpow_int(q, n) * nabla(
+        p.bases(("B/Aq", "Aq/D", "Aq/E")))
     kern = 1.0 - B * D * E * _K.cpow_int(q, 2 * n + 1) / A
-    num, den = _u_rows(p)
-    rhs = pref * kern * _poch_num(num, q, n) * _poch_den_inv(den, q, n + 1)
+    rhs = (pref * kern * _poch_num(p.pairs(_U_NUM), q, n)
+           * _poch_den_inv(p.pairs(_U_DEN), q, n + 1))
     return _report(lhs, rhs, atol, rtol)
 
 
 def check_V_difference(n: int, p: TruncParams, atol: float = DEFAULT_ATOL,
                        rtol: float = DEFAULT_RTOL["vdiff"]) -> ResidualReport:
     """V_n - V_{n-1} against its closed single-term form."""
-    q, A, B, C, D, E = p.q, p.A, p.B, p.C, p.D, p.E
+    q, A, B, D, E = p.q, p.A, p.B, p.D, p.E
+    cq3 = p.base("Cq^3")
     lhs = compute_V(n, p) - compute_V(n - 1, p)
-    num, den = _v_rows(p)
-    kern = ((1.0 - B * D * E * _K.cpow_int(q, 2 * n) / A)
-            * (1.0 - C * q ** 3))
-    rhs = (_poch_num(num, q, n) * _poch_den_inv(den, q, n + 1)
-           * kern * _K.cpow_int(1.0 / (C * q ** 3), n))
+    kern = (1.0 - B * D * E * _K.cpow_int(q, 2 * n) / A) * (1.0 - cq3)
+    rhs = (_poch_num(p.pairs(_V_NUM), q, n)
+           * _poch_den_inv(p.pairs(_V_DEN), q, n + 1)
+           * kern * _K.cpow_int(1.0 / cq3, n))
     return _report(lhs, rhs, atol, rtol)
 
 
 # ---------------------------------------------------------------------------
 # boundary term K_N, recurrence, decay
 
+def _coefficient(p: TruncParams, top: tuple, bot: tuple) -> complex:
+    """(A^2 q/BDE) nabla(top) / nabla(bot) over the named bases of p; a
+    vanishing factor of bot raises PoleError naming it."""
+    return ((p.A * p.A * p.q / (p.B * p.D * p.E)) * nabla(p.bases(top))
+            / _nabla_den(p.pairs(bot)))
+
+
 def _kn_coefficient(p: TruncParams) -> complex:
     """Shared prefactor (A^2 q/BDE) nabla(A/Cq, BD/A, BE/A, DE/A,
     BDE/A^2q^2) / nabla(Aq/B, Aq/D, Aq/E, BCDEq/A^2, BDEq/A)."""
-    q, A, B, C, D, E = p.q, p.A, p.B, p.C, p.D, p.E
-    top = nabla((A / (C * q), B * D / A, B * E / A, D * E / A,
-                 B * D * E / (A * A * q * q)))
-    bot = _nabla_den((("Aq/B", A * q / B), ("Aq/D", A * q / D),
-                      ("Aq/E", A * q / E),
-                      ("BCDEq/A^2", B * C * D * E * q / (A * A)),
-                      ("BDEq/A", B * D * E * q / A)))
-    return (A * A * q / (B * D * E)) * top / bot
+    return _coefficient(p, ("A/Cq", "BD/A", "BE/A", "DE/A", "BDE/A^2q^2"),
+                        ("Aq/B", "Aq/D", "Aq/E", "BCDEq/A^2", "BDEq/A"))
 
 
 def _require_bde(p: TruncParams) -> None:
@@ -299,15 +283,9 @@ def _require_bde(p: TruncParams) -> None:
         raise DomainError("B, D, E must be nonzero here")
 
 
-def _k3_rows(p: TruncParams):
-    """(numerator, denominator) rows of the window correction K3, taken to
-    index N+1: (Bq, Dq, Eq, BCDEq^2/A^2) over (A/C, BDq/A, BEq/A, DEq/A)."""
-    q, A, B, C, D, E = p.q, p.A, p.B, p.C, p.D, p.E
-    num = (("Bq", B * q), ("Dq", D * q), ("Eq", E * q),
-           ("BCDEq^2/A^2", B * C * D * E * q * q / (A * A)))
-    den = (("A/C", A / C), ("BDq/A", B * D * q / A),
-           ("BEq/A", B * E * q / A), ("DEq/A", D * E * q / A))
-    return num, den
+#: the rows of the window correction K3, taken to index N+1: those of S_N,
+#: the denominators in reverse
+_K3_NUM, _K3_DEN = _S_NUM, _S_DEN[::-1]
 
 
 def compute_KN(p: TruncParams) -> complex:
@@ -337,21 +315,17 @@ def kn_trace(p: TruncParams, N_max: int) -> list:
         raise DomainError("N_max must be >= 0")
     _require_bde(p)
     coeff = _kn_coefficient(p)
-    vnum, vden = _v_rows(p)
-    unum, uden = _u_rows(p)
-    num, den = _k3_rows(p)
-    rows = (vnum[1:], vden, unum, uden[:-1], num, den)
-    bde = p.B * p.D * p.E
+    rows = (_V_NUM[1:], _V_DEN, _U_NUM, _U_DEN[:-1], _K3_NUM, _K3_DEN)
     kns, status, row, slot, k = _K.kn_trace_sc(
-        *(tuple(x for _, x in r) for r in rows), p.q, p.A, p.C, bde,
-        _nabla_den((("BDEq/A", bde * p.q / p.A),)), coeff, N_max)
+        *map(p.bases, rows), p.q, p.A, p.C, p.B * p.D * p.E,
+        _nabla_den(p.pairs(("BDEq/A",))), coeff, N_max)
     if status == _K.OK:
         return kns
     if row == _K.ROW_VALUE:
         _sc_value(slot, k)  # raises the DomainError naming m * 2^e
     if row < 0:
         raise DomainError("scaled q-product left double range")
-    _sc_stop(status, rows[row][slot][0], k)
+    _sc_stop(status, rows[row][slot], k)
 
 
 def compute_KN_printed(p: TruncParams) -> complex:
@@ -414,18 +388,14 @@ def _recurrence(p: TruncParams, kn, atol: float = DEFAULT_ATOL,
                 rtol: float = DEFAULT_RTOL["recurrence"]) -> ResidualReport:
     """check_recurrence with K_N given, or computed in its turn if None."""
     _require_bde(p)
-    q, A, B, C, D, E, N = p.q, p.A, p.B, p.C, p.D, p.E, p.N
+    q, N = p.q, p.N
     lhs = truncated_S(dataclasses.replace(p, N=N + 1))
-    coeff = ((A * A * q / (B * D * E))
-             * nabla((B * D * E / A, C * q ** 3, B * D / A, B * E / A,
-                      D * E / A))
-             / _nabla_den((("BDEq/A", B * D * E * q / A),
-                           ("BCDEq/A^2", B * C * D * E * q / (A * A)),
-                           ("Aq/B", A * q / B), ("Aq/D", A * q / D),
-                           ("Aq/E", A * q / E))))
-    shifted = dataclasses.replace(p, A=A * q, C=C * q)
+    coeff = _coefficient(p, ("BDE/A", "Cq^3", "BD/A", "BE/A", "DE/A"),
+                         ("BDEq/A", "BCDEq/A^2", "Aq/B", "Aq/D", "Aq/E"))
+    shifted = dataclasses.replace(p, A=p.A * q, C=p.C * q)
     kn = compute_KN(p) if kn is None else kn
-    rhs = kn * _K.cpow_int(C * q ** 3, -N) + coeff * truncated_S(shifted)
+    rhs = (kn * _K.cpow_int(p.base("Cq^3"), -N)
+           + coeff * truncated_S(shifted))
     return _report(lhs, rhs, atol, rtol)
 
 
@@ -449,19 +419,16 @@ def kn_limit(p: TruncParams, policy: TruncationPolicy | None = None) -> complex:
     q, A, B, C, D, E = p.q, p.A, p.B, p.C, p.D, p.E
     ctx = QContext(q, policy or DEFAULT_POLICY)
     pref = (B * D * E
-            / (C * _nabla_den((("Aq/B", A * q / B), ("Aq/D", A * q / D),
-                               ("Aq/E", A * q / E),
-                               ("BDEq/A", B * D * E * q / A)))))
-    th1 = theta_multi((A / (B * D), A / (B * E), A / (D * E), A / C), ctx)
-    th2 = theta_multi((1.0 / B, 1.0 / D, 1.0 / E,
-                       A * A / (B * C * D * E * q)), ctx)
-    bot = qpochhammer_inf_multi(
-        (1.0 / B, 1.0 / D, 1.0 / E, A * A / (B * C * D * E * q), A / C,
-         B * D * q / A, B * E * q / A, D * E * q / A), ctx)
+            / (C * _nabla_den(p.pairs(("Aq/B", "Aq/D", "Aq/E", "BDEq/A")))))
+    th1 = theta_multi(p.bases(("A/BD", "A/BE", "A/DE", "A/C")), ctx)
+    th2_row = ("1/B", "1/D", "1/E", "A^2/BCDEq")
+    th2 = theta_multi(p.bases(th2_row), ctx)
+    # (x;q)_inf over th2's row, then K3's denominators
+    bot_row = th2_row + _K3_DEN
+    bot = qpochhammer_inf_multi(p.bases(bot_row), ctx)
     if bot.value == 0:
         raise PoleError("limit denominator product vanishes",
-                        factor="(1/B,1/D,1/E,A^2/BCDEq,A/C,BDq/A,BEq/A,"
-                               "DEq/A;q)_inf")
+                        factor=f"({','.join(bot_row)};q)_inf")
     scale = A * A * C * q / (B * D * E) ** 2
     return pref * (th1.value - scale * th2.value) / bot.value
 
@@ -500,7 +467,7 @@ def check_KN_decay(p: TruncParams, N_max: int = 80, tol: float =
         raise DomainError("decay check needs |Cq^2| > 1")
     if N_max < 4:
         raise DomainError("N_max too small to judge decay")
-    base = abs(p.C * p.q ** 3)
+    base = abs(p.base("Cq^3"))
     kns = kn_trace(p, N_max)
     mags = [_decay_magnitude(kn, base, N) for N, kn in enumerate(kns)]
     kn = kns[-1]
@@ -529,18 +496,14 @@ def check_T_recursion(p: TParams, policy: TruncationPolicy | None = None,
         T(X;C) = nabla(1/BCDEXq, BCDEX^2 q, BC/q, CD/q, CE/q)
                  / nabla(1/BCDEX^2, C/q^3, BCDX, BCEX, CDEX) * T(X;Cq).
     """
-    q, X, B, C, D, E = p.q, p.X, p.B, p.C, p.D, p.E
+    C = p.C
     if C == 0:
         raise DomainError("C must be nonzero")
-    m = B * C * D * E * X
-    mX = m * X
-    top = nabla((1.0 / (m * q), mX * q, B * C / q, C * D / q, C * E / q))
-    bot = _nabla_den((("1/BCDEX^2", 1.0 / mX), ("C/q^3", C / q ** 3),
-                      ("BCDX", B * C * D * X), ("BCEX", B * C * E * X),
-                      ("CDEX", C * D * E * X)))
+    top = nabla(p.bases(("1/BCDEXq", "BCDEX^2q", "BC/q", "CD/q", "CE/q")))
+    bot = _nabla_den(p.pairs(("1/BCDEX^2", "C/q^3", "BCDX", "BCEX", "CDEX")))
     # the deeper scaling is the likelier to raise IllConditioned under a
     # capped policy, so it is walked first
-    rhs = eval_T(dataclasses.replace(p, C=C * q), policy)
+    rhs = eval_T(dataclasses.replace(p, C=C * p.q), policy)
     lhs = eval_T(p, policy)
     value = (top / bot) * rhs.value
     est = lhs.est_error + abs(top / bot) * rhs.est_error
@@ -558,19 +521,15 @@ def check_T_iteration(p: TParams, m: int,
         T(q;C) = (BCDEq^3, BC/q, CD/q, CE/q;q)_m
                  / (C/q^3, BCDq, BCEq, CDEq;q)_m * T(q;Cq^m).
     """
-    q, X, B, C, D, E = p.q, p.X, p.B, p.C, p.D, p.E
-    if X != q:
+    q, C = p.q, p.C
+    if p.X != q:
         raise DomainError("the collapsed iteration holds at X = q only")
     if C == 0:
         raise DomainError("C must be nonzero")
     if m < 1:
         raise DomainError("m must be >= 1")
-    pref = (_poch_num((("BCDEq^3", B * C * D * E * q ** 3),
-                       ("BC/q", B * C / q), ("CD/q", C * D / q),
-                       ("CE/q", C * E / q)), q, m)
-            * _poch_den_inv((("C/q^3", C / q ** 3), ("BCDq", B * C * D * q),
-                             ("BCEq", B * C * E * q),
-                             ("CDEq", C * D * E * q)), q, m))
+    pref = (_poch_num(p.pairs(_ROGERS_NUM), q, m)
+            * _poch_den_inv(p.pairs(_ROGERS_DEN), q, m))
     lhs = eval_T(p, policy)
     rhs = eval_T(dataclasses.replace(p, C=C * _K.cpow_int(q, m)), policy)
     return _report(lhs.value, pref * rhs.value, atol, rtol)
@@ -634,7 +593,8 @@ def check_rogers(B: complex, C: complex, D: complex, E: complex,
     B, C, D, E = map(_as_complex, (B, C, D, E))
     if 0 in (B, D, E):
         raise DomainError("B, D, E must be nonzero")
-    z = C / q ** 3
+    at_q = TParams(q=q, X=q, B=B, C=C, D=D, E=E)
+    z = at_q.base("C/q^3")
     if abs(z) >= 1.0:
         raise NonConvergence(
             f"unilateral argument |C/q^3| = {abs(z)} is outside the "
@@ -643,7 +603,7 @@ def check_rogers(B: complex, C: complex, D: complex, E: complex,
     s = cmath.sqrt(a)
     spec = SeriesSpec(
         (a, q * s, -q * s, B * q * q, D * q * q, E * q * q),
-        (s, -s, C * D * E * q, B * C * E * q, B * C * D * q),
+        (s, -s, *at_q.bases(("CDEq", "BCEq", "BCDq"))),
         z)
     lhs = eval_phi(spec, ctx)
     rhs = rogers_closed(B, C, D, E, ctx)
@@ -671,9 +631,9 @@ def check_bailey(form: str, params, policy: TruncationPolicy | None = None,
                 f"bilateral argument |a^2 q/(bcde)| = {abs(z)} is outside "
                 f"the convergence disk")
         ctx = QContext(p.q, policy or DEFAULT_POLICY)
-        lhs = vwp_psi6(p.a, (p.b, p.c, p.d, p.e), z, ctx,
-                       ("b", "c", "d", "e"),
-                       ("aq/b", "aq/c", "aq/d", "aq/e"))
+        # the sum's denominators are the closed product's first four
+        num, den = ("b", "c", "d", "e"), _BAILEY_DEN[:4]
+        lhs = vwp_psi6(p.base("a"), p.bases(num), z, ctx, num, den)
         rhs = bailey_closed_a(p, policy)
     elif form == "X":
         t: TParams = params
@@ -693,7 +653,7 @@ def map_remark1(p: BaileyParams) -> TParams:
     row: X = aq/b, B = bc/aq^2, C = a^2 q^4/bcde, D = bd/aq^2, E = be/aq^2."""
     q, a, b, c, d, e = p.q, p.a, p.b, p.c, p.d, p.e
     aq2 = a * q * q
-    return TParams(q=q, X=a * q / b, B=b * c / aq2,
+    return TParams(q=q, X=p.base("aq/b"), B=b * c / aq2,
                    C=a * a * q ** 4 / (b * c * d * e), D=b * d / aq2,
                    E=b * e / aq2)
 

@@ -10,7 +10,8 @@ the tests check. Every emitted tuple passes violations(); the same
 re-check is public so sweep consumers can audit samples independently.
 
 violations() is static for every kind: modulus ranges, the argument caps
-or the decay band, pole margins (one kernel pass, `margin_hit`) and the
+or the decay band, pole margins (one kernel pass, `margin_hit`, over the
+bases the kind's parameter class names in its table BASES) and the
 opt-in diff_amp_max. Conditioning is judged on the walks the consuming
 check makes: `sample_checked` runs the check on each candidate and
 redraws from the same stream while it raises IllConditioned, which a sum
@@ -31,8 +32,7 @@ from typing import Mapping
 from ._backend import margin_hit
 from .errors import DomainError, IllConditioned, PoleError, Unsatisfiable
 from .qcore import QContext, TruncationPolicy
-from .series import BaileyParams, TParams, TruncParams, _s_rows, _t_row, \
-    vwp_psi6
+from .series import BaileyParams, TParams, TruncParams, vwp_psi6
 
 #: documented convergence_caps keys and their defaults. Caps not listed for
 #: a kind are ignored by it.
@@ -65,9 +65,11 @@ class SampleConstraints:
 
     q_modulus_range bounds |q|: the q-constancy sweep takes (0.4, 0.7),
     since below 0.4 few candidates' walks at C q^4 are conditioned, and
-    its report's constraints say so. pole_margin is the minimum relative
-    distance of every reachable denominator factor 1 - x q^j from zero.
-    convergence_caps overrides entries of DEFAULT_CAPS.
+    its report's constraints say so. pole_margin, in (0, 1), is the
+    minimum relative distance |1 - x q^j| / (1 + |x q^j|) from zero of
+    every factor whose base x the kind's table names (see violations()).
+    convergence_caps overrides entries of DEFAULT_CAPS; each cap must be
+    finite and > 0, and each min cap at most its max.
     """
 
     q_modulus_range: tuple = (0.25, 0.7)
@@ -84,8 +86,8 @@ class SampleConstraints:
         if not (0.0 < plo <= phi):
             raise DomainError("param_modulus_range must be positive and "
                               "ordered")
-        if not self.pole_margin > 0.0:
-            raise DomainError("pole_margin must be > 0")
+        if not 0.0 < self.pole_margin < 1.0:
+            raise DomainError("pole_margin must lie in (0, 1)")
         if self.max_rejections < 1:
             raise DomainError("max_rejections must be >= 1")
         unknown = set(self.convergence_caps) - set(DEFAULT_CAPS) \
@@ -93,6 +95,18 @@ class SampleConstraints:
         if unknown:
             raise DomainError(f"unknown convergence_caps keys: "
                               f"{sorted(unknown)}")
+        for name in self.convergence_caps:
+            try:
+                ok = 0.0 < self.cap(name) < math.inf
+            except (TypeError, ValueError):
+                ok = False
+            if not ok:
+                raise DomainError(f"convergence cap {name} must be a finite "
+                                  f"number > 0")
+        for lo, hi in (("trunc_arg_min", "trunc_arg_max"),
+                       ("t_arg_min", "t_arg_max")):
+            if self.cap(lo) > self.cap(hi):
+                raise DomainError(f"convergence cap {lo} exceeds {hi}")
 
     def cap(self, name: str) -> float:
         if name in self.convergence_caps:
@@ -173,56 +187,25 @@ def _draw_complex(rng: Philox, lo: float, hi: float) -> complex:
     return complex(mod * math.cos(phase), mod * math.sin(phase))
 
 
-def _trunc_factors(p: TruncParams):
-    """Factor arguments x whose 1 - x q^j must keep the pole margin for the
-    window sums, the U/V sequences, the boundary term, and the closed
-    limit."""
-    q, A, B, C, D, E = p.q, p.A, p.B, p.C, p.D, p.E
-    A2 = A * A
-    num, den, a, _ = _s_rows(q, A, B, C, D, E)
-    return [
-        *den, *num, a, B * D * E / A, C * q ** 3,
-        A * q * q, B * D / A, B * E / A, D * E / A,
-        A / (C * q), B * D * E / (A2 * q * q), B * D * E / (A2 * q),
-        B * C * D * E * q / A2, A * q / B, A * q / D, A * q / E,
-        1.0 / B, 1.0 / D, 1.0 / E, A2 / (B * C * D * E * q),
-        A / (B * D), A / (B * E), A / (D * E), C / A,
-        B / (A * q), B * q * q, D * q * q, E * q * q,
-    ]
+#: kind -> the expressions of the bases that violations() holds to the
+#: pole margin: every base of the kind's table BASES but q, whose (q;q)
+#: factors 1 - q^{k+1} cannot vanish, and X, which `_audited` adds
+_AUDITED = {kind: tuple(f for name, f in cls.BASES.items()
+                        if name not in ("q", "X"))
+            for kind, cls in (("trunc", TruncParams),
+                              ("bailey_a", BaileyParams),
+                              ("t_params", TParams))}
 
 
-def _t_factors(p: TParams):
-    q, X, B, C, D, E = p.q, p.X, p.B, p.C, p.D, p.E
-    m = B * C * D * E * X
-    a, num, z = _t_row(q, X, B, C, D, E)
-    every = [
-        *num, C * D * E * X, B * C * E * X, B * C * D * X,
-        a, 1.0 / (m * q), 1.0 / (m * X), z,
-        B * C / q, C * D / q, C * E / q,
-        B * C * D * q, B * C * E * q, C * D * E * q,
-        B * C * D * E * q ** 3, a * q, 1.0 / m,
-        1.0 / (B * X), 1.0 / (D * X), 1.0 / (E * X),
-        1.0 / (B * q), 1.0 / (D * q), 1.0 / (E * q),
-    ]
-    if X != q:
-        # at X = q exactly the (X;q) zeros collapse the downward side by
-        # design (the unilateral specialization); off that point they are
-        # poles and must keep their margin
-        every.append(X)
-    return every
-
-
-def _bailey_factors(p: BaileyParams):
-    q, a, b, c, d, e = p.q, p.a, p.b, p.c, p.d, p.e
-    every = [
-        b, c, d, e, a * q / b, a * q / c, a * q / d, a * q / e,
-        a, a * q, q / a,
-        q / b, q / c, q / d, q / e,
-        a * a * q / (b * c * d * e),
-        a * q / (b * c), a * q / (b * d), a * q / (b * e),
-        a * q / (c * d), a * q / (c * e), a * q / (d * e),
-    ]
-    return every
+def _audited(kind: str, p) -> list:
+    """The values of the bases that violations() holds to the pole margin,
+    X among them but at X = q exactly: there the (X;q) zeros collapse the
+    downward side of T by design (the unilateral specialization), while
+    off that point they are poles."""
+    xs = [f(p) for f in _AUDITED[kind]]
+    if kind == "t_params" and p.X != p.q:
+        xs.append(p.X)
+    return xs
 
 
 #: kind -> the parameters held to param_modulus_range (C is built from a
@@ -231,7 +214,12 @@ _MODULUS_CHECKED = {"trunc": "ABDE", "bailey_a": "abcde", "t_params": "XBDE"}
 
 
 def violations(kind: str, params, constraints: SampleConstraints) -> list:
-    """Reasons the draw fails its constraints; empty means acceptable."""
+    """Reasons the draw fails its constraints; empty means acceptable.
+
+    The pole margin is held by the bases `_audited` gives: the kind's whole
+    table, from which every sum, product and check reads its rows, so by
+    every factor a check divides by.
+    """
     if kind not in _MODULUS_CHECKED:
         raise DomainError(f"unknown sample kind {kind!r}")
     p, con, out = params, constraints, []
@@ -246,29 +234,21 @@ def violations(kind: str, params, constraints: SampleConstraints) -> list:
             out.append(f"|{name}| = {abs(v):.6g} outside "
                        f"param_modulus_range")
 
-    if kind == "trunc":
-        base = abs(p.C * q ** 3)
-        if "kn_decay_base_min" in con.convergence_caps:
-            mn = con.cap("kn_decay_base_min")
-            if not (mn <= base <= 2.0 * mn):
-                out.append(f"|Cq^3| = {base:.6g} outside decay band")
-        else:
-            arg = abs(1.0 / (p.C * q * q))
-            if not (con.cap("trunc_arg_min") <= arg
-                    <= con.cap("trunc_arg_max")):
-                out.append(f"|1/(Cq^2)| = {arg:.6g} outside trunc arg caps")
-        factors = _trunc_factors(p)
+    arg = abs(p.series_arg)
+    if kind == "trunc" and "kn_decay_base_min" in con.convergence_caps:
+        mn = con.cap("kn_decay_base_min")
+        base = abs(p.base("Cq^3"))
+        if not (mn <= base <= 2.0 * mn):
+            out.append(f"|Cq^3| = {base:.6g} outside decay band")
+    elif kind == "trunc":
+        if not con.cap("trunc_arg_min") <= arg <= con.cap("trunc_arg_max"):
+            out.append(f"|1/(Cq^2)| = {arg:.6g} outside trunc arg caps")
     elif kind == "bailey_a":
-        arg = abs(p.series_arg)
         if arg > con.cap("bailey_a_arg_max"):
             out.append(f"|a^2 q/(bcde)| = {arg:.6g} exceeds cap")
-        factors = _bailey_factors(p)
-    else:
-        arg = abs(p.series_arg)
-        if not (con.cap("t_arg_min") <= arg <= con.cap("t_arg_max")):
-            out.append(f"|C/q^3| = {arg:.6g} outside t arg caps")
-        factors = _t_factors(p)
-    x = margin_hit(factors, q, con.pole_margin)
+    elif not con.cap("t_arg_min") <= arg <= con.cap("t_arg_max"):
+        out.append(f"|C/q^3| = {arg:.6g} outside t arg caps")
+    x = margin_hit(_audited(kind, p), q, con.pole_margin)
     if x is not None:
         out.append(f"factor base {x:.6g} within pole margin of a q-shift "
                    f"of 1")

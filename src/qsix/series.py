@@ -9,6 +9,7 @@ they are checked against.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from types import SimpleNamespace
 from typing import Sequence
 
 from . import _backend as _K
@@ -41,9 +42,41 @@ class SeriesSpec:
         object.__setattr__(self, "z", _as_complex(self.z))
 
 
+class _Point:
+    """A parameter point of one family. BASES, its class's table, maps the
+    name of each factor base x of the factors 1 - x q^j that the family's
+    sums and products take to the base's expression in the point. A base
+    is evaluated where it is read, so one that divides by a zero parameter
+    raises only there, and no value is kept."""
+
+    __slots__ = ()
+
+    def base(self, name: str) -> complex:
+        return self.BASES[name](self)
+
+    def bases(self, names) -> tuple:
+        """The named bases, in order."""
+        exprs = self.BASES
+        return tuple([exprs[name](self) for name in names])
+
+    def pairs(self, names) -> tuple:
+        """(name, base) pairs of the named bases, in order."""
+        return tuple(zip(names, self.bases(names)))
+
+
+class _Unchecked(_Point, SimpleNamespace):
+    """A point of the table BASES on parameters that no class checked."""
+
+
 @dataclass(frozen=True)
-class TruncParams:
-    """Arguments of the truncated window sum S_N and its recurrence."""
+class TruncParams(_Point):
+    """Arguments of the truncated window sum S_N and its recurrence.
+
+    BASES holds the bases that the rows of S_N, U_n, V_n, K_N, the
+    recurrence coefficient and the N -> inf limit read. C/A is in no row:
+    `compute_KN_printed`, written out by hand as the independent
+    reference, divides by 1 - C/A.
+    """
 
     q: complex
     A: complex
@@ -52,6 +85,33 @@ class TruncParams:
     D: complex
     E: complex
     N: int
+
+    BASES = {
+        "Bq": lambda p: p.B * p.q, "Dq": lambda p: p.D * p.q,
+        "Eq": lambda p: p.E * p.q,
+        "BCDEq^2/A^2":
+            lambda p: p.B * p.C * p.D * p.E * p.q * p.q / (p.A * p.A),
+        "DEq/A": lambda p: p.D * p.E * p.q / p.A,
+        "BEq/A": lambda p: p.B * p.E * p.q / p.A,
+        "BDq/A": lambda p: p.B * p.D * p.q / p.A, "A/C": lambda p: p.A / p.C,
+        "BDEq/A": lambda p: p.B * p.D * p.E * p.q / p.A,
+        "BDE/A^2q": lambda p: p.B * p.D * p.E / (p.A * p.A * p.q),
+        "BD/A": lambda p: p.B * p.D / p.A, "BE/A": lambda p: p.B * p.E / p.A,
+        "DE/A": lambda p: p.D * p.E / p.A, "Aq^2": lambda p: p.A * p.q * p.q,
+        "BCDEq/A^2": lambda p: p.B * p.C * p.D * p.E * p.q / (p.A * p.A),
+        "A/Cq": lambda p: p.A / (p.C * p.q),
+        "BDE/A^2q^2": lambda p: p.B * p.D * p.E / (p.A * p.A * p.q * p.q),
+        "BDE/A": lambda p: p.B * p.D * p.E / p.A,
+        "Cq^3": lambda p: p.C * p.q ** 3, "Aq/B": lambda p: p.A * p.q / p.B,
+        "Aq/D": lambda p: p.A * p.q / p.D, "Aq/E": lambda p: p.A * p.q / p.E,
+        "B/Aq": lambda p: p.B / (p.A * p.q),
+        "A/BD": lambda p: p.A / (p.B * p.D),
+        "A/BE": lambda p: p.A / (p.B * p.E),
+        "A/DE": lambda p: p.A / (p.D * p.E), "1/B": lambda p: 1.0 / p.B,
+        "1/D": lambda p: 1.0 / p.D, "1/E": lambda p: 1.0 / p.E,
+        "A^2/BCDEq": lambda p: p.A * p.A / (p.B * p.C * p.D * p.E * p.q),
+        "C/A": lambda p: p.C / p.A,
+    }
 
     def __post_init__(self):
         for name in ("q", "A", "B", "C", "D", "E"):
@@ -65,10 +125,15 @@ class TruncParams:
         if self.N < 0:
             raise DomainError("window size N must be >= 0")
 
+    @property
+    def series_arg(self) -> complex:
+        return 1.0 / (self.C * self.q * self.q)
+
 
 @dataclass(frozen=True)
-class BaileyParams:
-    """Arguments (a; b, c, d, e) of the classical bilateral summation."""
+class BaileyParams(_Point):
+    """Arguments (a; b, c, d, e) of the classical bilateral summation; BASES
+    holds the bases of the sum and of its closed product."""
 
     q: complex
     a: complex
@@ -76,6 +141,23 @@ class BaileyParams:
     c: complex
     d: complex
     e: complex
+
+    BASES = {
+        "q": lambda p: p.q, "a": lambda p: p.a, "aq": lambda p: p.a * p.q,
+        "q/a": lambda p: p.q / p.a, "aq/be": lambda p: p.a * p.q / (p.b * p.e),
+        "aq/ce": lambda p: p.a * p.q / (p.c * p.e),
+        "aq/de": lambda p: p.a * p.q / (p.d * p.e),
+        "aq/bc": lambda p: p.a * p.q / (p.b * p.c),
+        "aq/bd": lambda p: p.a * p.q / (p.b * p.d),
+        "aq/cd": lambda p: p.a * p.q / (p.c * p.d),
+        "aq/b": lambda p: p.a * p.q / p.b, "aq/c": lambda p: p.a * p.q / p.c,
+        "aq/d": lambda p: p.a * p.q / p.d, "aq/e": lambda p: p.a * p.q / p.e,
+        "q/b": lambda p: p.q / p.b, "q/c": lambda p: p.q / p.c,
+        "q/d": lambda p: p.q / p.d, "q/e": lambda p: p.q / p.e,
+        "a^2q/bcde": lambda p: p.a * p.a * p.q / (p.b * p.c * p.d * p.e),
+        "b": lambda p: p.b, "c": lambda p: p.c, "d": lambda p: p.d,
+        "e": lambda p: p.e,
+    }
 
     def __post_init__(self):
         for name in ("q", "a", "b", "c", "d", "e"):
@@ -87,12 +169,17 @@ class BaileyParams:
 
     @property
     def series_arg(self) -> complex:
-        return self.a * self.a * self.q / (self.b * self.c * self.d * self.e)
+        return self.base("a^2q/bcde")
 
 
 @dataclass(frozen=True)
-class TParams:
-    """Arguments (X; B, C, D, E) of the shifted bilateral T(X;C)."""
+class TParams(_Point):
+    """Arguments (X; B, C, D, E) of the shifted bilateral T(X;C).
+
+    BASES holds the bases of T(X;C), of its closed product (q_factor and
+    F) and of its recursion, and, at X = q, those of the rogers product
+    and the collapsed iteration.
+    """
 
     q: complex
     X: complex
@@ -100,6 +187,34 @@ class TParams:
     C: complex
     D: complex
     E: complex
+
+    BASES = {
+        "BCDEX^2": lambda p: p.B * p.C * p.D * p.E * p.X * p.X,
+        "BCDEXq": lambda p: p.B * p.C * p.D * p.E * p.X * p.q,
+        "BXq": lambda p: p.B * p.X * p.q, "DXq": lambda p: p.D * p.X * p.q,
+        "EXq": lambda p: p.E * p.X * p.q, "X": lambda p: p.X,
+        "CDEX": lambda p: p.C * p.D * p.E * p.X,
+        "BCEX": lambda p: p.B * p.C * p.E * p.X,
+        "BCDX": lambda p: p.B * p.C * p.D * p.X, "q": lambda p: p.q,
+        "1/Bq": lambda p: 1.0 / (p.B * p.q),
+        "1/Dq": lambda p: 1.0 / (p.D * p.q),
+        "1/Eq": lambda p: 1.0 / (p.E * p.q),
+        "1/BX": lambda p: 1.0 / (p.B * p.X),
+        "1/DX": lambda p: 1.0 / (p.D * p.X),
+        "1/EX": lambda p: 1.0 / (p.E * p.X),
+        "BCDEX^2q": lambda p: p.B * p.C * p.D * p.E * p.X * p.X * p.q,
+        "q/BCDEX^2": lambda p: p.q / (p.B * p.C * p.D * p.E * p.X * p.X),
+        "BC/q": lambda p: p.B * p.C / p.q, "CD/q": lambda p: p.C * p.D / p.q,
+        "CE/q": lambda p: p.C * p.E / p.q,
+        "1/BCDEX": lambda p: 1.0 / (p.B * p.C * p.D * p.E * p.X),
+        "C/q^3": lambda p: p.C / p.q ** 3,
+        "1/BCDEXq": lambda p: 1.0 / (p.B * p.C * p.D * p.E * p.X * p.q),
+        "1/BCDEX^2": lambda p: 1.0 / (p.B * p.C * p.D * p.E * p.X * p.X),
+        "BCDEq^3": lambda p: p.B * p.C * p.D * p.E * p.q ** 3,
+        "BCDq": lambda p: p.B * p.C * p.D * p.q,
+        "BCEq": lambda p: p.B * p.C * p.E * p.q,
+        "CDEq": lambda p: p.C * p.D * p.E * p.q,
+    }
 
     def __post_init__(self):
         for name in ("q", "X", "B", "C", "D", "E"):
@@ -111,7 +226,7 @@ class TParams:
 
     @property
     def series_arg(self) -> complex:
-        return self.C / self.q ** 3
+        return self.base("C/q^3")
 
 
 def _side(num, den, q, z, direction, vwp_a, fixed, policy,
@@ -172,11 +287,6 @@ def _bilateral(num, den, q, z, vwp_a, fixed, policy, num_names=None,
     hump = _hump(max(up[4], down[4]), value, policy, "bilateral")
     return (value, up[1] + down[1], up[2] + down[2] + 1, up[3] and down[3],
             hump)
-
-
-def _vwp_den(a, q, bs) -> tuple:
-    """Denominator row a q / b_i of the very-well-poised sum in (a; b_i)."""
-    return tuple(a * q / b for b in bs)
 
 
 def eval_phi(spec: SeriesSpec, ctx: QContext) -> EvalResult:
@@ -248,20 +358,15 @@ def vwp_psi6(a: complex, bs: Sequence[complex], z: complex,
     num = tuple(_as_complex(b) for b in bs)
     if 0 in num:
         raise DomainError("very-well-poised parameters must be nonzero")
-    return EvalResult(*_bilateral(num, _vwp_den(a, ctx.q, num), ctx.q, z, a,
-                                  -1, ctx.policy, num_names, den_names)[:4])
+    den = tuple(a * ctx.q / b for b in num)
+    return EvalResult(*_bilateral(num, den, ctx.q, z, a, -1, ctx.policy,
+                                  num_names, den_names)[:4])
 
 
-_S_NUM_NAMES = ("Bq", "Dq", "Eq", "BCDEq^2/A^2")
-_S_DEN_NAMES = ("DEq/A", "BEq/A", "BDq/A", "A/C")
-
-
-def _s_rows(q, A, B, C, D, E):
-    """(numerators, denominators, kernel parameter BDEq/A, argument
-    1/Cq^2) of the window sum S_N in (A; B, C, D, E)."""
-    num = (B * q, D * q, E * q, B * C * D * E * q * q / (A * A))
-    den = (D * E * q / A, B * E * q / A, B * D * q / A, A / C)
-    return num, den, B * D * E * q / A, 1.0 / (C * q * q)
+#: the rows of the window sum S_N in (A; B, C, D, E); its kernel parameter
+#: is BDEq/A and its argument 1/Cq^2
+_S_NUM = ("Bq", "Dq", "Eq", "BCDEq^2/A^2")
+_S_DEN = ("DEq/A", "BEq/A", "BDq/A", "A/C")
 
 
 def truncated_S(p: TruncParams) -> complex:
@@ -275,24 +380,18 @@ def truncated_S(p: TruncParams) -> complex:
     factors cut a direction short exactly, vanishing denominator factors
     raise PoleError naming the factor (A = C poles the n = 1 term already).
     """
-    num, den, a, z = _s_rows(p.q, p.A, p.B, p.C, p.D, p.E)
+    a = p.base("BDEq/A")
     if abs(1.0 - a) <= POLE_EPS * (1.0 + abs(a)):
         raise PoleError("window-sum kernel denominator 1 - BDEq/A vanishes",
                         factor="1 - BDEq/A")
-    return _bilateral(num, den, p.q, z, a, p.N, DEFAULT_POLICY, _S_NUM_NAMES,
-                      _S_DEN_NAMES)[0]
+    return _bilateral(p.bases(_S_NUM), p.bases(_S_DEN), p.q, p.series_arg, a,
+                      p.N, DEFAULT_POLICY, _S_NUM, _S_DEN)[0]
 
 
-_T_NUM_NAMES = ("BCDEXq", "BXq", "DXq", "EXq")
-_T_DEN_NAMES = ("X", "CDEX", "BCEX", "BCDX")
-
-
-def _t_row(q, X, B, C, D, E):
-    """(kernel parameter BCDEX^2, numerator row, argument C/q^3) of
-    T(X;C); the denominators are the very-well-poised a q / b_i."""
-    return (B * C * D * E * X * X,
-            (B * C * D * E * X * q, B * X * q, D * X * q, E * X * q),
-            C / q ** 3)
+#: the rows of T(X;C); the denominators' values are the very-well-poised
+#: a q / b_i, a = BCDEX^2
+_T_NUM = ("BCDEXq", "BXq", "DXq", "EXq")
+_T_DEN = ("X", "CDEX", "BCEX", "BCDX")
 
 
 def eval_T(p: TParams,
@@ -303,20 +402,21 @@ def eval_T(p: TParams,
     Convergence needs |C/q^3| < 1; outside that (including C = 0, where the
     negative-index terms blow up) NonConvergence is raised.
     """
-    a, bs, z = _t_row(p.q, p.X, p.B, p.C, p.D, p.E)
+    z = p.series_arg
     if abs(z) >= 1.0:
         raise NonConvergence(
             f"bilateral argument |C/q^3| = {abs(z)} is outside the "
             f"convergence disk")
-    return vwp_psi6(a, bs, z, QContext(p.q, policy or DEFAULT_POLICY),
-                    _T_NUM_NAMES, _T_DEN_NAMES)
+    return vwp_psi6(p.base("BCDEX^2"), p.bases(_T_NUM), z,
+                    QContext(p.q, policy or DEFAULT_POLICY), _T_NUM, _T_DEN)
 
 
-def _ratio_inf(ctx: QContext, num_pairs, den_pairs) -> EvalResult:
-    """Ratio of infinite-product groups with named denominator poles."""
-    top = qpochhammer_inf_multi([val for _, val in num_pairs], ctx)
+def _ratio_inf(ctx: QContext, p: _Point, num, den) -> EvalResult:
+    """Ratio of the infinite products over p's bases named in num and in
+    den; a vanishing denominator product raises PoleError naming it."""
+    top = qpochhammer_inf_multi(p.bases(num), ctx)
     bot = EvalResult(1.0 + 0j, 0.0, 0, True)
-    for name, val in den_pairs:
+    for name, val in p.pairs(den):
         r = qpochhammer_inf(val, ctx)
         if r.value == 0:
             raise PoleError(f"denominator product ({name};q)_inf vanishes",
@@ -328,19 +428,28 @@ def _ratio_inf(ctx: QContext, num_pairs, den_pairs) -> EvalResult:
                       top.terminated and bot.terminated)
 
 
+#: the rows of the rogers product, and of the collapsed T iteration, in the
+#: TParams bases at X = q
+_ROGERS_NUM = ("BCDEq^3", "BC/q", "CD/q", "CE/q")
+_ROGERS_DEN = ("C/q^3", "BCDq", "BCEq", "CDEq")
+
+
 def rogers_closed(B: complex, C: complex, D: complex, E: complex,
                   ctx: QContext) -> EvalResult:
     """Closed product for the unilateral very-well-poised sum at X = q:
 
         (BCDEq^3, BC/q, CD/q, CE/q;q)_inf / (C/q^3, BCDq, BCEq, CDEq;q)_inf.
     """
-    q = ctx.q
+    # evaluated at any B, C, D, E, so on a point that TParams would refuse
     B, C, D, E = map(_as_complex, (B, C, D, E))
-    num = (("BCDEq^3", B * C * D * E * q ** 3), ("BC/q", B * C / q),
-           ("CD/q", C * D / q), ("CE/q", C * E / q))
-    den = (("C/q^3", C / q ** 3), ("BCDq", B * C * D * q),
-           ("BCEq", B * C * E * q), ("CDEq", C * D * E * q))
-    return _ratio_inf(ctx, num, den)
+    p = _Unchecked(BASES=TParams.BASES, q=ctx.q, X=ctx.q, B=B, C=C, D=D, E=E)
+    return _ratio_inf(ctx, p, _ROGERS_NUM, _ROGERS_DEN)
+
+
+_BAILEY_NUM = ("q", "aq", "q/a", "aq/be", "aq/ce", "aq/de", "aq/bc", "aq/bd",
+               "aq/cd")
+_BAILEY_DEN = ("aq/b", "aq/c", "aq/d", "aq/e", "q/b", "q/c", "q/d", "q/e",
+               "a^2q/bcde")
 
 
 def bailey_closed_a(p: BaileyParams,
@@ -353,38 +462,15 @@ def bailey_closed_a(p: BaileyParams,
     The identity against the bilateral sum needs |a^2 q/(bcde)| < 1; the
     product itself is evaluated for any nonzero parameters.
     """
-    q, a, b, c, d, e = p.q, p.a, p.b, p.c, p.d, p.e
-    aq = a * q
-    num = (("q", q), ("aq", aq), ("q/a", q / a), ("aq/be", aq / (b * e)),
-           ("aq/ce", aq / (c * e)), ("aq/de", aq / (d * e)),
-           ("aq/bc", aq / (b * c)), ("aq/bd", aq / (b * d)),
-           ("aq/cd", aq / (c * d)))
-    den = (("aq/b", aq / b), ("aq/c", aq / c), ("aq/d", aq / d),
-           ("aq/e", aq / e), ("q/b", q / b), ("q/c", q / c), ("q/d", q / d),
-           ("q/e", q / e), ("a^2q/bcde", p.series_arg))
-    return _ratio_inf(QContext(q, policy or DEFAULT_POLICY), num, den)
+    return _ratio_inf(QContext(p.q, policy or DEFAULT_POLICY), p,
+                      _BAILEY_NUM, _BAILEY_DEN)
 
 
-def _q_rows(q, X, B, D, E):
-    """(numerator, denominator) rows of q_factor, as (name, x) pairs."""
-    num = (("q", q), ("1/Bq", 1.0 / (B * q)), ("1/Dq", 1.0 / (D * q)),
-           ("1/Eq", 1.0 / (E * q)))
-    den = (("X", X), ("1/BX", 1.0 / (B * X)), ("1/DX", 1.0 / (D * X)),
-           ("1/EX", 1.0 / (E * X)))
-    return num, den
-
-
-def _f_rows(p: TParams):
-    """(numerator, denominator) rows of F_function, as (name, x) pairs."""
-    q, X, B, C, D, E = p.q, p.X, p.B, p.C, p.D, p.E
-    m = B * C * D * E * X
-    mX = m * X
-    num = (("BCDEX^2q", mX * q), ("q/BCDEX^2", q / mX),
-           ("BC/q", B * C / q), ("CD/q", C * D / q), ("CE/q", C * E / q))
-    den = (("1/BCDEX", 1.0 / m), ("C/q^3", C / q ** 3),
-           ("BCDX", B * C * D * X), ("BCEX", B * C * E * X),
-           ("CDEX", C * D * E * X))
-    return num, den
+#: the rows of q_factor and of F_function
+_Q_NUM = ("q", "1/Bq", "1/Dq", "1/Eq")
+_Q_DEN = ("X", "1/BX", "1/DX", "1/EX")
+_F_NUM = ("BCDEX^2q", "q/BCDEX^2", "BC/q", "CD/q", "CE/q")
+_F_DEN = ("1/BCDEX", "C/q^3", "BCDX", "BCEX", "CDEX")
 
 
 def bailey_closed_X(p: TParams,
@@ -397,10 +483,8 @@ def bailey_closed_X(p: TParams,
     """
     if p.C == 0:
         raise DomainError("C must be nonzero for the closed product")
-    qnum, qden = _q_rows(p.q, p.X, p.B, p.D, p.E)
-    fnum, fden = _f_rows(p)
-    return _ratio_inf(QContext(p.q, policy or DEFAULT_POLICY), qnum + fnum,
-                      qden + fden)
+    return _ratio_inf(QContext(p.q, policy or DEFAULT_POLICY), p,
+                      _Q_NUM + _F_NUM, _Q_DEN + _F_DEN)
 
 
 def q_factor(X: complex, B: complex, D: complex, E: complex,
@@ -414,7 +498,9 @@ def q_factor(X: complex, B: complex, D: complex, E: complex,
     X, B, D, E = map(_as_complex, (X, B, D, E))
     if 0 in (X, B, D, E):
         raise DomainError("X, B, D, E must be nonzero")
-    return _ratio_inf(ctx, *_q_rows(ctx.q, X, B, D, E))
+    # no base of these rows reads C
+    p = _Unchecked(BASES=TParams.BASES, q=ctx.q, X=X, B=B, D=D, E=E)
+    return _ratio_inf(ctx, p, _Q_NUM, _Q_DEN)
 
 
 def F_function(p: TParams,
@@ -428,4 +514,5 @@ def F_function(p: TParams,
     """
     if p.C == 0:
         raise DomainError("C must be nonzero for F")
-    return _ratio_inf(QContext(p.q, policy or DEFAULT_POLICY), *_f_rows(p))
+    return _ratio_inf(QContext(p.q, policy or DEFAULT_POLICY), p, _F_NUM,
+                      _F_DEN)

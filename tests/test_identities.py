@@ -825,3 +825,49 @@ def test_report_honors_tightened_tolerances():
     assert not rep.passed
     rep = check_weierstrass(1.7, 2.3, 0.51, 0.73)
     assert rep.passed
+
+
+# ---------------------------------------------------------------------------
+# a named pole from each row family that reads the factor-base tables (the
+# same points as the pole block of scripts/cli_battery.py)
+
+def _trunc(q, A, B, C, D, E, N=0):
+    return TruncParams(q=q, A=A, B=B, C=C, D=D, E=E, N=N)
+
+
+def _t(q, X, B, C, D, E):
+    return TParams(q=q, X=X, B=B, C=C, D=D, E=E)
+
+
+_LIMIT_DEN = "(1/B,1/D,1/E,A^2/BCDEq,A/C,BDq/A,BEq/A,DEq/A;q)_inf"
+
+TABLE_POLES = {
+    "udiff": (lambda: check_U_difference(
+        2, _trunc(0.5, 2.0, 0.5, 3.0, 4.0, 1.1)), "BD/A"),
+    "vdiff": (lambda: check_V_difference(
+        0, _trunc(0.5, 2.0, 0.3, 4.0, 0.7, 1.1)), "A/Cq"),
+    "recurrence": (lambda: check_recurrence(
+        _trunc(0.5, 3.0, 1.5, 5.0, 0.7, 1.1, N=2)), "Aq/B"),
+    "kn-limit": (lambda: kn_limit(
+        _trunc(0.5, 2.0, 0.03125, 12.0, 0.7, 1.1)), _LIMIT_DEN),
+    "bailey-closed-a": (lambda: identities.bailey_closed_a(
+        BaileyParams(q=0.5, a=0.09, b=0.5, c=0.7, d=0.8, e=0.9)), "q/b"),
+    "bailey-closed-x": (lambda: identities.bailey_closed_X(
+        _t(0.5, 1.2, 0.3, 0.125, 0.35, 0.45)), "C/q^3"),
+    "f": (lambda: identities.F_function(
+        _t(0.6, 2.0, 0.5, 0.5, 0.3, 2.0)), "BCEX"),
+    "q-factor": (lambda: identities.q_factor(
+        2.0, 0.5, 0.35, 0.45, QContext(0.6)), "1/BX"),
+    "rogers-closed": (lambda: identities.rogers_closed(
+        0.4, 2.5, 2.0, 0.45, QContext(0.5)), "BCDq"),
+    "t-recursion": (lambda: check_T_recursion(
+        _t(0.5, 1.2, 0.3, 0.125, 0.35, 0.45)), "C/q^3"),
+}
+
+
+@pytest.mark.parametrize("family", sorted(TABLE_POLES))
+def test_table_poles_name_their_factor(family):
+    run, factor = TABLE_POLES[family]
+    with pytest.raises(PoleError) as exc:
+        run()
+    assert exc.value.factor == factor

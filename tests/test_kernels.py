@@ -554,10 +554,9 @@ def ref_kn_trace(p, N_max: int) -> list:
     q, A, C = p.q, p.A, p.C
     cq3 = C * q ** 3
     ck = (ID._kn_coefficient(p), 0)
-    vnum, vden = ID._v_rows(p)
-    unum, uden = ID._u_rows(p)
-    vnum, uden = vnum[1:], uden[:-1]
-    num, den = ID._k3_rows(p)
+    vnum, vden = p.pairs(ID._V_NUM[1:]), p.pairs(ID._V_DEN)
+    unum, uden = p.pairs(ID._U_NUM), p.pairs(ID._U_DEN[:-1])
+    num, den = p.pairs(ID._K3_NUM), p.pairs(ID._K3_DEN)
     kden = ID._nabla_den((("BDEq/A", p.B * p.D * p.E * q / A),))
     low = high = num3 = den3 = (1.0 + 0j, 0)
     up = down = 1.0 + 0j

@@ -1,4 +1,5 @@
 import cmath
+import functools
 import hashlib
 import json
 import math
@@ -6,8 +7,8 @@ import math
 import pytest
 
 from qsix import (DEFAULT_CAPS, SampleConstraints, TParams,
-                  TruncationPolicy, check_Q_constancy, cli, sample, sampler,
-                  series, violations)
+                  TruncationPolicy, check_Q_constancy, cli, identities,
+                  sample, sampler, series, violations)
 from qsix._backend import margin_hit
 from qsix.errors import DomainError, Unsatisfiable
 from qsix.identities import check_bailey, compute_U, compute_V
@@ -122,6 +123,40 @@ def test_constraint_validation():
         SampleConstraints(max_rejections=0)
     with pytest.raises(DomainError):
         SampleConstraints(convergence_caps={"tightness": 2.0})
+
+
+@pytest.mark.parametrize("margin", (1.0, 1.5, math.inf, math.nan, -0.1))
+def test_pole_margin_must_lie_in_the_unit_interval(margin):
+    # at 1 and above no factor can keep the margin, so every draw used to
+    # fail the audit until max_rejections ran out
+    with pytest.raises(DomainError, match="pole_margin"):
+        SampleConstraints(pole_margin=margin)
+
+
+@pytest.mark.parametrize("caps", (
+    {"trunc_arg_min": -1.0}, {"hump_max": math.inf},
+    {"trunc_arg_max": math.nan}, {"diff_amp_max": "wide"},
+    {"kn_decay_base_min": 0.0}, {"bailey_a_arg_max": None}))
+def test_convergence_caps_must_be_finite_and_positive(caps):
+    with pytest.raises(DomainError, match="convergence cap"):
+        SampleConstraints(convergence_caps=caps)
+
+
+def test_zero_t_arg_min_is_a_domain_error():
+    # used to escape from the draw's math.log as a raw ValueError
+    with pytest.raises(DomainError, match="t_arg_min"):
+        sample("t_params", SampleConstraints(
+            convergence_caps={"t_arg_min": 0.0}), seed=1, count=1)
+
+
+@pytest.mark.parametrize("caps", (
+    {"t_arg_min": 0.95}, {"t_arg_min": 0.5, "t_arg_max": 0.4},
+    {"trunc_arg_min": 30.0}, {"trunc_arg_min": 2.0, "trunc_arg_max": 1.0}))
+def test_reversed_arg_caps_are_a_domain_error(caps):
+    # reversed t caps used to exhaust max_rejections as Unsatisfiable
+    with pytest.raises(DomainError, match="exceeds"):
+        sample("t_params", SampleConstraints(convergence_caps=caps),
+               seed=1, count=1)
 
 
 def test_long_downward_probe_walk_stays_in_range():
@@ -260,13 +295,15 @@ def test_q_constancy_draws_keep_their_q_range():
         assert 0.4 <= abs(complex(q["re"], q["im"])) <= 0.7
 
 
-_SHELL_LO = 0.25
-_SHELL_HI = 4.0
+#: a shell that holds the band of every margin the tests use (0.9 needs
+#: [1/19, 19])
+_SHELL_LO = 1e-4
+_SHELL_HI = 1e4
 
 
 def _ref_margin_bad(x: complex, q: complex, margin: float) -> bool:
-    """The pole-margin audit as it was before the kernel's band: every
-    shift landing |x q^j| in the shell [1/4, 4] is tested."""
+    """The pole-margin audit without the kernel's band: every shift landing
+    |x q^j| in the shell [1e-4, 1e4] is tested."""
     ax = abs(x)
     if ax == 0.0:
         return False
@@ -285,9 +322,8 @@ def _ref_first(xs, q, margin):
     return next((x for x in xs if _ref_margin_bad(x, q, margin)), None)
 
 
-_FACTORS = {"trunc": sampler._trunc_factors,
-            "bailey_a": sampler._bailey_factors,
-            "t_params": sampler._t_factors}
+_FACTORS = {kind: functools.partial(sampler._audited, kind)
+            for kind in ("trunc", "bailey_a", "t_params")}
 
 #: |q| ranges: the default one and both ends of it and of (0, 1)
 _Q_RANGES = ((0.25, 0.7), (0.25, 0.26), (0.69, 0.7), (0.02, 0.03),
@@ -323,3 +359,99 @@ def test_margin_audit_matches_the_shell_loop(margin):
                     hits += want is not None
                     misses += want is None
     assert hits > 100 and misses > 100
+
+
+def test_margin_band_reaches_past_the_quarter_shell():
+    # at margin 0.7 the band is [3/17, 17/3]; the shift j = -2 puts
+    # |x q^j| at 5.34, outside [1/4, 4], and within the margin of 1
+    q, x = -0.0365 + 0.2700j, -0.3905 - 0.0676j
+    y = x * q ** -2
+    assert abs(y) > 4.0
+    assert abs(1.0 - y) / (1.0 + abs(y)) == pytest.approx(0.685, abs=1e-3)
+    assert margin_hit([x], q, 0.7) == x
+    assert _ref_first([x], q, 0.7) == x
+
+
+def _record_divisors(monkeypatch) -> list:
+    """Patch the kernels and the difference product in denominator
+    position to append every base a check divides by to the returned
+    list: the dividing rows of a series walk (and its kernel parameter a,
+    over 1 - a), of a finite product and of the K_N trace, the factors of
+    `_nabla_den`, and the base of every infinite product (numerator bases
+    are held to it too)."""
+    seen = []
+    K = series._K
+    side, sc, trace, inf = (K.series_side, K.qpoch_sc, K.kn_trace_sc,
+                            K.qpoch_inf)
+    nabla_den = identities._nabla_den
+
+    def series_side(num, den, q, z, direction, vwp_a, use_vwp, *rest):
+        seen.extend(num if direction < 0 else den)
+        if use_vwp:
+            seen.append(vwp_a)
+        return side(num, den, q, z, direction, vwp_a, use_vwp, *rest)
+
+    def qpoch_sc(xs, q, n, invert, *rest):
+        if (n < 0) != bool(invert):
+            seen.extend(xs)
+        return sc(xs, q, n, invert, *rest)
+
+    def kn_trace_sc(vnum, vden, unum, uden, num3, den3, *rest):
+        # every row divides somewhere in the trace but K3's numerators
+        seen.extend((*vnum, *vden, *unum, *uden, *den3))
+        return trace(vnum, vden, unum, uden, num3, den3, *rest)
+
+    def qpoch_inf(a, *rest):
+        seen.append(a)
+        return inf(a, *rest)
+
+    def _nabla_den(pairs):
+        seen.extend(x for _, x in pairs)
+        return nabla_den(pairs)
+
+    for name, fn in (("series_side", series_side), ("qpoch_sc", qpoch_sc),
+                     ("kn_trace_sc", kn_trace_sc), ("qpoch_inf", qpoch_inf)):
+        monkeypatch.setattr(K, name, fn)
+    monkeypatch.setattr(identities, "_nabla_den", _nabla_den)
+    return seen
+
+
+def _in_orbit(x: complex, bases, q: complex) -> bool:
+    """Whether x is within 1e-9 relative of b q^j, |j| <= 60, for some b
+    in bases."""
+    lq = math.log(abs(q))
+    for b in bases:
+        if not b:
+            continue
+        j = round(math.log(abs(x / b)) / lq)
+        for k in (j - 1, j, j + 1):
+            if abs(k) <= 60 and abs(x - b * q ** k) <= 1e-9 * abs(x):
+                return True
+    return False
+
+
+@pytest.mark.parametrize("identity", SAMPLED_SWEEPS)
+def test_audit_covers_every_base_a_check_divides_by(identity, monkeypatch):
+    # the pole margin holds for every factor a sampled sweep's check divides
+    # by: each such base is a q-shift of a base that violations() audits.
+    # Exempt are q, whose (q;q) factors cannot vanish, and rogers' +-sqrt
+    # of BCDEq^2, whose square is audited
+    kind, con, runner = cli._SWEEPS[identity]
+    seen = _record_divisors(monkeypatch)
+    checked = []
+
+    def traced(p, policy, tols):
+        seen.clear()
+        try:
+            return runner(p, policy, tols)
+        finally:
+            audited = sampler._audited(kind, p)
+            for x in set(seen):
+                assert (x == 0 or x == p.q or _in_orbit(x, audited, p.q)
+                        or identity == "rogers"
+                        and _in_orbit(x * x, audited, p.q)), (x, p)
+            checked.append(len(seen))
+
+    monkeypatch.setitem(cli._SWEEPS, identity, (kind, con, traced))
+    cli.run_sweep(identity, 25, 7)
+    assert len(checked) >= 25 and min(checked) > 0
