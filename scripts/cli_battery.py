@@ -191,6 +191,9 @@ def invocations(tmp: str) -> list:
     out += [["check", name, *TINY_A] for name in ("kn-decay", "recurrence",
                                                   "udiff", "vdiff")]
     out.append(["eval", "s-trunc", *TINY_A, "--N", "3"])
+    # udiff's closed form divides by D
+    out.append(["check", "udiff", *TRUNC[:8], "--D", "0,0", *TRUNC[10:],
+                "--n", "2"])
     out += [["check", "weierstrass", *WEIER, flag, value]
             for flag, value in (("--q", "0.9,0"), ("--tail-tol", "0.5"),
                                 ("--max-terms", "1"))]

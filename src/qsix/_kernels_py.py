@@ -25,7 +25,21 @@ drifts by ~1e-12 relative over 10^4 steps, far inside that factor of 2,
 and each end of a stretch keeps one index more. With eps <= 1/4 the test
 fires only for |x q^m| in [3/5, 5/3], so it cannot fire there. A stretch
 multiplies the same factors in the same order, so every return is bit for
-bit the one that testing each factor gives.
+bit the one that testing each factor gives. Off a stretch, the zero test
+of `qpoch_inf` is also skipped where |x q^m| < 1/2, since with eps <= 1/4
+it fires only from 3/5 on.
+
+`qpoch_inf_row` takes (x;q)_inf for every x of a row in one call, each
+product bit for bit as `qpoch_inf` takes it alone, with one loop for both.
+The constants that depend on q and tail_tol alone (-log|q|, the log of
+the tail floor, the normal-range cap) are worked out once per call, not
+once per base. A row of more than one base reads q^k from one shared
+table of powers, q^0, q^1, ..., built once per call by multiplying by q,
+so each power is bit for bit the w that `w *= q` gives in the loop. The
+table runs to where the product of the row's largest |x| should close its
+tail window, at most max_terms and _TABLE_MAX powers; a product that runs
+past it goes on by w *= q from the table's last power. A lone base, as in
+`qpoch_inf`, has no table: building one costs more than reading it saves.
 
 `margin_hit`, the sampler's pole-margin audit, tests 1 - x q^j for every
 integer j, at a margin m in (0, 1). As |1 - y| >= ||y| - 1|,
@@ -40,6 +54,8 @@ one that testing every j finds.
 from __future__ import annotations
 
 import math
+from itertools import accumulate, repeat
+from operator import mul
 
 from .config import POLE_EPS
 
@@ -55,12 +71,19 @@ _OVERFLOW = 1e150
 _LOG_SHELL = math.log(4.0)
 #: largest eps for which a quiet factor's zero or pole test cannot fire
 _QUIET_EPS = 0.25
+#: |x q^m| below which a zero test with eps <= _QUIET_EPS cannot fire
+_ZERO_FLOOR = 0.5
 #: no stretch for an |x| outside [1e-280, 1e280], or past a step whose
 #: |q^m| leaves [1e-300, 1e300] or, downward, whose |x q^m| tops 1e250
 _X_MIN = 1e-280
 _X_MAX = 1e280
 _LOG_NORMAL = math.log(1e300)
 _LOG_HUGE = math.log(1e250)
+
+#: most powers of q that `qpoch_inf_row` keeps in its table
+_TABLE_MAX = 1 << 14
+#: the table of a lone base: q^0 only, every later power from w *= q
+_NO_TABLE = (1.0 + 0j,)
 
 #: pole-margin audit: the guard on the band's log at each end
 _MARGIN_GUARD = 1e-6
@@ -322,32 +345,131 @@ def qpoch_inf(a: complex, q: complex, tail_tol: float, max_terms: int,
     sum_{j>k} |a q^j| / (1 - |a q^{k+1}|), inf where that overflows. Returns
     (value, est_error, terms, terminated, status); terminated=1 marks an
     exact value (a == 0, or a vanished factor making the product 0), and
-    status DIVERGED a product that left double range.
+    status DIVERGED a product that left double range, BUDGET one that
+    took max_terms factors with the window still open.
 
     The factors with 2 tail_tol < |a q^k| < 1/4 form one quiet stretch
     (see the module docstring): there neither the zero test nor the tail
-    window can fire, so they are multiplied in without either.
+    window can fire, so they are multiplied in without either. This is
+    `qpoch_inf_row`'s loop with no table: every q^k comes from w *= q.
     """
     if a == 0:
         return 1.0 + 0j, 0.0, 1, 1, OK
     absq = abs(q)
-    k0, k1 = _quiet_stretch(abs(a), absq, tail_tol, zero_eps)
+    return _inf_product(a, q, absq, _NO_TABLE,
+                        _shell(absq, tail_tol, zero_eps), tail_tol,
+                        max_terms, window, zero_eps)
+
+
+def qpoch_inf_row(xs, q: complex, tail_tol: float, max_terms: int,
+                  window: int, zero_eps: float):
+    """(x;q)_infinity for each x of xs in turn, each bit for bit as
+    `qpoch_inf` computes it.
+
+    Returns (out, status, slot). out holds each product's (value,
+    est_error, terms, terminated) up to the first product whose status is
+    not OK; status is that product's (BUDGET or DIVERGED) and slot its
+    index in xs, or OK and 0 when every product is OK. The constants of
+    the call and the shared table of powers of q are described in the
+    module docstring.
+
+    >>> qpoch_inf_row((0j, 0.5 + 0j), 0.5 + 0j, 1e-15, 3, 3, 5e-15)
+    ([((1+0j), 0.0, 1, 1)], 3, 1)
+    """
+    absq = abs(q)
+    shell = _shell(absq, tail_tol, zero_eps)
+    pw = _NO_TABLE
+    if shell is not None and len(xs) > 1:
+        big = max(map(abs, xs))
+        if _X_MIN <= big <= _X_MAX:
+            # |x q^k| < tail_tol from k = (log|x| - log tail_tol) / -log|q|
+            n = (math.ceil((math.log(big) - math.log(tail_tol)) / shell[0])
+                 + window + 2)
+            if n > max_terms:
+                n = max_terms
+            if n > _TABLE_MAX:
+                n = _TABLE_MAX
+            pw = list(accumulate(repeat(q, n - 1), mul, initial=1.0 + 0j))
+    out = []
+    for slot, x in enumerate(xs):
+        r = _inf_product(x, q, absq, pw, shell, tail_tol, max_terms, window,
+                         zero_eps)
+        if r[4] != OK:
+            return out, r[4], slot
+        out.append(r[:4])
+    return out, OK, 0
+
+
+def _shell(absq: float, tail_tol: float, eps: float):
+    """The per-call constants of `_inf_product`'s quiet stretches: -log|q|,
+    the log of the tail floor max(2 tail_tol, 1e-280) and the
+    normal-range cap on a stretch's end; None when no factor can be
+    quiet."""
+    lo = 2.0 * tail_tol
+    if lo < _X_MIN:
+        lo = _X_MIN
+    if not (0.0 < absq < 1.0 and eps <= _QUIET_EPS and lo < 0.25):
+        return None
+    lg = -math.log(absq)
+    return lg, math.log(lo), math.ceil(_LOG_NORMAL / lg) - 1
+
+
+def _inf_product(a: complex, q: complex, absq: float, pw, shell,
+                 tail_tol: float, max_terms: int, window: int,
+                 zero_eps: float):
+    """`qpoch_inf` of a, reading q^k from the table pw (q^0, q^1, ...)
+    while k is inside it and going on from its last power by w *= q;
+    shell is `_shell`'s.
+
+    The quiet stretch is the factors [k0, k1) over which 2 tail_tol <
+    |a q^k| < 1/4 and 1e-280 < |a q^k| hold with one index to spare;
+    there is none when k0 = k1 = -1. With a shell (so eps <= 1/4) the
+    zero test is also skipped outside the stretch wherever |a q^k| < 1/2:
+    it can fire only from 3/5 on.
+    """
+    if a == 0:
+        return 1.0 + 0j, 0.0, 1, 1, OK
+    k0 = k1 = -1
+    zlo = 0.0
+    if shell is not None:
+        zlo = _ZERO_FLOOR
+        ax = abs(a)
+        if _X_MIN <= ax <= _X_MAX:
+            lg, llo, kn = shell
+            lx = math.log(ax)
+            k0 = math.floor((lx + _LOG_SHELL) / lg) + 2
+            k1 = math.ceil((lx - llo) / lg) - 1
+            if k1 > kn:
+                k1 = kn
+            if k0 < 0:
+                k0 = 0
+            if k0 >= k1:
+                k0 = k1 = -1
+    n = len(pw)
     acc = 1.0 + 0j
     w = 1.0 + 0j
     run = 0
     k = 0
     while k < max_terms:
         if k == k0:
-            for _ in range(k0, k1 if k1 < max_terms else max_terms):
+            end = k1 if k1 < max_terms else max_terms
+            if k < n:
+                for w in pw[k:end]:
+                    acc *= 1.0 - a * w
+                w *= q
+                k = end if end < n else n
+            for _ in range(k, end):
                 acc *= 1.0 - a * w
                 w *= q
             k = k1
             run = 0
             continue
+        if k < n:
+            w = pw[k]
         aw = a * w
         mag = abs(aw)
         f = 1.0 - aw
-        if abs(f) <= zero_eps * (1.0 + mag):
+        if mag >= zlo and abs(f) <= zero_eps * (1.0 + mag):
             return 0.0 + 0j, 0.0, k + 1, 1, OK
         acc *= f
         if mag < tail_tol:
@@ -371,28 +493,6 @@ def qpoch_inf(a: complex, q: complex, tail_tol: float, max_terms: int,
         w *= q
         k += 1
     return acc, float("inf"), max_terms, 0, BUDGET
-
-
-def _quiet_stretch(ax: float, absq: float, tail_tol: float, eps: float):
-    """Factor indices [k0, k1) of (a;q)_inf, |a| = ax, over which
-    2 tail_tol < |a q^k| < 1/4 and 1e-280 < |a q^k| hold with one index to
-    spare; (-1, -1) when there is none."""
-    lo = 2.0 * tail_tol
-    if lo < _X_MIN:
-        lo = _X_MIN
-    if not (_X_MIN <= ax <= _X_MAX and 0.0 < absq < 1.0
-            and eps <= _QUIET_EPS and lo < 0.25):
-        return -1, -1
-    lg = -math.log(absq)
-    lx = math.log(ax)
-    k0 = math.floor((lx + _LOG_SHELL) / lg) + 2
-    k1 = math.ceil((lx - math.log(lo)) / lg) - 1
-    kn = math.ceil(_LOG_NORMAL / lg) - 1
-    if k1 > kn:
-        k1 = kn
-    if k0 < 0:
-        k0 = 0
-    return (k0, k1) if k0 < k1 else (-1, -1)
 
 
 def _quiet_edges(xs, absq: float, down: bool, eps: float) -> list:

@@ -237,8 +237,12 @@ def compute_V(n: int, p: TruncParams) -> complex:
 
 def check_U_difference(n: int, p: TruncParams, atol: float = DEFAULT_ATOL,
                        rtol: float = DEFAULT_RTOL["udiff"]) -> ResidualReport:
-    """U_n - U_{n+1} against its closed single-term form."""
+    """U_n - U_{n+1} against its closed single-term form, whose prefactor
+    divides by D and E (the bases Aq/D and Aq/E)."""
     q, A, B, D, E = p.q, p.A, p.B, p.D, p.E
+    if 0 in (D, E):
+        raise DomainError("D and E must be nonzero: the closed form divides "
+                          "by them")
     lhs = compute_U(n, p) - compute_U(n + 1, p)
     pref = -p.base("DE/A") * _K.cpow_int(q, n) * nabla(
         p.bases(("B/Aq", "Aq/D", "Aq/E")))

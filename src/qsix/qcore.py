@@ -189,22 +189,75 @@ def qpochhammer_inf(a: complex, ctx: QContext) -> EvalResult:
     p = ctx.policy
     val, est, terms, exact, status = _K.qpoch_inf(
         a, ctx.q, p.tail_tol, p.max_terms, STAGNATION_WINDOW, ZERO_EPS)
-    if status == _K.BUDGET:
-        raise BudgetExceeded(
-            f"(a;q)_inf with a = {a}: no stagnation within "
-            f"{p.max_terms} factors")
-    if status == _K.DIVERGED:
-        raise DomainError(
-            f"(a;q)_inf with a = {a}: the product is out of double range")
+    if status != _K.OK:
+        raise _stop_error(status, a, p)
     return EvalResult(val, est, terms, bool(exact))
+
+
+def _stop_error(status: int, a: complex, policy: TruncationPolicy):
+    """The error of a product (a;q)_inf that stopped with the kernel
+    status BUDGET or DIVERGED."""
+    if status == _K.BUDGET:
+        return BudgetExceeded(
+            f"(a;q)_inf with a = {a}: no stagnation within "
+            f"{policy.max_terms} factors")
+    return DomainError(
+        f"(a;q)_inf with a = {a}: the product is out of double range")
+
+
+def _complex_row(xs) -> tuple:
+    """(row, err): xs through _as_complex up to the first that it refuses,
+    and that refusal's DomainError, or None when there is none."""
+    row = []
+    try:
+        for x in xs:
+            row.append(_as_complex(x))
+    except DomainError as exc:
+        return row, exc
+    return row, None
+
+
+def _inf_row(ctx: QContext, row: list, err=None) -> tuple:
+    """(results, err): the raw (value, est_error, terms, terminated) of
+    (x;q)_inf for each complex x of row, from one kernel call, up to the
+    first product that stops; err is that product's error, else the err
+    given, the error of an input after the row.
+
+    A caller raises err after its own tests on the results, so that every
+    error comes in the order of the row, as when each product is taken in
+    turn."""
+    p = ctx.policy
+    out, status, slot = _K.qpoch_inf_row(row, ctx.q, p.tail_tol, p.max_terms,
+                                         STAGNATION_WINDOW, ZERO_EPS)
+    if status != _K.OK:
+        err = _stop_error(status, row[slot], p)
+    return out, err
+
+
+#: the empty product, where `_fold` starts
+_ONE = (1.0 + 0j, 0.0, 0, True)
+
+
+def _fold(results, acc: tuple = _ONE) -> tuple:
+    """acc times each raw product (value, est_error, terms, terminated) of
+    results in turn: the values multiply, the error bounds compose to
+    first order plus their product, the terms add, and the result is
+    exact when both sides are or its value is 0."""
+    v, e, t, x = acc
+    for rv, re, rt, rx in results:
+        e = abs(v) * re + abs(rv) * e + e * re
+        v = v * rv
+        t += rt
+        x = bool(x and rx) or v == 0
+    return v, e, t, x
 
 
 def qpochhammer_inf_multi(as_: Sequence[complex], ctx: QContext) -> EvalResult:
     """prod_i (a_i;q)_infinity with composed error bound."""
-    out = EvalResult(1.0 + 0j, 0.0, 0, True)
-    for a in as_:
-        out = _mul_results(out, qpochhammer_inf(a, ctx))
-    return out
+    out, err = _inf_row(ctx, *_complex_row(as_))
+    if err is not None:
+        raise err
+    return EvalResult(*_fold(out))
 
 
 def theta(x: complex, ctx: QContext) -> EvalResult:
@@ -213,25 +266,29 @@ def theta(x: complex, ctx: QContext) -> EvalResult:
     Satisfies the inversion symmetry theta(x) = theta(q/x) and vanishes
     exactly at x in {q^k : k integer}. x must be nonzero.
     """
-    x = _as_complex(x)
-    if x == 0:
-        raise DomainError("theta requires x != 0")
-    return _mul_results(qpochhammer_inf(x, ctx),
-                        qpochhammer_inf(ctx.q / x, ctx))
+    return EvalResult(*_thetas((x,), ctx)[0])
 
 
 def theta_multi(xs: Sequence[complex], ctx: QContext) -> EvalResult:
     """prod_i theta(x_i; q)."""
-    out = EvalResult(1.0 + 0j, 0.0, 0, True)
-    for x in xs:
-        out = _mul_results(out, theta(x, ctx))
-    return out
+    return EvalResult(*_fold(_thetas(xs, ctx)))
 
 
-def _mul_results(a: EvalResult, b: EvalResult) -> EvalResult:
-    """Product of two certified values; first-order error composition."""
-    value = a.value * b.value
-    est = (abs(a.value) * b.est_error + abs(b.value) * a.est_error
-           + a.est_error * b.est_error)
-    exact = (a.terminated and b.terminated) or value == 0
-    return EvalResult(value, est, a.terms_used + b.terms_used, exact)
+def _thetas(xs, ctx: QContext) -> list:
+    """theta(x) for each x of xs as a raw result: (x;q)_inf times
+    (q/x;q)_inf, all from one kernel row."""
+    row = []
+    err = None
+    try:
+        for x in xs:
+            x = _as_complex(x)
+            if x == 0:
+                raise DomainError("theta requires x != 0")
+            row.append(x)
+            row.append(_as_complex(ctx.q / x))
+    except DomainError as exc:
+        err = exc
+    out, err = _inf_row(ctx, row, err)
+    if err is not None:
+        raise err
+    return [_fold((out[i + 1],), out[i]) for i in range(0, len(out), 2)]

@@ -17,7 +17,7 @@ from .config import POLE_EPS, RECOMPUTE_EVERY, STAGNATION_WINDOW, ZERO_EPS
 from .errors import BudgetExceeded, DomainError, IllConditioned, \
     NonConvergence, PoleError
 from .qcore import DEFAULT_POLICY, EvalResult, QContext, TruncationPolicy, \
-    _as_complex, _mul_results, qpochhammer_inf, qpochhammer_inf_multi
+    _as_complex, _complex_row, _fold, _inf_row
 
 
 @dataclass(frozen=True)
@@ -413,19 +413,30 @@ def eval_T(p: TParams,
 
 def _ratio_inf(ctx: QContext, p: _Point, num, den) -> EvalResult:
     """Ratio of the infinite products over p's bases named in num and in
-    den; a vanishing denominator product raises PoleError naming it."""
-    top = qpochhammer_inf_multi(p.bases(num), ctx)
-    bot = EvalResult(1.0 + 0j, 0.0, 0, True)
-    for name, val in p.pairs(den):
-        r = qpochhammer_inf(val, ctx)
-        if r.value == 0:
+    den, all from one kernel row; a vanishing denominator product raises
+    PoleError naming it. Errors come in the order of taking num's
+    products, then den's bases, then den's products, in turn."""
+    row, err = _complex_row(p.bases(num))
+    if err is None:
+        try:
+            bot = p.bases(den)
+        except ZeroDivisionError as exc:
+            err = exc
+        else:
+            bot, err = _complex_row(bot)
+            row += bot
+    out, err = _inf_row(ctx, row, err)
+    for name, r in zip(den, out[len(num):]):
+        if r[0] == 0:
             raise PoleError(f"denominator product ({name};q)_inf vanishes",
                             factor=name)
-        bot = _mul_results(bot, r)
-    value = top.value / bot.value
-    est = (top.est_error + abs(value) * bot.est_error) / abs(bot.value)
-    return EvalResult(value, est, top.terms_used + bot.terms_used,
-                      top.terminated and bot.terminated)
+    if err is not None:
+        raise err
+    tv, te, tt, tx = _fold(out[:len(num)])
+    bv, be, bt, bx = _fold(out[len(num):])
+    value = tv / bv
+    est = (te + abs(value) * be) / abs(bv)
+    return EvalResult(value, est, tt + bt, tx and bx)
 
 
 #: the rows of the rogers product, and of the collapsed T iteration, in the

@@ -176,6 +176,18 @@ def test_underflowed_a_squared_is_domain_error(args):
     assert "Traceback" not in r.stderr
 
 
+@pytest.mark.parametrize("flag", ["--D", "--E"])
+def test_udiff_with_zero_d_or_e_is_domain_error(flag):
+    # the closed form's prefactor divides by D and E; this used to exit 1
+    # with a raw ZeroDivisionError
+    flags = list(RECURRENCE_FLAGS)
+    flags[flags.index(flag) + 1] = "0,0"
+    r = run("check", "udiff", *flags, "--n", "2")
+    assert r.returncode == 2
+    assert r.stderr.strip() == ("domain error: D and E must be nonzero: the "
+                                "closed form divides by them")
+
+
 def test_check_json_format():
     r = run("check", "recurrence", *RECURRENCE_FLAGS, "--format", "json")
     assert r.returncode == 0

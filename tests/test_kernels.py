@@ -14,7 +14,14 @@ tail bound that overflows.
 `qpoch_inf` and `series_side` skip their zero and pole tests on quiet
 stretches. A seeded fuzz holds both to `repr`-equal returns with reference
 copies that test every factor, on inputs that put factors on, next to and
-far from their zeros and poles.
+far from their zeros and poles. Another holds `qpoch_inf_row` to the
+reference product run base by base: rows with zero bases, exact zero
+factors, stops in mid-row, and products that run past the row's table of
+powers of q. The closed products, `qpochhammer_inf_multi`, `theta`,
+`theta_multi` and `kn_limit`, which take their products from row calls,
+are held to products taken one `qpochhammer_inf` call at a time and
+composed by the product rule they used before: the same value, or the
+same exception and message.
 
 `kn_trace_sc` carries a whole K_N decay trace in one call. Another fuzz
 holds `kn_trace` to a reference trace that makes one `qpoch_sc` call per
@@ -34,9 +41,13 @@ from test_series import poch_oracle, psi_term_oracle
 
 from qsix import SampleConstraints, TruncParams, sample
 from qsix import _backend as K
+from qsix import _kernels_py as KP
 from qsix import identities as ID
-from qsix.errors import DomainError, QSixError
-from qsix.qcore import _sc_value
+from qsix import qcore as Q
+from qsix import series as S
+from qsix.errors import DomainError, PoleError, QSixError
+from qsix.qcore import EvalResult, QContext, TruncationPolicy, _sc_value
+from qsix.series import BaileyParams, TParams
 from qsix._kernels_py import (BUDGET, DIVERGED, OK, POLE, TERMINATED,
                               _OVERFLOW, _crossing, _stop, cpow_int)
 
@@ -520,6 +531,274 @@ def test_qpoch_inf_matches_the_fully_tested_product():
             # the reference reports a product out of range as OK
             want = (want[0], math.inf, want[2], 0, DIVERGED)
         assert _outcome(K.qpoch_inf, args) == repr(want), args
+
+
+def ref_qpoch_inf_row(xs, q: complex, *rest):
+    """`qpoch_inf_row` as `ref_qpoch_inf` run base by base."""
+    out = []
+    for slot, x in enumerate(xs):
+        r = ref_qpoch_inf(x, q, *rest)
+        if r[4] == OK and not _in_range(r[0]):
+            r = (r[0], math.inf, r[2], 0, DIVERGED)
+        if r[4] != OK:
+            return out, r[4], slot
+        out.append(r[:4])
+    return out, OK, 0
+
+
+def _row_args(rng):
+    """A row of up to 6 bases of `_param`, one in ten of them 0; the zero
+    test's eps is at times wide enough to fire off |x q^k| = 1, up to and
+    past the 1/4 that quiet stretches need."""
+    args = _qpoch_inf_args(rng)
+    q = args[1]
+    xs = [0j if rng.random() < 0.1 else _param(rng, q)
+          for _ in range(rng.randint(0, 6))]
+    eps = rng.choice((5e-15, 5e-15, 0.1, 0.25, 0.3))
+    return (xs, *args[1:-1], eps)
+
+
+@pytest.mark.parametrize("table_max", [KP._TABLE_MAX, 7, 1])
+def test_qpoch_inf_row_matches_the_fully_tested_product(table_max,
+                                                        monkeypatch):
+    # a table cut at 7 powers or at q^0 alone sends every longer product
+    # past it, onto w *= q from its last power
+    monkeypatch.setattr(KP, "_TABLE_MAX", table_max)
+    rng = random.Random(17)
+    seen = set()
+    for _ in range(1500):
+        args = _row_args(rng)
+        want = ref_qpoch_inf_row(*args)
+        assert _outcome(K.qpoch_inf_row, args) == repr(want), args
+        out, status, slot = want
+        seen.add(status)
+        seen.update("zero base" if x == 0 else "exact zero" if r[3] else OK
+                    for x, r in zip(args[0], out))
+        if status != OK and slot:
+            seen.add("stop in mid-row")
+    assert seen == {OK, BUDGET, DIVERGED, "zero base", "exact zero",
+                    "stop in mid-row"}
+
+
+def test_qpoch_inf_row_runs_past_its_table():
+    # at |q| = 0.999 each product takes about 35,000 factors, past the
+    # table's _TABLE_MAX powers; the second base's product is the longer
+    q = 0.999 * cmath.exp(0.3j)
+    args = ([0.3 + 0.1j, -0.6 + 0.2j, 0j], q, 1e-15, 100000, 3, 5e-15)
+    out, status, slot = want = ref_qpoch_inf_row(*args)
+    assert (status, len(out)) == (OK, 3)
+    assert out[1][2] > out[0][2] > KP._TABLE_MAX
+    assert repr(K.qpoch_inf_row(*args)) == repr(want)
+
+
+# --- the infinite-product compositions, against products taken one
+# `qpochhammer_inf` call at a time and the product rule that composed
+# them before the row kernel ---
+
+
+def ref_mul(a: EvalResult, b: EvalResult) -> EvalResult:
+    """Product of two certified values; first-order error composition."""
+    value = a.value * b.value
+    est = (abs(a.value) * b.est_error + abs(b.value) * a.est_error
+           + a.est_error * b.est_error)
+    exact = (a.terminated and b.terminated) or value == 0
+    return EvalResult(value, est, a.terms_used + b.terms_used, exact)
+
+
+def ref_qpochhammer_inf_multi(as_, ctx):
+    out = EvalResult(1.0 + 0j, 0.0, 0, True)
+    for a in as_:
+        out = ref_mul(out, Q.qpochhammer_inf(a, ctx))
+    return out
+
+
+def ref_theta(x, ctx):
+    x = Q._as_complex(x)
+    if x == 0:
+        raise DomainError("theta requires x != 0")
+    return ref_mul(Q.qpochhammer_inf(x, ctx),
+                   Q.qpochhammer_inf(ctx.q / x, ctx))
+
+
+def ref_theta_multi(xs, ctx):
+    out = EvalResult(1.0 + 0j, 0.0, 0, True)
+    for x in xs:
+        out = ref_mul(out, ref_theta(x, ctx))
+    return out
+
+
+def ref_ratio_inf(ctx, p, num, den):
+    top = ref_qpochhammer_inf_multi(p.bases(num), ctx)
+    bot = EvalResult(1.0 + 0j, 0.0, 0, True)
+    for name, val in p.pairs(den):
+        r = Q.qpochhammer_inf(val, ctx)
+        if r.value == 0:
+            raise PoleError(f"denominator product ({name};q)_inf vanishes",
+                            factor=name)
+        bot = ref_mul(bot, r)
+    value = top.value / bot.value
+    est = (top.est_error + abs(value) * bot.est_error) / abs(bot.value)
+    return EvalResult(value, est, top.terms_used + bot.terms_used,
+                      top.terminated and bot.terminated)
+
+
+def _value_outcome(fn, *args):
+    """repr of fn's value, or what it raised with its message and
+    factor."""
+    try:
+        return repr(fn(*args))
+    except (QSixError, ArithmeticError) as exc:
+        return repr((type(exc).__name__, str(exc),
+                     getattr(exc, "factor", None)))
+
+
+def _kind(outcome: str) -> str:
+    """"value", or the name of the exception of a `_value_outcome`."""
+    return "value" if outcome.startswith("EvalResult") else \
+        outcome.split("'")[1]
+
+
+def _modulus(rng):
+    """A parameter: modulus 1e-2..1e2 mostly; one time in ten so small
+    that a base dividing by it is out of range or not finite."""
+    phase = cmath.exp(1j * rng.uniform(-math.pi, math.pi))
+    if rng.random() < 0.1:
+        return rng.choice((1e-150, 1e-200, 1e-310)) * phase
+    return 10.0 ** rng.uniform(-2.0, 2.0) * phase
+
+
+def _near(rng, q):
+    """t = q^-j (1 + eps): a base set to t has the factor 1 - t q^j on or
+    next to 0."""
+    eps = rng.choice((0.0, 0.0, 1e-16, 1e-11))
+    return q ** -rng.randint(-3, 8) * (1.0 + eps)
+
+
+#: one parameter solved for, so that the named base takes a value t:
+#: bailey's and T's denominators and numerators
+_BAILEY_SET = (lambda p, t: {"e": p.a * p.q / t},
+               lambda p, t: {"e": p.q / t},
+               lambda p, t: {"e": p.a * p.a * p.q / (p.b * p.c * p.d * t)},
+               lambda p, t: {"e": p.a * p.q / (p.d * t)},
+               lambda p, t: {"a": p.q / t})
+_T_SET = (lambda p, t: {"X": t},
+          lambda p, t: {"X": 1.0 / (p.B * t)},
+          lambda p, t: {"C": t * p.q ** 3},
+          lambda p, t: {"C": t / (p.B * p.D * p.X)},
+          lambda p, t: {"C": 1.0 / (p.B * p.D * p.E * p.X * t)},
+          lambda p, t: {"C": t * p.q / p.B})
+
+
+def _closed_cases():
+    """(function, args) calls of every closed product."""
+    rng = random.Random(19)
+    cases = []
+    for i in range(500):
+        q = _base(rng)
+        if abs(q) > 0.9:
+            q *= 0.9 / abs(q)
+        policy = TruncationPolicy(max_terms=rng.choice((4, 40, 10000, 10000)))
+        ctx = QContext(q, policy)
+        b, c, d, e, x = (_modulus(rng) for _ in range(5))
+        bp = BaileyParams(q=q, a=_modulus(rng), b=b, c=c, d=d, e=e)
+        tp = TParams(q=q, X=x, B=b, C=c, D=d, E=e)
+        if i % 2:
+            t = _near(rng, q)
+            try:
+                bp = dataclasses.replace(bp, **rng.choice(_BAILEY_SET)(bp, t))
+                tp = dataclasses.replace(tp, **rng.choice(_T_SET)(tp, t))
+            except (QSixError, ArithmeticError):
+                pass  # a solved parameter out of range: keep the draw
+        cases += [(S.bailey_closed_a, bp, policy),
+                  (S.bailey_closed_X, tp, policy),
+                  (S.F_function, tp, policy),
+                  (S.q_factor, tp.X, tp.B, tp.D, tp.E, ctx),
+                  (S.rogers_closed, tp.B, tp.C, tp.D, tp.E, ctx)]
+    return cases
+
+
+def test_closed_products_match_products_taken_one_at_a_time(monkeypatch):
+    cases = _closed_cases()
+    got = [_value_outcome(*case) for case in cases]
+    monkeypatch.setattr(S, "_ratio_inf", ref_ratio_inf)
+    want = [_value_outcome(*case) for case in cases]
+    for case, g, w in zip(cases, got, want):
+        assert g == w, case
+    # ZeroDivisionError: a base that divides by parameters whose product
+    # underflows to 0
+    assert {_kind(w) for w in want} == {
+        "value", "PoleError", "BudgetExceeded", "DomainError",
+        "ZeroDivisionError"}
+
+
+#: bases of synthetic rows: a product in range, one with a vanishing
+#: factor, one out of double range, a base that is not finite, and one
+#: whose division fails
+_SYNTH = {"n": lambda p: 0.5 + 0.1j, "z": lambda p: 1.0 / p.q,
+          "big": lambda p: 1e200 + 0j, "inf": lambda p: p.q / 1e-310,
+          "div": lambda p: 1.0 / (p.q * 0.0)}
+
+
+@pytest.mark.parametrize("num, den", [
+    (("n",), ("z", "big")), (("n",), ("z", "inf")), (("n",), ("z", "div")),
+    (("n", "big"), ("z",)), (("big",), ("div",)), (("inf",), ("z",)),
+    (("n",), ("n", "big", "z")), (("n", "z"), ("n", "inf"))])
+def test_ratio_inf_raises_in_the_order_of_taking_each_product(num, den):
+    # the first of a vanishing denominator product, a product out of
+    # range, a base that is not finite and a base whose division fails,
+    # in the order in which taking each product in turn meets them
+    p = S._Unchecked(BASES=_SYNTH, q=0.5 + 0j)
+    ctx = QContext(0.5)
+    assert (_value_outcome(S._ratio_inf, ctx, p, num, den)
+            == _value_outcome(ref_ratio_inf, ctx, p, num, den))
+
+
+def _product_rows():
+    rng = random.Random(23)
+    rows = []
+    for _ in range(600):
+        q = _base(rng)
+        if abs(q) > 0.9:
+            q *= 0.9 / abs(q)
+        ctx = QContext(q, TruncationPolicy(
+            max_terms=rng.choice((4, 40, 10000, 10000))))
+        xs = []
+        for _ in range(rng.randint(0, 5)):
+            u = rng.random()
+            xs.append(_near(rng, q) if u < 0.3 else 0j if u < 0.4
+                      else 1.0 / _modulus(rng) if u < 0.5
+                      else _modulus(rng))
+        rows.append((xs, ctx))
+    return rows
+
+
+@pytest.mark.parametrize("fn, ref", [
+    (Q.qpochhammer_inf_multi, ref_qpochhammer_inf_multi),
+    (Q.theta_multi, ref_theta_multi)])
+def test_products_of_a_row_match_products_taken_one_at_a_time(fn, ref):
+    kinds = set()
+    for xs, ctx in _product_rows():
+        want = _value_outcome(ref, xs, ctx)
+        assert _value_outcome(fn, xs, ctx) == want, (xs, ctx)
+        kinds.add(_kind(want))
+    assert kinds == {"value", "BudgetExceeded", "DomainError"}
+
+
+def test_theta_matches_two_products_taken_one_at_a_time():
+    for xs, ctx in _product_rows():
+        for x in xs[:1]:
+            assert (_value_outcome(Q.theta, x, ctx)
+                    == _value_outcome(ref_theta, x, ctx)), (x, ctx)
+
+
+def test_kn_limit_matches_products_taken_one_at_a_time(monkeypatch):
+    points = sample("trunc", KN_DECAY, 9, 40) + sample(
+        "trunc", SampleConstraints(), 9, 40)
+    got = [_value_outcome(ID.kn_limit, p) for p in points]
+    monkeypatch.setattr(ID, "theta_multi", ref_theta_multi)
+    monkeypatch.setattr(ID, "qpochhammer_inf_multi",
+                        ref_qpochhammer_inf_multi)
+    assert got == [_value_outcome(ID.kn_limit, p) for p in points]
 
 
 def test_series_side_matches_the_fully_tested_walk():
