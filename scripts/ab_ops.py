@@ -4,20 +4,16 @@ Both trees are loaded into this one process under distinct package names
 (qsix imports only relatively, so `qsix_old.series` reads
 `qsix_old._backend`). Then op i of a workload runs on one tree and at
 once on the other, the order flipping from op to op, so that a drift in
-host speed over the run falls on both trees alike. Each op's CPU time is
-taken with `time.process_time`. The ops are those of the benchmark
-workloads:
+host speed over the run falls on both trees alike. The ops, their inputs
+and their outputs are those of `perfbench/workloads.py`, run on a state
+built from each tree's modules; each op's CPU time is taken with
+`time.process_time`, its input drawn outside that time.
 
-    check-bilateral  check_bailey("a") and check_remark1_equivalence on
-                     one `bailey_a` draw
-    sweep-t          a 3-draw bailey-x sweep and a 3-draw q-constancy
-                     sweep, each rendered as JSON
-    sweep-kn         a 1-draw kn-decay sweep, rendered as JSON
-
-For each workload it prints the median op time on each tree, on how many
-ops the new tree was faster, and whether every op gave `repr`-identical
-output on both trees. It is a quick check while developing a change, not
-a replacement for `perfbench/run.py`:
+For each workload that runs in-process (check-bilateral, sweep-t,
+sweep-kn) it prints the median op time on each tree, on how many ops the
+new tree was faster, and whether every op gave the same result (success
+and digest of its output) on both trees. It is a quick check while
+developing a change, not a replacement for `perfbench/run.py`:
 
     python3 scripts/ab_ops.py --old ../parent/src --new src --ops 400
 """
@@ -27,80 +23,60 @@ from __future__ import annotations
 import argparse
 import importlib
 import importlib.util
-import random
 import statistics
 import sys
 import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "perfbench"))
 
-#: workload -> the sweeps of one op, as (identity, draws)
-SWEEPS = {
-    "sweep-t": (("bailey-x", 3), ("q-constancy", 3)),
-    "sweep-kn": (("kn-decay", 1),),
-}
-WORKLOADS = ("check-bilateral", *SWEEPS)
+from workloads import WORKLOADS as BENCH  # noqa: E402
+
+#: the benchmark workloads whose ops run in this process
+WORKLOADS = tuple(name for name, w in BENCH.items() if not w.spawns)
 
 
 def load_tree(src: Path, name: str) -> dict:
-    """The qsix package under `src`, imported as `name`; its modules by
-    their qsix names."""
+    """The qsix package under `src`, imported as `name`, and the modules
+    that the workloads' ops read, as a workload state."""
     pkg = src / "qsix"
     spec = importlib.util.spec_from_file_location(
         name, pkg / "__init__.py", submodule_search_locations=[str(pkg)])
     module = importlib.util.module_from_spec(spec)
     sys.modules[name] = module
     spec.loader.exec_module(module)
-    return {sub: importlib.import_module(f"{name}.{sub}")
-            for sub in ("cli", "identities", "report", "sampler")}
+    return {"qsix": module,
+            **{sub: importlib.import_module(f"{name}.{sub}")
+               for sub in ("cli", "identities", "report")}}
 
 
-def op_seed(workload: str, seed: int, index: int, stream: int) -> int:
-    """Seed of one sweep of op `index`, distinct per stream."""
-    return random.Random(f"{workload}:{seed}:{index}:{stream}").getrandbits(32)
-
-
-def make_op(workload: str, tree: dict, seed: int, ops: int):
-    """op(index) -> output of one op of `workload` on `tree`."""
-    if workload == "check-bilateral":
-        sampler, ident = tree["sampler"], tree["identities"]
-        points = sampler.sample("bailey_a", sampler.SampleConstraints(),
-                                seed, ops)
-
-        def op(index):
-            p = points[index]
-            return repr((ident.check_bailey("a", p),
-                         ident.check_remark1_equivalence(p)))
-        return op
-    cli, report = tree["cli"], tree["report"]
+def make_op(workload: str, tree: dict, seed: int):
+    """op(index) -> (CPU time, result) of op `index` of `workload` on
+    `tree`."""
+    bench = BENCH[workload]
+    state = {"seed": seed, **tree}
 
     def op(index):
-        return [report.render_sweep(
-            cli.run_sweep(identity, draws,
-                          op_seed(workload, seed, index, stream)), "json")
-            for stream, (identity, draws) in enumerate(SWEEPS[workload])]
+        bench.prepare(state, index)
+        start = time.process_time()
+        out = bench.op(state, index)
+        return time.process_time() - start, out
     return op
 
 
-def timed(op, index: int):
-    start = time.process_time()
-    out = op(index)
-    return time.process_time() - start, out
-
-
 def compare(workload: str, old: dict, new: dict, seed: int, ops: int):
-    """(old op times, new op times, ops whose outputs differ)."""
-    op_old = make_op(workload, old, seed, ops)
-    op_new = make_op(workload, new, seed, ops)
+    """(old op times, new op times, ops whose results differ)."""
+    op_old = make_op(workload, old, seed)
+    op_new = make_op(workload, new, seed)
     t_old, t_new, differ = [], [], 0
     for index in range(ops):
         if index % 2:
-            b, out_new = timed(op_new, index)
-            a, out_old = timed(op_old, index)
+            b, out_new = op_new(index)
+            a, out_old = op_old(index)
         else:
-            a, out_old = timed(op_old, index)
-            b, out_new = timed(op_new, index)
+            a, out_old = op_old(index)
+            b, out_new = op_new(index)
         t_old.append(a)
         t_new.append(b)
         differ += out_old != out_new
@@ -132,7 +108,7 @@ def main(argv=None) -> int:
         wins = sum(b < a for a, b in zip(t_old, t_new))
         print(f"{workload}: old {m_old:.3f} ms, new {m_new:.3f} ms "
               f"({m_old / m_new:.3f}x), new faster on {wins} of {args.ops} "
-              f"ops, outputs {'identical' if not differ else 'DIFFER'}"
+              f"ops, results {'identical' if not differ else 'DIFFER'}"
               f"{f' on {differ} ops' if differ else ''}")
         same = same and not differ
     return 0 if same else 1

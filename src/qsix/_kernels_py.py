@@ -33,13 +33,7 @@ it fires only from 3/5 on.
 product bit for bit as `qpoch_inf` takes it alone, with one loop for both.
 The constants that depend on q and tail_tol alone (-log|q|, the log of
 the tail floor, the normal-range cap) are worked out once per call, not
-once per base. A row of more than one base reads q^k from one shared
-table of powers, q^0, q^1, ..., built once per call by multiplying by q,
-so each power is bit for bit the w that `w *= q` gives in the loop. The
-table runs to where the product of the row's largest |x| should close its
-tail window, at most max_terms and _TABLE_MAX powers; a product that runs
-past it goes on by w *= q from the table's last power. A lone base, as in
-`qpoch_inf`, has no table: building one costs more than reading it saves.
+once per base; each product builds its own powers q^k by w *= q.
 
 `margin_hit`, the sampler's pole-margin audit, tests 1 - x q^j for every
 integer j, at a margin m in (0, 1). As |1 - y| >= ||y| - 1|,
@@ -54,8 +48,6 @@ one that testing every j finds.
 from __future__ import annotations
 
 import math
-from itertools import accumulate, repeat
-from operator import mul
 
 from .config import POLE_EPS
 
@@ -79,11 +71,6 @@ _X_MIN = 1e-280
 _X_MAX = 1e280
 _LOG_NORMAL = math.log(1e300)
 _LOG_HUGE = math.log(1e250)
-
-#: most powers of q that `qpoch_inf_row` keeps in its table
-_TABLE_MAX = 1 << 14
-#: the table of a lone base: q^0 only, every later power from w *= q
-_NO_TABLE = (1.0 + 0j,)
 
 #: pole-margin audit: the guard on the band's log at each end
 _MARGIN_GUARD = 1e-6
@@ -351,14 +338,13 @@ def qpoch_inf(a: complex, q: complex, tail_tol: float, max_terms: int,
     The factors with 2 tail_tol < |a q^k| < 1/4 form one quiet stretch
     (see the module docstring): there neither the zero test nor the tail
     window can fire, so they are multiplied in without either. This is
-    `qpoch_inf_row`'s loop with no table: every q^k comes from w *= q.
+    `qpoch_inf_row`'s loop.
     """
     if a == 0:
         return 1.0 + 0j, 0.0, 1, 1, OK
     absq = abs(q)
-    return _inf_product(a, q, absq, _NO_TABLE,
-                        _shell(absq, tail_tol, zero_eps), tail_tol,
-                        max_terms, window, zero_eps)
+    return _inf_product(a, q, absq, _shell(absq, tail_tol, zero_eps),
+                        tail_tol, max_terms, window, zero_eps)
 
 
 def qpoch_inf_row(xs, q: complex, tail_tol: float, max_terms: int,
@@ -370,29 +356,16 @@ def qpoch_inf_row(xs, q: complex, tail_tol: float, max_terms: int,
     est_error, terms, terminated) up to the first product whose status is
     not OK; status is that product's (BUDGET or DIVERGED) and slot its
     index in xs, or OK and 0 when every product is OK. The constants of
-    the call and the shared table of powers of q are described in the
-    module docstring.
+    the call are described in the module docstring.
 
     >>> qpoch_inf_row((0j, 0.5 + 0j), 0.5 + 0j, 1e-15, 3, 3, 5e-15)
     ([((1+0j), 0.0, 1, 1)], 3, 1)
     """
     absq = abs(q)
     shell = _shell(absq, tail_tol, zero_eps)
-    pw = _NO_TABLE
-    if shell is not None and len(xs) > 1:
-        big = max(map(abs, xs))
-        if _X_MIN <= big <= _X_MAX:
-            # |x q^k| < tail_tol from k = (log|x| - log tail_tol) / -log|q|
-            n = (math.ceil((math.log(big) - math.log(tail_tol)) / shell[0])
-                 + window + 2)
-            if n > max_terms:
-                n = max_terms
-            if n > _TABLE_MAX:
-                n = _TABLE_MAX
-            pw = list(accumulate(repeat(q, n - 1), mul, initial=1.0 + 0j))
     out = []
     for slot, x in enumerate(xs):
-        r = _inf_product(x, q, absq, pw, shell, tail_tol, max_terms, window,
+        r = _inf_product(x, q, absq, shell, tail_tol, max_terms, window,
                          zero_eps)
         if r[4] != OK:
             return out, r[4], slot
@@ -414,12 +387,10 @@ def _shell(absq: float, tail_tol: float, eps: float):
     return lg, math.log(lo), math.ceil(_LOG_NORMAL / lg) - 1
 
 
-def _inf_product(a: complex, q: complex, absq: float, pw, shell,
+def _inf_product(a: complex, q: complex, absq: float, shell,
                  tail_tol: float, max_terms: int, window: int,
                  zero_eps: float):
-    """`qpoch_inf` of a, reading q^k from the table pw (q^0, q^1, ...)
-    while k is inside it and going on from its last power by w *= q;
-    shell is `_shell`'s.
+    """`qpoch_inf` of a, with shell `_shell`'s.
 
     The quiet stretch is the factors [k0, k1) over which 2 tail_tol <
     |a q^k| < 1/4 and 1e-280 < |a q^k| hold with one index to spare;
@@ -445,27 +416,18 @@ def _inf_product(a: complex, q: complex, absq: float, pw, shell,
                 k0 = 0
             if k0 >= k1:
                 k0 = k1 = -1
-    n = len(pw)
     acc = 1.0 + 0j
     w = 1.0 + 0j
     run = 0
     k = 0
     while k < max_terms:
         if k == k0:
-            end = k1 if k1 < max_terms else max_terms
-            if k < n:
-                for w in pw[k:end]:
-                    acc *= 1.0 - a * w
-                w *= q
-                k = end if end < n else n
-            for _ in range(k, end):
+            for _ in range(k0, k1 if k1 < max_terms else max_terms):
                 acc *= 1.0 - a * w
                 w *= q
             k = k1
             run = 0
             continue
-        if k < n:
-            w = pw[k]
         aw = a * w
         mag = abs(aw)
         f = 1.0 - aw

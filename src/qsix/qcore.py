@@ -217,21 +217,21 @@ def _complex_row(xs) -> tuple:
     return row, None
 
 
-def _inf_row(ctx: QContext, row: list, err=None) -> tuple:
-    """(results, err): the raw (value, est_error, terms, terminated) of
+def _inf_row(ctx: QContext, row: list) -> tuple:
+    """(results, stop): the raw (value, est_error, terms, terminated) of
     (x;q)_inf for each complex x of row, from one kernel call, up to the
-    first product that stops; err is that product's error, else the err
-    given, the error of an input after the row.
+    first product that stops, and that product's error, or None.
 
-    A caller raises err after its own tests on the results, so that every
-    error comes in the order of the row, as when each product is taken in
-    turn."""
+    A caller raises the error after its own tests on the results, and an
+    error of an input after the row only when no product stopped, so that
+    every error comes in the order of the row, as when each product is
+    taken in turn."""
     p = ctx.policy
     out, status, slot = _K.qpoch_inf_row(row, ctx.q, p.tail_tol, p.max_terms,
                                          STAGNATION_WINDOW, ZERO_EPS)
     if status != _K.OK:
-        err = _stop_error(status, row[slot], p)
-    return out, err
+        return out, _stop_error(status, row[slot], p)
+    return out, None
 
 
 #: the empty product, where `_fold` starts
@@ -254,7 +254,9 @@ def _fold(results, acc: tuple = _ONE) -> tuple:
 
 def qpochhammer_inf_multi(as_: Sequence[complex], ctx: QContext) -> EvalResult:
     """prod_i (a_i;q)_infinity with composed error bound."""
-    out, err = _inf_row(ctx, *_complex_row(as_))
+    row, err = _complex_row(as_)
+    out, stop = _inf_row(ctx, row)
+    err = stop or err
     if err is not None:
         raise err
     return EvalResult(*_fold(out))
@@ -277,18 +279,20 @@ def theta_multi(xs: Sequence[complex], ctx: QContext) -> EvalResult:
 def _thetas(xs, ctx: QContext) -> list:
     """theta(x) for each x of xs as a raw result: (x;q)_inf times
     (q/x;q)_inf, all from one kernel row."""
-    row = []
-    err = None
-    try:
-        for x in xs:
-            x = _as_complex(x)
-            if x == 0:
-                raise DomainError("theta requires x != 0")
-            row.append(x)
-            row.append(_as_complex(ctx.q / x))
-    except DomainError as exc:
-        err = exc
-    out, err = _inf_row(ctx, row, err)
+    row, err = _complex_row(_theta_bases(xs, ctx.q))
+    out, stop = _inf_row(ctx, row)
+    err = stop or err
     if err is not None:
         raise err
     return [_fold((out[i + 1],), out[i]) for i in range(0, len(out), 2)]
+
+
+def _theta_bases(xs, q: complex):
+    """x and q/x for each x of xs in turn, x through _as_complex; a zero x
+    raises DomainError in its place."""
+    for x in xs:
+        x = _as_complex(x)
+        if x == 0:
+            raise DomainError("theta requires x != 0")
+        yield x
+        yield q / x

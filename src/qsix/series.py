@@ -425,7 +425,8 @@ def _ratio_inf(ctx: QContext, p: _Point, num, den) -> EvalResult:
         else:
             bot, err = _complex_row(bot)
             row += bot
-    out, err = _inf_row(ctx, row, err)
+    out, stop = _inf_row(ctx, row)
+    err = stop or err
     for name, r in zip(den, out[len(num):]):
         if r[0] == 0:
             raise PoleError(f"denominator product ({name};q)_inf vanishes",

@@ -16,8 +16,7 @@ stretches. A seeded fuzz holds both to `repr`-equal returns with reference
 copies that test every factor, on inputs that put factors on, next to and
 far from their zeros and poles. Another holds `qpoch_inf_row` to the
 reference product run base by base: rows with zero bases, exact zero
-factors, stops in mid-row, and products that run past the row's table of
-powers of q. The closed products, `qpochhammer_inf_multi`, `theta`,
+factors and stops in mid-row. The closed products, `qpochhammer_inf_multi`, `theta`,
 `theta_multi` and `kn_limit`, which take their products from row calls,
 are held to products taken one `qpochhammer_inf` call at a time and
 composed by the product rule they used before: the same value, or the
@@ -41,7 +40,6 @@ from test_series import poch_oracle, psi_term_oracle
 
 from qsix import SampleConstraints, TruncParams, sample
 from qsix import _backend as K
-from qsix import _kernels_py as KP
 from qsix import identities as ID
 from qsix import qcore as Q
 from qsix import series as S
@@ -558,12 +556,7 @@ def _row_args(rng):
     return (xs, *args[1:-1], eps)
 
 
-@pytest.mark.parametrize("table_max", [KP._TABLE_MAX, 7, 1])
-def test_qpoch_inf_row_matches_the_fully_tested_product(table_max,
-                                                        monkeypatch):
-    # a table cut at 7 powers or at q^0 alone sends every longer product
-    # past it, onto w *= q from its last power
-    monkeypatch.setattr(KP, "_TABLE_MAX", table_max)
+def test_qpoch_inf_row_matches_the_fully_tested_product():
     rng = random.Random(17)
     seen = set()
     for _ in range(1500):
@@ -578,17 +571,6 @@ def test_qpoch_inf_row_matches_the_fully_tested_product(table_max,
             seen.add("stop in mid-row")
     assert seen == {OK, BUDGET, DIVERGED, "zero base", "exact zero",
                     "stop in mid-row"}
-
-
-def test_qpoch_inf_row_runs_past_its_table():
-    # at |q| = 0.999 each product takes about 35,000 factors, past the
-    # table's _TABLE_MAX powers; the second base's product is the longer
-    q = 0.999 * cmath.exp(0.3j)
-    args = ([0.3 + 0.1j, -0.6 + 0.2j, 0j], q, 1e-15, 100000, 3, 5e-15)
-    out, status, slot = want = ref_qpoch_inf_row(*args)
-    assert (status, len(out)) == (OK, 3)
-    assert out[1][2] > out[0][2] > KP._TABLE_MAX
-    assert repr(K.qpoch_inf_row(*args)) == repr(want)
 
 
 # --- the infinite-product compositions, against products taken one
