@@ -160,6 +160,11 @@ def invocations(tmp: str) -> list:
          "/nonexistent-dir/report.json"],
         ["sweep", "--identity", "abel", "--samples", "-1"],
     ]
+    # an infinite product that is exactly 1 (a zero base), exactly 0 (a
+    # vanished factor), and one out of budget
+    out += [["eval", "pochhammer-inf", "--a", a, "--q", q, *rest]
+            for a, q, rest in (("0,0", "0.5,0", ()), ("1,0", "0.5,0", ()),
+                               ("0.9,0", "0.99,0", ("--max-terms", "5")))]
     # error cases
     out += [
         [],

@@ -11,29 +11,31 @@ factorials that grow superexponentially in |n| stay representable.
 `kn_trace_sc` carries the products of the boundary term K_N from N to
 N+1 for a whole decay trace in one call, with the factors, tests and
 rescaling of `qpoch_sc` and `pow_sc`, and assembles each K_N from them.
+`qpoch_sc`, `kn_trace_sc` and `qpoch_inf_row` read their tolerances from
+`config`.
 
 A factor 1 - x q^m counts as vanished when |1 - x q^m| <= eps (1 + |x q^m|).
 Once q^m has left double range that test reads inf <= inf, so each branch
 that fires on it checks for an overflowed x q^m and reports DIVERGED (the
 walk or product left double range) instead of a zero or a pole.
 
-`qpoch_inf` and `series_side` skip that test, and the other per-factor
-tests, on "quiet stretches": index ranges, worked out once per call from
-log|x| and log|q|, over which every |x q^m| stays below 1/4 or above 4.
-The computed x q^m is then below 1/2 or above 2: the incremental q^m
-drifts by ~1e-12 relative over 10^4 steps, far inside that factor of 2,
+The infinite products and `series_side` skip that test, and the other
+per-factor tests, on "quiet stretches": index ranges, worked out once per
+call from log|x| and log|q|, over which every |x q^m| stays below 1/4 or
+above 4. The computed x q^m is then below 1/2 or above 2: the incremental
+q^m drifts by ~1e-12 relative over 10^4 steps, far inside that factor of 2,
 and each end of a stretch keeps one index more. With eps <= 1/4 the test
 fires only for |x q^m| in [3/5, 5/3], so it cannot fire there. A stretch
 multiplies the same factors in the same order, so every return is bit for
 bit the one that testing each factor gives. Off a stretch, the zero test
-of `qpoch_inf` is also skipped where |x q^m| < 1/2, since with eps <= 1/4
-it fires only from 3/5 on.
+of an infinite product is also skipped where |x q^m| < 1/2, since with
+eps <= 1/4 it fires only from 3/5 on.
 
-`qpoch_inf_row` takes (x;q)_inf for every x of a row in one call, each
-product bit for bit as `qpoch_inf` takes it alone, with one loop for both.
-The constants that depend on q and tail_tol alone (-log|q|, the log of
-the tail floor, the normal-range cap) are worked out once per call, not
-once per base; each product builds its own powers q^k by w *= q.
+`qpoch_inf_row` takes (x;q)_inf for every x of a row in one call, a lone
+product being a row of one base; `qpoch_inf` runs the same loop on one
+base. The constants that depend on q and tail_tol alone (-log|q|, the log
+of the tail floor, the normal-range cap) are worked out once per call,
+not once per base; each product builds its own powers q^k by w *= q.
 
 `margin_hit`, the sampler's pole-margin audit, tests 1 - x q^j for every
 integer j, at a margin m in (0, 1). As |1 - y| >= ||y| - 1|,
@@ -49,7 +51,7 @@ from __future__ import annotations
 
 import math
 
-from .config import POLE_EPS
+from .config import POLE_EPS, STAGNATION_WINDOW, ZERO_EPS
 
 OK = 0
 TERMINATED = 1
@@ -203,8 +205,8 @@ ROW_VALUE = -2
 
 
 def kn_trace_sc(vnum, vden, unum, uden, num3, den3, q: complex, A: complex,
-                C: complex, bde: complex, kden: complex, coeff: complex,
-                n_max: int):
+                C: complex, cq3: complex, bde: complex, kden: complex,
+                coeff: complex, n_max: int):
     """K_N = K1 - K2 + K3 q^{N-2}/C for N = 0..n_max in one pass.
 
     low is V_{-N-1} U_{-N-1} without its leading factor: the rows vnum and
@@ -218,8 +220,8 @@ def kn_trace_sc(vnum, vden, unum, uden, num3, den3, q: complex, A: complex,
     rescaled as `qpoch_sc` does, written out here, and each scalar factor
     as `pow_sc` does. K1 = low (1 - A q^{1-N}) ck and K2 = high ck take
     their scalar factors in that order, K3 = (1 - bde q^{2N+3}/A)/kden num3
-    den3 (bde = BDE, kden = 1 - BDEq/A); K1, K2, num3 and den3 become
-    doubles in that order.
+    den3 (bde = BDE, kden = 1 - BDEq/A, cq3 = Cq^3); K1, K2, num3 and
+    den3 become doubles in that order.
 
     Returns (kns, status, row, slot, exp), kns ending before the N of a
     stop. A stop (POLE, or DIVERGED for an overflowed x q^j or a product
@@ -231,7 +233,6 @@ def kn_trace_sc(vnum, vden, unum, uden, num3, den3, q: complex, A: complex,
     rows = (vnum, vden, unum, uden, num3, den3)
     eps, lo, hi, inf = POLE_EPS, _LO, _HI, math.inf
     floor, log2, ldexp = math.floor, math.log2, math.ldexp
-    cq3 = C * q ** 3
     icq3 = 1.0 / cq3
     # q^k = qk[k + off], k = -off..2 n_max + 3, bit for bit cpow_int's:
     # pw[k] = pw[k - 2^t] q^(2^t), 2^t the top bit of k; q^-k = 1/q^k
@@ -338,19 +339,18 @@ def qpoch_inf(a: complex, q: complex, tail_tol: float, max_terms: int,
     The factors with 2 tail_tol < |a q^k| < 1/4 form one quiet stretch
     (see the module docstring): there neither the zero test nor the tail
     window can fire, so they are multiplied in without either. This is
-    `qpoch_inf_row`'s loop.
+    `qpoch_inf_row`'s loop; the program calls only the row, and this form
+    is kept only for the benchmark's self-test.
     """
-    if a == 0:
-        return 1.0 + 0j, 0.0, 1, 1, OK
     absq = abs(q)
     return _inf_product(a, q, absq, _shell(absq, tail_tol, zero_eps),
                         tail_tol, max_terms, window, zero_eps)
 
 
-def qpoch_inf_row(xs, q: complex, tail_tol: float, max_terms: int,
-                  window: int, zero_eps: float):
+def qpoch_inf_row(xs, q: complex, tail_tol: float, max_terms: int):
     """(x;q)_infinity for each x of xs in turn, each bit for bit as
-    `qpoch_inf` computes it.
+    `qpoch_inf` computes it with window STAGNATION_WINDOW and zero_eps
+    ZERO_EPS.
 
     Returns (out, status, slot). out holds each product's (value,
     est_error, terms, terminated) up to the first product whose status is
@@ -358,15 +358,15 @@ def qpoch_inf_row(xs, q: complex, tail_tol: float, max_terms: int,
     index in xs, or OK and 0 when every product is OK. The constants of
     the call are described in the module docstring.
 
-    >>> qpoch_inf_row((0j, 0.5 + 0j), 0.5 + 0j, 1e-15, 3, 3, 5e-15)
+    >>> qpoch_inf_row((0j, 0.5 + 0j), 0.5 + 0j, 1e-15, 3)
     ([((1+0j), 0.0, 1, 1)], 3, 1)
     """
     absq = abs(q)
-    shell = _shell(absq, tail_tol, zero_eps)
+    shell = _shell(absq, tail_tol, ZERO_EPS)
     out = []
     for slot, x in enumerate(xs):
-        r = _inf_product(x, q, absq, shell, tail_tol, max_terms, window,
-                         zero_eps)
+        r = _inf_product(x, q, absq, shell, tail_tol, max_terms,
+                         STAGNATION_WINDOW, ZERO_EPS)
         if r[4] != OK:
             return out, r[4], slot
         out.append(r[:4])
@@ -545,14 +545,17 @@ def series_side(num, den, q: complex, z: complex, direction: int,
     Sums t(n) over n = d, 2d, ... for d = +-1, leaving the n = 0 term (always
     1) to the caller, where
 
-        t(n) = P(n) * prod_i (num[i];q)_n / prod_j (den[j];q)_n * z^n,
-        P(n) = (1 - vwp_a q^{2n}) / (1 - vwp_a)     (only when use_vwp).
+        t(n) = P(n) * prod_i (num[i];q)_n / (den[i];q)_n * z^n,
+        P(n) = (1 - vwp_a q^{2n}) / (1 - vwp_a)     (only when use_vwp),
+
+    over rows num and den of equal length (a unilateral sum pads den with
+    q).
 
     Each outward step multiplies the running term by one new factor per
     parameter; those factors decide terminations and poles:
 
-        upward   * z   * (1 - num[i] q^m) / (1 - den[j] q^m),  m = n-1,
-        downward * 1/z * (1 - den[j] q^m) / (1 - num[i] q^m),  m = n,
+        upward   * z   * (1 - num[i] q^m) / (1 - den[i] q^m),  m = n-1,
+        downward * 1/z * (1 - den[i] q^m) / (1 - num[i] q^m),  m = n,
 
     so downward the roles swap: a den-side zero terminates the direction, a
     num-side zero is a pole. The step multiplier is accumulated with top and
@@ -618,8 +621,6 @@ def series_side(num, den, q: complex, z: complex, direction: int,
     # below it (their zeros are poles); bad_is_num flags a num-side factor
     tops, bots, top_is_num = (den, num, 0) if down else (num, den, 1)
     nt = len(tops)
-    nb = len(bots)
-    npair = nt if nt < nb else nb
     edges = _quiet_edges((*num, *den), abs(q), down,
                          zero_eps if zero_eps > pole_eps else pole_eps)
     edge = edges.pop() if edges else -1
@@ -640,19 +641,15 @@ def series_side(num, den, q: complex, z: complex, direction: int,
                 if abs(1.0 - w) <= zero_eps * (1.0 + abs(w)):
                     return _stop(acc, steps, TERMINATED, w, top_is_num, k,
                                  e, peak)
-            for k in range(nb):
+            for k in range(nt):
                 w = bots[k] * qe
                 if abs(1.0 - w) <= pole_eps * (1.0 + abs(w)):
                     return _stop(acc, steps, POLE, w, 1 - top_is_num, k, e,
                                  peak)
         steps += 1
         r = step_z
-        for k in range(npair):
+        for k in range(nt):
             r = r * (1.0 - tops[k] * qe) / (1.0 - bots[k] * qe)
-        for k in range(npair, nt):
-            r = r * (1.0 - tops[k] * qe)
-        for k in range(npair, nb):
-            r = r / (1.0 - bots[k] * qe)
         g = g * r
         if use_vwp:
             h = h * r / qsq if down else h * r * qsq

@@ -192,11 +192,10 @@ def check_weierstrass(b: complex, c: complex, x: complex, z: complex,
                             else "weierstrass-theta"]
     first = (c * x, x / c, b * z, z / b)
     second = (b * x, x / b, c * z, z / c)
-    third = (b * c, c / b, x * z, x / z) if x != 0 else None
+    third = (b * c, c / b, x * z, x / z)
     if ctx is None:
-        rhs_args = (b * c, c / b, x * z, x / z if z != 0 else 0j)
         lhs = nabla(first) - nabla(second)
-        rhs = (z / c) * nabla(rhs_args)
+        rhs = (z / c) * nabla(third)
         return _report(lhs, rhs, atol, rtol)
     if x == 0:
         raise DomainError("theta form needs x != 0")
@@ -321,8 +320,8 @@ def kn_trace(p: TruncParams, N_max: int) -> list:
     coeff = _kn_coefficient(p)
     rows = (_V_NUM[1:], _V_DEN, _U_NUM, _U_DEN[:-1], _K3_NUM, _K3_DEN)
     kns, status, row, slot, k = _K.kn_trace_sc(
-        *map(p.bases, rows), p.q, p.A, p.C, p.B * p.D * p.E,
-        _nabla_den(p.pairs(("BDEq/A",))), coeff, N_max)
+        *map(p.bases, rows), p.q, p.A, p.C, p.base("Cq^3"),
+        p.B * p.D * p.E, _nabla_den(p.pairs(("BDEq/A",))), coeff, N_max)
     if status == _K.OK:
         return kns
     if row == _K.ROW_VALUE:

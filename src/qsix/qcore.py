@@ -12,7 +12,6 @@ from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 from . import _backend as _K
-from .config import STAGNATION_WINDOW, ZERO_EPS
 from .errors import BudgetExceeded, DomainError, PoleError
 
 
@@ -185,12 +184,7 @@ def qpochhammer_inf(a: complex, ctx: QContext) -> EvalResult:
     >>> round(abs(r.value), 9)
     0.288788095
     """
-    a = _as_complex(a)
-    p = ctx.policy
-    val, est, terms, exact, status = _K.qpoch_inf(
-        a, ctx.q, p.tail_tol, p.max_terms, STAGNATION_WINDOW, ZERO_EPS)
-    if status != _K.OK:
-        raise _stop_error(status, a, p)
+    val, est, terms, exact = _infs((a,), ctx)[0]
     return EvalResult(val, est, terms, bool(exact))
 
 
@@ -227,11 +221,21 @@ def _inf_row(ctx: QContext, row: list) -> tuple:
     every error comes in the order of the row, as when each product is
     taken in turn."""
     p = ctx.policy
-    out, status, slot = _K.qpoch_inf_row(row, ctx.q, p.tail_tol, p.max_terms,
-                                         STAGNATION_WINDOW, ZERO_EPS)
+    out, status, slot = _K.qpoch_inf_row(row, ctx.q, p.tail_tol, p.max_terms)
     if status != _K.OK:
         return out, _stop_error(status, row[slot], p)
     return out, None
+
+
+def _infs(xs, ctx: QContext) -> list:
+    """The raw (x;q)_inf of each x of xs, from one kernel row; the first
+    error, in the order of taking each product in turn, is raised."""
+    row, err = _complex_row(xs)
+    out, stop = _inf_row(ctx, row)
+    err = stop or err
+    if err is not None:
+        raise err
+    return out
 
 
 #: the empty product, where `_fold` starts
@@ -254,12 +258,7 @@ def _fold(results, acc: tuple = _ONE) -> tuple:
 
 def qpochhammer_inf_multi(as_: Sequence[complex], ctx: QContext) -> EvalResult:
     """prod_i (a_i;q)_infinity with composed error bound."""
-    row, err = _complex_row(as_)
-    out, stop = _inf_row(ctx, row)
-    err = stop or err
-    if err is not None:
-        raise err
-    return EvalResult(*_fold(out))
+    return EvalResult(*_fold(_infs(as_, ctx)))
 
 
 def theta(x: complex, ctx: QContext) -> EvalResult:
@@ -279,11 +278,7 @@ def theta_multi(xs: Sequence[complex], ctx: QContext) -> EvalResult:
 def _thetas(xs, ctx: QContext) -> list:
     """theta(x) for each x of xs as a raw result: (x;q)_inf times
     (q/x;q)_inf, all from one kernel row."""
-    row, err = _complex_row(_theta_bases(xs, ctx.q))
-    out, stop = _inf_row(ctx, row)
-    err = stop or err
-    if err is not None:
-        raise err
+    out = _infs(_theta_bases(xs, ctx.q), ctx)
     return [_fold((out[i + 1],), out[i]) for i in range(0, len(out), 2)]
 
 

@@ -43,6 +43,7 @@ from qsix import _backend as K
 from qsix import identities as ID
 from qsix import qcore as Q
 from qsix import series as S
+from qsix.config import STAGNATION_WINDOW, ZERO_EPS
 from qsix.errors import DomainError, PoleError, QSixError
 from qsix.qcore import EvalResult, QContext, TruncationPolicy, _sc_value
 from qsix.series import BaileyParams, TParams
@@ -501,15 +502,19 @@ def _tail_tol(rng):
 
 
 def _qpoch_inf_args(rng):
+    """Arguments of `qpoch_inf`; the zero test's eps is at times wide
+    enough to fire off |x q^k| = 1, up to and past the 1/4 that quiet
+    stretches need."""
     q = _base(rng)
     return (_param(rng, q), q, _tail_tol(rng),
-            rng.choice((1, 3, 30, 10000, 10000)), rng.randint(1, 4), 5e-15)
+            rng.choice((1, 3, 30, 10000, 10000)), rng.randint(1, 4),
+            rng.choice((5e-15, 5e-15, 0.1, 0.25, 0.3)))
 
 
 def _series_side_args(rng):
     q = _base(rng)
     num = tuple(_param(rng, q) for _ in range(rng.randint(0, 5)))
-    den = tuple(_param(rng, q) for _ in range(rng.randint(0, 5)))
+    den = tuple(_param(rng, q) for _ in num)
     z = 10.0 ** rng.uniform(-2.0, 2.0) * cmath.exp(
         1j * rng.uniform(-math.pi, math.pi))
     use_vwp = rng.random() < 0.5
@@ -531,11 +536,12 @@ def test_qpoch_inf_matches_the_fully_tested_product():
         assert _outcome(K.qpoch_inf, args) == repr(want), args
 
 
-def ref_qpoch_inf_row(xs, q: complex, *rest):
+def ref_qpoch_inf_row(xs, q: complex, tail_tol: float, max_terms: int):
     """`qpoch_inf_row` as `ref_qpoch_inf` run base by base."""
     out = []
     for slot, x in enumerate(xs):
-        r = ref_qpoch_inf(x, q, *rest)
+        r = ref_qpoch_inf(x, q, tail_tol, max_terms, STAGNATION_WINDOW,
+                          ZERO_EPS)
         if r[4] == OK and not _in_range(r[0]):
             r = (r[0], math.inf, r[2], 0, DIVERGED)
         if r[4] != OK:
@@ -545,15 +551,11 @@ def ref_qpoch_inf_row(xs, q: complex, *rest):
 
 
 def _row_args(rng):
-    """A row of up to 6 bases of `_param`, one in ten of them 0; the zero
-    test's eps is at times wide enough to fire off |x q^k| = 1, up to and
-    past the 1/4 that quiet stretches need."""
-    args = _qpoch_inf_args(rng)
-    q = args[1]
+    """A row of up to 6 bases of `_param`, one in ten of them 0."""
+    _, q, tail_tol, max_terms = _qpoch_inf_args(rng)[:4]
     xs = [0j if rng.random() < 0.1 else _param(rng, q)
           for _ in range(rng.randint(0, 6))]
-    eps = rng.choice((5e-15, 5e-15, 0.1, 0.25, 0.3))
-    return (xs, *args[1:-1], eps)
+    return xs, q, tail_tol, max_terms
 
 
 def test_qpoch_inf_row_matches_the_fully_tested_product():

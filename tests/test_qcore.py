@@ -5,8 +5,9 @@ import cmath
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from qsix import (BudgetExceeded, DomainError, PoleError, QContext,
-                  TruncationPolicy, nabla, qpochhammer, qpochhammer_inf,
+from qsix import (BaileyParams, BudgetExceeded, DomainError, PoleError,
+                  QContext, QSixError, TruncationPolicy, bailey_closed_a,
+                  nabla, qcore, qpochhammer, qpochhammer_inf,
                   qpochhammer_inf_multi, qpochhammer_multi, theta,
                   theta_multi)
 
@@ -181,6 +182,38 @@ def test_qpochhammer_inf_multi_composes():
     r = qpochhammer_inf_multi((0.5, 0.25), ctx)
     lone = qpochhammer_inf(0.5, ctx).value * qpochhammer_inf(0.25, ctx).value
     assert abs(r.value - lone) <= 1e-15
+
+
+def _inf_outcomes() -> list:
+    """What each public infinite product returns or raises."""
+    ctx = QContext(0.5)
+    budget = QContext(0.99, TruncationPolicy(tail_tol=1e-15, max_terms=3))
+    calls = [(qpochhammer_inf, 0.5, ctx), (qpochhammer_inf, 0.0, ctx),
+             (qpochhammer_inf, 1.0, ctx), (qpochhammer_inf, 0.9, budget),
+             (qpochhammer_inf, 1e200, ctx),
+             (qpochhammer_inf, 1.5e308 + 1.5e308j, ctx),
+             (qpochhammer_inf_multi, (0.5, 0.25), ctx),
+             (theta, 0.3 + 0.2j, ctx),
+             (bailey_closed_a, BaileyParams(0.5, 0.09, 0.6, 0.7, 0.8, 0.9))]
+    out = []
+    for fn, *args in calls:
+        try:
+            out.append(repr(fn(*args)))
+        except QSixError as exc:
+            out.append(f"{type(exc).__name__}: {exc}")
+    return out
+
+
+def test_infinite_products_take_only_the_row_kernel(monkeypatch):
+    want = _inf_outcomes()
+    assert any(w.startswith("BudgetExceeded") for w in want)
+    assert any(w.startswith("DomainError") for w in want)
+
+    def lone(*args):
+        raise AssertionError("the lone qpoch_inf kernel was called")
+
+    monkeypatch.setattr(qcore._K, "qpoch_inf", lone)
+    assert _inf_outcomes() == want
 
 
 def test_theta_zeros_on_q_powers():

@@ -377,16 +377,17 @@ def _record_divisors(monkeypatch) -> list:
     position to append every base a check divides by to the returned
     list: the dividing rows of a series walk (and its kernel parameter a,
     over 1 - a), of a finite product and of the K_N trace, the factors of
-    `_nabla_den`, and the base of every infinite product, alone or in a
-    row (numerator bases are held to it too)."""
+    `_nabla_den`, and the base of every infinite product row (numerator
+    bases are held to it too). Every walk is also held to rows num and den
+    of equal length, the only rows `series_side` takes."""
     seen = []
     K = series._K
-    side, sc, trace, inf, inf_row = (K.series_side, K.qpoch_sc,
-                                     K.kn_trace_sc, K.qpoch_inf,
-                                     K.qpoch_inf_row)
+    side, sc, trace, inf_row = (K.series_side, K.qpoch_sc, K.kn_trace_sc,
+                                K.qpoch_inf_row)
     nabla_den = identities._nabla_den
 
     def series_side(num, den, q, z, direction, vwp_a, use_vwp, *rest):
+        assert len(num) == len(den), (num, den)
         seen.extend(num if direction < 0 else den)
         if use_vwp:
             seen.append(vwp_a)
@@ -402,10 +403,6 @@ def _record_divisors(monkeypatch) -> list:
         seen.extend((*vnum, *vden, *unum, *uden, *den3))
         return trace(vnum, vden, unum, uden, num3, den3, *rest)
 
-    def qpoch_inf(a, *rest):
-        seen.append(a)
-        return inf(a, *rest)
-
     def qpoch_inf_row(xs, *rest):
         seen.extend(xs)
         return inf_row(xs, *rest)
@@ -415,7 +412,7 @@ def _record_divisors(monkeypatch) -> list:
         return nabla_den(pairs)
 
     for name, fn in (("series_side", series_side), ("qpoch_sc", qpoch_sc),
-                     ("kn_trace_sc", kn_trace_sc), ("qpoch_inf", qpoch_inf),
+                     ("kn_trace_sc", kn_trace_sc),
                      ("qpoch_inf_row", qpoch_inf_row)):
         monkeypatch.setattr(K, name, fn)
     monkeypatch.setattr(identities, "_nabla_den", _nabla_den)
