@@ -1,19 +1,27 @@
-"""Time the benchmark's in-process ops on two source trees, alternating.
+"""Time the benchmark's ops on two source trees, alternating.
 
 Both trees are loaded into this one process under distinct package names
 (qsix imports only relatively, so `qsix_old.series` reads
 `qsix_old._backend`). Then op i of a workload runs on one tree and at
 once on the other, the order flipping from op to op, so that a drift in
-host speed over the run falls on both trees alike. The ops, their inputs
-and their outputs are those of `perfbench/workloads.py`, run on a state
-built from each tree's modules; each op's CPU time is taken with
-`time.process_time`, its input drawn outside that time.
+host speed over the run falls on both trees alike. The ops and their
+inputs are those of `perfbench/workloads.py`, drawn from a state built
+from each tree's modules, outside the op's time.
 
-For each workload that runs in-process (check-bilateral, sweep-t,
-sweep-kn) it prints the median op time on each tree, on how many ops the
-new tree was faster, and whether every op gave the same result (success
-and digest of its output) on both trees. It is a quick check while
-developing a change, not a replacement for `perfbench/run.py`:
+An in-process op (sweep-t, sweep-kn, check-bilateral) is timed with
+`time.process_time`; its result is its success and the digest of its
+output. A cli-oneshot op is one `qsix` child process per tree, started as
+the benchmark starts it but with PYTHONPATH set to that tree; its time is
+the child's CPU time (user plus system) read with `os.wait4`, and its
+result the child's exit code and the digest of its stdout. The children
+inherit this process's environment, so its bytecode settings
+(PYTHONDONTWRITEBYTECODE, PYTHONPYCACHEPREFIX) decide whether they compile
+qsix from source.
+
+For each workload it prints the median op time on each tree, on how many
+ops the new tree was faster, and whether every op gave the same result on
+both trees. It is a quick check while developing a change, not a
+replacement for `perfbench/run.py`:
 
     python3 scripts/ab_ops.py --old ../parent/src --new src --ops 400
 """
@@ -21,9 +29,12 @@ developing a change, not a replacement for `perfbench/run.py`:
 from __future__ import annotations
 
 import argparse
+import hashlib
 import importlib
 import importlib.util
+import os
 import statistics
+import subprocess
 import sys
 import time
 from pathlib import Path
@@ -33,22 +44,36 @@ sys.path.insert(0, str(ROOT / "perfbench"))
 
 from workloads import WORKLOADS as BENCH  # noqa: E402
 
-#: the benchmark workloads whose ops run in this process
-WORKLOADS = tuple(name for name, w in BENCH.items() if not w.spawns)
+WORKLOADS = tuple(BENCH)
 
 
 def load_tree(src: Path, name: str) -> dict:
-    """The qsix package under `src`, imported as `name`, and the modules
-    that the workloads' ops read, as a workload state."""
+    """The qsix package under `src`, imported as `name`, the modules that
+    the workloads' ops read, and `src` itself, as a workload state."""
     pkg = src / "qsix"
     spec = importlib.util.spec_from_file_location(
         name, pkg / "__init__.py", submodule_search_locations=[str(pkg)])
     module = importlib.util.module_from_spec(spec)
     sys.modules[name] = module
     spec.loader.exec_module(module)
-    return {"qsix": module,
+    return {"src": src, "qsix": module,
             **{sub: importlib.import_module(f"{name}.{sub}")
                for sub in ("cli", "identities", "report")}}
+
+
+def run_child(argv: list, env: dict) -> tuple:
+    """(CPU time, (exit code, SHA-256 of stdout)) of argv run to completion;
+    the child is reaped with wait4 to read its own resource usage."""
+    proc = subprocess.Popen(argv, stdout=subprocess.PIPE,
+                            stderr=subprocess.DEVNULL, env=env)
+    try:
+        out = proc.stdout.read()
+    finally:
+        proc.stdout.close()
+        _, status, usage = os.wait4(proc.pid, 0)
+        proc.returncode = os.waitstatus_to_exitcode(status)
+    return (usage.ru_utime + usage.ru_stime,
+            (proc.returncode, hashlib.sha256(out).hexdigest()))
 
 
 def make_op(workload: str, tree: dict, seed: int):
@@ -56,6 +81,13 @@ def make_op(workload: str, tree: dict, seed: int):
     `tree`."""
     bench = BENCH[workload]
     state = {"seed": seed, **tree}
+    if bench.spawns:
+        env = dict(os.environ, PYTHONPATH=str(tree["src"]))
+
+        def child(index):
+            return run_child([sys.executable, "-c", bench.entry,
+                              *bench.inputs(state, index)], env)
+        return child
 
     def op(index):
         bench.prepare(state, index)

@@ -4,8 +4,8 @@ Each invocation runs as `python -m qsix.cli ARG...` in a child process
 that imports qsix from the given source tree. The battery covers every
 eval form, every check in text and json, every `--help` page, a seeded
 sweep per identity alone and with each numeric flag, the error cases
-of `tests/test_cli.py`, and one named pole per row family that reads the
-factor-base tables. One line per invocation:
+of `tests/test_cli.py`, parse edge cases, and one named pole per row
+family that reads the factor-base tables. One line per invocation:
 
     EXIT SHA256(stdout) SHA256(stderr) ARG...
 
@@ -169,6 +169,16 @@ def invocations(tmp: str) -> list:
     out += [
         [],
         ["frobnicate"],
+        # parse edge cases: a command without its form or flags, an unknown
+        # form or identity, a flag before the form, missing required flags,
+        # and a leaf's help after its flags
+        ["eval"],
+        ["sweep"],
+        ["eval", "nope"],
+        ["check", "nope"],
+        ["eval", "--q", "0.5,0", "t"],
+        ["check", "vdiff", "--q", "0.5,0"],
+        ["eval", "t", "-h"],
         ["eval", "theta", "--x", "0,0", "--q", "0.5,0"],
         ["eval", "theta", "--x", "0.5", "--q", "0.5,0"],
         ["eval", "t", *T_ROW, "--rtol", "1e-3"],

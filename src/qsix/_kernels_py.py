@@ -333,8 +333,9 @@ def qpoch_inf(a: complex, q: complex, tail_tol: float, max_terms: int,
     sum_{j>k} |a q^j| / (1 - |a q^{k+1}|), inf where that overflows. Returns
     (value, est_error, terms, terminated, status); terminated=1 marks an
     exact value (a == 0, or a vanished factor making the product 0), and
-    status DIVERGED a product that left double range, BUDGET one that
-    took max_terms factors with the window still open.
+    status DIVERGED a product that left double range (from its first
+    factor on when |a| is not finite), BUDGET one that took max_terms
+    factors with the window still open.
 
     The factors with 2 tail_tol < |a q^k| < 1/4 form one quiet stretch
     (see the module docstring): there neither the zero test nor the tail
@@ -400,11 +401,18 @@ def _inf_product(a: complex, q: complex, absq: float, shell,
     """
     if a == 0:
         return 1.0 + 0j, 0.0, 1, 1, OK
+    try:
+        ax = abs(a)
+    except OverflowError:
+        ax = math.inf
+    if not ax < math.inf:
+        # an infinite, NaN or overflowing base: the first factor is already
+        # out of double range
+        return 1.0 - a, math.inf, 1, 0, DIVERGED
     k0 = k1 = -1
     zlo = 0.0
     if shell is not None:
         zlo = _ZERO_FLOOR
-        ax = abs(a)
         if _X_MIN <= ax <= _X_MAX:
             lg, llo, kn = shell
             lx = math.log(ax)

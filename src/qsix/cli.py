@@ -6,26 +6,24 @@ sweep and emits a machine-readable report.
 
 Exit codes: 0 success/pass, 1 check failed, 2 domain or pole error,
 3 non-convergence or exhausted budget, 64 usage, 74 report I/O failure.
+
+Each command loads only what it runs. Importing this module loads the
+evaluators and the sampler; `check` and `sweep` load the identities, and
+`sweep` and `check --format json` the report writer. The parser adds
+flags only to the eval form or check identity that argv names.
 """
 
 from __future__ import annotations
 
 import argparse
 import dataclasses
-import json
 import math
 import sys
 
 from .errors import (BudgetExceeded, DomainError, IllConditioned,
                      NonConvergence, PoleError, QSixError, Unsatisfiable)
-from .identities import (ResidualReport, AbelInput, _recurrence, check_abel,
-                         check_bailey, check_KN_decay, check_Q_constancy,
-                         check_remark1_equivalence, check_rogers,
-                         check_T_recursion, check_U_difference,
-                         check_V_difference, check_weierstrass, kn_trace)
 from .qcore import (EvalResult, QContext, TruncationPolicy, _qpochhammer_sc,
                     _sc_value, qpochhammer_inf, theta)
-from .report import SCHEMA, build_sweep_report, render_sweep, to_jsonable
 from .sampler import SampleConstraints, _draw_complex, _rng, sample_checked
 from .series import (BaileyParams, SeriesSpec, TParams, TruncParams,
                      bailey_closed_a, bailey_closed_X, eval_phi, eval_psi,
@@ -34,7 +32,19 @@ from .series import (BaileyParams, SeriesSpec, TParams, TruncParams,
 
 
 class _Parser(argparse.ArgumentParser):
-    """argparse with the sysexits usage code instead of 2."""
+    """argparse with the sysexits usage code instead of 2. A parser made
+    with `flags`, a function of the parser, adds its flags when it first
+    parses, so a command builds the flags of its own leaf alone."""
+
+    def __init__(self, *args, flags=None, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._flags = flags
+
+    def parse_known_args(self, args=None, namespace=None):
+        if self._flags is not None:
+            add, self._flags = self._flags, None
+            add(self)
+        return super().parse_known_args(args, namespace)
 
     def error(self, message):
         self.print_usage(sys.stderr)
@@ -194,7 +204,8 @@ def cmd_eval(args) -> int:
 # ---------------------------------------------------------------------------
 # check
 
-def _abel_input(seed: int, index: int, M: int, N: int) -> AbelInput:
+def _abel_input(seed: int, index: int, M: int, N: int):
+    from .identities import AbelInput
     g = _rng(seed, index)
     U = {n: complex(g.normal(), g.normal()) for n in range(-M, N + 2)}
     V = {n: complex(g.normal(), g.normal()) for n in range(-M, N + 1)}
@@ -202,10 +213,12 @@ def _abel_input(seed: int, index: int, M: int, N: int) -> AbelInput:
 
 
 def _ck_abel(args, policy, tols):
+    from .identities import check_abel
     return check_abel(_abel_input(args.seed, 0, args.M, args.N), **tols)
 
 
 def _ck_weierstrass(args, policy, tols):
+    from .identities import check_weierstrass
     ctx = None
     if args.theta:
         ctx = QContext(0.5 + 0j if args.q is None else args.q, policy)
@@ -219,6 +232,7 @@ def _ck_kn_decay(args, policy, tols):
 
 
 def _ck_rogers(args, policy, tols):
+    from .identities import check_rogers
     return check_rogers(args.B, args.C, args.D, args.E,
                         QContext(args.q, policy), **tols)
 
@@ -245,7 +259,10 @@ _CHECKS = {
 
 
 def _print_check(identity: str, rep, fmt: str) -> None:
+    from .identities import ResidualReport
     if fmt == "json":
+        import json
+        from .report import SCHEMA, to_jsonable
         doc = {"schema": SCHEMA, "identity": identity,
                "report": to_jsonable(rep)}
         print(json.dumps(doc, sort_keys=True, indent=2))
@@ -301,6 +318,7 @@ def _worst(reports):
 
 
 def _sw_abel(index, seed, policy, tols):
+    from .identities import check_abel
     g = _rng(seed, index)
     M = g.integers(0, 21)
     N = g.integers(0, 21)
@@ -322,6 +340,7 @@ def _weier_amp(b, c, x, z) -> float:
 
 
 def _sw_weierstrass(index, seed, policy, tols):
+    from .identities import check_weierstrass
     g = _rng(seed, index)
     for _ in range(1000):
         b, c, x, z = (_draw_complex(g, 0.3, 2.5) for _ in range(4))
@@ -335,19 +354,23 @@ def _sw_weierstrass(index, seed, policy, tols):
 
 
 # A runner's int keyword is the sweep's fan-out over that index; `check`
-# passes the flag's one value instead.
+# passes the flag's one value instead. Runners import what they call from
+# `identities` when they run, so that `eval` never loads it.
 
 def _sw_udiff(p, policy, tols, n=range(-5, 6)):
+    from .identities import check_U_difference
     return _worst(check_U_difference(k, p, **tols) for k in n)
 
 
 def _sw_vdiff(p, policy, tols, n=range(-5, 6)):
+    from .identities import check_V_difference
     return _worst(check_V_difference(k, p, **tols) for k in n)
 
 
 def _sw_recurrence(p, policy, tols, N=range(0, 9)):
     """check_recurrence at each N, every K_N from one trace; a trace that
     stops leaves each check to compute its own K_N, and stop, as it would."""
+    from .identities import _recurrence, kn_trace
     try:
         kns = dict(enumerate(kn_trace(p, max(N))))
     except (QSixError, ArithmeticError):
@@ -358,11 +381,13 @@ def _sw_recurrence(p, policy, tols, N=range(0, 9)):
 
 def _kn_decay(p, policy, tols, N_max=80):
     """check_KN_decay with the rtol flag as its one tolerance."""
+    from .identities import check_KN_decay
     kw = {"tol": tols["rtol"]} if "rtol" in tols else {}
     return check_KN_decay(p, N_max=N_max, policy=policy, **kw)
 
 
 def _sw_kn_decay(p, policy, tols):
+    from .identities import ResidualReport
     dec = _kn_decay(p, policy, tols)
     note = (f"final magnitude {dec.final_magnitude:.6e}; eventually "
             f"decreasing: {str(dec.eventually_decreasing).lower()}")
@@ -375,28 +400,34 @@ def _sw_kn_decay(p, policy, tols):
 
 
 def _sw_t_recursion(p, policy, tols):
+    from .identities import check_T_recursion
     return check_T_recursion(p, policy=policy, **tols)
 
 
 def _sw_rogers(p, policy, tols):
+    from .identities import check_rogers
     ctx = QContext(p.q, policy)
     return check_rogers(p.B, p.C, p.D, p.E, ctx, **tols)
 
 
 def _sw_q_constancy(p, policy, tols, steps=(4,)):
+    from .identities import check_Q_constancy
     return _worst(check_Q_constancy(p, steps=k, policy=policy, **tols)
                   for k in steps)
 
 
 def _sw_bailey_a(p, policy, tols):
+    from .identities import check_bailey
     return check_bailey("a", p, policy=policy, **tols)
 
 
 def _sw_bailey_x(p, policy, tols):
+    from .identities import check_bailey
     return check_bailey("X", p, policy=policy, **tols)
 
 
 def _sw_remark1(p, policy, tols):
+    from .identities import check_remark1_equivalence
     return check_remark1_equivalence(p, policy=policy, **tols)
 
 
@@ -481,6 +512,7 @@ def run_sweep(identity: str, samples: int, seed: int,
         for index, (p, rep) in enumerate(
                 sample_checked(kind, con, seed, samples, check)):
             rows.append((index, p, rep))
+    from .report import build_sweep_report
     return build_sweep_report(identity, seed, constraints, rows)
 
 
@@ -491,6 +523,7 @@ def cmd_sweep(args) -> int:
     policy = _policy(args) if _given(args, "tail_tol", "max_terms") else None
     report = run_sweep(args.identity, args.samples, args.seed,
                        policy=policy, atol=args.atol, rtol=args.rtol)
+    from .report import render_sweep
     body = render_sweep(report, args.format)
     if args.out is None:
         sys.stdout.write(body)
@@ -511,35 +544,50 @@ def cmd_sweep(args) -> int:
 
 # ---------------------------------------------------------------------------
 
-def _build_parser() -> _Parser:
+def _add_eval_flags(fp, form: str) -> None:
+    _, row, ints, numeric = _EVAL_FORMS[form]
+    _add_row_flags(fp, row, ints)
+    _add_numeric_flags(fp, numeric)
+
+
+def _add_check_flags(ip, identity: str) -> None:
+    _, row, ints, numeric = _CHECKS[identity]
+    _add_row_flags(ip, row, ints)
+    if identity == "weierstrass":
+        ip.add_argument("--theta", action="store_true",
+                        help="theta-product form instead of plain")
+        ip.add_argument("--q", type=_cpx, default=None, metavar="RE,IM",
+                        help="base for --theta (default 0.5,0)")
+        ip.set_defaults(usage_error=ip.error)
+        numeric = _POLICY_FLAGS + numeric
+    ip.add_argument("--format", choices=("text", "json"), default="text")
+    _add_numeric_flags(ip, numeric)
+
+
+def _build_parser(lazy: bool = False) -> _Parser:
+    """The `qsix` parser. Every eval form and check identity is registered;
+    each adds its flags at once, or, when lazy, on its first parse, so
+    that only the leaf that argv names builds them."""
     top = _Parser(prog="qsix", description=__doc__.splitlines()[0])
     sub = top.add_subparsers(dest="command", metavar="command")
 
+    def leaf(subs, name, add, func):
+        if lazy:
+            sp = subs.add_parser(name, flags=lambda sp: add(sp, name))
+        else:
+            sp = subs.add_parser(name)
+            add(sp, name)
+        sp.set_defaults(func=func)
+
     p_eval = sub.add_parser("eval", help="evaluate a series or closed form")
     forms = p_eval.add_subparsers(dest="form", metavar="form")
-    for form, (_, row, ints, numeric) in _EVAL_FORMS.items():
-        fp = forms.add_parser(form)
-        _add_row_flags(fp, row, ints)
-        _add_numeric_flags(fp, numeric)
-        fp.set_defaults(func=cmd_eval)
+    for form in _EVAL_FORMS:
+        leaf(forms, form, _add_eval_flags, cmd_eval)
 
     p_check = sub.add_parser("check", help="run one identity check")
     idents = p_check.add_subparsers(dest="identity", metavar="identity")
-    for identity, (_, row, ints, numeric) in _CHECKS.items():
-        ip = idents.add_parser(identity)
-        _add_row_flags(ip, row, ints)
-        if identity == "weierstrass":
-            ip.add_argument("--theta", action="store_true",
-                            help="theta-product form instead of plain")
-            ip.add_argument("--q", type=_cpx, default=None,
-                            metavar="RE,IM",
-                            help="base for --theta (default 0.5,0)")
-            ip.set_defaults(usage_error=ip.error)
-            numeric = _POLICY_FLAGS + numeric
-        ip.add_argument("--format", choices=("text", "json"),
-                        default="text")
-        _add_numeric_flags(ip, numeric)
-        ip.set_defaults(func=cmd_check)
+    for identity in _CHECKS:
+        leaf(idents, identity, _add_check_flags, cmd_check)
 
     p_sweep = sub.add_parser("sweep", help="randomized identity sweep")
     p_sweep.add_argument("--identity", required=True,
@@ -557,7 +605,7 @@ def _build_parser() -> _Parser:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
+    parser = _build_parser(lazy=True)
     args = parser.parse_args(argv)
     if not hasattr(args, "func"):
         parser.error("a subcommand is required")

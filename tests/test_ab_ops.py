@@ -1,5 +1,6 @@
 """Smoke test of scripts/ab_ops.py: two copies of one tree, loaded under
-distinct package names, give identical results op for op."""
+distinct package names or run as child processes, give identical results
+op for op."""
 
 import subprocess
 import sys
@@ -16,6 +17,6 @@ def test_ab_ops_compares_two_trees_op_for_op():
     assert r.returncode == 0, r.stderr
     lines = r.stdout.splitlines()
     assert [line.split(":")[0] for line in lines] == [
-        "sweep-t", "sweep-kn", "check-bilateral"]
+        "sweep-t", "sweep-kn", "check-bilateral", "cli-oneshot"]
     assert all(line.endswith("of 2 ops, results identical")
                for line in lines), lines

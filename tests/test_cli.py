@@ -122,13 +122,14 @@ def test_recurrence_runner_reads_one_trace_per_draw(p, monkeypatch):
     want = _outcome(lambda: cli._worst(
         check_recurrence(dataclasses.replace(p, N=k)) for k in range(9)))
     traces, singles = [], []
-    monkeypatch.setattr(cli, "kn_trace",
+    monkeypatch.setattr(identities, "kn_trace",
                         lambda *a: traces.append(a) or kn_trace(*a))
     compute_KN = identities.compute_KN
     monkeypatch.setattr(identities, "compute_KN",
                         lambda q: singles.append(q) or compute_KN(q))
     assert _outcome(cli._sw_recurrence, p, None, {}) == want
-    assert traces == [(p, 8)]
+    # the runner's one trace, then the one behind each K_N a check computes
+    assert traces == [(p, 8)] + [(s, s.N) for s in singles]
     # the checks compute their own K_N exactly when the trace stops
     assert bool(singles) == isinstance(_outcome(kn_trace, p, 8), tuple)
 

@@ -9,7 +9,8 @@ that only the scale tracking keeps in range. The walk statistic of
 `series_side` (largest |term|) is checked against the same sums, and
 every stop status is pinned on a walk that reaches it, including walks
 whose running power q^m leaves double range. `qpoch_inf` is pinned on a
-tail bound that overflows.
+tail bound that overflows, and it and `qpoch_inf_row` on bases that are
+not finite.
 
 `qpoch_inf` and `series_side` skip their zero and pole tests on quiet
 stretches. A seeded fuzz holds both to `repr`-equal returns with reference
@@ -248,6 +249,26 @@ def test_qpoch_inf_out_of_range_product_is_diverged(a):
                                                  3, 5e-15)
     assert (est, exact, status) == (math.inf, 0, K.DIVERGED)
     assert not math.isfinite(abs(val))
+
+
+@pytest.mark.parametrize("a", [complex(math.inf, 0.0),
+                               complex(-math.inf, 0.0),
+                               complex(math.nan, 0.0), complex(0.0, math.inf),
+                               complex(1.5e308, 1.5e308)],
+                         ids=["inf", "-inf", "nan", "inf-imag", "abs-overflow"])
+@pytest.mark.parametrize("tail_tol", [1e-15, 0.2],
+                         ids=["quiet-stretch", "no-stretch"])
+def test_non_finite_base_is_diverged_at_its_slot(a, tail_tol):
+    # at tail_tol 0.2 no factor can be quiet, so the base is tested outside
+    # the quiet-stretch set-up too
+    _, est, terms, exact, status = K.qpoch_inf(a, 0.5 + 0j, tail_tol, 10000,
+                                               3, 5e-15)
+    assert (est, terms, exact, status) == (math.inf, 1, 0, K.DIVERGED)
+    out, status, slot = K.qpoch_inf_row((0.5 + 0j, a, 0.25 + 0j), 0.5 + 0j,
+                                        tail_tol, 10000)
+    assert (len(out), status, slot) == (1, K.DIVERGED, 1)
+    assert out[0] == K.qpoch_inf(0.5 + 0j, 0.5 + 0j, tail_tol, 10000, 3,
+                                 5e-15)[:4]
 
 
 def test_qpoch_inf_overflowed_tail_bound_is_inf():
