@@ -16,7 +16,6 @@ flags only to the eval form or check identity that argv names.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import math
 import sys
 
@@ -97,8 +96,8 @@ def _row_flags(row) -> tuple:
     an explicit flag row."""
     if isinstance(row, tuple):
         return row
-    return tuple(f.name for f in dataclasses.fields(row)
-                 if f.type == "complex")
+    return tuple(name for name in row._fields
+                 if row.__annotations__[name] == "complex")
 
 
 def _add_row_flags(sp, row, ints) -> None:
@@ -119,8 +118,7 @@ def _add_row_flags(sp, row, ints) -> None:
 def _row(cls, args):
     """A parameter class built from its flags; N is 0 where it is no
     flag."""
-    return cls(**{f.name: getattr(args, f.name, 0)
-                  for f in dataclasses.fields(cls)})
+    return cls(**{name: getattr(args, name, 0) for name in cls._fields})
 
 
 def _given(args, *dests) -> dict:
@@ -375,7 +373,7 @@ def _sw_recurrence(p, policy, tols, N=range(0, 9)):
         kns = dict(enumerate(kn_trace(p, max(N))))
     except (QSixError, ArithmeticError):
         kns = {}
-    return _worst(_recurrence(dataclasses.replace(p, N=k), kns.get(k),
+    return _worst(_recurrence(p.replace(N=k), kns.get(k),
                               **tols) for k in N)
 
 
@@ -498,8 +496,8 @@ def run_sweep(identity: str, samples: int, seed: int,
             rows.append((index, params, rep))
     else:
         constraints = con
-        capped = dataclasses.replace(
-            policy, hump_max=min(policy.hump_max, con.cap("hump_max")))
+        capped = policy.replace(
+            hump_max=min(policy.hump_max, con.cap("hump_max")))
 
         def check(p):
             try:

@@ -10,13 +10,12 @@ zeros.
 from __future__ import annotations
 
 import cmath
-import dataclasses
 import math
 import sys
-from dataclasses import dataclass
-from typing import Mapping
+from collections.abc import Mapping
 
 from . import _backend as _K
+from ._record import Record, set_field
 from .config import POLE_EPS
 from .errors import DomainError, NonConvergence, PoleError
 from .qcore import DEFAULT_POLICY, QContext, TruncationPolicy, _as_complex, \
@@ -56,8 +55,7 @@ _LOG_MAX = math.log(sys.float_info.max)
 _REMARK1_ARG_RTOL = 1e-15
 
 
-@dataclass(frozen=True)
-class ResidualReport:
+class ResidualReport(Record):
     """Two independently computed sides and their disagreement.
 
     passed is abs_err <= atol + rtol * max(|lhs|, |rhs|); rel_err divides by
@@ -69,7 +67,15 @@ class ResidualReport:
     abs_err: float
     rel_err: float
     passed: bool
-    note: str = ""
+    note: str
+
+    def __init__(self, lhs, rhs, abs_err, rel_err, passed, note=""):
+        set_field(self, "lhs", lhs)
+        set_field(self, "rhs", rhs)
+        set_field(self, "abs_err", abs_err)
+        set_field(self, "rel_err", rel_err)
+        set_field(self, "passed", passed)
+        set_field(self, "note", note)
 
 
 def _report(lhs: complex, rhs: complex, atol: float, rtol: float,
@@ -131,8 +137,7 @@ def _poch_den_inv(pairs, q: complex, n: int) -> complex:
 # ---------------------------------------------------------------------------
 # summation by parts
 
-@dataclass(frozen=True)
-class AbelInput:
+class AbelInput(Record):
     """Finite bilateral sequences for the summation-by-parts identity.
 
     U must cover indices -M..N+1 exactly, V must cover -M..N exactly.
@@ -143,15 +148,17 @@ class AbelInput:
     M: int
     N: int
 
-    def __post_init__(self):
-        if self.M < 0 or self.N < 0:
+    def __init__(self, U, V, M, N):
+        if M < 0 or N < 0:
             raise DomainError("window bounds M, N must be >= 0")
-        need_u = set(range(-self.M, self.N + 2))
-        need_v = set(range(-self.M, self.N + 1))
-        if set(self.U) != need_u:
+        if set(U) != set(range(-M, N + 2)):
             raise DomainError("U must cover exactly the indices -M..N+1")
-        if set(self.V) != need_v:
+        if set(V) != set(range(-M, N + 1)):
             raise DomainError("V must cover exactly the indices -M..N")
+        set_field(self, "U", U)
+        set_field(self, "V", V)
+        set_field(self, "M", M)
+        set_field(self, "N", N)
 
 
 def check_abel(inp: AbelInput, atol: float = DEFAULT_ATOL,
@@ -392,18 +399,17 @@ def _recurrence(p: TruncParams, kn, atol: float = DEFAULT_ATOL,
     """check_recurrence with K_N given, or computed in its turn if None."""
     _require_bde(p)
     q, N = p.q, p.N
-    lhs = truncated_S(dataclasses.replace(p, N=N + 1))
+    lhs = truncated_S(p.replace(N=N + 1))
     coeff = _coefficient(p, ("BDE/A", "Cq^3", "BD/A", "BE/A", "DE/A"),
                          ("BDEq/A", "BCDEq/A^2", "Aq/B", "Aq/D", "Aq/E"))
-    shifted = dataclasses.replace(p, A=p.A * q, C=p.C * q)
+    shifted = p.replace(A=p.A * q, C=p.C * q)
     kn = compute_KN(p) if kn is None else kn
     rhs = (kn * _K.cpow_int(p.base("Cq^3"), -N)
            + coeff * truncated_S(shifted))
     return _report(lhs, rhs, atol, rtol)
 
 
-@dataclass(frozen=True)
-class KNDecayReport:
+class KNDecayReport(Record):
     """Magnitude trace of K_N/(Cq^3)^N together with the closed limit."""
 
     magnitudes: tuple
@@ -413,7 +419,18 @@ class KNDecayReport:
     limit_rel_err: float
     eventually_decreasing: bool
     passed: bool
-    note: str = ""
+    note: str
+
+    def __init__(self, magnitudes, final_magnitude, kn_at_nmax, limit,
+                 limit_rel_err, eventually_decreasing, passed, note=""):
+        set_field(self, "magnitudes", magnitudes)
+        set_field(self, "final_magnitude", final_magnitude)
+        set_field(self, "kn_at_nmax", kn_at_nmax)
+        set_field(self, "limit", limit)
+        set_field(self, "limit_rel_err", limit_rel_err)
+        set_field(self, "eventually_decreasing", eventually_decreasing)
+        set_field(self, "passed", passed)
+        set_field(self, "note", note)
 
 
 def kn_limit(p: TruncParams, policy: TruncationPolicy | None = None) -> complex:
@@ -506,7 +523,7 @@ def check_T_recursion(p: TParams, policy: TruncationPolicy | None = None,
     bot = _nabla_den(p.pairs(("1/BCDEX^2", "C/q^3", "BCDX", "BCEX", "CDEX")))
     # the deeper scaling is the likelier to raise IllConditioned under a
     # capped policy, so it is walked first
-    rhs = eval_T(dataclasses.replace(p, C=C * p.q), policy)
+    rhs = eval_T(p.replace(C=C * p.q), policy)
     lhs = eval_T(p, policy)
     value = (top / bot) * rhs.value
     est = lhs.est_error + abs(top / bot) * rhs.est_error
@@ -534,7 +551,7 @@ def check_T_iteration(p: TParams, m: int,
     pref = (_poch_num(p.pairs(_ROGERS_NUM), q, m)
             * _poch_den_inv(p.pairs(_ROGERS_DEN), q, m))
     lhs = eval_T(p, policy)
-    rhs = eval_T(dataclasses.replace(p, C=C * _K.cpow_int(q, m)), policy)
+    rhs = eval_T(p.replace(C=C * _K.cpow_int(q, m)), policy)
     return _report(lhs.value, pref * rhs.value, atol, rtol)
 
 
@@ -559,7 +576,7 @@ def check_Q_constancy(p: TParams, steps: int = 4,
         raise DomainError("C must be nonzero")
     walked = []
     for k in range(steps, -1, -1):
-        pk = dataclasses.replace(p, C=p.C * _K.cpow_int(p.q, k))
+        pk = p.replace(C=p.C * _K.cpow_int(p.q, k))
         walked.append((pk, eval_T(pk, policy)))
     ratios = []
     for pk, t in reversed(walked):

@@ -8,10 +8,10 @@ infinite q-products, and multiplicative theta functions. Everything downstream
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from collections.abc import Iterable, Sequence
 
 from . import _backend as _K
+from ._record import Record, set_field
 from .errors import BudgetExceeded, DomainError, PoleError
 
 
@@ -28,8 +28,7 @@ def _as_complex(x) -> complex:
     raise DomainError(f"non-finite input {x!r}")
 
 
-@dataclass(frozen=True)
-class TruncationPolicy:
+class TruncationPolicy(Record):
     """Caps shared by every infinite sum and product.
 
     tail_tol
@@ -44,41 +43,43 @@ class TruncationPolicy:
     terms.
     """
 
-    tail_tol: float = 1e-15
-    max_terms: int = 10000
-    hump_max: float = math.inf
+    tail_tol: float
+    max_terms: int
+    hump_max: float
 
-    def __post_init__(self):
-        if not self.tail_tol > 0.0:
+    def __init__(self, tail_tol=1e-15, max_terms=10000, hump_max=math.inf):
+        if not tail_tol > 0.0:
             raise DomainError("tail_tol must be positive")
-        if self.max_terms < 1:
+        if max_terms < 1:
             raise DomainError("max_terms must be >= 1")
-        if not self.hump_max > 0.0:
+        if not hump_max > 0.0:
             raise DomainError("hump_max must be positive")
+        set_field(self, "tail_tol", tail_tol)
+        set_field(self, "max_terms", max_terms)
+        set_field(self, "hump_max", hump_max)
 
 
 DEFAULT_POLICY = TruncationPolicy()
 
 
-@dataclass(frozen=True)
-class QContext:
+class QContext(Record):
     """Base q together with the truncation policy for dependent evaluations.
 
     Requires 0 < |q| < 1.
     """
 
     q: complex
-    policy: TruncationPolicy = field(default=DEFAULT_POLICY)
+    policy: TruncationPolicy
 
-    def __post_init__(self):
-        q = _as_complex(self.q)
-        object.__setattr__(self, "q", q)
+    def __init__(self, q, policy=DEFAULT_POLICY):
+        q = _as_complex(q)
         if not 0.0 < abs(q) < 1.0:
             raise DomainError(f"|q| must lie in (0, 1), got |q| = {abs(q)}")
+        set_field(self, "q", q)
+        set_field(self, "policy", policy)
 
 
-@dataclass(frozen=True)
-class EvalResult:
+class EvalResult(Record):
     """Value of a truncated evaluation plus its accounting.
 
     est_error bounds the truncation error under the geometric-tail
@@ -90,6 +91,12 @@ class EvalResult:
     est_error: float
     terms_used: int
     terminated: bool
+
+    def __init__(self, value, est_error, terms_used, terminated):
+        set_field(self, "value", value)
+        set_field(self, "est_error", est_error)
+        set_field(self, "terms_used", terms_used)
+        set_field(self, "terminated", terminated)
 
 
 def nabla(xs: Iterable[complex]) -> complex:

@@ -8,9 +8,10 @@ per row; list-valued fields join with ';'.
 from __future__ import annotations
 
 import csv
-import dataclasses
 import io
 import json
+
+from ._record import Record, set_field
 
 SCHEMA = "qsix-report/1"
 
@@ -19,9 +20,8 @@ def to_jsonable(x):
     """Recursive conversion to JSON-encodable structures."""
     if isinstance(x, complex):
         return {"re": x.real, "im": x.imag}
-    if dataclasses.is_dataclass(x) and not isinstance(x, type):
-        return {f.name: to_jsonable(getattr(x, f.name))
-                for f in dataclasses.fields(x)}
+    if isinstance(x, Record):
+        return {name: to_jsonable(getattr(x, name)) for name in x._fields}
     if isinstance(x, dict):
         return {str(k): to_jsonable(v) for k, v in x.items()}
     if isinstance(x, (list, tuple)):
@@ -35,8 +35,7 @@ def to_jsonable(x):
     return x
 
 
-@dataclasses.dataclass(frozen=True)
-class SweepReport:
+class SweepReport(Record):
     """Aggregate of one randomized sweep.
 
     results hold one entry per draw, ordered by draw_index, each carrying
@@ -49,11 +48,18 @@ class SweepReport:
     results: list
     summary: dict
 
+    def __init__(self, identity, seed, constraints, results, summary):
+        set_field(self, "identity", identity)
+        set_field(self, "seed", seed)
+        set_field(self, "constraints", constraints)
+        set_field(self, "results", results)
+        set_field(self, "summary", summary)
+
 
 def build_sweep_report(identity: str, seed: int, constraints,
                        rows) -> SweepReport:
     """rows: iterable of (draw_index, params, outcome) where outcome is a
-    report dataclass (anything with .passed) or an exception instance."""
+    report record (anything with .passed) or an exception instance."""
     results = []
     passed = failed = errored = 0
     max_rel = 0.0

@@ -26,10 +26,10 @@ instead of redrawing (q-constancy's q_modulus_range).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Mapping
+from collections.abc import Mapping
 
 from ._backend import margin_hit
+from ._record import Record, set_field
 from .errors import DomainError, IllConditioned, PoleError, Unsatisfiable
 from .qcore import QContext, TruncationPolicy
 from .series import BaileyParams, TParams, TruncParams, vwp_psi6
@@ -59,8 +59,7 @@ DEFAULT_CAPS = {
 }
 
 
-@dataclass(frozen=True)
-class SampleConstraints:
+class SampleConstraints(Record):
     """Acceptance region for one draw.
 
     q_modulus_range bounds |q|: the q-constancy sweep takes (0.4, 0.7),
@@ -68,34 +67,44 @@ class SampleConstraints:
     its report's constraints say so. pole_margin, in (0, 1), is the
     minimum relative distance |1 - x q^j| / (1 + |x q^j|) from zero of
     every factor whose base x the kind's table names (see violations()).
-    convergence_caps overrides entries of DEFAULT_CAPS; each cap must be
-    finite and > 0, and each min cap at most its max.
+    convergence_caps overrides entries of DEFAULT_CAPS (None, the
+    default, is a new empty dict); each cap must be finite and > 0, and
+    each min cap at most its max.
     """
 
-    q_modulus_range: tuple = (0.25, 0.7)
-    param_modulus_range: tuple = (0.1, 3.0)
-    pole_margin: float = 1e-3
-    convergence_caps: Mapping[str, float] = field(default_factory=dict)
-    max_rejections: int = 5000
+    q_modulus_range: tuple
+    param_modulus_range: tuple
+    pole_margin: float
+    convergence_caps: Mapping[str, float]
+    max_rejections: int
 
-    def __post_init__(self):
-        qlo, qhi = self.q_modulus_range
+    def __init__(self, q_modulus_range=(0.25, 0.7),
+                 param_modulus_range=(0.1, 3.0), pole_margin=1e-3,
+                 convergence_caps=None, max_rejections=5000):
+        if convergence_caps is None:
+            convergence_caps = {}
+        set_field(self, "q_modulus_range", q_modulus_range)
+        set_field(self, "param_modulus_range", param_modulus_range)
+        set_field(self, "pole_margin", pole_margin)
+        set_field(self, "convergence_caps", convergence_caps)
+        set_field(self, "max_rejections", max_rejections)
+        qlo, qhi = q_modulus_range
         if not (0.0 < qlo <= qhi < 1.0):
             raise DomainError("q_modulus_range must be inside (0, 1)")
-        plo, phi = self.param_modulus_range
+        plo, phi = param_modulus_range
         if not (0.0 < plo <= phi):
             raise DomainError("param_modulus_range must be positive and "
                               "ordered")
-        if not 0.0 < self.pole_margin < 1.0:
+        if not 0.0 < pole_margin < 1.0:
             raise DomainError("pole_margin must lie in (0, 1)")
-        if self.max_rejections < 1:
+        if max_rejections < 1:
             raise DomainError("max_rejections must be >= 1")
-        unknown = set(self.convergence_caps) - set(DEFAULT_CAPS) \
+        unknown = set(convergence_caps) - set(DEFAULT_CAPS) \
             - {"kn_decay_base_min", "diff_amp_max"}
         if unknown:
             raise DomainError(f"unknown convergence_caps keys: "
                               f"{sorted(unknown)}")
-        for name in self.convergence_caps:
+        for name in convergence_caps:
             try:
                 ok = 0.0 < self.cap(name) < math.inf
             except (TypeError, ValueError):

@@ -8,11 +8,11 @@ they are checked against.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Sequence
 from types import SimpleNamespace
-from typing import Sequence
 
 from . import _backend as _K
+from ._record import Record, set_field
 from .config import POLE_EPS, RECOMPUTE_EVERY, STAGNATION_WINDOW, ZERO_EPS
 from .errors import BudgetExceeded, DomainError, IllConditioned, \
     NonConvergence, PoleError
@@ -20,8 +20,7 @@ from .qcore import DEFAULT_POLICY, EvalResult, QContext, TruncationPolicy, \
     _as_complex, _complex_row, _fold, _inf_row
 
 
-@dataclass(frozen=True)
-class SeriesSpec:
+class SeriesSpec(Record):
     """Parameter lists for a generic (bi)lateral series.
 
     eval_phi sums the unilateral form: r numerators against r-1
@@ -34,12 +33,11 @@ class SeriesSpec:
     denominators: tuple
     z: complex
 
-    def __post_init__(self):
-        object.__setattr__(self, "numerators",
-                           tuple(_as_complex(a) for a in self.numerators))
-        object.__setattr__(self, "denominators",
-                           tuple(_as_complex(b) for b in self.denominators))
-        object.__setattr__(self, "z", _as_complex(self.z))
+    def __init__(self, numerators, denominators, z):
+        set_field(self, "numerators", tuple(map(_as_complex, numerators)))
+        set_field(self, "denominators",
+                  tuple(map(_as_complex, denominators)))
+        set_field(self, "z", _as_complex(z))
 
 
 class _Point:
@@ -68,8 +66,7 @@ class _Unchecked(_Point, SimpleNamespace):
     """A point of the table BASES on parameters that no class checked."""
 
 
-@dataclass(frozen=True)
-class TruncParams(_Point):
+class TruncParams(_Point, Record):
     """Arguments of the truncated window sum S_N and its recurrence.
 
     BASES holds the bases that the rows of S_N, U_n, V_n, K_N, the
@@ -113,25 +110,30 @@ class TruncParams(_Point):
         "C/A": lambda p: p.C / p.A,
     }
 
-    def __post_init__(self):
-        for name in ("q", "A", "B", "C", "D", "E"):
-            object.__setattr__(self, name, _as_complex(getattr(self, name)))
-        if not 0.0 < abs(self.q) < 1.0:
+    def __init__(self, q, A, B, C, D, E, N):
+        q, A, B, C, D, E = map(_as_complex, (q, A, B, C, D, E))
+        if not 0.0 < abs(q) < 1.0:
             raise DomainError("|q| must lie in (0, 1)")
-        if self.A == 0 or self.C == 0:
+        if A == 0 or C == 0:
             raise DomainError("A and C must be nonzero")
-        if self.A * self.A * self.q * self.q == 0:
+        if A * A * q * q == 0:
             raise DomainError("A^2 q^2 underflows to 0")
-        if self.N < 0:
+        if N < 0:
             raise DomainError("window size N must be >= 0")
+        set_field(self, "q", q)
+        set_field(self, "A", A)
+        set_field(self, "B", B)
+        set_field(self, "C", C)
+        set_field(self, "D", D)
+        set_field(self, "E", E)
+        set_field(self, "N", N)
 
     @property
     def series_arg(self) -> complex:
         return 1.0 / (self.C * self.q * self.q)
 
 
-@dataclass(frozen=True)
-class BaileyParams(_Point):
+class BaileyParams(_Point, Record):
     """Arguments (a; b, c, d, e) of the classical bilateral summation; BASES
     holds the bases of the sum and of its closed product."""
 
@@ -159,21 +161,25 @@ class BaileyParams(_Point):
         "e": lambda p: p.e,
     }
 
-    def __post_init__(self):
-        for name in ("q", "a", "b", "c", "d", "e"):
-            object.__setattr__(self, name, _as_complex(getattr(self, name)))
-        if not 0.0 < abs(self.q) < 1.0:
+    def __init__(self, q, a, b, c, d, e):
+        q, a, b, c, d, e = map(_as_complex, (q, a, b, c, d, e))
+        if not 0.0 < abs(q) < 1.0:
             raise DomainError("|q| must lie in (0, 1)")
-        if 0 in (self.a, self.b, self.c, self.d, self.e):
+        if 0 in (a, b, c, d, e):
             raise DomainError("a, b, c, d, e must be nonzero")
+        set_field(self, "q", q)
+        set_field(self, "a", a)
+        set_field(self, "b", b)
+        set_field(self, "c", c)
+        set_field(self, "d", d)
+        set_field(self, "e", e)
 
     @property
     def series_arg(self) -> complex:
         return self.base("a^2q/bcde")
 
 
-@dataclass(frozen=True)
-class TParams(_Point):
+class TParams(_Point, Record):
     """Arguments (X; B, C, D, E) of the shifted bilateral T(X;C).
 
     BASES holds the bases of T(X;C), of its closed product (q_factor and
@@ -216,13 +222,18 @@ class TParams(_Point):
         "CDEq": lambda p: p.C * p.D * p.E * p.q,
     }
 
-    def __post_init__(self):
-        for name in ("q", "X", "B", "C", "D", "E"):
-            object.__setattr__(self, name, _as_complex(getattr(self, name)))
-        if not 0.0 < abs(self.q) < 1.0:
+    def __init__(self, q, X, B, C, D, E):
+        q, X, B, C, D, E = map(_as_complex, (q, X, B, C, D, E))
+        if not 0.0 < abs(q) < 1.0:
             raise DomainError("|q| must lie in (0, 1)")
-        if 0 in (self.X, self.B, self.D, self.E):
+        if 0 in (X, B, D, E):
             raise DomainError("X, B, D, E must be nonzero")
+        set_field(self, "q", q)
+        set_field(self, "X", X)
+        set_field(self, "B", B)
+        set_field(self, "C", C)
+        set_field(self, "D", D)
+        set_field(self, "E", E)
 
     @property
     def series_arg(self) -> complex:

@@ -5,7 +5,6 @@ PASS/FAIL line. Tolerances are pinned here on purpose: loosening them is a
 contract change, not a test fix.
 """
 
-import dataclasses
 import os
 import pathlib
 import subprocess
@@ -102,7 +101,7 @@ def test_criterion_06_boundary_coefficient_cross_check():
     worst = 0.0
     for k, p in enumerate(sample("trunc", SampleConstraints(), SEED, 100)):
         for N in range(0, 7):
-            pn = dataclasses.replace(p, N=N)
+            pn = p.replace(N=N)
             try:
                 assembled = compute_KN(pn)
                 printed = compute_KN_printed(pn)
@@ -144,7 +143,7 @@ def test_criterion_08_argument_scaling_recursion():
     con = SampleConstraints(convergence_caps={"t_arg_max": 0.8})
     for p in sample("t_params", con, SEED, 50):
         # the collapsed multi-step form lives on the X = q slice
-        it = check_T_iteration(dataclasses.replace(p, X=p.q), 6)
+        it = check_T_iteration(p.replace(X=p.q), 6)
         ok = ok and it.passed and it.rel_err <= 1e-7
     assert _verdict(8, "one-step recursion and six-step iteration, "
                        "50 draws", ok)

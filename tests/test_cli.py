@@ -1,5 +1,4 @@
 import csv
-import dataclasses
 import io
 import json
 import math
@@ -120,7 +119,7 @@ def _outcome(fn, *args):
                                         E=1.1, N=0)])
 def test_recurrence_runner_reads_one_trace_per_draw(p, monkeypatch):
     want = _outcome(lambda: cli._worst(
-        check_recurrence(dataclasses.replace(p, N=k)) for k in range(9)))
+        check_recurrence(p.replace(N=k)) for k in range(9)))
     traces, singles = [], []
     monkeypatch.setattr(identities, "kn_trace",
                         lambda *a: traces.append(a) or kn_trace(*a))
@@ -552,7 +551,7 @@ def test_sweep_exhausted_by_the_hump_cap_is_unsatisfiable(monkeypatch):
     monkeypatch.setitem(sampler.DEFAULT_CAPS, "hump_max", 1.0)
     kind, con, runner = cli._SWEEPS["bailey-x"]
     monkeypatch.setitem(cli._SWEEPS, "bailey-x", (
-        kind, dataclasses.replace(con, max_rejections=20), runner))
+        kind, con.replace(max_rejections=20), runner))
     with pytest.raises(Unsatisfiable, match="over the check's hump_max"):
         cli.run_sweep("bailey-x", 1, 7)
 

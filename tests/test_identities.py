@@ -3,7 +3,6 @@ product identity, the boundary-term recurrence and its decay, the T-shift
 family, and the closed-form endpoints."""
 
 import cmath
-import dataclasses
 import math
 import random
 
@@ -185,14 +184,14 @@ def test_v_first_values_match_direct_products():
 
 
 def test_u_pole_when_Aq2_is_one():
-    p = dataclasses.replace(GENERIC, A=4.0)
+    p = GENERIC.replace(A=4.0)
     with pytest.raises(PoleError):
         compute_U(1, p)
 
 
 # |q| = 0.461: q^-917 overflows; U_n and V_n stay in double range well
 # below n = -400, though each of their q-product halves leaves it
-FAR_P = dataclasses.replace(GENERIC, q=0.45 + 0.1j)
+FAR_P = GENERIC.replace(q=0.45 + 0.1j)
 
 
 @pytest.mark.parametrize("f, n, p", [
@@ -202,11 +201,11 @@ FAR_P = dataclasses.replace(GENERIC, q=0.45 + 0.1j)
     (check_V_difference, -400, FAR_P),
     # at C = 1, V_-400 is about 2^1332: the scaled product used to raise
     # OverflowError on conversion
-    (compute_V, -400, dataclasses.replace(FAR_P, C=1.0)),
+    (compute_V, -400, FAR_P.replace(C=1.0)),
     (check_U_difference, -400, FAR_P),
     # Aq^2 = 2.1 overflows x q^-916 in a denominator factor, which used to
     # raise OverflowError inside the renormalizing multiply
-    (compute_U, -916, dataclasses.replace(FAR_P, A=10.0)),
+    (compute_U, -916, FAR_P.replace(A=10.0)),
 ])
 def test_out_of_range_index_is_domain_error(f, n, p):
     with pytest.raises(DomainError, match="double range"):
@@ -263,7 +262,7 @@ def test_deep_negative_index_matches_high_precision(f, oracle, n):
 
 
 # GENERIC has Aq = 1, a V pole for n <= -2; shift A off the degeneracy
-DIFF_P = dataclasses.replace(GENERIC, A=1.7)
+DIFF_P = GENERIC.replace(A=1.7)
 
 
 @pytest.mark.parametrize("n", range(-3, 4))
@@ -351,10 +350,10 @@ def test_kn_zero_window_against_public_pieces():
 
 @pytest.mark.parametrize("N", range(5))
 def test_kn_consistent_with_window_sums(N):
-    p = dataclasses.replace(GENERIC, N=N)
+    p = GENERIC.replace(N=N)
     q, C = p.q, p.C
-    lhs = truncated_S(dataclasses.replace(p, N=N + 1))
-    shifted = truncated_S(dataclasses.replace(p, A=p.A * q, C=C * q))
+    lhs = truncated_S(p.replace(N=N + 1))
+    shifted = truncated_S(p.replace(A=p.A * q, C=C * q))
     residual = lhs - _recurrence_coefficient(p) * shifted
     kn = compute_KN(p) * (C * q ** 3) ** (-N)
     assert abs(kn - residual) <= 1e-12 + 1e-9 * max(abs(lhs), 1.0)
@@ -362,7 +361,7 @@ def test_kn_consistent_with_window_sums(N):
 
 @pytest.mark.parametrize("N", range(6))
 def test_kn_printed_form_matches_assembled(N):
-    p = dataclasses.replace(GENERIC, N=N)
+    p = GENERIC.replace(N=N)
     a = compute_KN(p)
     b = compute_KN_printed(p)
     assert abs(a - b) <= 1e-10 * max(abs(a), 1.0)
@@ -376,7 +375,7 @@ def test_kn_pole_at_unit_kernel():
 
 @pytest.mark.parametrize("N", range(7))
 def test_recurrence_generic(N):
-    rep = check_recurrence(dataclasses.replace(GENERIC, N=N))
+    rep = check_recurrence(GENERIC.replace(N=N))
     assert rep.passed
     assert rep.rel_err <= 1e-9
 
@@ -391,7 +390,7 @@ def test_recurrence_pole_is_classified():
 # decay of the scaled boundary term
 
 def test_kn_decay_passes_when_base_exceeds_one():
-    p = dataclasses.replace(GENERIC, C=12.0)
+    p = GENERIC.replace(C=12.0)
     rep = check_KN_decay(p, N_max=60)
     assert rep.passed
     assert rep.final_magnitude < 1e-6
@@ -402,16 +401,16 @@ def test_kn_decay_passes_when_base_exceeds_one():
 
 
 def test_kn_decay_limit_agrees_with_large_N():
-    p = dataclasses.replace(GENERIC, C=12.0)
+    p = GENERIC.replace(C=12.0)
     lim = kn_limit(p)
-    kn = compute_KN(dataclasses.replace(p, N=60))
+    kn = compute_KN(p.replace(N=60))
     assert abs(kn - lim) <= 1e-8 * abs(lim)
 
 
 def test_kn_decay_grows_inside_unit_base():
     # |Cq^2| = 1.25 meets the precondition but |Cq^3| = 0.625 < 1, so the
     # scaled trace grows without bound
-    p = dataclasses.replace(GENERIC, C=5.0)
+    p = GENERIC.replace(C=5.0)
     rep = check_KN_decay(p, N_max=30)
     assert not rep.passed
     assert rep.final_magnitude > 1.0
@@ -453,23 +452,23 @@ KN_DECAY_DRAWS = SampleConstraints(
     convergence_caps={"kn_decay_base_min": 1.5})
 
 
-@pytest.mark.parametrize("p", [dataclasses.replace(GENERIC, C=12.0)]
+@pytest.mark.parametrize("p", [GENERIC.replace(C=12.0)]
                          + sample("trunc", KN_DECAY_DRAWS, 7, 20))
 def test_kn_trace_matches_compute_kn(p):
     # compute_KN is the last entry of the same kernel pass: equal bit for bit
     trace = kn_trace(p, 80)
     assert len(trace) == 81
     for N, kn in enumerate(trace):
-        assert compute_KN(dataclasses.replace(p, N=N)) == kn, N
+        assert compute_KN(p.replace(N=N)) == kn, N
 
 
 def test_kn_trace_raises_compute_kn_pole():
     # A/C = 4 = q^-2: the K3 denominator factor 1 - (A/C) q^2 enters at
     # N = 2, and A/Cq = q^-3 would vanish at N = 3
-    p = dataclasses.replace(GENERIC, C=0.5)
+    p = GENERIC.replace(C=0.5)
     for N in range(4):
         try:
-            compute_KN(dataclasses.replace(p, N=N))
+            compute_KN(p.replace(N=N))
         except PoleError as exc:
             want = exc
             break
@@ -504,7 +503,7 @@ KN_TRACE_POLES = {
                          KN_TRACE_POLES.values(), ids=KN_TRACE_POLES)
 def test_kn_trace_pole_in_each_dividing_row(change, n_stop, factor,
                                             exponent):
-    p = dataclasses.replace(GENERIC, **change)
+    p = GENERIC.replace(**change)
     if n_stop:
         assert len(kn_trace(p, n_stop - 1)) == n_stop
     with pytest.raises(PoleError) as got:
@@ -512,7 +511,7 @@ def test_kn_trace_pole_in_each_dividing_row(change, n_stop, factor,
     assert (got.value.factor, got.value.exponent) == (factor, exponent)
     assert str(got.value) == f"factor 1 - ({factor})*q^({exponent}) vanishes"
     with pytest.raises(PoleError) as single:
-        compute_KN(dataclasses.replace(p, N=n_stop))
+        compute_KN(p.replace(N=n_stop))
     assert (single.value.factor, single.value.exponent) == (factor, exponent)
     assert str(single.value) == str(got.value)
 
@@ -521,11 +520,11 @@ def test_kn_trace_runs_on_past_a_vanished_k3_numerator_factor():
     # Eq = q^-1: the K3 numerator row (and U_{N+1} in the V U product at N)
     # only multiplies, so from N = 1 on its vanished factor zeroes K3 and
     # that product, and the trace runs on
-    p = dataclasses.replace(GENERIC, E=4.0, C=12.0)
+    p = GENERIC.replace(E=4.0, C=12.0)
     trace = kn_trace(p, 4)
     assert len(trace) == 5
     for N, kn in enumerate(trace):
-        assert compute_KN(dataclasses.replace(p, N=N)) == kn, N
+        assert compute_KN(p.replace(N=N)) == kn, N
 
 
 #: draw 0 of the kn-decay sweep's constraints at seed 7, |Cq^3| = 2.68
@@ -550,7 +549,7 @@ def test_kn_trace_product_out_of_double_range_is_domain_error():
                               "factor 1 - (Bq)*q^(-1454)")
     assert len(kn_trace(KN_DEEP, 1452)) == 1453
     with pytest.raises(DomainError) as single:
-        compute_KN(dataclasses.replace(KN_DEEP, N=1453))
+        compute_KN(KN_DEEP.replace(N=1453))
     assert str(single.value) == str(got.value)
 
 
@@ -582,7 +581,7 @@ def test_kn_decay_product_out_of_double_range_is_domain_error():
 
 @pytest.mark.parametrize("n_max", range(5))
 def test_kn_trace_length(n_max):
-    p = dataclasses.replace(GENERIC, C=12.0)
+    p = GENERIC.replace(C=12.0)
     trace = kn_trace(p, n_max)
     assert len(trace) == n_max + 1
     assert trace == kn_trace(p, 4)[:n_max + 1]
@@ -619,7 +618,7 @@ def _mp_kn(N, p):
 
 
 @pytest.mark.parametrize("p", [
-    dataclasses.replace(GENERIC, C=12.0),
+    GENERIC.replace(C=12.0),
     sample("trunc", KN_DECAY_DRAWS, 3825644907, 1)[0],
 ], ids=["generic", "seed-3825644907"])
 def test_kn_trace_matches_high_precision(p):
@@ -632,9 +631,9 @@ def test_kn_trace_matches_high_precision(p):
 
 def test_kn_decay_domain():
     with pytest.raises(DomainError):
-        check_KN_decay(dataclasses.replace(GENERIC, C=3.6))
+        check_KN_decay(GENERIC.replace(C=3.6))
     with pytest.raises(DomainError):
-        check_KN_decay(dataclasses.replace(GENERIC, C=12.0), N_max=3)
+        check_KN_decay(GENERIC.replace(C=12.0), N_max=3)
 
 
 # ---------------------------------------------------------------------------
@@ -653,17 +652,17 @@ def test_t_recursion_generic():
 def test_t_recursion_second_point():
     # below C ~ 0.06 the scaled series grows a transient hump that eats
     # digits faster than the default tolerance
-    rep = check_T_recursion(dataclasses.replace(T_GENERIC, C=0.08))
+    rep = check_T_recursion(T_GENERIC.replace(C=0.08))
     assert rep.passed
 
 
 def test_t_recursion_domain():
     with pytest.raises(DomainError):
-        check_T_recursion(dataclasses.replace(T_GENERIC, C=0.0))
+        check_T_recursion(T_GENERIC.replace(C=0.0))
 
 
 def test_t_iteration_collapsed_steps():
-    p = dataclasses.replace(T_GENERIC, X=0.5)
+    p = T_GENERIC.replace(X=0.5)
     for m in (1, 6):
         rep = check_T_iteration(p, m)
         assert rep.passed
@@ -674,7 +673,7 @@ def test_t_iteration_domain():
     with pytest.raises(DomainError):
         check_T_iteration(T_GENERIC, 3)
     with pytest.raises(DomainError):
-        check_T_iteration(dataclasses.replace(T_GENERIC, X=0.5), 0)
+        check_T_iteration(T_GENERIC.replace(X=0.5), 0)
 
 
 def test_q_constancy_generic():
@@ -725,9 +724,9 @@ def test_q_constancy_domain():
     with pytest.raises(DomainError):
         check_Q_constancy(T_GENERIC, steps=0)
     with pytest.raises(DomainError):
-        check_Q_constancy(dataclasses.replace(T_GENERIC, C=0.0))
+        check_Q_constancy(T_GENERIC.replace(C=0.0))
     with pytest.raises(NonConvergence):
-        check_Q_constancy(dataclasses.replace(T_GENERIC, C=0.5 ** 3))
+        check_Q_constancy(T_GENERIC.replace(C=0.5 ** 3))
 
 
 # ---------------------------------------------------------------------------
@@ -778,7 +777,7 @@ def test_bailey_x_form_generic():
 
 
 def test_bailey_x_form_at_unit_shift():
-    rep = check_bailey("X", dataclasses.replace(T_GENERIC, X=0.5))
+    rep = check_bailey("X", T_GENERIC.replace(X=0.5))
     assert rep.passed
 
 

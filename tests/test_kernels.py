@@ -32,7 +32,6 @@ depths where a product leaves double range.
 """
 
 import cmath
-import dataclasses
 import math
 import random
 
@@ -710,8 +709,8 @@ def _closed_cases():
         if i % 2:
             t = _near(rng, q)
             try:
-                bp = dataclasses.replace(bp, **rng.choice(_BAILEY_SET)(bp, t))
-                tp = dataclasses.replace(tp, **rng.choice(_T_SET)(tp, t))
+                bp = bp.replace(**rng.choice(_BAILEY_SET)(bp, t))
+                tp = tp.replace(**rng.choice(_T_SET)(tp, t))
             except (QSixError, ArithmeticError):
                 pass  # a solved parameter out of range: keep the draw
         cases += [(S.bailey_closed_a, bp, policy),
@@ -915,8 +914,7 @@ def _kn_trace_cases():
         eps = rng.choice((0.0, 1e-16, 1e-13, 1e-11))
         phase = cmath.exp(1j * rng.uniform(-math.pi, math.pi))
         t = p.q ** rng.randint(0, 6) * (1.0 + eps * phase)
-        stopped.append(dataclasses.replace(
-            p, **rng.choice(_KN_STOPS)(p, t)))
+        stopped.append(p.replace(**rng.choice(_KN_STOPS)(p, t)))
     cases = [(p, rng.choice((0, 1, 2, 3, 4, 80, 80, rng.randint(5, 200))))
              for p in band + plain + stopped]
     generic = TruncParams(q=0.5, A=2.0, B=0.3, C=3.0, D=0.7, E=1.1, N=0)
@@ -927,7 +925,7 @@ def _kn_trace_cases():
                    {"D": 26.666666666666668}, {"E": 4.0, "C": 12.0},
                    # Aq/B and BDEq/A vanish in the coefficient at once
                    {"B": 1.0, "D": 2.0 / 0.55}):
-        cases.append((dataclasses.replace(generic, **change), 6))
+        cases.append((generic.replace(**change), 6))
     # downward factors that leave double range, the first at N = 1453
     cases.append((sample("trunc", KN_DECAY, 7, 1)[0], 2000))
     cases += [(p, 3000) for p in plain[:8] + band[:4]]
@@ -961,7 +959,7 @@ def test_kn_trace_stops_at_a_piece_out_of_double_range(C, n_stop, m, e):
         ID.kn_trace(p, n_stop + 5)
     assert str(got.value) == want
     with pytest.raises(DomainError) as single:
-        ID.compute_KN(dataclasses.replace(p, N=n_stop))
+        ID.compute_KN(p.replace(N=n_stop))
     assert str(single.value) == want
     assert (_trace_outcome(ID.kn_trace, p, n_stop + 5)
             == _trace_outcome(ref_kn_trace, p, n_stop + 5))
@@ -972,4 +970,4 @@ def test_underflowed_a_squared_is_refused_with_the_parameters():
     # a raw ZeroDivisionError, so no trace is ever asked for
     generic = TruncParams(q=0.5, A=2.0, B=0.3, C=3.0, D=0.7, E=1.1, N=0)
     with pytest.raises(DomainError, match=r"A\^2 q\^2 underflows to 0"):
-        dataclasses.replace(generic, A=1e-200)
+        generic.replace(A=1e-200)

@@ -230,10 +230,9 @@ def test_window_sum_three_terms():
 
 @pytest.mark.parametrize("N", [1, 2, 3, 4])
 def test_window_sum_growth_by_one_ring(N):
-    import dataclasses
     p = TruncParams(q=0.5, A=2.0, B=0.3, C=3.0, D=0.7, E=1.1, N=N - 1)
     inner = truncated_S(p)
-    outer = truncated_S(dataclasses.replace(p, N=N))
+    outer = truncated_S(p.replace(N=N))
     ring = window_term_oracle(p, N) + window_term_oracle(p, -N)
     assert abs(outer - (inner + ring)) <= 1e-13 * max(abs(outer), 1.0)
 
@@ -410,11 +409,10 @@ def test_q_factor_pole_at_unit_X():
 
 
 def test_f_one_step_ratio():
-    import dataclasses
     q = 0.5
     p = TParams(q=q, X=1.2, B=0.3, C=0.1, D=0.35, E=0.45)
     f0 = F_function(p)
-    f1 = F_function(dataclasses.replace(p, C=p.C * q))
+    f1 = F_function(p.replace(C=p.C * q))
     m = p.B * p.C * p.D * p.E * p.X
     mX = m * p.X
     top = 1.0

@@ -1,7 +1,7 @@
 """The start-up surface: `import qsix.cli` and each command load only the
-layers they run, and the package resolves its public names on first
-access. The loading is observed in child processes, which start with no
-qsix module imported."""
+layers they run, none of them loads the dataclass machinery, and the
+package resolves its public names on first access. The loading is
+observed in child processes, which start with no qsix module imported."""
 
 import ast
 import importlib
@@ -23,6 +23,8 @@ ENV = dict(os.environ, PYTHONPATH=os.pathsep.join(
 
 #: modules that only some commands need
 DEFERRED = ("csv", "json", "qsix.identities", "qsix.report")
+#: modules that no command needs: the records are not dataclasses
+MACHINERY = ("dataclasses", "inspect")
 
 T_ROW = ["--q", "0.5,0", "--X", "1.2,0", "--B", "0.3,0", "--C", "0.1,0",
          "--D", "0.35,0", "--E", "0.45,0"]
@@ -31,9 +33,11 @@ TRUNC = ["--q", "0.5,0", "--A", "2,0", "--B", "0.3,0", "--C", "3,0",
 
 
 def _loaded(code: str) -> list:
-    """The modules of DEFERRED that a child running `code` has loaded."""
+    """The modules of DEFERRED and MACHINERY that a child running `code`
+    has loaded."""
     probe = (f"import sys\n{code}\n"
-             f"print([m for m in {DEFERRED!r} if m in sys.modules])")
+             f"print([m for m in {DEFERRED + MACHINERY!r} "
+             f"if m in sys.modules])")
     proc = subprocess.run([sys.executable, "-c", probe], capture_output=True,
                           text=True, env=ENV)
     assert proc.returncode == 0, proc.stderr
@@ -49,7 +53,8 @@ def test_importing_the_cli_loads_no_deferred_module():
     (["check", "vdiff", *TRUNC, "--n", "2"], ["qsix.identities"]),
     (["check", "vdiff", *TRUNC, "--n", "2", "--format", "json"],
      list(DEFERRED)),
-    (["sweep", "--identity", "bailey-a", "--samples", "1"], list(DEFERRED)),
+    (["sweep", "--identity", "bailey-a", "--samples", "1", "--format",
+      "json"], list(DEFERRED)),
 ], ids=["eval", "check", "check-json", "sweep"])
 def test_each_command_loads_only_what_it_runs(argv, want):
     code = f"import qsix.cli\nassert qsix.cli.main({argv!r}) == 0"
@@ -60,6 +65,12 @@ def test_bare_package_import_loads_no_layer_but_resolves_them():
     code = ("import qsix\n"
             "assert not any(m.startswith('qsix.') for m in sys.modules)\n"
             "qsix.identities.check_bailey, qsix.report.render_sweep")
+    assert _loaded(code) == list(DEFERRED)
+
+
+def test_resolving_every_public_name_loads_no_machinery():
+    code = ("from qsix import *\nimport qsix\n"
+            "for name in qsix.__all__:\n    getattr(qsix, name)")
     assert _loaded(code) == list(DEFERRED)
 
 
