@@ -14,9 +14,15 @@ output. A cli-oneshot op is one `qsix` child process per tree, started as
 the benchmark starts it but with PYTHONPATH set to that tree; its time is
 the child's CPU time (user plus system) read with `os.wait4`, and its
 result the child's exit code and the digest of its stdout. The children
-inherit this process's environment, so its bytecode settings
-(PYTHONDONTWRITEBYTECODE, PYTHONPYCACHEPREFIX) decide whether they compile
-qsix from source.
+inherit this process's environment, so its bytecode settings decide
+whether they compile qsix from source: with PYTHONDONTWRITEBYTECODE set
+they do (a cold start). PYTHONPYCACHEPREFIX as well warms nothing, since
+no cache is written under the prefix, and the children then compile the
+standard library too; the script refuses that pair. For a warm run,
+unset the first:
+
+    env -u PYTHONDONTWRITEBYTECODE PYTHONPYCACHEPREFIX=../pycache \\
+        python3 scripts/ab_ops.py --old ../parent/src --workload cli-oneshot
 
 For each workload it prints the median op time on each tree, on how many
 ops the new tree was faster, and whether every op gave the same result on
@@ -128,6 +134,13 @@ def main(argv=None) -> int:
                     help="ops per workload (default 200)")
     ap.add_argument("--seed", type=int, default=7)
     args = ap.parse_args(argv)
+    if (os.environ.get("PYTHONDONTWRITEBYTECODE")
+            and os.environ.get("PYTHONPYCACHEPREFIX")):
+        ap.error("PYTHONPYCACHEPREFIX with PYTHONDONTWRITEBYTECODE set warms "
+                 "nothing: the children write no cache and compile the "
+                 "standard library on every op; for a warm run use "
+                 "env -u PYTHONDONTWRITEBYTECODE PYTHONPYCACHEPREFIX=DIR "
+                 "python3 scripts/ab_ops.py ...")
     old = load_tree(args.old.resolve(), "qsix_old")
     new = load_tree(args.new.resolve(), "qsix_new")
     names = WORKLOADS if args.workload == "all" else (args.workload,)

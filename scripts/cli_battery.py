@@ -138,6 +138,8 @@ def invocations(tmp: str) -> list:
         ["check", "udiff", *TRUNC, "--n", "-400"],
         ["check", "q-constancy", *T_ROW, "--steps", "2"],
         ["check", "kn-decay", *DECAY, "--n-max", "40"],
+        # the trace stops at N = 1023, where q^-1024 leaves double range
+        ["check", "kn-decay", *DECAY, "--n-max", "200000"],
     ]
     out += [["check", "kn-decay", *DEEP, "--n-max", n]
             for n in ("4", "200", "800", "2000")]
@@ -201,6 +203,9 @@ def invocations(tmp: str) -> list:
         ["eval", "pochhammer-inf", "--a=1.5e308,1.5e308", "--q=0.5,0"],
         ["check", "weierstrass", "--b=1.5e308,1.5e308", "--c=0.3,0.1",
          "--x=0.5,0.2", "--z=0.7,0"],
+        # products out of double range: non-finite complex parts in JSON
+        ["check", "weierstrass", "--b", "1e100,0", "--c", "1e150,0", "--x",
+         "1e100,0", "--z", "1e120,0", "--format", "json"],
     ]
     # A^2 q^2 underflows to 0
     out += [["check", name, *TINY_A] for name in ("kn-decay", "recurrence",

@@ -9,27 +9,6 @@ import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AbelInput", "BaileyParams", "BudgetExceeded", "DEFAULT_ATOL",
-    "DEFAULT_CAPS", "DEFAULT_POLICY", "DEFAULT_RTOL", "DomainError",
-    "EvalResult", "F_function", "IllConditioned", "KNDecayReport",
-    "NonConvergence", "POLE_EPS", "PoleError", "QContext", "QSixError",
-    "RECOMPUTE_EVERY", "ResidualReport", "STAGNATION_WINDOW",
-    "SampleConstraints", "SeriesSpec", "SweepReport", "TParams",
-    "TruncParams",
-    "TruncationPolicy", "Unsatisfiable", "ZERO_EPS", "backend_name", "bailey_closed_X", "bailey_closed_a",
-    "build_sweep_report", "check_KN_decay", "check_Q_constancy",
-    "check_abel", "check_bailey", "check_recurrence",
-    "check_remark1_equivalence", "check_rogers", "check_T_iteration",
-    "check_T_recursion", "check_U_difference", "check_V_difference",
-    "check_weierstrass", "compute_KN", "compute_KN_printed", "compute_U",
-    "compute_V", "eval_T", "eval_phi", "eval_psi", "kn_limit", "kn_trace",
-    "map_remark1", "nabla", "q_factor", "qpochhammer", "qpochhammer_inf",
-    "qpochhammer_inf_multi", "qpochhammer_multi", "render_sweep",
-    "rogers_closed", "sample", "theta", "theta_multi", "truncated_S",
-    "violations", "vwp_psi6",
-]
-
 #: defining module of each public name. A name is imported on its first
 #: access (PEP 562), so `import qsix.cli` loads only the layers it runs.
 _HOMES = {
@@ -58,6 +37,7 @@ _HOMES = {
                "truncated_S", "vwp_psi6"),
 }
 _HOME = {name: module for module, names in _HOMES.items() for name in names}
+__all__ = sorted(_HOME)
 #: submodules that resolve as attributes before they are imported
 _SUBMODULES = (*_HOMES, "_kernels_py")
 

@@ -50,6 +50,7 @@ one that testing every j finds.
 from __future__ import annotations
 
 import math
+import sys
 
 from .config import POLE_EPS, STAGNATION_WINDOW, ZERO_EPS
 
@@ -73,6 +74,9 @@ _X_MIN = 1e-280
 _X_MAX = 1e280
 _LOG_NORMAL = math.log(1e300)
 _LOG_HUGE = math.log(1e250)
+#: log of the largest modulus of a complex with two finite parts, sqrt(2)
+#: times the largest double (the literal 1.8e308 is already inf)
+_LOG_MAX = math.log(sys.float_info.max) + 0.5 * math.log(2.0)
 
 #: pole-margin audit: the guard on the band's log at each end
 _MARGIN_GUARD = 1e-6
@@ -234,15 +238,20 @@ def kn_trace_sc(vnum, vden, unum, uden, num3, den3, q: complex, A: complex,
     eps, lo, hi, inf = POLE_EPS, _LO, _HI, math.inf
     floor, log2, ldexp = math.floor, math.log2, math.ldexp
     icq3 = 1.0 / cq3
-    # q^k = qk[k + off], k = -off..2 n_max + 3, bit for bit cpow_int's:
+    # The trace stops by step n_top: a part of the carried q^-N-1 is inf
+    # there (two spare steps cover its drift), so unum's first divided
+    # factor is inf or nan (0 inf at x = 0). So no step reads the table
+    # past n_top, where an index below its start would wrap silently.
+    n_top = min(n_max, math.floor(_LOG_MAX / -math.log(abs(q))) + 2)
+    # q^k = qk[k + off], k = -off..2 n_top + 3, bit for bit cpow_int's:
     # pw[k] = pw[k - 2^t] q^(2^t), 2^t the top bit of k; q^-k = 1/q^k
     pw = [1.0 + 0j]
     bit, sq = 1, complex(q)
-    for k in range(1, 2 * n_max + 4):
+    for k in range(1, 2 * n_top + 4):
         if k == 2 * bit:
             bit, sq = k, sq * sq
         pw.append(pw[k - bit] * sq)
-    off = max(n_max - 1, 2)
+    off = max(n_top - 1, 2)
     qk = [1.0 / w if w else complex(inf, 0.0) for w in pw[off:0:-1]] + pw
     ms = [1.0 + 0j] * 4 + [coeff]
     es = [0] * 5

@@ -257,7 +257,9 @@ _CHECKS = {
 
 
 def _print_check(identity: str, rep, fmt: str) -> None:
-    from .identities import ResidualReport
+    """The report as JSON, or as text: its fields in record order, passed
+    last; complex values by _fmt, bools in lower case, strings raw, others
+    by repr, leaving out a tuple field and an empty note."""
     if fmt == "json":
         import json
         from .report import SCHEMA, to_jsonable
@@ -266,24 +268,17 @@ def _print_check(identity: str, rep, fmt: str) -> None:
         print(json.dumps(doc, sort_keys=True, indent=2))
         return
     print(f"identity: {identity}")
-    if isinstance(rep, ResidualReport):
-        print(f"lhs: {_fmt(rep.lhs)}")
-        print(f"rhs: {_fmt(rep.rhs)}")
-        print(f"abs_err: {rep.abs_err!r}")
-        print(f"rel_err: {rep.rel_err!r}")
-        if rep.note:
-            print(f"note: {rep.note}")
-    else:
-        # decay trace report
-        print(f"final_magnitude: {rep.final_magnitude!r}")
-        print(f"kn_at_nmax: {_fmt(rep.kn_at_nmax)}")
-        print(f"limit: {_fmt(rep.limit)}")
-        print(f"limit_rel_err: {rep.limit_rel_err!r}")
-        print(f"eventually_decreasing: "
-              f"{str(rep.eventually_decreasing).lower()}")
-        if rep.note:
-            print(f"note: {rep.note}")
-    print(f"passed: {str(rep.passed).lower()}")
+    for name in [n for n in rep._fields if n != "passed"] + ["passed"]:
+        value = getattr(rep, name)
+        if isinstance(value, tuple) or value == "":
+            continue
+        if isinstance(value, complex):
+            value = _fmt(value)
+        elif isinstance(value, bool):
+            value = str(value).lower()
+        elif not isinstance(value, str):
+            value = repr(value)
+        print(f"{name}: {value}")
 
 
 def cmd_check(args) -> int:
@@ -303,16 +298,9 @@ def cmd_check(args) -> int:
 # sweep
 
 def _worst(reports):
-    """Report with the largest rel_err; any failure takes precedence."""
-    worst = None
-    for rep in reports:
-        if worst is None:
-            worst = rep
-            continue
-        if (not rep.passed, rep.rel_err) > (not worst.passed,
-                                            worst.rel_err):
-            worst = rep
-    return worst
+    """Report with the largest rel_err; any failure takes precedence, and
+    the first of equal reports is kept."""
+    return max(reports, key=lambda rep: (not rep.passed, rep.rel_err))
 
 
 def _sw_abel(index, seed, policy, tols):
@@ -480,11 +468,8 @@ def run_sweep(identity: str, samples: int, seed: int,
         raise DomainError(f"identity {identity!r} does not read "
                           f"{', '.join(unread)}")
     policy = policy or TruncationPolicy()
-    tols = {}
-    if atol is not None:
-        tols["atol"] = atol
-    if rtol is not None:
-        tols["rtol"] = rtol
+    tols = {name: value for name, value in (("atol", atol), ("rtol", rtol))
+            if value is not None}
     rows = []
     if kind is None:
         constraints = {"drawn_by": identity, "seed": seed}

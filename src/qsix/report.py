@@ -10,16 +10,23 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 
 from ._record import Record, set_field
 
 SCHEMA = "qsix-report/1"
 
 
+def _real(x: float):
+    """x, or its name "nan", "inf" or "-inf" where it is not finite."""
+    return x if math.isfinite(x) else str(x)
+
+
 def to_jsonable(x):
-    """Recursive conversion to JSON-encodable structures."""
+    """Recursive conversion to strict JSON-encodable structures: each
+    non-finite float, complex parts too, becomes a string."""
     if isinstance(x, complex):
-        return {"re": x.real, "im": x.imag}
+        return {"re": _real(x.real), "im": _real(x.imag)}
     if isinstance(x, Record):
         return {name: to_jsonable(getattr(x, name)) for name in x._fields}
     if isinstance(x, dict):
@@ -28,10 +35,8 @@ def to_jsonable(x):
         return [to_jsonable(v) for v in x]
     if isinstance(x, bool) or x is None:
         return x
-    if isinstance(x, float) and x != x:
-        return "nan"
-    if isinstance(x, float) and x in (float("inf"), float("-inf")):
-        return "inf" if x > 0 else "-inf"
+    if isinstance(x, float):
+        return _real(x)
     return x
 
 

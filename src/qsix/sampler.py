@@ -196,14 +196,26 @@ def _draw_complex(rng: Philox, lo: float, hi: float) -> complex:
     return complex(mod * math.cos(phase), mod * math.sin(phase))
 
 
+#: kind -> (its parameter class, the parameters it draws from and holds
+#: to param_modulus_range, in draw order); trunc and t_params build C
+#: from a capped argument instead
+_KINDS = {"trunc": (TruncParams, "ABDE"),
+          "bailey_a": (BaileyParams, "abcde"),
+          "t_params": (TParams, "XBDE")}
+
+
+def _kind(kind: str) -> tuple:
+    if kind not in _KINDS:
+        raise DomainError(f"unknown sample kind {kind!r}")
+    return _KINDS[kind]
+
+
 #: kind -> the expressions of the bases that violations() holds to the
 #: pole margin: every base of the kind's table BASES but q, whose (q;q)
 #: factors 1 - q^{k+1} cannot vanish, and X, which `_audited` adds
 _AUDITED = {kind: tuple(f for name, f in cls.BASES.items()
                         if name not in ("q", "X"))
-            for kind, cls in (("trunc", TruncParams),
-                              ("bailey_a", BaileyParams),
-                              ("t_params", TParams))}
+            for kind, (cls, _) in _KINDS.items()}
 
 
 def _audited(kind: str, p) -> list:
@@ -217,11 +229,6 @@ def _audited(kind: str, p) -> list:
     return xs
 
 
-#: kind -> the parameters held to param_modulus_range (C is built from a
-#: capped argument instead)
-_MODULUS_CHECKED = {"trunc": "ABDE", "bailey_a": "abcde", "t_params": "XBDE"}
-
-
 def violations(kind: str, params, constraints: SampleConstraints) -> list:
     """Reasons the draw fails its constraints; empty means acceptable.
 
@@ -229,15 +236,14 @@ def violations(kind: str, params, constraints: SampleConstraints) -> list:
     table, from which every sum, product and check reads its rows, so by
     every factor a check divides by.
     """
-    if kind not in _MODULUS_CHECKED:
-        raise DomainError(f"unknown sample kind {kind!r}")
+    drawn = _kind(kind)[1]
     p, con, out = params, constraints, []
     q = p.q
     qlo, qhi = con.q_modulus_range
     plo, phi = con.param_modulus_range
     if not (qlo <= abs(q) <= qhi):
         out.append(f"|q| = {abs(q):.6g} outside q_modulus_range")
-    for name in _MODULUS_CHECKED[kind]:
+    for name in drawn:
         v = getattr(p, name)
         if not (plo <= abs(v) <= phi):
             out.append(f"|{name}| = {abs(v):.6g} outside "
@@ -289,39 +295,23 @@ def _diff_amp(p: TruncParams, lo: int, hi: int) -> float:
 
 
 def _draw_once(kind: str, rng, con: SampleConstraints):
-    qlo, qhi = con.q_modulus_range
-    plo, phi = con.param_modulus_range
-    q = _draw_complex(rng, qlo, qhi)
-    if kind == "trunc":
-        A = _draw_complex(rng, plo, phi)
-        B = _draw_complex(rng, plo, phi)
-        D = _draw_complex(rng, plo, phi)
-        E = _draw_complex(rng, plo, phi)
-        if "kn_decay_base_min" in con.convergence_caps:
-            mn = con.cap("kn_decay_base_min")
-            target = _draw_complex(rng, mn, 2.0 * mn)
-            C = target / q ** 3
-        else:
-            arg = _draw_complex(rng, con.cap("trunc_arg_min"),
-                                con.cap("trunc_arg_max"))
-            C = 1.0 / (arg * q * q)
-        return TruncParams(q=q, A=A, B=B, C=C, D=D, E=E, N=0)
+    cls, drawn = _kind(kind)
+    q = _draw_complex(rng, *con.q_modulus_range)
+    p = {name: _draw_complex(rng, *con.param_modulus_range)
+         for name in drawn}
     if kind == "bailey_a":
-        a = _draw_complex(rng, plo, phi)
-        b = _draw_complex(rng, plo, phi)
-        c = _draw_complex(rng, plo, phi)
-        d = _draw_complex(rng, plo, phi)
-        e = _draw_complex(rng, plo, phi)
-        return BaileyParams(q=q, a=a, b=b, c=c, d=d, e=e)
+        return cls(q=q, **p)
     if kind == "t_params":
-        X = _draw_complex(rng, plo, phi)
-        B = _draw_complex(rng, plo, phi)
-        D = _draw_complex(rng, plo, phi)
-        E = _draw_complex(rng, plo, phi)
         w = _draw_complex(rng, con.cap("t_arg_min"), con.cap("t_arg_max"))
-        C = w * q ** 3
-        return TParams(q=q, X=X, B=B, C=C, D=D, E=E)
-    raise DomainError(f"unknown sample kind {kind!r}")
+        return cls(q=q, C=w * q ** 3, **p)
+    if "kn_decay_base_min" in con.convergence_caps:
+        mn = con.cap("kn_decay_base_min")
+        C = _draw_complex(rng, mn, 2.0 * mn) / q ** 3
+    else:
+        arg = _draw_complex(rng, con.cap("trunc_arg_min"),
+                            con.cap("trunc_arg_max"))
+        C = 1.0 / (arg * q * q)
+    return cls(q=q, C=C, N=0, **p)
 
 
 def sample(kind: str, constraints: SampleConstraints, seed: int,

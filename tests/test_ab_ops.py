@@ -1,7 +1,8 @@
 """Smoke test of scripts/ab_ops.py: two copies of one tree, loaded under
 distinct package names or run as child processes, give identical results
-op for op."""
+op for op; a cache prefix that no child would write is refused."""
 
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -20,3 +21,16 @@ def test_ab_ops_compares_two_trees_op_for_op():
         "sweep-t", "sweep-kn", "check-bilateral", "cli-oneshot"]
     assert all(line.endswith("of 2 ops, results identical")
                for line in lines), lines
+
+
+def test_ab_ops_refuses_a_cache_prefix_that_no_child_writes(tmp_path):
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1",
+               PYTHONPYCACHEPREFIX=str(tmp_path))
+    r = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "ab_ops.py"), "--old",
+         str(ROOT / "src"), "--ops", "2"], capture_output=True, text=True,
+        env=env)
+    assert r.returncode == 2
+    assert r.stdout == ""
+    assert "PYTHONPYCACHEPREFIX with PYTHONDONTWRITEBYTECODE" in r.stderr
+    assert "env -u PYTHONDONTWRITEBYTECODE PYTHONPYCACHEPREFIX=" in r.stderr

@@ -197,6 +197,19 @@ def test_check_json_format():
     assert doc["report"]["passed"] is True
 
 
+def test_check_json_is_strict_for_non_finite_complex_parts():
+    # the plain form's products overflow: lhs is -inf + nan j
+    r = run("check", "weierstrass", "--b", "1e100,0", "--c", "1e150,0",
+            "--x", "1e100,0", "--z", "1e120,0", "--format", "json")
+    assert r.returncode == 1
+
+    def refuse(name):
+        raise ValueError(f"non-strict JSON constant {name}")
+    report = json.loads(r.stdout, parse_constant=refuse)["report"]
+    assert report["lhs"] == {"re": "-inf", "im": "nan"}
+    assert report["abs_err"] == "nan"
+
+
 def test_check_rogers_zero_C_exact():
     r = run("check", "rogers", "--q", "0.5,0", "--B", "0.3,0", "--C", "0,0",
             "--D", "0.35,0", "--E", "0.45,0")

@@ -5,6 +5,7 @@ family, and the closed-form endpoints."""
 import cmath
 import math
 import random
+import tracemalloc
 
 import mpmath
 import pytest
@@ -551,6 +552,35 @@ def test_kn_trace_product_out_of_double_range_is_domain_error():
     with pytest.raises(DomainError) as single:
         compute_KN(KN_DEEP.replace(N=1453))
     assert str(single.value) == str(got.value)
+
+
+def test_kn_trace_memory_is_bounded_by_where_the_trace_stops():
+    # q^-1024 leaves double range, so the trace stops at N = 1023 whatever
+    # n_max is, and so must its table of the powers of q
+    p = TruncParams(q=0.5, A=2, B=0.3, C=12, D=0.7, E=1.1, N=0)
+    tracemalloc.start()
+    try:
+        with pytest.raises(DomainError) as got:
+            kn_trace(p, 200_000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert str(got.value) == ("scaled q-product left double range at "
+                              "factor 1 - (Bq)*q^(-1024)")
+    assert peak < 2 ** 20
+
+
+def test_kn_trace_stops_inside_its_table_for_q_near_one():
+    # |q^-N-1| passes the largest double two steps before a part of the
+    # carried q^-N-1 is inf; a table sized by ln(DBL_MAX) alone ends
+    # before the trace stops
+    q = 0.8995 + 0.0909j
+    p = TruncParams(q=q, A=0.3 + 0.1j, B=0.2, C=1.6 / q ** 3, D=0.25j,
+                    E=0.15, N=0)
+    with pytest.raises(DomainError) as got:
+        kn_trace(p, 100_000)
+    assert str(got.value) == ("scaled q-product left double range at "
+                              "factor 1 - (Bq)*q^(-7043)")
 
 
 def test_kn_trace_rejects_negative_n_max():

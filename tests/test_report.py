@@ -25,6 +25,15 @@ def test_jsonable_complex_and_specials():
     assert to_jsonable({3: "x"}) == {"3": "x"}
 
 
+def test_jsonable_complex_parts_follow_the_float_rule():
+    z = complex(math.nan, -math.inf)
+    assert to_jsonable(z) == {"re": "nan", "im": "-inf"}
+    assert to_jsonable(complex(math.inf, -0.0)) == {"re": "inf", "im": -0.0}
+    doc = rep().replace(lhs=z, abs_err=math.nan)
+    text = json.dumps(to_jsonable(doc))
+    assert "NaN" not in text and "Infinity" not in text
+
+
 def test_jsonable_dataclass_recurses():
     doc = to_jsonable(rep())
     assert doc["lhs"] == {"re": 1.0, "im": 2.0}
