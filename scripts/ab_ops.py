@@ -24,10 +24,12 @@ unset the first:
     env -u PYTHONDONTWRITEBYTECODE PYTHONPYCACHEPREFIX=../pycache \\
         python3 scripts/ab_ops.py --old ../parent/src --workload cli-oneshot
 
-For each workload it prints the median op time on each tree, on how many
-ops the new tree was faster, and whether every op gave the same result on
-both trees. It is a quick check while developing a change, not a
-replacement for `perfbench/run.py`:
+For each workload it prints the median op time on each tree, the median
+and quartiles of the per-op time ratio new/old (a gain inside the noise
+has quartiles on both sides of 1), on how many ops the new tree was
+faster, and whether every op gave the same result on both trees. It is a
+quick check while developing a change, not a replacement for
+`perfbench/run.py`:
 
     python3 scripts/ab_ops.py --old ../parent/src --new src --ops 400
 """
@@ -131,9 +133,11 @@ def main(argv=None) -> int:
     ap.add_argument("--workload", choices=(*WORKLOADS, "all"),
                     default="all")
     ap.add_argument("--ops", type=int, default=200,
-                    help="ops per workload (default 200)")
+                    help="ops per workload, at least 2 (default 200)")
     ap.add_argument("--seed", type=int, default=7)
     args = ap.parse_args(argv)
+    if args.ops < 2:
+        ap.error("--ops must be at least 2: the quartiles need two ops")
     if (os.environ.get("PYTHONDONTWRITEBYTECODE")
             and os.environ.get("PYTHONPYCACHEPREFIX")):
         ap.error("PYTHONPYCACHEPREFIX with PYTHONDONTWRITEBYTECODE set warms "
@@ -150,9 +154,12 @@ def main(argv=None) -> int:
                                        args.ops)
         m_old = statistics.median(t_old) * 1e3
         m_new = statistics.median(t_new) * 1e3
+        q1, q2, q3 = statistics.quantiles(
+            [b / a for a, b in zip(t_old, t_new)])
         wins = sum(b < a for a, b in zip(t_old, t_new))
         print(f"{workload}: old {m_old:.3f} ms, new {m_new:.3f} ms "
-              f"({m_old / m_new:.3f}x), new faster on {wins} of {args.ops} "
+              f"({m_old / m_new:.3f}x), new/old per op {q2:.3f} "
+              f"[{q1:.3f}, {q3:.3f}], new faster on {wins} of {args.ops} "
               f"ops, results {'identical' if not differ else 'DIFFER'}"
               f"{f' on {differ} ops' if differ else ''}")
         same = same and not differ

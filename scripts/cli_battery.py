@@ -206,6 +206,13 @@ def invocations(tmp: str) -> list:
         # products out of double range: non-finite complex parts in JSON
         ["check", "weierstrass", "--b", "1e100,0", "--c", "1e150,0", "--x",
          "1e100,0", "--z", "1e120,0", "--format", "json"],
+        # a factor and a piece of K_N whose parts are finite but whose
+        # modulus is past the largest double
+        ["eval", "pochhammer", "--a", "1e308,1e308", "--q", "0.75,0", "--n",
+         "-1"],
+        ["check", "kn-decay", "--q=-0.967,-0.043", "--A", "0.3,0.1", "--B",
+         "0.2,0", "--C=-1.7485695630195712,0.2345004799569423", "--D",
+         "0,0.25", "--E", "0.15,0", "--n-max", "100000"],
     ]
     # A^2 q^2 underflows to 0
     out += [["check", name, *TINY_A] for name in ("kn-decay", "recurrence",

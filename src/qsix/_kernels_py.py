@@ -18,6 +18,10 @@ A factor 1 - x q^m counts as vanished when |1 - x q^m| <= eps (1 + |x q^m|).
 Once q^m has left double range that test reads inf <= inf, so each branch
 that fires on it checks for an overflowed x q^m and reports DIVERGED (the
 walk or product left double range) instead of a zero or a pole.
+`abs()` raises OverflowError for a complex whose parts are finite but
+whose modulus is past the largest double; `qpoch_sc`, `pow_sc` and
+`kn_trace_sc` catch it around their loops, at no cost per factor, and
+stop DIVERGED as for an infinite modulus.
 
 The infinite products and `series_side` skip that test, and the other
 per-factor tests, on "quiet stretches": index ranges, worked out once per
@@ -35,7 +39,11 @@ eps <= 1/4 it fires only from 3/5 on.
 product being a row of one base; `qpoch_inf` runs the same loop on one
 base. The constants that depend on q and tail_tol alone (-log|q|, the log
 of the tail floor, the normal-range cap) are worked out once per call,
-not once per base; each product builds its own powers q^k by w *= q.
+not once per base, and so is one list of the powers q^k, pw[k+1] =
+pw[k] q: bit for bit the w *= q sequence of a product taken alone. A
+quiet stretch reads its powers from the list, which grows to the end of
+the furthest stretch that a base reaches, and never past max_terms
+entries.
 
 `margin_hit`, the sampler's pole-margin audit, tests 1 - x q^j for every
 integer j, at a margin m in (0, 1). As |1 - y| >= ||y| - 1|,
@@ -51,6 +59,8 @@ from __future__ import annotations
 
 import math
 import sys
+from itertools import accumulate, repeat
+from operator import mul
 
 from .config import POLE_EPS, STAGNATION_WINDOW, ZERO_EPS
 
@@ -152,25 +162,28 @@ def qpoch_sc(xs, q: complex, n: int, invert: bool, m: complex, e: int):
     down = n < 0
     divide = down != bool(invert)
     exps = range(-1, n - 1, -1) if down else range(n)
-    for slot, x in enumerate(xs):
-        w = 1.0 + 0j
-        for j in exps:
-            if down:
-                w /= q
-            xw = x * w
-            f = 1.0 - xw
-            if divide:
-                if abs(f) <= POLE_EPS * (1.0 + abs(xw)):
-                    status = DIVERGED if _overflowed(xw) else POLE
-                    return m, e, status, slot, j
-                f = 1.0 / f
-            m = m * f
-            if not _LO <= abs(m) <= _HI:
-                m, e = _rescale(m, e)
-                if not abs(m) < math.inf:
-                    return m, e, DIVERGED, slot, j
-            if not down:
-                w *= q
+    try:
+        for slot, x in enumerate(xs):
+            w = 1.0 + 0j
+            for j in exps:
+                if down:
+                    w /= q
+                xw = x * w
+                f = 1.0 - xw
+                if divide:
+                    if abs(f) <= POLE_EPS * (1.0 + abs(xw)):
+                        status = DIVERGED if _overflowed(xw) else POLE
+                        return m, e, status, slot, j
+                    f = 1.0 / f
+                m = m * f
+                if not _LO <= abs(m) <= _HI:
+                    m, e = _rescale(m, e)
+                    if not abs(m) < math.inf:
+                        return m, e, DIVERGED, slot, j
+                if not down:
+                    w *= q
+    except OverflowError:
+        return m, e, DIVERGED, slot, j
     return m, e, OK, 0, 0
 
 
@@ -184,12 +197,15 @@ def pow_sc(z: complex, count: int, m: complex, e: int):
     if count < 0:
         z = 1.0 / z
         count = -count
-    for _ in range(count):
-        m = m * z
-        if not _LO <= abs(m) <= _HI:
-            m, e = _rescale(m, e)
-            if not abs(m) < math.inf:
-                return m, e, DIVERGED
+    try:
+        for _ in range(count):
+            m = m * z
+            if not _LO <= abs(m) <= _HI:
+                m, e = _rescale(m, e)
+                if not abs(m) < math.inf:
+                    return m, e, DIVERGED
+    except OverflowError:
+        return m, e, DIVERGED
     return m, e, OK
 
 
@@ -260,56 +276,66 @@ def kn_trace_sc(vnum, vden, unum, uden, num3, den3, q: complex, A: complex,
     for N in range(n_max + 1):
         vdown, down = down, down / q
         ws = (vdown, down, up)
-        for k, row, iw, divide in _KN_STEPS:
-            if not (iw or N):
-                continue
-            m = ms[k]
-            e = es[k]
-            if row < 0:
-                m = m * (icq3 if divide else cq3)
-                if not lo <= abs(m) <= hi:
-                    m, e = _rescale(m, e)
-                    if not abs(m) < inf:
-                        return out, DIVERGED, -1, 0, 0
-            else:
-                w = ws[iw]
-                slot = 0
-                for x in rows[row]:
-                    if divide:
-                        xw = x * w
-                        f = 1.0 - xw
-                        if abs(f) <= eps * (1.0 + abs(xw)):
-                            status = DIVERGED if _overflowed(xw) else POLE
-                            return out, status, row, slot, (-N, -N - 1, N)[iw]
-                        m = m * (1.0 / f)
-                    else:
-                        m = m * (1.0 - x * w)
-                    a = abs(m)
-                    if not lo <= a <= hi:
-                        if not a < inf:
-                            return (out, DIVERGED, row, slot,
-                                    (-N, -N - 1, N)[iw])
-                        if a:
-                            j = floor(log2(a))
-                            m = complex(ldexp(m.real, -j), ldexp(m.imag, -j))
-                            e += j
+        try:
+            for k, row, iw, divide in _KN_STEPS:
+                if not (iw or N):
+                    continue
+                m = ms[k]
+                e = es[k]
+                if row < 0:
+                    m = m * (icq3 if divide else cq3)
+                    if not lo <= abs(m) <= hi:
+                        m, e = _rescale(m, e)
+                        if not abs(m) < inf:
+                            return out, DIVERGED, -1, 0, 0
+                else:
+                    w = ws[iw]
+                    slot = 0
+                    for x in rows[row]:
+                        if divide:
+                            xw = x * w
+                            f = 1.0 - xw
+                            if abs(f) <= eps * (1.0 + abs(xw)):
+                                status = DIVERGED if _overflowed(xw) else POLE
+                                return (out, status, row, slot,
+                                        (-N, -N - 1, N)[iw])
+                            m = m * (1.0 / f)
                         else:
-                            m, e = 0j, 0
-                    slot += 1
-            ms[k] = m
-            es[k] = e
+                            m = m * (1.0 - x * w)
+                        a = abs(m)
+                        if not lo <= a <= hi:
+                            if not a < inf:
+                                return (out, DIVERGED, row, slot,
+                                        (-N, -N - 1, N)[iw])
+                            if a:
+                                j = floor(log2(a))
+                                m = complex(ldexp(m.real, -j),
+                                            ldexp(m.imag, -j))
+                                e += j
+                            else:
+                                m, e = 0j, 0
+                        slot += 1
+                ms[k] = m
+                es[k] = e
+        except OverflowError:
+            if row < 0:
+                return out, DIVERGED, -1, 0, 0
+            return out, DIVERGED, row, slot, (-N, -N - 1, N)[iw]
         up = up * q
         ck = (ms[4], es[4])
         lead = (1.0 - A * qk[off + 1 - N], 0)
         vals = []
         for m, e, zs in zip(ms, es, ((lead, ck), (ck,), (), ())):
-            for z, ez in zs:
-                m = m * z
-                e += ez
-                if not lo <= abs(m) <= hi:
-                    m, e = _rescale(m, e)
-                    if not abs(m) < inf:
-                        return out, DIVERGED, -1, 0, 0
+            try:
+                for z, ez in zs:
+                    m = m * z
+                    e += ez
+                    if not lo <= abs(m) <= hi:
+                        m, e = _rescale(m, e)
+                        if not abs(m) < inf:
+                            return out, DIVERGED, -1, 0, 0
+            except OverflowError:
+                return out, DIVERGED, -1, 0, 0
             try:
                 vals.append(complex(ldexp(m.real, e), ldexp(m.imag, e)))
             except OverflowError:
@@ -354,7 +380,7 @@ def qpoch_inf(a: complex, q: complex, tail_tol: float, max_terms: int,
     """
     absq = abs(q)
     return _inf_product(a, q, absq, _shell(absq, tail_tol, zero_eps),
-                        tail_tol, max_terms, window, zero_eps)
+                        [1.0 + 0j], tail_tol, max_terms, window, zero_eps)
 
 
 def qpoch_inf_row(xs, q: complex, tail_tol: float, max_terms: int):
@@ -373,9 +399,10 @@ def qpoch_inf_row(xs, q: complex, tail_tol: float, max_terms: int):
     """
     absq = abs(q)
     shell = _shell(absq, tail_tol, ZERO_EPS)
+    pw = [1.0 + 0j]
     out = []
     for slot, x in enumerate(xs):
-        r = _inf_product(x, q, absq, shell, tail_tol, max_terms,
+        r = _inf_product(x, q, absq, shell, pw, tail_tol, max_terms,
                          STAGNATION_WINDOW, ZERO_EPS)
         if r[4] != OK:
             return out, r[4], slot
@@ -397,10 +424,11 @@ def _shell(absq: float, tail_tol: float, eps: float):
     return lg, math.log(lo), math.ceil(_LOG_NORMAL / lg) - 1
 
 
-def _inf_product(a: complex, q: complex, absq: float, shell,
+def _inf_product(a: complex, q: complex, absq: float, shell, pw: list,
                  tail_tol: float, max_terms: int, window: int,
                  zero_eps: float):
-    """`qpoch_inf` of a, with shell `_shell`'s.
+    """`qpoch_inf` of a, with shell `_shell`'s and pw the powers q^k of
+    the call so far, pw[k+1] = pw[k] q.
 
     The quiet stretch is the factors [k0, k1) over which 2 tail_tol <
     |a q^k| < 1/4 and 1e-280 < |a q^k| hold with one index to spare;
@@ -439,9 +467,18 @@ def _inf_product(a: complex, q: complex, absq: float, shell,
     k = 0
     while k < max_terms:
         if k == k0:
-            for _ in range(k0, k1 if k1 < max_terms else max_terms):
+            # the powers to the stretch's end, and q^k1 after it, each the
+            # last times q as by w *= q (the accumulation starts from
+            # pw[-1] and writes it back); pw never passes max_terms entries
+            end = k1 + 1 if k1 < max_terms else max_terms
+            n = len(pw)
+            if n < end:
+                pw[n - 1:] = accumulate(repeat(q, end - n), mul,
+                                        initial=pw[-1])
+            for w in pw[k0:k1]:
                 acc *= 1.0 - a * w
-                w *= q
+            if k1 < max_terms:
+                w = pw[k1]
             k = k1
             run = 0
             continue
@@ -601,8 +638,14 @@ def series_side(num, den, q: complex, z: complex, direction: int,
 
     Steps on a quiet stretch (`_quiet_edges`: every |x q^m| outside
     [1/4, 4], and below 1e250 downward) skip the zero and pole tests,
-    which cannot fire there; the ratio product, the term, peak, the
-    overflow stop and the tail test run on every step.
+    which cannot fire there. A step off the stretches computes each
+    factor once, for its test and for the step ratio; where a test fires,
+    or abs() overflows on an x q^m, `_tested_stop` takes the zero tests
+    and then the pole tests in order, so the stop is the first that
+    testing in that order meets. The ratio product, the term, peak and
+    the tail test run on every step. The overflow test runs where a term
+    sets a new peak (a term over 1e150 has already stopped the walk), and
+    a NaN term is caught where it does not.
 
     A step whose x q^m has left double range ends the walk DIVERGED: the
     zero and pole tests cannot tell such a factor from a vanished one.
@@ -612,8 +655,9 @@ def series_side(num, den, q: complex, z: complex, direction: int,
     down = direction < 0
     one_minus_a = 1.0 - vwp_a if use_vwp else 1.0 + 0j
     step_z = 1.0 / z if down else z
-    n_min = 0
     if fixed_terms < 0:
+        limit = max_terms
+        n_min = 0
         lg = -math.log(abs(q))
         for x in num:
             n_min = _crossing(abs(x), lg, down, n_min)
@@ -625,6 +669,9 @@ def series_side(num, den, q: complex, z: complex, direction: int,
                 n_min = half
         if n_min > max_terms // 2:
             n_min = max_terms // 2
+    else:
+        limit = fixed_terms
+        n_min = limit + 1   # past the last step: no tail test
     acc = 0j
     g = 1.0 + 0j            # prod (num;q)_n / (den;q)_n * z^n at current n
     qe = 1.0 / q if down else 1.0 + 0j   # q^m for the next step's factors
@@ -634,39 +681,43 @@ def series_side(num, den, q: complex, z: complex, direction: int,
     peak = 0.0              # max |t(n)| over the steps taken
     run = 0
     steps = 0
+    # steps to the next refresh of q^m; never 0 when there is none
+    left = recompute_every if recompute_every > 0 else -1
     # the factors on top of the step multiplier (their zeros terminate) and
     # below it (their zeros are poles); bad_is_num flags a num-side factor
     tops, bots, top_is_num = (den, num, 0) if down else (num, den, 1)
-    nt = len(tops)
+    pairs = tuple(zip(tops, bots))
     edges = _quiet_edges((*num, *den), abs(q), down,
                          zero_eps if zero_eps > pole_eps else pole_eps)
     edge = edges.pop() if edges else -1
     quiet = False
-    while True:
-        if fixed_terms >= 0:
-            if steps >= fixed_terms:
-                return acc, 0.0, steps, OK, 0, 0, 0, peak
-        elif steps >= max_terms:
-            return acc, float("inf"), steps, BUDGET, 0, 0, 0, peak
+    while steps < limit:
         if steps == edge:
             quiet = not quiet
             edge = edges.pop() if edges else -1
-        if not quiet:
-            e = -(steps + 1) if down else steps
-            for k in range(nt):
-                w = tops[k] * qe
-                if abs(1.0 - w) <= zero_eps * (1.0 + abs(w)):
-                    return _stop(acc, steps, TERMINATED, w, top_is_num, k,
-                                 e, peak)
-            for k in range(nt):
-                w = bots[k] * qe
-                if abs(1.0 - w) <= pole_eps * (1.0 + abs(w)):
-                    return _stop(acc, steps, POLE, w, 1 - top_is_num, k, e,
-                                 peak)
-        steps += 1
         r = step_z
-        for k in range(nt):
-            r = r * (1.0 - tops[k] * qe) / (1.0 - bots[k] * qe)
+        if quiet:
+            for t, b in pairs:
+                r = r * (1.0 - t * qe) / (1.0 - b * qe)
+        else:
+            try:
+                for t, b in pairs:
+                    wt = t * qe
+                    wb = b * qe
+                    ft = 1.0 - wt
+                    fb = 1.0 - wb
+                    if (abs(ft) <= zero_eps * (1.0 + abs(wt))
+                            or abs(fb) <= pole_eps * (1.0 + abs(wb))):
+                        return _tested_stop(acc, steps, peak, qe, tops, bots,
+                                            top_is_num, down, zero_eps,
+                                            pole_eps)
+                    r = r * ft / fb
+            except OverflowError:
+                # an |x q^m| past the largest double: the tests in order
+                # raise it again, or stop on a factor before it
+                return _tested_stop(acc, steps, peak, qe, tops, bots,
+                                    top_is_num, down, zero_eps, pole_eps)
+        steps += 1
         g = g * r
         if use_vwp:
             h = h * r / qsq if down else h * r * qsq
@@ -677,20 +728,45 @@ def series_side(num, den, q: complex, z: complex, direction: int,
         abs_term = abs(term)
         if abs_term > peak:
             peak = abs_term
-        if abs_term > _OVERFLOW or abs_term != abs_term:
+            if abs_term > _OVERFLOW:
+                return acc, float("inf"), steps, DIVERGED, 0, 0, 0, peak
+        elif abs_term != abs_term:
             return acc, float("inf"), steps, DIVERGED, 0, 0, 0, peak
-        if fixed_terms < 0:
-            ratio = abs_term / prev_abs if prev_abs > 0.0 else 2.0
-            if (steps >= n_min and ratio < 1.0
-                    and abs_term <= tail_tol * (1.0 + abs(acc))):
-                run += 1
-                if run >= window:
-                    tail = abs_term * ratio / (1.0 - ratio)
-                    return acc, tail, steps, OK, 0, 0, 0, peak
-            else:
-                run = 0
-            prev_abs = abs_term
-        if recompute_every > 0 and steps % recompute_every == 0:
-            qe = cpow_int(q, -(steps + 1) if down else steps)
+        # for a positive finite prev_abs, abs_term < prev_abs exactly when
+        # the rounded ratio abs_term / prev_abs is below 1
+        if (steps >= n_min and abs_term < prev_abs
+                and abs_term <= tail_tol * (1.0 + abs(acc))):
+            run += 1
+            if run >= window:
+                ratio = abs_term / prev_abs
+                tail = abs_term * ratio / (1.0 - ratio)
+                return acc, tail, steps, OK, 0, 0, 0, peak
         else:
+            run = 0
+        prev_abs = abs_term
+        left -= 1
+        if left:
             qe = qe / q if down else qe * q
+        else:
+            left = recompute_every
+            qe = cpow_int(q, -(steps + 1) if down else steps)
+    if fixed_terms >= 0:
+        return acc, 0.0, steps, OK, 0, 0, 0, peak
+    return acc, float("inf"), steps, BUDGET, 0, 0, 0, peak
+
+
+def _tested_stop(acc, steps, peak, qe, tops, bots, top_is_num, down,
+                 zero_eps, pole_eps):
+    """Return tuple of `series_side` at a tested step where a factor's test
+    fired or raised: the zero tests of every top factor, then the pole
+    tests of every bottom factor, the first to fire giving the stop."""
+    e = -(steps + 1) if down else steps
+    for k, x in enumerate(tops):
+        w = x * qe
+        if abs(1.0 - w) <= zero_eps * (1.0 + abs(w)):
+            return _stop(acc, steps, TERMINATED, w, top_is_num, k, e, peak)
+    for k, x in enumerate(bots):
+        w = x * qe
+        if abs(1.0 - w) <= pole_eps * (1.0 + abs(w)):
+            return _stop(acc, steps, POLE, w, 1 - top_is_num, k, e, peak)
+    raise AssertionError("no factor of the step fired")

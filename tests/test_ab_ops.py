@@ -1,8 +1,10 @@
 """Smoke test of scripts/ab_ops.py: two copies of one tree, loaded under
 distinct package names or run as child processes, give identical results
-op for op; a cache prefix that no child would write is refused."""
+op for op, with the quartiles of the per-op time ratio; a cache prefix
+that no child would write is refused."""
 
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -21,6 +23,10 @@ def test_ab_ops_compares_two_trees_op_for_op():
         "sweep-t", "sweep-kn", "check-bilateral", "cli-oneshot"]
     assert all(line.endswith("of 2 ops, results identical")
                for line in lines), lines
+    for line in lines:
+        q1, q2, q3 = map(float, re.search(
+            r"new/old per op (\S+) \[(\S+), (\S+)\]", line).group(2, 1, 3))
+        assert 0.0 < q1 <= q2 <= q3, line
 
 
 def test_ab_ops_refuses_a_cache_prefix_that_no_child_writes(tmp_path):

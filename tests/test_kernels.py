@@ -10,18 +10,24 @@ that only the scale tracking keeps in range. The walk statistic of
 every stop status is pinned on a walk that reaches it, including walks
 whose running power q^m leaves double range. `qpoch_inf` is pinned on a
 tail bound that overflows, and it and `qpoch_inf_row` on bases that are
-not finite.
+not finite. `qpoch_sc`, `pow_sc` and `kn_trace` are pinned on a factor or
+a piece whose parts are finite but whose modulus is past the largest
+double (a stop, not a raw OverflowError), and `qpoch_inf_row` on the
+size of its table of powers of q.
 
 `qpoch_inf` and `series_side` skip their zero and pole tests on quiet
 stretches. A seeded fuzz holds both to `repr`-equal returns with reference
 copies that test every factor, on inputs that put factors on, next to and
-far from their zeros and poles. Another holds `qpoch_inf_row` to the
-reference product run base by base: rows with zero bases, exact zero
-factors and stops in mid-row. The closed products, `qpochhammer_inf_multi`, `theta`,
-`theta_multi` and `kn_limit`, which take their products from row calls,
-are held to products taken one `qpochhammer_inf` call at a time and
-composed by the product rule they used before: the same value, or the
-same exception and message.
+far from their zeros and poles; the walk fuzz asserts that it reached
+every stop status, fixed mode, a stretch left, a zero term and
+recompute_every 0 and 1. Another holds `qpoch_inf_row` to the reference
+product run base by base: rows with zero bases, exact zero factors,
+stops in mid-row and a table of powers grown by a later base. The closed
+products, `qpochhammer_inf_multi`, `theta`, `theta_multi` and
+`kn_limit`, which take their products from row calls, are held to
+products taken one `qpochhammer_inf` call at a time and composed by the
+product rule they used before: the same value, or the same exception and
+message.
 
 `kn_trace_sc` carries a whole K_N decay trace in one call. Another fuzz
 holds `kn_trace` to a reference trace that makes one `qpoch_sc` call per
@@ -34,6 +40,7 @@ depths where a product leaves double range.
 import cmath
 import math
 import random
+import tracemalloc
 
 import pytest
 from test_series import poch_oracle, psi_term_oracle
@@ -48,7 +55,8 @@ from qsix.errors import DomainError, PoleError, QSixError
 from qsix.qcore import EvalResult, QContext, TruncationPolicy, _sc_value
 from qsix.series import BaileyParams, TParams
 from qsix._kernels_py import (BUDGET, DIVERGED, OK, POLE, TERMINATED,
-                              _OVERFLOW, _crossing, _stop, cpow_int)
+                              _OVERFLOW, _crossing, _inf_product,
+                              _quiet_edges, _shell, _stop, cpow_int)
 
 ARGS = (1e-15, 10000, 3, 1e-12, 5e-15, 64)
 
@@ -229,6 +237,32 @@ def test_pow_sc_matches_cpow_int(z, count):
 
 def test_pow_sc_non_finite_factor_is_diverged():
     assert K.pow_sc(complex(math.inf, 0.0), 1, 1.0 + 0j, 0)[2] == K.DIVERGED
+
+
+def test_a_modulus_past_double_range_is_diverged_not_an_overflow_error():
+    # abs() raises OverflowError for a complex whose parts are finite but
+    # whose modulus is past the largest double: a / q, and the power's
+    # factor
+    a = 1e308 + 1e308j
+    assert K.qpoch_sc((a,), 0.75 + 0j, -1, False, 1.0 + 0j, 0) == (
+        1.0 + 0j, 0, K.DIVERGED, 0, -1)
+    assert K.pow_sc(1.5e308 + 1.5e308j, 1, 1.0 + 0j, 0)[2] == K.DIVERGED
+    with pytest.raises(DomainError, match=r"a\*q\^\(-1\) or the product"):
+        Q.qpochhammer(a, QContext(0.75), -1)
+
+
+def test_kn_trace_piece_with_a_modulus_past_double_range_is_domain_error():
+    # at N = 21796 the leading factor 1 - A q^{1-N} times the low product
+    # has finite parts and a modulus past the largest double
+    p = TruncParams(q=-0.967 - 0.043j, A=0.3 + 0.1j, B=0.2,
+                    C=-1.7485695630195712 + 0.2345004799569423j, D=0.25j,
+                    E=0.15, N=0)
+    assert len(ID.kn_trace(p, 21795)) == 21796
+    with pytest.raises(DomainError) as got:
+        ID.kn_trace(p, 100000)
+    assert str(got.value) == "scaled q-product left double range"
+    assert (_trace_outcome(ID.kn_trace, p, 21800)
+            == _trace_outcome(ref_kn_trace, p, 21800))
 
 
 @pytest.mark.parametrize("a", [0.3 + 0.1j, -1.4 + 0.7j, 2.5 + 0j])
@@ -591,8 +625,44 @@ def test_qpoch_inf_row_matches_the_fully_tested_product():
                     for x, r in zip(args[0], out))
         if status != OK and slot:
             seen.add("stop in mid-row")
+        if _a_later_base_grows_the_table(*args):
+            seen.add("table grown by a later base")
     assert seen == {OK, BUDGET, DIVERGED, "zero base", "exact zero",
-                    "stop in mid-row"}
+                    "stop in mid-row", "table grown by a later base"}
+
+
+def _a_later_base_grows_the_table(xs, q: complex, tail_tol: float,
+                                  max_terms: int) -> bool:
+    """Whether a base of the row extends the powers of q that an earlier
+    base built, the row taken as `qpoch_inf_row` takes it."""
+    absq = abs(q)
+    shell = _shell(absq, tail_tol, ZERO_EPS)
+    pw = [1.0 + 0j]
+    for x in xs:
+        n = len(pw)
+        r = _inf_product(x, q, absq, shell, pw, tail_tol, max_terms,
+                         STAGNATION_WINDOW, ZERO_EPS)
+        if 1 < n < len(pw):
+            return True
+        if r[4] != OK:
+            return False
+    return False
+
+
+@pytest.mark.parametrize("x", [0.5 + 0j, 0.2 + 0j])
+def test_qpoch_inf_row_builds_no_power_past_max_terms(x):
+    # at |q| = 0.9999 the quiet stretch of 0.2 runs from k = 0 to about
+    # 3.2e5; that of 0.5 starts near k = 6900. Each power costs about 48
+    # bytes (the complex, its list slot and the stretch's slice), so
+    # 4 KiB is under 90 of them
+    tracemalloc.start()
+    try:
+        out = K.qpoch_inf_row((x,), 0.9999 + 0j, 1e-15, 50)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert out == ([], K.BUDGET, 0)
+    assert peak < 4096
 
 
 # --- the infinite-product compositions, against products taken one
@@ -809,9 +879,63 @@ def test_series_side_matches_the_fully_tested_walk():
     rng = random.Random(13)
     cases = [_series_side_args(rng) for _ in range(3000)]
     cases += [side + (-1, *ARGS) for side, *_ in SIDES_STOPPED]
+    seen = set()
     for args in cases:
         assert (_outcome(K.series_side, args)
                 == _outcome(ref_series_side, args)), args
+        seen |= _walk_covers(args)
+    assert seen == {OK, TERMINATED, POLE, BUDGET, DIVERGED, "fixed",
+                    "stretch left", "zero term", "recompute 0",
+                    "recompute 1"}
+
+
+def _walk_covers(args) -> set:
+    """What a walk of the fuzz reached: its stop status, fixed mode, a
+    quiet stretch entered and left, an adaptive step after a zero term (so
+    prev_abs == 0), and two steps at recompute_every 0 or 1."""
+    try:
+        used, status = ref_series_side(*args)[2:4]
+    except ArithmeticError:
+        return set()
+    num, den, q, _, direction = args[:5]
+    fixed, pole_eps, zero_eps, every = args[7], *args[11:]
+    seen = {status}
+    if fixed >= 0:
+        seen.add("fixed")
+    if used > 1 and every in (0, 1):
+        seen.add(f"recompute {every}")
+    # the steps at which the walk enters and leaves its stretches, in turn
+    edges = _quiet_edges((*num, *den), abs(q), direction < 0,
+                         max(pole_eps, zero_eps))[::-1]
+    if any(used > end for end in edges[1::2]):
+        seen.add("stretch left")
+    if fixed < 0 and _zero_term(args, used - 1):
+        seen.add("zero term")
+    return seen
+
+
+def _zero_term(args, count: int) -> bool:
+    """Whether one of the first `count` terms of the walk `args` is
+    exactly 0: its arithmetic replayed without the tests."""
+    num, den, q, z, direction, vwp_a, use_vwp = args[:7]
+    every = args[13]
+    down = direction < 0
+    tops, bots = (den, num) if down else (num, den)
+    qe = 1.0 / q if down else 1.0 + 0j
+    g = h = 1.0 + 0j
+    for steps in range(1, count + 1):
+        r = 1.0 / z if down else z
+        for t, b in zip(tops, bots):
+            r = r * (1.0 - t * qe) / (1.0 - b * qe)
+        g = g * r
+        h = h * r / (q * q) if down else h * r * (q * q)
+        if ((g - vwp_a * h) / (1.0 - vwp_a) if use_vwp else g) == 0:
+            return True
+        if every > 0 and steps % every == 0:
+            qe = cpow_int(q, -(steps + 1) if down else steps)
+        else:
+            qe = qe / q if down else qe * q
+    return False
 
 
 # --- the K_N trace with one `qpoch_sc` call per row step, kept as the
