@@ -221,6 +221,21 @@ def invocations(tmp: str) -> list:
     # udiff's closed form divides by D
     out.append(["check", "udiff", *TRUNC[:8], "--D", "0,0", *TRUNC[10:],
                 "--n", "2"])
+    # |C/q^3| = 2: T(X;C) and the rogers sum outside their convergence
+    # disk; the bilateral sum at z = 0; q_factor at each zero parameter
+    out += [["eval", "t", *T_ROW[:6], "--C", "0.25,0", *T_ROW[8:]],
+            ["check", "bailey-x", *T_ROW[:6], "--C", "0.25,0", *T_ROW[8:]],
+            ["check", "rogers", *ROGERS[:4], "--C", "0.25,0", *ROGERS[6:]],
+            ["check", "rogers", *ROGERS[:4], "--C", "0.25,0", *ROGERS[6:],
+             "--format", "json"],
+            ["eval", "psi", "--z", "0,0", "--q", "0.5,0", "--num", "0.3,0",
+             "--den", "0.7,0"],
+            # the rogers check's own guards on B and on q
+            ["check", "rogers", *ROGERS[:2], "--B", "0,0", *ROGERS[4:]],
+            ["check", "rogers", "--q", "1.5,0", *ROGERS[2:]]]
+    q_factor = EVALS["q-factor"]
+    out += [["eval", "q-factor", *q_factor[:i + 1], "0,0", *q_factor[i + 2:]]
+            for i in range(2, len(q_factor), 2)]
     out += [["check", "weierstrass", *WEIER, flag, value]
             for flag, value in (("--q", "0.9,0"), ("--tail-tol", "0.5"),
                                 ("--max-terms", "1"))]

@@ -21,8 +21,8 @@ import sys
 
 from .errors import (BudgetExceeded, DomainError, IllConditioned,
                      NonConvergence, PoleError, QSixError, Unsatisfiable)
-from .qcore import (EvalResult, QContext, TruncationPolicy, _qpochhammer_sc,
-                    _sc_value, qpochhammer_inf, theta)
+from .qcore import (EvalResult, QContext, TruncationPolicy, _index,
+                    _qpochhammer_sc, _sc_value, qpochhammer_inf, theta)
 from .sampler import SampleConstraints, _draw_complex, _rng, sample_checked
 from .series import (BaileyParams, SeriesSpec, TParams, TruncParams,
                      bailey_closed_a, bailey_closed_X, eval_phi, eval_psi,
@@ -115,10 +115,12 @@ def _add_row_flags(sp, row, ints) -> None:
                         default=default, required=default is None)
 
 
-def _row(cls, args):
-    """A parameter class built from its flags; N is 0 where it is no
-    flag."""
-    return cls(**{name: getattr(args, name, 0) for name in cls._fields})
+def _row(row, args):
+    """The point of a parameter class, built from its flags with N 0 where
+    it is no flag, or of a flag row, the parsed flags themselves."""
+    if isinstance(row, tuple):
+        return args
+    return row(**{name: getattr(args, name, 0) for name in row._fields})
 
 
 def _given(args, *dests) -> dict:
@@ -229,12 +231,6 @@ def _ck_kn_decay(args, policy, tols):
     return _kn_decay(_row(TruncParams, args), policy, tols, args.n_max)
 
 
-def _ck_rogers(args, policy, tols):
-    from .identities import check_rogers
-    return check_rogers(args.B, args.C, args.D, args.E,
-                        QContext(args.q, policy), **tols)
-
-
 #: identity -> (handler, parameter class or flag row, int flags and their
 #: defaults, numeric flags read by its check and its sweep; `check
 #: weierstrass --theta` also reads the policy flags). A handler of None
@@ -248,7 +244,7 @@ _CHECKS = {
     "kn-decay": (_ck_kn_decay, TruncParams, (("n-max", 80),),
                  _POLICY_FLAGS + ("rtol",)),
     "t-recursion": (None, TParams, (), _ALL_FLAGS),
-    "rogers": (_ck_rogers, ("q", "B", "C", "D", "E"), (), _ALL_FLAGS),
+    "rogers": (None, ("q", "B", "C", "D", "E"), (), _ALL_FLAGS),
     "q-constancy": (None, TParams, (("steps", 4),), _ALL_FLAGS),
     "bailey-a": (None, BaileyParams, (), _ALL_FLAGS),
     "bailey-x": (None, TParams, (), _ALL_FLAGS),
@@ -456,6 +452,7 @@ def run_sweep(identity: str, samples: int, seed: int,
 
     A policy, atol or rtol that the identity's runner does not read (the
     flags `qsix sweep` accepts for it) raises DomainError."""
+    samples = _index(samples, "samples")
     if samples < 0:
         raise DomainError("samples must be >= 0")
     kind, con, runner = _SWEEPS[identity]

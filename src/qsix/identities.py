@@ -17,13 +17,13 @@ from collections.abc import Mapping
 from . import _backend as _K
 from ._record import Record, set_field
 from .config import POLE_EPS
-from .errors import DomainError, NonConvergence, PoleError
+from .errors import DomainError, PoleError
 from .qcore import DEFAULT_POLICY, QContext, TruncationPolicy, _as_complex, \
-    _sc_value, nabla, qpochhammer_inf_multi, theta_multi
-from .series import _BAILEY_DEN, _ROGERS_DEN, _ROGERS_NUM, _S_DEN, _S_NUM, \
-    BaileyParams, SeriesSpec, TParams, TruncParams, bailey_closed_a, \
-    bailey_closed_X, eval_phi, eval_T, F_function, q_factor, rogers_closed, \
-    truncated_S, vwp_psi6
+    _index, _sc_value, nabla, qpochhammer_inf_multi, theta_multi
+from .series import _bailey_sum, _in_disk, _ROGERS_DEN, _ROGERS_NUM, \
+    _S_DEN, _S_NUM, BaileyParams, SeriesSpec, TParams, TruncParams, \
+    bailey_closed_a, bailey_closed_X, eval_phi, eval_T, F_function, q_factor, \
+    rogers_closed, truncated_S
 
 DEFAULT_ATOL = 1e-12
 
@@ -149,6 +149,7 @@ class AbelInput(Record):
     N: int
 
     def __init__(self, U, V, M, N):
+        M, N = _index(M, "M"), _index(N, "N")
         if M < 0 or N < 0:
             raise DomainError("window bounds M, N must be >= 0")
         if set(U) != set(range(-M, N + 2)):
@@ -229,6 +230,7 @@ def compute_U(n: int, p: TruncParams) -> complex:
     """U_n = (Bq, Dq, Eq, BDE/A^2 q;q)_n / (BD/A, BE/A, DE/A, Aq^2;q)_n,
     as one scale-tracked product: at deep |n| the two halves leave double
     range while their ratio stays in it."""
+    n = _index(n, "n")
     m, e = _poch_sc(p.pairs(_U_NUM), p.q, n, False, 1.0 + 0j, 0)
     return _sc_value(*_poch_sc(p.pairs(_U_DEN), p.q, n, True, m, e))
 
@@ -236,6 +238,7 @@ def compute_U(n: int, p: TruncParams) -> complex:
 def compute_V(n: int, p: TruncParams) -> complex:
     """V_n = (Aq^2, BCDEq/A^2;q)_{n+1} / (A/Cq, BDE/A^2q^2;q)_{n+1}
     * (Cq^3)^{-n}, as one scale-tracked product."""
+    n = _index(n, "n")
     m, e = _poch_sc(p.pairs(_V_NUM), p.q, n + 1, False, 1.0 + 0j, 0)
     m, e = _poch_sc(p.pairs(_V_DEN), p.q, n + 1, True, m, e)
     return _sc_value(*_pow_sc(p.base("Cq^3"), -n, m, e))
@@ -321,6 +324,7 @@ def kn_trace(p: TruncParams, N_max: int) -> list:
     leading factor 1 - Aq^{1-N} in V_{-N-1} U_{-N-1}, where the separate
     sequences have a removable 0*inf; so neither row carries it.
     """
+    N_max = _index(N_max, "N_max")
     if N_max < 0:
         raise DomainError("N_max must be >= 0")
     _require_bde(p)
@@ -485,6 +489,7 @@ def check_KN_decay(p: TruncParams, N_max: int = 80, tol: float =
     """
     if abs(p.C * p.q * p.q) <= 1.0:
         raise DomainError("decay check needs |Cq^2| > 1")
+    N_max = _index(N_max, "N_max")
     if N_max < 4:
         raise DomainError("N_max too small to judge decay")
     base = abs(p.base("Cq^3"))
@@ -546,6 +551,7 @@ def check_T_iteration(p: TParams, m: int,
         raise DomainError("the collapsed iteration holds at X = q only")
     if C == 0:
         raise DomainError("C must be nonzero")
+    m = _index(m, "m")
     if m < 1:
         raise DomainError("m must be >= 1")
     pref = (_poch_num(p.pairs(_ROGERS_NUM), q, m)
@@ -570,6 +576,7 @@ def check_Q_constancy(p: TParams, steps: int = 4,
     and before any product: the deep scalings are where the sum collapses,
     so a capped policy refuses an ill-conditioned draw at its first walk.
     """
+    steps = _index(steps, "steps")
     if steps < 1:
         raise DomainError("steps must be >= 1")
     if p.C == 0:
@@ -614,15 +621,11 @@ def check_rogers(B: complex, C: complex, D: complex, E: complex,
     if 0 in (B, D, E):
         raise DomainError("B, D, E must be nonzero")
     at_q = TParams(q=q, X=q, B=B, C=C, D=D, E=E)
-    z = at_q.base("C/q^3")
-    if abs(z) >= 1.0:
-        raise NonConvergence(
-            f"unilateral argument |C/q^3| = {abs(z)} is outside the "
-            f"convergence disk")
-    a = B * C * D * E * q * q
+    z = _in_disk(at_q.series_arg, "unilateral argument |C/q^3|")
+    a = at_q.base("BCDEX^2")
     s = cmath.sqrt(a)
     spec = SeriesSpec(
-        (a, q * s, -q * s, B * q * q, D * q * q, E * q * q),
+        (a, q * s, -q * s, *at_q.bases(("BXq", "DXq", "EXq"))),
         (s, -s, *at_q.bases(("CDEq", "BCEq", "BCDq"))),
         z)
     lhs = eval_phi(spec, ctx)
@@ -645,15 +648,7 @@ def check_bailey(form: str, params, policy: TruncationPolicy | None = None,
         p: BaileyParams = params
         if rtol is None:
             rtol = DEFAULT_RTOL["bailey-a"]
-        z = p.series_arg
-        if abs(z) >= 1.0:
-            raise NonConvergence(
-                f"bilateral argument |a^2 q/(bcde)| = {abs(z)} is outside "
-                f"the convergence disk")
-        ctx = QContext(p.q, policy or DEFAULT_POLICY)
-        # the sum's denominators are the closed product's first four
-        num, den = ("b", "c", "d", "e"), _BAILEY_DEN[:4]
-        lhs = vwp_psi6(p.base("a"), p.bases(num), z, ctx, num, den)
+        lhs = _bailey_sum(p, QContext(p.q, policy or DEFAULT_POLICY))
         rhs = bailey_closed_a(p, policy)
     elif form == "X":
         t: TParams = params

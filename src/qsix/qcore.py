@@ -8,6 +8,7 @@ infinite q-products, and multiplicative theta functions. Everything downstream
 from __future__ import annotations
 
 import math
+import operator
 from collections.abc import Iterable, Sequence
 
 from . import _backend as _K
@@ -26,6 +27,16 @@ def _as_complex(x) -> complex:
         raise DomainError(f"input {x!r}: modulus out of double "
                           f"range") from None
     raise DomainError(f"non-finite input {x!r}")
+
+
+def _index(n, name: str) -> int:
+    """n by operator.index; DomainError naming it when n is no integer,
+    such as 2.5 or nan, which int() or range() would truncate or refuse
+    with a TypeError."""
+    try:
+        return operator.index(n)
+    except TypeError:
+        raise DomainError(f"{name} must be an integer, got {n!r}") from None
 
 
 class TruncationPolicy(Record):
@@ -50,6 +61,7 @@ class TruncationPolicy(Record):
     def __init__(self, tail_tol=1e-15, max_terms=10000, hump_max=math.inf):
         if not tail_tol > 0.0:
             raise DomainError("tail_tol must be positive")
+        max_terms = _index(max_terms, "max_terms")
         if max_terms < 1:
             raise DomainError("max_terms must be >= 1")
         if not hump_max > 0.0:
@@ -145,9 +157,10 @@ def _qpochhammer_sc(a: complex, ctx: QContext, n: int):
     """(a;q)_n as the kernel's scale-tracked (m, e), before the conversion
     that may underflow it to 0; raises as qpochhammer does."""
     a = _as_complex(a)
+    n = _index(n, "n")
     if a == 0:
         return 1.0 + 0j, 0
-    m, e, status, _, k = _K.qpoch_sc((a,), ctx.q, int(n), False, 1.0 + 0j, 0)
+    m, e, status, _, k = _K.qpoch_sc((a,), ctx.q, n, False, 1.0 + 0j, 0)
     if status == _K.POLE:
         raise PoleError(
             f"(a;q)_{n} with a = {a}: factor 1 - a*q^({k}) vanishes",

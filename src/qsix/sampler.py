@@ -31,8 +31,8 @@ from collections.abc import Mapping
 from ._backend import margin_hit
 from ._record import Record, set_field
 from .errors import DomainError, IllConditioned, PoleError, Unsatisfiable
-from .qcore import QContext, TruncationPolicy
-from .series import BaileyParams, TParams, TruncParams, vwp_psi6
+from .qcore import QContext, TruncationPolicy, _index
+from .series import BaileyParams, TParams, TruncParams, _bailey_sum
 
 #: documented convergence_caps keys and their defaults. Caps not listed for
 #: a kind are ignored by it.
@@ -97,7 +97,7 @@ class SampleConstraints(Record):
                               "ordered")
         if not 0.0 < pole_margin < 1.0:
             raise DomainError("pole_margin must lie in (0, 1)")
-        if max_rejections < 1:
+        if _index(max_rejections, "max_rejections") < 1:
             raise DomainError("max_rejections must be >= 1")
         unknown = set(convergence_caps) - set(DEFAULT_CAPS) \
             - {"kn_decay_base_min", "diff_amp_max"}
@@ -320,16 +320,16 @@ def sample(kind: str, constraints: SampleConstraints, seed: int,
     by (seed, draw index).
 
     trunc draws carry N = 0; window sizes are the consumer's choice.
-    bailey_a draws also keep the bilateral sum in (a; b, c, d, e) at
-    a^2 q/(bcde) within the constraints' hump_max.
+    bailey_a draws also keep check_bailey("a")'s bilateral sum within the
+    constraints' hump_max; its other errors propagate (NonConvergence for
+    a candidate outside its disk, under a bailey_a_arg_max of 1 or more).
     Raises Unsatisfiable when a draw index exhausts max_rejections.
     """
     policy = TruncationPolicy(hump_max=constraints.cap("hump_max"))
 
     def check(p):
         if kind == "bailey_a":
-            vwp_psi6(p.a, (p.b, p.c, p.d, p.e), p.series_arg,
-                     QContext(p.q, policy))
+            _bailey_sum(p, QContext(p.q, policy))
 
     return [p for p, _ in sample_checked(kind, constraints, seed, count,
                                          check)]
@@ -345,6 +345,7 @@ def sample_checked(kind: str, constraints: SampleConstraints, seed: int,
     Unsatisfiable when a draw index exhausts max_rejections; it names how
     many candidates the check's hump cap refused, and the last refusal.
     """
+    count = _index(count, "count")
     if count < 0:
         raise DomainError("count must be >= 0")
     out = []

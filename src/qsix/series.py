@@ -17,7 +17,7 @@ from .config import POLE_EPS, RECOMPUTE_EVERY, STAGNATION_WINDOW, ZERO_EPS
 from .errors import BudgetExceeded, DomainError, IllConditioned, \
     NonConvergence, PoleError
 from .qcore import DEFAULT_POLICY, EvalResult, QContext, TruncationPolicy, \
-    _as_complex, _complex_row, _fold, _inf_row
+    _as_complex, _complex_row, _fold, _index, _inf_row
 
 
 class SeriesSpec(Record):
@@ -118,6 +118,7 @@ class TruncParams(_Point, Record):
             raise DomainError("A and C must be nonzero")
         if A * A * q * q == 0:
             raise DomainError("A^2 q^2 underflows to 0")
+        N = _index(N, "N")
         if N < 0:
             raise DomainError("window size N must be >= 0")
         set_field(self, "q", q)
@@ -270,34 +271,38 @@ def _side(num, den, q, z, direction, vwp_a, fixed, policy,
     return acc, tail, used, status == _K.TERMINATED, peak
 
 
-def _hump(peak: float, value: complex, policy, kind: str) -> float:
-    """max(1, peak) / |value|, inf when the value is 0; IllConditioned when
-    it is over policy.hump_max."""
+def _hump(peak: float, value: complex, policy, kind: str) -> None:
+    """IllConditioned when the term hump max(1, peak) / |value|, inf when
+    the value is 0, is over policy.hump_max. The hump is the factor by
+    which term rounding is amplified in the value."""
     total = abs(value)
     hump = max(1.0, peak) / total if total else float("inf")
     if hump > policy.hump_max:
         raise IllConditioned(f"{kind} term hump {hump:.3g} exceeds hump_max "
                              f"{policy.hump_max:.3g}")
-    return hump
 
 
 def _bilateral(num, den, q, z, vwp_a, fixed, policy, num_names=None,
                den_names=None):
-    """Both index directions around the n = 0 term of a bilateral sum.
-
-    Returns (value, tail, used, terminated, hump). The hump
-    max(1, peak up, peak down) / |value| is the factor by which term
-    rounding is amplified in the value, inf when the value is 0; over
-    policy.hump_max it raises IllConditioned.
-    """
+    """Both index directions around the n = 0 term of a bilateral sum:
+    (value, tail, used, terminated), the fields of its EvalResult. The term
+    hump, over both directions' peak, is held to policy.hump_max."""
     up = _side(num, den, q, z, +1, vwp_a, fixed, policy, num_names,
                den_names)
     down = _side(num, den, q, z, -1, vwp_a, fixed, policy, num_names,
                  den_names)
     value = 1.0 + up[0] + down[0]
-    hump = _hump(max(up[4], down[4]), value, policy, "bilateral")
-    return (value, up[1] + down[1], up[2] + down[2] + 1, up[3] and down[3],
-            hump)
+    _hump(max(up[4], down[4]), value, policy, "bilateral")
+    return value, up[1] + down[1], up[2] + down[2] + 1, up[3] and down[3]
+
+
+def _in_disk(z: complex, arg: str) -> complex:
+    """z, the argument of a sum that arg names; NonConvergence when it is
+    outside the open unit disk, where the sum diverges."""
+    if abs(z) >= 1.0:
+        raise NonConvergence(
+            f"{arg} = {abs(z)} is outside the convergence disk")
+    return z
 
 
 def eval_phi(spec: SeriesSpec, ctx: QContext) -> EvalResult:
@@ -342,7 +347,7 @@ def eval_psi(spec: SeriesSpec, ctx: QContext) -> EvalResult:
         raise NonConvergence("bilateral series diverges at z = 0 "
                              "(the n <= -1 terms blow up)")
     return EvalResult(*_bilateral(spec.numerators, spec.denominators, ctx.q,
-                                  spec.z, 0j, -1, ctx.policy)[:4])
+                                  spec.z, 0j, -1, ctx.policy))
 
 
 def vwp_psi6(a: complex, bs: Sequence[complex], z: complex,
@@ -371,7 +376,7 @@ def vwp_psi6(a: complex, bs: Sequence[complex], z: complex,
         raise DomainError("very-well-poised parameters must be nonzero")
     den = tuple(a * ctx.q / b for b in num)
     return EvalResult(*_bilateral(num, den, ctx.q, z, a, -1, ctx.policy,
-                                  num_names, den_names)[:4])
+                                  num_names, den_names))
 
 
 #: the rows of the window sum S_N in (A; B, C, D, E); its kernel parameter
@@ -413,11 +418,7 @@ def eval_T(p: TParams,
     Convergence needs |C/q^3| < 1; outside that (including C = 0, where the
     negative-index terms blow up) NonConvergence is raised.
     """
-    z = p.series_arg
-    if abs(z) >= 1.0:
-        raise NonConvergence(
-            f"bilateral argument |C/q^3| = {abs(z)} is outside the "
-            f"convergence disk")
+    z = _in_disk(p.series_arg, "bilateral argument |C/q^3|")
     return vwp_psi6(p.base("BCDEX^2"), p.bases(_T_NUM), z,
                     QContext(p.q, policy or DEFAULT_POLICY), _T_NUM, _T_DEN)
 
@@ -489,6 +490,15 @@ def bailey_closed_a(p: BaileyParams,
                       _BAILEY_NUM, _BAILEY_DEN)
 
 
+def _bailey_sum(p: BaileyParams, ctx: QContext) -> EvalResult:
+    """The bilateral sum in (a; b, c, d, e) that bailey_closed_a closes,
+    with argument a^2 q/(bcde); NonConvergence outside its disk. Its
+    denominators are the closed product's first four."""
+    z = _in_disk(p.series_arg, "bilateral argument |a^2 q/(bcde)|")
+    num = ("b", "c", "d", "e")
+    return vwp_psi6(p.a, p.bases(num), z, ctx, num, _BAILEY_DEN[:4])
+
+
 #: the rows of q_factor and of F_function
 _Q_NUM = ("q", "1/Bq", "1/Dq", "1/Eq")
 _Q_DEN = ("X", "1/BX", "1/DX", "1/EX")
@@ -516,13 +526,11 @@ def q_factor(X: complex, B: complex, D: complex, E: complex,
 
         (q, 1/Bq, 1/Dq, 1/Eq;q)_inf / (X, 1/BX, 1/DX, 1/EX;q)_inf.
 
-    Equals 1 exactly at X = q.
+    Equals 1 exactly at X = q. No base of these rows reads C, so they are
+    read from TParams at C = 0, whose checks raise DomainError for a zero
+    X, B, D or E.
     """
-    X, B, D, E = map(_as_complex, (X, B, D, E))
-    if 0 in (X, B, D, E):
-        raise DomainError("X, B, D, E must be nonzero")
-    # no base of these rows reads C
-    p = _Unchecked(BASES=TParams.BASES, q=ctx.q, X=X, B=B, D=D, E=E)
+    p = TParams(q=ctx.q, X=X, B=B, C=0j, D=D, E=E)
     return _ratio_inf(ctx, p, _Q_NUM, _Q_DEN)
 
 

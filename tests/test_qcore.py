@@ -11,25 +11,10 @@ from qsix import (BaileyParams, BudgetExceeded, DomainError, PoleError,
                   qpochhammer_inf_multi, qpochhammer_multi, theta,
                   theta_multi)
 
+from test_series import poch_oracle
+
 # independent plain-loop value of (0.5;0.5)_inf, tail < 1e-60
 EULER_HALF = 0.2887880950866024
-
-
-def poch_oracle(a, q, n):
-    """Plain-loop (a;q)_n, no shared code with the implementation."""
-    if n >= 0:
-        p = 1.0 + 0j
-        w = 1.0 + 0j
-        for _ in range(n):
-            p *= 1.0 - a * w
-            w *= q
-        return p
-    p = 1.0 + 0j
-    w = 1.0 + 0j
-    for _ in range(-n):
-        w /= q
-        p /= 1.0 - a * w
-    return p
 
 
 def test_nabla_basics():

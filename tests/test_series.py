@@ -18,6 +18,8 @@ S1_SAMPLE = 7.3065963705117785
 
 
 def poch_oracle(a, q, n):
+    """Plain-loop (a;q)_n, no shared code with the implementation; the
+    q-arithmetic and kernel tests take it from here."""
     if n >= 0:
         p = 1.0 + 0j
         w = 1.0 + 0j
