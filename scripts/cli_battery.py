@@ -163,10 +163,16 @@ def invocations(tmp: str) -> list:
         ["sweep", "--identity", "abel", "--samples", "-1"],
     ]
     # an infinite product that is exactly 1 (a zero base), exactly 0 (a
-    # vanished factor), and one out of budget
+    # vanished factor), one out of budget, one in double range at |q| near
+    # 1 and three below it
     out += [["eval", "pochhammer-inf", "--a", a, "--q", q, *rest]
             for a, q, rest in (("0,0", "0.5,0", ()), ("1,0", "0.5,0", ()),
-                               ("0.9,0", "0.99,0", ("--max-terms", "5")))]
+                               ("0.9,0", "0.99,0", ("--max-terms", "5")),
+                               ("0.2,0", "0.999,0", ()),
+                               ("0.9,0", "0.999,0", ()),
+                               ("2,0", "0.999,0", ()),
+                               ("0.2,0", "0.99999,0",
+                                ("--max-terms", "10000000")))]
     # error cases
     out += [
         [],

@@ -23,27 +23,40 @@ whose modulus is past the largest double; `qpoch_sc`, `pow_sc` and
 `kn_trace_sc` catch it around their loops, at no cost per factor, and
 stop DIVERGED as for an infinite modulus.
 
-The infinite products and `series_side` skip that test, and the other
-per-factor tests, on "quiet stretches": index ranges, worked out once per
-call from log|x| and log|q|, over which every |x q^m| stays below 1/4 or
-above 4. The computed x q^m is then below 1/2 or above 2: the incremental
-q^m drifts by ~1e-12 relative over 10^4 steps, far inside that factor of 2,
-and each end of a stretch keeps one index more. With eps <= 1/4 the test
-fires only for |x q^m| in [3/5, 5/3], so it cannot fire there. A stretch
-multiplies the same factors in the same order, so every return is bit for
-bit the one that testing each factor gives. Off a stretch, the zero test
-of an infinite product is also skipped where |x q^m| < 1/2, since with
-eps <= 1/4 it fires only from 3/5 on.
+`series_side` skips that test, and the other per-factor tests, on
+"quiet stretches": index ranges, worked out once per walk from log|x| and
+log|q|, over which every |x q^m| stays below 1/4 or above 4. The computed
+x q^m is then below 1/2 or above 2: the incremental q^m drifts by ~1e-12
+relative over 10^4 steps, far inside that factor of 2, and each end of a
+stretch keeps one index more. With eps <= 1/4 the test fires only for
+|x q^m| in [3/5, 5/3], so it cannot fire there. A stretch multiplies the
+same factors in the same order, so every return is bit for bit the one
+that testing each factor gives.
 
 `qpoch_inf_row` takes (x;q)_inf for every x of a row in one call, a lone
-product being a row of one base; `qpoch_inf` runs the same loop on one
-base. The constants that depend on q and tail_tol alone (-log|q|, the log
-of the tail floor, the normal-range cap) are worked out once per call,
-not once per base, and so is one list of the powers q^k, pw[k+1] =
-pw[k] q: bit for bit the w *= q sequence of a product taken alone. A
-quiet stretch reads its powers from the list, which grows to the end of
-the furthest stretch that a base reaches, and never past max_terms
-entries.
+product (`qpoch_inf`) being a row of one base. With tau = min(1/4,
+1 - |q|), a product is a head of factors 1 - x q^k, taken while
+|x q^k| >= tau, times (y;q)_inf at y = x q^k by one Horner pass of
+Euler's series (Gasper and Rahman, Basic Hypergeometric Series, 2nd ed.,
+(1.3.16)):
+
+    (y;q)_inf = sum_n e_n y^n,  e_0 = 1,  e_n = -e_(n-1) q^(n-1) / (1 - q^n).
+
+|e_n| <= b_n = |q|^(n(n-1)/2) / (|q|;|q|)_n, and b_(n+1) tau / b_n falls
+with n, so past e_M the series is within b_(M+1) tau^(M+1) / (1 - rho),
+rho = |q|^(M+1) tau / (1 - |q|^(M+2)), of (y;q)_inf. M is the first at
+which that bound is at most tail_tol / 4. The e_n, M and the bound depend
+on q and tail_tol alone and are worked out once per call. As
+|(y;q)_inf| >= exp(-4/3) > 1/4 for |y| < tau, the relative truncation
+error is at most tail_tol, and est_error = |head| bound bounds the
+product's; rounding is not included. Values take +, -, * and / alone.
+
+The head tests each factor for a zero, the budget max_terms and double
+range: a head or value that overflows, or falls below the smallest normal
+double and so loses digits, stops DIVERGED; no subnormal or 0 is returned
+as a product that did not vanish. For eps up to 3/5 the zero test fires
+only where |x q^k| >= 1/4 >= tau, so the head reaches every factor that
+it can vanish.
 
 `margin_hit`, the sampler's pole-margin audit, tests 1 - x q^j for every
 integer j, at a margin m in (0, 1). As |1 - y| >= ||y| - 1|,
@@ -59,10 +72,8 @@ from __future__ import annotations
 
 import math
 import sys
-from itertools import accumulate, repeat
-from operator import mul
 
-from .config import POLE_EPS, STAGNATION_WINDOW, ZERO_EPS
+from .config import POLE_EPS, ZERO_EPS
 
 OK = 0
 TERMINATED = 1
@@ -71,13 +82,13 @@ BUDGET = 3
 DIVERGED = 4
 
 _OVERFLOW = 1e150
+#: the smallest normal double: a product below it has lost digits
+_TINY = sys.float_info.min
 
 #: quiet stretches: factors with |x q^m| outside [1/4, 4]; log of 4
 _LOG_SHELL = math.log(4.0)
 #: largest eps for which a quiet factor's zero or pole test cannot fire
 _QUIET_EPS = 0.25
-#: |x q^m| below which a zero test with eps <= _QUIET_EPS cannot fire
-_ZERO_FLOOR = 0.5
 #: no stretch for an |x| outside [1e-280, 1e280], or past a step whose
 #: |q^m| leaves [1e-300, 1e300] or, downward, whose |x q^m| tops 1e250
 _X_MIN = 1e-280
@@ -361,154 +372,109 @@ def _rescale(m: complex, e: int):
 
 def qpoch_inf(a: complex, q: complex, tail_tol: float, max_terms: int,
               window: int, zero_eps: float):
-    """(a;q)_infinity = prod_{k>=0} (1 - a q^k), certified geometric tail.
+    """(a;q)_infinity = prod_{k>=0} (1 - a q^k), with a truncation bound.
 
-    Iteration stops once |a q^k| < tail_tol for `window` consecutive k; the
-    est_error bounds |true - value| through the log-tail
-    sum_{j>k} |a q^j| / (1 - |a q^{k+1}|), inf where that overflows. Returns
-    (value, est_error, terms, terminated, status); terminated=1 marks an
-    exact value (a == 0, or a vanished factor making the product 0), and
-    status DIVERGED a product that left double range (from its first
-    factor on when |a| is not finite), BUDGET one that took max_terms
-    factors with the window still open.
-
-    The factors with 2 tail_tol < |a q^k| < 1/4 form one quiet stretch
-    (see the module docstring): there neither the zero test nor the tail
-    window can fire, so they are multiplied in without either. This is
-    `qpoch_inf_row`'s loop; the program calls only the row, and this form
-    is kept only for the benchmark's self-test.
+    The product of the row (a,) as `qpoch_inf_row` takes it, with zero_eps
+    as the eps of its zero test. Returns (value, est_error, terms,
+    terminated, status): terms counts the head's factors and the series'
+    terms, and status is OK, BUDGET or DIVERGED. window is not used: the
+    program calls only the row, and this form and its arguments are kept
+    for the benchmark's self-test.
     """
-    absq = abs(q)
-    return _inf_product(a, q, absq, _shell(absq, tail_tol, zero_eps),
-                        [1.0 + 0j], tail_tol, max_terms, window, zero_eps)
+    return _inf_product(a, q, _euler(q, tail_tol), max_terms, zero_eps)
 
 
 def qpoch_inf_row(xs, q: complex, tail_tol: float, max_terms: int):
-    """(x;q)_infinity for each x of xs in turn, each bit for bit as
-    `qpoch_inf` computes it with window STAGNATION_WINDOW and zero_eps
-    ZERO_EPS.
+    """(x;q)_infinity for each x of xs in turn, as described in the module
+    docstring, with zero_eps ZERO_EPS.
 
     Returns (out, status, slot). out holds each product's (value,
     est_error, terms, terminated) up to the first product whose status is
     not OK; status is that product's (BUDGET or DIVERGED) and slot its
-    index in xs, or OK and 0 when every product is OK. The constants of
-    the call are described in the module docstring.
+    index in xs, or OK and 0 when every product is OK.
 
-    >>> qpoch_inf_row((0j, 0.5 + 0j), 0.5 + 0j, 1e-15, 3)
+    >>> qpoch_inf_row((0j, 0.5 + 0j), 0.5 + 0j, 1e-15, 1)
     ([((1+0j), 0.0, 1, 1)], 3, 1)
     """
-    absq = abs(q)
-    shell = _shell(absq, tail_tol, ZERO_EPS)
-    pw = [1.0 + 0j]
+    euler = _euler(q, tail_tol)
     out = []
     for slot, x in enumerate(xs):
-        r = _inf_product(x, q, absq, shell, pw, tail_tol, max_terms,
-                         STAGNATION_WINDOW, ZERO_EPS)
+        r = _inf_product(x, q, euler, max_terms, ZERO_EPS)
         if r[4] != OK:
             return out, r[4], slot
         out.append(r[:4])
     return out, OK, 0
 
 
-def _shell(absq: float, tail_tol: float, eps: float):
-    """The per-call constants of `_inf_product`'s quiet stretches: -log|q|,
-    the log of the tail floor max(2 tail_tol, 1e-280) and the
-    normal-range cap on a stretch's end; None when no factor can be
-    quiet."""
-    lo = 2.0 * tail_tol
-    if lo < _X_MIN:
-        lo = _X_MIN
-    if not (0.0 < absq < 1.0 and eps <= _QUIET_EPS and lo < 0.25):
-        return None
-    lg = -math.log(absq)
-    return lg, math.log(lo), math.ceil(_LOG_NORMAL / lg) - 1
+def _euler(q: complex, tail_tol: float):
+    """(tau, coeffs, bound): the constants of a call. coeffs is e_M..e_0 of
+    Euler's series, for Horner, and bound its truncation bound for any
+    |y| < tau = min(1/4, 1 - |q|), at most tail_tol / 4."""
+    absq = abs(q)
+    tau = 1.0 - absq
+    if tau > 0.25:
+        tau = 0.25
+    goal = 0.25 * tail_tol
+    coeffs = [1.0 + 0j]
+    e = p = 1.0 + 0j        # e_(n-1) and q^(n-1)
+    d, d1 = 0j, 1.0 - q     # 1 - q^(n-1) and 1 - q
+    r = c = 1.0             # |q|^(n-1) and b_(n-1) tau^(n-1)
+    while True:
+        rn = r * absq
+        c = c * r * tau / (1.0 - rn)
+        bound = c / (1.0 - rn * tau / (1.0 - rn * absq))
+        if bound <= goal:
+            coeffs.reverse()
+            return tau, coeffs, bound
+        # 1 - q^n as (1 - q^(n-1)) + q^(n-1) (1 - q): near q = 1 the terms
+        # keep their digits, where 1 - q^n itself would cancel
+        d = d + p * d1
+        e = -e * p / d
+        coeffs.append(e)
+        p = p * q
+        r = rn
 
 
-def _inf_product(a: complex, q: complex, absq: float, shell, pw: list,
-                 tail_tol: float, max_terms: int, window: int,
+def _inf_product(a: complex, q: complex, euler, max_terms: int,
                  zero_eps: float):
-    """`qpoch_inf` of a, with shell `_shell`'s and pw the powers q^k of
-    the call so far, pw[k+1] = pw[k] q.
-
-    The quiet stretch is the factors [k0, k1) over which 2 tail_tol <
-    |a q^k| < 1/4 and 1e-280 < |a q^k| hold with one index to spare;
-    there is none when k0 = k1 = -1. With a shell (so eps <= 1/4) the
-    zero test is also skipped outside the stretch wherever |a q^k| < 1/2:
-    it can fire only from 3/5 on.
-    """
+    """`qpoch_inf` of a, with the constants `_euler` of the call."""
     if a == 0:
         return 1.0 + 0j, 0.0, 1, 1, OK
     try:
-        ax = abs(a)
+        mag = abs(a)
     except OverflowError:
-        ax = math.inf
-    if not ax < math.inf:
+        mag = math.inf
+    if not mag < math.inf:
         # an infinite, NaN or overflowing base: the first factor is already
         # out of double range
         return 1.0 - a, math.inf, 1, 0, DIVERGED
-    k0 = k1 = -1
-    zlo = 0.0
-    if shell is not None:
-        zlo = _ZERO_FLOOR
-        if _X_MIN <= ax <= _X_MAX:
-            lg, llo, kn = shell
-            lx = math.log(ax)
-            k0 = math.floor((lx + _LOG_SHELL) / lg) + 2
-            k1 = math.ceil((lx - llo) / lg) - 1
-            if k1 > kn:
-                k1 = kn
-            if k0 < 0:
-                k0 = 0
-            if k0 >= k1:
-                k0 = k1 = -1
-    acc = 1.0 + 0j
-    w = 1.0 + 0j
-    run = 0
+    tau, coeffs, bound = euler
+    acc = w = 1.0 + 0j
+    y = a
     k = 0
-    while k < max_terms:
-        if k == k0:
-            # the powers to the stretch's end, and q^k1 after it, each the
-            # last times q as by w *= q (the accumulation starts from
-            # pw[-1] and writes it back); pw never passes max_terms entries
-            end = k1 + 1 if k1 < max_terms else max_terms
-            n = len(pw)
-            if n < end:
-                pw[n - 1:] = accumulate(repeat(q, end - n), mul,
-                                        initial=pw[-1])
-            for w in pw[k0:k1]:
-                acc *= 1.0 - a * w
-            if k1 < max_terms:
-                w = pw[k1]
-            k = k1
-            run = 0
-            continue
-        aw = a * w
-        mag = abs(aw)
-        f = 1.0 - aw
-        if mag >= zlo and abs(f) <= zero_eps * (1.0 + mag):
-            return 0.0 + 0j, 0.0, k + 1, 1, OK
-        acc *= f
-        if mag < tail_tol:
-            run += 1
-            if run >= window:
-                try:
-                    size = abs(acc)
-                except OverflowError:
-                    size = math.inf
-                if not size < math.inf:
-                    return acc, math.inf, k + 1, 0, DIVERGED
-                head = mag * absq
-                s = head / (1.0 - absq)
-                try:
-                    est = size * math.expm1(s / (1.0 - head))
-                except OverflowError:
-                    est = math.inf
-                return acc, est, k + 1, 0, OK
-        else:
-            run = 0
-        w *= q
-        k += 1
-    return acc, float("inf"), max_terms, 0, BUDGET
+    try:
+        while mag >= tau:
+            if k == max_terms:
+                return acc, math.inf, k, 0, BUDGET
+            f = 1.0 - y
+            k += 1
+            if abs(f) <= zero_eps * (1.0 + mag):
+                return 0.0 + 0j, 0.0, k, 1, OK
+            acc *= f
+            if not _TINY <= abs(acc) < math.inf:
+                return acc, math.inf, k, 0, DIVERGED
+            w *= q
+            y = a * w
+            mag = abs(y)
+        s = 0j
+        for e in coeffs:
+            s = s * y + e
+        value = acc * s
+        if not _TINY <= abs(value) < math.inf:
+            return value, math.inf, k, 0, DIVERGED
+    except OverflowError:
+        return acc, math.inf, k, 0, DIVERGED
+    return value, abs(acc) * bound, k + len(coeffs), 0, OK
 
 
 def _quiet_edges(xs, absq: float, down: bool, eps: float) -> list:

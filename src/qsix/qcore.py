@@ -43,15 +43,17 @@ class TruncationPolicy(Record):
     """Caps shared by every infinite sum and product.
 
     tail_tol
-        magnitude below which a term/factor counts toward stagnation.
+        for a walk, the magnitude below which a term counts toward
+        stagnation; for an infinite product, the relative truncation
+        error it is taken to.
     max_terms
-        hard budget per one-sided sum or product.
+        hard budget per one-sided sum, or per product's head of factors.
     hump_max
         cap on a series' term hump max(1, max |term|) / |sum|; a sum over
         it raises IllConditioned. Products are not capped.
 
-    Convergence is declared after STAGNATION_WINDOW consecutive satisfying
-    terms.
+    A walk is declared converged after STAGNATION_WINDOW consecutive
+    satisfying terms; products do not use it.
     """
 
     tail_tol: float
@@ -94,9 +96,11 @@ class QContext(Record):
 class EvalResult(Record):
     """Value of a truncated evaluation plus its accounting.
 
-    est_error bounds the truncation error under the geometric-tail
-    assumption; terminated is True when the result is exact (the sum or
-    product ended on a vanishing factor rather than a tolerance).
+    est_error bounds the truncation error: of a sum under the
+    geometric-tail assumption, of an infinite product (a;q)_inf by the
+    tail bound of Euler's series. Rounding is not included. terminated is
+    True when the result is exact (the sum or product ended on a
+    vanishing factor rather than a tolerance).
     """
 
     value: complex
@@ -190,13 +194,15 @@ def qpochhammer_multi(as_: Sequence[complex], ctx: QContext, n: int) -> complex:
 
 
 def qpochhammer_inf(a: complex, ctx: QContext) -> EvalResult:
-    """Infinite product (a;q)_infinity with a certified geometric tail.
+    """Infinite product (a;q)_infinity with a truncation bound.
 
-    The loop stops once |a q^k| < tail_tol holds for STAGNATION_WINDOW
-    consecutive k; est_error then bounds |true - value| via the remaining
-    geometric mass. An exactly vanishing factor short-circuits to 0 with
-    terminated=True; a = 0 returns 1 the same way. A product that leaves
-    double range raises DomainError.
+    The factors 1 - a q^k are taken while |a q^k| >= min(1/4, 1 - |q|),
+    and the rest of the product by Euler's series, whose truncation
+    est_error bounds within a relative tail_tol (see `qsix._kernels_py`).
+    An exactly vanishing factor short-circuits to 0 with terminated=True;
+    a = 0 returns 1 the same way. A product that leaves the normal double
+    range raises DomainError, and one whose head takes more than
+    max_terms factors BudgetExceeded.
 
     Examples
     --------
@@ -213,7 +219,7 @@ def _stop_error(status: int, a: complex, policy: TruncationPolicy):
     status BUDGET or DIVERGED."""
     if status == _K.BUDGET:
         return BudgetExceeded(
-            f"(a;q)_inf with a = {a}: no stagnation within "
+            f"(a;q)_inf with a = {a}: the head takes more than "
             f"{policy.max_terms} factors")
     return DomainError(
         f"(a;q)_inf with a = {a}: the product is out of double range")

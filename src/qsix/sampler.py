@@ -68,8 +68,8 @@ class SampleConstraints(Record):
     minimum relative distance |1 - x q^j| / (1 + |x q^j|) from zero of
     every factor whose base x the kind's table names (see violations()).
     convergence_caps overrides entries of DEFAULT_CAPS (None, the
-    default, is a new empty dict); each cap must be finite and > 0, and
-    each min cap at most its max.
+    default, is a new empty dict); each cap must be finite and > 0, each
+    min cap at most its max, and t_arg_max and bailey_a_arg_max below 1.
     """
 
     q_modulus_range: tuple
@@ -116,6 +116,10 @@ class SampleConstraints(Record):
                        ("t_arg_min", "t_arg_max")):
             if self.cap(lo) > self.cap(hi):
                 raise DomainError(f"convergence cap {lo} exceeds {hi}")
+        for name in ("t_arg_max", "bailey_a_arg_max"):
+            if self.cap(name) >= 1.0:
+                raise DomainError(f"convergence cap {name} must be below 1, "
+                                  f"where the sum converges")
 
     def cap(self, name: str) -> float:
         if name in self.convergence_caps:
@@ -321,8 +325,7 @@ def sample(kind: str, constraints: SampleConstraints, seed: int,
 
     trunc draws carry N = 0; window sizes are the consumer's choice.
     bailey_a draws also keep check_bailey("a")'s bilateral sum within the
-    constraints' hump_max; its other errors propagate (NonConvergence for
-    a candidate outside its disk, under a bailey_a_arg_max of 1 or more).
+    constraints' hump_max; its other errors propagate.
     Raises Unsatisfiable when a draw index exhausts max_rejections.
     """
     policy = TruncationPolicy(hump_max=constraints.cap("hump_max"))

@@ -74,16 +74,32 @@ def test_eval_pochhammer_exact_zero_is_terminated():
     assert "terminated: true" in lines
 
 
-def test_eval_pochhammer_inf_overflowed_tail_bound_is_inf():
-    # |q| = 0.999 with a loose tail tolerance: the tail bound overflows
-    r = run("eval", "pochhammer-inf", "--a=-0.025,-1.5",
-            "--q=0.6011714986278861,-0.7978683031913861",
+def test_eval_pochhammer_inf_loose_tail_tol_bound_is_finite():
+    # |q| = 0.999 with a loose tail tolerance: the printed bound is finite
+    # and covers the distance to the product at the default tail_tol
+    q = "--q=0.6011714986278861,-0.7978683031913861"
+    r = run("eval", "pochhammer-inf", "--a=-0.025,-1.5", q,
             "--tail-tol", "0.4858")
-    assert r.returncode == 0, r.stderr
+    tight = run("eval", "pochhammer-inf", "--a=-0.025,-1.5", q)
+    assert r.returncode == tight.returncode == 0, r.stderr
     lines = r.stdout.splitlines()
-    assert math.isfinite(abs(complex(lines[0])))
-    assert "est_error: inf" in lines
+    est = float(lines[1].removeprefix("est_error: "))
+    assert math.isfinite(est)
+    assert (abs(complex(lines[0]) - complex(tight.stdout.splitlines()[0]))
+            <= est)
     assert "terminated: false" in lines
+
+
+def test_eval_pochhammer_inf_below_double_range_is_domain_error():
+    # (0.9;0.999)_inf is about 2.1e-565 and (2;0.999)_inf about -1.1e-1071;
+    # (0.2;0.999)_inf, about 2.2887e-92, is in range
+    for a in ("0.9,0", "2,0"):
+        r = run("eval", "pochhammer-inf", "--a", a, "--q", "0.999,0")
+        assert r.returncode == 2, r.stdout
+        assert "domain error" in r.stderr and "out of double range" in r.stderr
+    r = run("eval", "pochhammer-inf", "--a", "0.2,0", "--q", "0.999,0")
+    assert r.returncode == 0, r.stderr
+    assert abs(complex(r.stdout.splitlines()[0]) / 2.2887e-92 - 1) < 1e-4
 
 
 def test_eval_theta_rejects_zero_argument():

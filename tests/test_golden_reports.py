@@ -16,19 +16,19 @@ DIGESTS = {
     "abel":
         "253315019d9564f1acb49f35fb0488d7bac196147ddde8fc38dc936050d49423",
     "bailey-a":
-        "437d32ed29e7aaeb82df61583e0d60ed5eb39cb9df579139189166a77c5bf64b",
+        "295dc2a30efaf75b8e778878afe2dfe3060134d256893bcc6fe9f3fe4a752b40",
     "bailey-x":
-        "a461fcd1b1e8741cac644d4b8183003f266c08266d22e814946dd849c7d9c15b",
+        "88cc5aa7d363944bbc9cc473dff2604d86a8f230624f1fa7af638ac37ff259a5",
     "kn-decay":
-        "9d7562648ae36c3c3c538b77d57f8d2b626e35577d03b276df140b8cb8e396f8",
+        "5abaf9c7a781fef33e84c8e5103d83a68a25549fb7bffa503da1b0a68e6dcd86",
     "q-constancy":
-        "e3fc16129fa5e7016aea448f41a9ea3c61fb13872bafef896f7fae4d1e2d7b8e",
+        "1bb4c66cdc1305be91a8792e40bb71fe7ea50d796c2319de8462a4642dcd316a",
     "recurrence":
         "0d8b877305da44ccef58c5a2be14292d3554d8291b784bb18256b3dcea498463",
     "remark1":
-        "cb158c942a6328bdf78e5f2c63d4893ea5fd809509addc02d16d2355d2b9dc41",
+        "aed3c4d6064630dc4ea444dd0ff42dfc026bf0bb5901a63159f0ba50f7022099",
     "rogers":
-        "fdb41fdef1ead073aa517bcd79132d665396ffdb549b0241859fb61bbed118d9",
+        "07f95342f362922bade60e17928d4cca6e5c5f3fd101b063ccab9275b712228d",
     "t-recursion":
         "ed77c3e52ed9ee109b5ac6507a622cc70a08a0c78744e5fca48b0956a3597993",
     "udiff":

@@ -81,10 +81,11 @@ def test_q_factor_refuses_a_zero_parameter(zero):
     assert str(exc.value) == "X, B, D, E must be nonzero"
 
 
-def test_bailey_a_candidate_outside_the_disk_is_non_convergence():
-    con = SampleConstraints(convergence_caps={"bailey_a_arg_max": 50.0})
-    with pytest.raises(NonConvergence, match="outside the convergence disk"):
-        sample("bailey_a", con, 0, 5)
+def test_bailey_a_arg_cap_outside_the_disk_is_a_domain_error():
+    # a cap that lets candidates outside the disk used to reach the
+    # bilateral sum and raise NonConvergence there
+    with pytest.raises(DomainError, match="bailey_a_arg_max must be below"):
+        SampleConstraints(convergence_caps={"bailey_a_arg_max": 50.0})
 
 
 def test_check_rogers_prints_its_sweep_runners_report(capsys):

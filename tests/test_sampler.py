@@ -142,6 +142,15 @@ def test_convergence_caps_must_be_finite_and_positive(caps):
         SampleConstraints(convergence_caps=caps)
 
 
+@pytest.mark.parametrize("name", ("t_arg_max", "bailey_a_arg_max"))
+def test_arg_max_caps_lie_below_one(name):
+    # at 1 or more the cap admits arguments where no sum converges
+    for value in (1.0, 1.5):
+        with pytest.raises(DomainError, match=f"{name} must be below 1"):
+            SampleConstraints(convergence_caps={name: value})
+    assert SampleConstraints(convergence_caps={name: 0.999}).cap(name) == 0.999
+
+
 def test_zero_t_arg_min_is_a_domain_error():
     # used to escape from the draw's math.log as a raw ValueError
     with pytest.raises(DomainError, match="t_arg_min"):
