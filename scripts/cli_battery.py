@@ -146,6 +146,14 @@ def invocations(tmp: str) -> list:
     # Dq = q^2: the trace's factor 1 - (Dq) q^-3 vanishes at N = 2
     out.append(["check", "kn-decay", *DECAY[:8], "--D", "0.25,0",
                 *DECAY[10:]])
+    # |q| near 1: the trace's rows sit in or near the shell [1/4, 4] of
+    # the quiet rows for several N
+    out.append(["check", "kn-decay", "--q", "0.9,0.1", *DECAY[2:6], "--C",
+                "2.5,0", *DECAY[8:], "--n-max", "30"])
+    # a pole in a dividing row of the trace, BE/A at q^0 and BDE/A^2q^2
+    # at q^1, past the window of S_N
+    out += [["check", "recurrence", *TRUNC[:10], "--E", e, "--N", "6"]
+            for e in ("6.666666666666667,0", "9.523809523809524,0")]
     for name in sorted(CHECKS):
         base = ["sweep", "--identity", name, "--samples", "5", "--seed", "7"]
         out.append(base)
@@ -265,8 +273,14 @@ def main(argv=None) -> int:
             proc = subprocess.run([sys.executable, "-m", "qsix.cli", *argv_],
                                   capture_output=True, env=env, cwd=tmp)
             shown = " ".join(argv_).replace(tmp, "TMP")
-            print(f"{proc.returncode} {_sha(proc.stdout)} "
-                  f"{_sha(proc.stderr)} {shown}", flush=True)
+            try:
+                print(f"{proc.returncode} {_sha(proc.stdout)} "
+                      f"{_sha(proc.stderr)} {shown}", flush=True)
+            except BrokenPipeError:
+                # the reader has gone (as `| head` leaves): stop, and keep
+                # the flush at exit off the closed pipe
+                os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+                return 1
     return 0
 
 

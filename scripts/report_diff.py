@@ -22,7 +22,8 @@ Draws are matched by draw_index. The script prints:
   row that raised in one report only shows as a verdict change.
 
 The exit code is 0 when the two reports are equal field by field and 1
-when they differ.
+when they differ, also when the reader closes the pipe before the end of
+the output (as `| head` does), which ends the output quietly.
 """
 
 from __future__ import annotations
@@ -30,6 +31,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import struct
 import sys
 
@@ -163,7 +165,11 @@ def main(argv=None) -> int:
     with args.old, args.new:
         old, new = json.load(args.old), json.load(args.new)
     lines, differs = diff(old, new)
-    print("\n".join(lines))
+    try:
+        print("\n".join(lines), flush=True)
+    except BrokenPipeError:
+        # keep the flush at exit off the closed pipe
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     return 1 if differs else 0
 
 

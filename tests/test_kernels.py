@@ -62,8 +62,9 @@ from qsix.config import ZERO_EPS
 from qsix.errors import DomainError, PoleError, QSixError
 from qsix.qcore import EvalResult, QContext, TruncationPolicy, _sc_value
 from qsix.series import BaileyParams, TParams
-from qsix._kernels_py import (BUDGET, DIVERGED, OK, POLE, TERMINATED,
-                              _OVERFLOW, _crossing, _quiet_edges, _stop,
+from qsix._kernels_py import (_FAR, _HI, _KEEP, _KN_STEPS, _LO, BUDGET,
+                              DIVERGED, OK, POLE, TERMINATED, _OVERFLOW,
+                              _crossing, _quiet_edges, _row_cuts, _stop,
                               cpow_int)
 
 ARGS = (1e-15, 10000, 3, 1e-12, 5e-15, 64)
@@ -259,12 +260,15 @@ def test_a_modulus_past_double_range_is_diverged_not_an_overflow_error():
         Q.qpochhammer(a, QContext(0.75), -1)
 
 
+#: a trace whose leading factor 1 - A q^{1-N} times the low product has
+#: finite parts and a modulus past the largest double at N = 21796
+_PAST_RANGE = TruncParams(q=-0.967 - 0.043j, A=0.3 + 0.1j, B=0.2,
+                          C=-1.7485695630195712 + 0.2345004799569423j,
+                          D=0.25j, E=0.15, N=0)
+
+
 def test_kn_trace_piece_with_a_modulus_past_double_range_is_domain_error():
-    # at N = 21796 the leading factor 1 - A q^{1-N} times the low product
-    # has finite parts and a modulus past the largest double
-    p = TruncParams(q=-0.967 - 0.043j, A=0.3 + 0.1j, B=0.2,
-                    C=-1.7485695630195712 + 0.2345004799569423j, D=0.25j,
-                    E=0.15, N=0)
+    p = _PAST_RANGE
     assert len(ID.kn_trace(p, 21795)) == 21796
     with pytest.raises(DomainError) as got:
         ID.kn_trace(p, 100000)
@@ -1192,15 +1196,107 @@ def _kn_trace_cases():
     # downward factors that leave double range, the first at N = 1453
     cases.append((sample("trunc", KN_DECAY, 7, 1)[0], 2000))
     cases += [(p, 3000) for p in plain[:8] + band[:4]]
+    # an |x w| on, or an ulp or two off, the edges of the quiet rows (the
+    # shell's 1/4 and 4, and 2^10 of the far rows): vnum's one base at N =
+    # k, and a base of any row of a band draw
+    for s in (0.25, 4.0, _FAR):
+        for eps in (-1e-15, 0.0, 1e-15):
+            for k in (1, 3):
+                t = generic.q ** k * s * (1.0 + eps)
+                cases.append((generic.replace(**_KN_STOPS[1](generic, t)), 8))
+    for p in rng.sample(band, 30):
+        t = (p.q ** rng.randint(0, 6) * rng.choice((0.25, 4.0, _FAR))
+             * (1.0 + rng.choice((-1e-15, 1e-15))))
+        cases.append((p.replace(**rng.choice(_KN_STOPS)(p, t)), 80))
+    # past the far rows' bound, to DIVERGED after 21796 K_N; and the K3
+    # numerator product at 0 from N = 1 on
+    cases += [(_PAST_RANGE, 21800), (generic.replace(E=4.0, C=12.0), 80)]
     return cases
 
 
 def test_kn_trace_matches_the_row_step_trace():
     cases = _kn_trace_cases()
     assert len(cases) >= 500
+    seen = set()
     for p, n_max in cases:
         assert (_trace_outcome(ID.kn_trace, p, n_max)
                 == _trace_outcome(ref_kn_trace, p, n_max)), (p, n_max)
+        seen |= _trace_covers(p, n_max)
+    kinds = ("near kept", "near redone", "far", "between", "past bound",
+             "tested")
+    assert seen == ({f"{kind} {how}" for kind in kinds
+                     for how in ("divided", "multiplied")}
+                    | {f"pole in row {row}" for row in _DIVIDING})
+
+
+#: the base names of each dividing row of the trace, by row
+_DIVIDING = {0: ID._V_NUM[1:], 1: ID._V_DEN, 2: ID._U_NUM,
+             3: ID._U_DEN[:-1], 5: ID._K3_DEN}
+
+
+def _trace_covers(p, n_max: int) -> set:
+    """What a trace of the fuzz reached: the dividing row of a pole stop,
+    and each kind of row step (`_step_kind`), divided or multiplied, on
+    the products as the row-step reference carries them."""
+    seen = set()
+    try:
+        ID.kn_trace(p, n_max)
+    except PoleError as exc:
+        seen |= {f"pole in row {row}" for row, names in _DIVIDING.items()
+                 if exc.factor in names}
+    except QSixError:
+        pass
+    q = p.q
+    rows = [p.bases(names) for names in
+            (ID._V_NUM[1:], ID._V_DEN, ID._U_NUM, ID._U_DEN[:-1],
+             ID._K3_NUM, ID._K3_DEN)]
+    cuts = [_row_cuts(xs) for xs in rows]
+    ms = [(1.0 + 0j, 0)] * 4
+    up = down = 1.0 + 0j
+    for N in range(n_max + 1):
+        vdown, down = down, down / q
+        for k, row, iw, divide in _KN_STEPS:
+            if not (iw or N) or k == 4:
+                continue
+            m, e = ms[k]
+            if row < 0:
+                m, e, status = K.pow_sc(p.base("Cq^3"), -1 if divide else 1,
+                                        m, e)
+            else:
+                w = (vdown, down, up)[iw]
+                kind = _step_kind(cuts[row], rows[row], w, divide, m)
+                seen.add(f"{kind} {'divided' if divide else 'multiplied'}")
+                m, e, status = K.qpoch_sc(tuple(x * w for x in rows[row]), q,
+                                          1, divide, m, e)[:3]
+            if status != OK:
+                return seen
+            ms[k] = m, e
+        up = up * q
+    return seen
+
+
+def _step_kind(cut, xs, w, divide: bool, m: complex) -> str:
+    """How the kernel takes a row step of the rows xs on m at the power w:
+    a near row whose chain it keeps or takes again factor by factor, a far
+    row, a quiet row between, a row with every |x w| above 4 but past the
+    far rows' bound, or a row it tests factor by factor."""
+    near, shell, far_lo, far_hi, spread = cut
+    try:
+        aw = abs(w)
+    except OverflowError:
+        aw = math.inf
+    if aw < near:
+        c = m
+        for x in xs:
+            c = c * (1.0 / (1.0 - x * w) if divide else 1.0 - x * w)
+        u = _KEEP - aw * spread
+        kept = _LO <= abs(c) * u and abs(c) <= _HI * u
+        return "near kept" if kept else "near redone"
+    if far_lo <= aw <= far_hi:
+        return "far"
+    if shell < aw:
+        return "between" if aw <= far_hi else "past bound"
+    return "tested"
 
 
 #: points where a piece of K_N is past double range as a value while every

@@ -3,7 +3,12 @@
 import importlib.util
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
+
+import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 _SPEC = importlib.util.spec_from_file_location(
@@ -89,6 +94,24 @@ def test_verdicts_moved_indices_and_ulps(tmp_path, capsys):
     assert "  report.note: in 1 draws" in lines
     assert "  report.passed: in 1 draws" in lines
     assert lines[-1] == "reports differ"
+
+
+@pytest.mark.parametrize("new, code", [(OLD, 0), (NEW, 1)])
+def test_a_reader_that_has_gone_gets_the_exit_code_and_no_traceback(
+        tmp_path, new, code):
+    paths = []
+    for name, doc in (("old", OLD), ("new", new)):
+        paths.append(tmp_path / f"{name}.json")
+        paths[-1].write_text(json.dumps(doc))
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        proc = subprocess.run(
+            [sys.executable, str(ROOT / "scripts" / "report_diff.py"),
+             *map(str, paths)], stdout=write, stderr=subprocess.PIPE)
+    finally:
+        os.close(write)
+    assert (proc.returncode, proc.stderr) == (code, b"")
 
 
 def test_ulps_count_doubles():
