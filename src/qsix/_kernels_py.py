@@ -9,9 +9,8 @@ Finite q-products (`qpoch_sc`, `pow_sc`) are scale-tracked as m * 2^e with
 |m| kept in [2^-8, 2^8] by exact power-of-two rescaling, so q-shifted
 factorials that grow superexponentially in |n| stay representable.
 `kn_trace_sc` carries the products of the boundary term K_N from N to
-N+1 for a whole decay trace in one call, with the factors and rescaling
-of `qpoch_sc` and `pow_sc` and the tests that can fire, and assembles
-each K_N from them.
+N+1 for a whole decay trace in one call, with the factors, tests and
+rescaling of `qpoch_sc` and `pow_sc`, and assembles each K_N from them.
 `qpoch_sc`, `kn_trace_sc` and `qpoch_inf_row` read their tolerances from
 `config`.
 
@@ -35,28 +34,26 @@ same factors in the same order, so every return is bit for bit the one
 that testing each factor gives.
 
 `kn_trace_sc` takes most of its row steps on "quiet rows", judged per
-step from the row's largest and smallest |x| and |w| for the power w of
-the step. A row is near where every |x w| is below 1/4 (and n max|x w|
-below 1, n the row's count), and far where every |x w| lies in [2^10,
-2^(800/n)]. Either way no pole test can fire (with eps <= 1/4 it fires
-only for |x w| in [3/5, 5/3]) and no factor leaves double range, so the
-step is one chain m f_1 ... f_n, the factors multiplied in the row's
-order with no test, then one range test and the rescale. Only where the
-per-factor loop rescales can differ, and the chain is taken where it
-cannot. A near row's factors are within 1 +- r of 1, r the largest
-|x w|, so each partial product is within a factor 1/(1 - n r) of the
-chain's end: where that end times 0.999 - n r still lies in [2^-8, 2^8],
-no partial product left that window and the loop did not rescale. Each
-far factor is at least 2^9 in modulus, or at most 2^-9 divided, so from
-the second factor on the loop rescales after every factor, and the
-chain's end, out of the window, rescales to the same m and e. A quiet
-row whose chain is not kept, or that is neither near nor far, runs the
-per-factor loop without the pole test; any other row runs it with the
-test. Rescaling is by exact powers of two and a chain's partial products
-stay within 2^+-810 in modulus, so every m, e, K_N and stop is bit for
-bit the loop's, short of a part of a partial product that is subnormal
-in one and not the other, which needs a part under 2^-200 of its
-modulus.
+step from the row's largest and smallest nonzero |x| and |w| for the
+power w of the step: every |x w| is below 1/4, or every nonzero |x w| is
+above 4 and at most 2^(800/n), n the row's count. No pole test can fire
+there: with eps <= 1/4 it fires only for |x w| in [3/5, 5/3], and a
+factor with x = 0 is 1. So the step is one chain m f_1 ... f_n, the
+factors multiplied in the row's order with no test, then one range test
+and the rescale. Each factor is within [3/4, 5/4] or [3, 2^(800/n) + 1]
+in modulus, or the reciprocal, so from |m| <= 2^8 no partial product
+leaves 2^+-812 and none overflows or falls to zero. Any other row runs
+the per-factor loop. Rescaling is by exact powers of two, so the chain's
+m * 2^e is the loop's value, its m the loop's m up to a power of two,
+and every K_N and stop the same as the loop's, as long as no part of a
+product falls into the subnormal range in one and not the other, and no
+scalar factor (Cq^3 or 1 - A q^(1-N)) within 2^16 of the top of double
+range overflows against one m in [2^-8, 2^8] and not the other. A
+chain that ends below 2^-8 with a nonzero part below 2^53 times the
+smallest normal double, as a q with a tiny imaginary part gives far down
+a dividing row, is taken again by the loop. (A part of a partial product
+can still be subnormal where the end's parts are not; that needs inputs
+whose parts differ in size by more than 2^200.)
 
 `qpoch_inf_row` takes (x;q)_inf for every x of a row in one call, a lone
 product (`qpoch_inf`) being a row of one base. With tau = min(1/4,
@@ -259,34 +256,29 @@ _KN_STEPS = ((0, 0, 0, True), (0, 2, 1, True), (0, 1, 0, False),
 #: the row of a K_N trace stop at a piece whose value leaves double range
 ROW_VALUE = -2
 
-#: quiet K_N rows (module docstring): a far row has every |x w| at least
-#: _FAR and at most 2^(_CHAIN_LOG2 / n), n its count; a near row's chain
-#: is kept where its modulus times _KEEP - n max|x w| is in the window
-_FAR = 1024.0
+#: quiet K_N rows (module docstring): every nonzero |x w| of a row of n
+#: bases is below 1/4, or above 4 and at most 2^(_CHAIN_LOG2 // n); a
+#: chain whose end has a nonzero part below _PART_MIN is taken again
 _CHAIN_LOG2 = 800
-_KEEP = 0.999
+_PART_MIN = 2.0 ** 53 * sys.float_info.min
 
 
 def _row_cuts(xs):
-    """(near, shell, far_lo, far_hi, spread) of a K_N trace row of n bases
-    at a power w: the row is near where |w| < near (every |x w| below 1/4,
-    and n max|x w| below 1), every |x w| is above 4 where |w| > shell, the
-    row is far where far_lo <= |w| <= far_hi, and spread |w| = n max|x w|.
-    A row with an x that is not finite is never quiet."""
+    """(near, far_lo, far_hi) of a K_N trace row at a power w: the row is
+    quiet where |w| < near or far_lo < |w| <= far_hi. A row with an x
+    that is not finite is never quiet."""
     try:
         mags = [abs(x) for x in xs]
     except OverflowError:
         mags = [math.inf]
     if not all(a < math.inf for a in mags):
-        return 0.0, math.inf, math.inf, 0.0, math.inf
+        return 0.0, math.inf, 0.0
     big = max(mags, default=0.0)
-    small = min(mags, default=0.0)
-    n = len(xs)
-    return (1.0 / (big * max(n, 4)) if big else math.inf,
-            4.0 / small if small else math.inf,
-            _FAR / small if small else math.inf,
-            math.ldexp(1.0, _CHAIN_LOG2 // max(n, 1)) / big if big else 0.0,
-            n * big)
+    if not big:
+        return math.inf, math.inf, 0.0
+    small = min(a for a in mags if a)
+    return (0.25 / big, 4.0 / small,
+            math.ldexp(1.0, _CHAIN_LOG2 // len(xs)) / big)
 
 
 def kn_trace_sc(vnum, vden, unum, uden, num3, den3, q: complex, A: complex,
@@ -301,10 +293,10 @@ def kn_trace_sc(vnum, vden, unum, uden, num3, den3, q: complex, A: complex,
     divide by it, and from N = 1 one factor 1/Cq^3. num3 and den3 are the
     K3 rows' products with 1 - x q^N, den3 dividing; ck is coeff (Cq^3)^N.
     Each is carried from N to N+1, q^{+-N} as `qpoch_sc` builds it (up *=
-    q, down /= q). A row step takes its factors as `qpoch_sc` does,
-    tested, inverted, multiplied in and rescaled one at a time, or, on a
-    quiet row, as one chain or untested (module docstring), to the same
-    m and e; each scalar factor is taken as `pow_sc` does. K1 = low
+    q, down /= q). A row step tests, inverts, multiplies in and rescales
+    each factor as `qpoch_sc` does, written out here, or on a quiet row
+    takes its factors as one chain and rescales once (module docstring);
+    each scalar factor is taken as `pow_sc` does. K1 = low
     (1 - A q^{1-N}) ck and K2 = high ck take their scalar factors in that
     order, K3 = (1 - bde q^{2N+3}/A)/kden num3 den3 (bde = BDE, kden =
     1 - BDEq/A, cq3 = Cq^3); K1, K2, num3 and den3 become doubles in that
@@ -318,7 +310,7 @@ def kn_trace_sc(vnum, vden, unum, uden, num3, den3, q: complex, A: complex,
     place of slot and exp.
     """
     rows = (vnum, vden, unum, uden, num3, den3)
-    eps, lo, hi, inf, keep = POLE_EPS, _LO, _HI, math.inf, _KEEP
+    eps, lo, hi, inf, part_min = POLE_EPS, _LO, _HI, math.inf, _PART_MIN
     floor, log2, ldexp = math.floor, math.log2, math.ldexp
     icq3 = 1.0 / cq3
     # The trace stops by step n_top: a part of the carried q^-N-1 is inf
@@ -338,12 +330,11 @@ def kn_trace_sc(vnum, vden, unum, uden, num3, den3, q: complex, A: complex,
     qk = [1.0 / w if w else complex(inf, 0.0) for w in pw[off:0:-1]] + pw
     ms = [1.0 + 0j] * 4 + [coeff]
     es = [0] * 5
-    # each step with its row's factors and cuts bound (a scalar step reads
+    # each step with its row's bases and quiet cuts (a scalar step reads
     # neither); the first N skips the steps on q^-N
-    steps = []
-    for k, row, iw, divide in _KN_STEPS:
-        xs = rows[row] if row >= 0 else ()
-        steps.append((k, row, iw, divide, xs, *_row_cuts(xs)))
+    steps = [(k, row, iw, divide, rows[row] if row >= 0 else (),
+              *_row_cuts(rows[row] if row >= 0 else ()))
+             for k, row, iw, divide in _KN_STEPS]
     first = [step for step in steps if step[2]]
     up = down = 1.0 + 0j
     aup = adown = 1.0
@@ -358,9 +349,8 @@ def kn_trace_sc(vnum, vden, unum, uden, num3, den3, q: complex, A: complex,
         ws = (vdown, down, up)
         aws = (avdown, adown, aup)
         try:
-            for (k, row, iw, divide, xs,
-                 near, shell, far_lo, far_hi, spread) in (steps if N
-                                                          else first):
+            for (k, row, iw, divide, xs, near, far_lo,
+                 far_hi) in steps if N else first:
                 m = ms[k]
                 e = es[k]
                 if row < 0:
@@ -369,63 +359,57 @@ def kn_trace_sc(vnum, vden, unum, uden, num3, den3, q: complex, A: complex,
                         m, e = _rescale(m, e)
                         if not abs(m) < inf:
                             return out, DIVERGED, -1, 0, 0
-                    ms[k] = m
-                    es[k] = e
-                    continue
-                w = ws[iw]
-                aw = aws[iw]
-                if aw < near or far_lo <= aw <= far_hi:
-                    c = m
-                    if divide:
-                        for x in xs:
-                            c = c * (1.0 / (1.0 - x * w))
-                    else:
-                        for x in xs:
-                            c = c * (1.0 - x * w)
-                    a = abs(c)
-                    if aw >= near:
+                else:
+                    w = ws[iw]
+                    aw = aws[iw]
+                    if aw < near or far_lo < aw <= far_hi:
+                        c = m
+                        if divide:
+                            for x in xs:
+                                c = c * (1.0 / (1.0 - x * w))
+                        else:
+                            for x in xs:
+                                c = c * (1.0 - x * w)
+                        a = abs(c)
+                        if lo <= a <= hi:
+                            ms[k] = c
+                            continue
+                        if not a:
+                            ms[k] = 0j
+                            es[k] = 0
+                            continue
+                        if a > hi or not (0.0 < abs(c.real) < part_min
+                                          or 0.0 < abs(c.imag) < part_min):
+                            j = floor(log2(a))
+                            ms[k] = complex(ldexp(c.real, -j),
+                                            ldexp(c.imag, -j))
+                            es[k] = e + j
+                            continue
+                    slot = 0
+                    for x in xs:
+                        if divide:
+                            xw = x * w
+                            f = 1.0 - xw
+                            if abs(f) <= eps * (1.0 + abs(xw)):
+                                status = DIVERGED if _overflowed(xw) else POLE
+                                return (out, status, row, slot,
+                                        (-N, -N - 1, N)[iw])
+                            m = m * (1.0 / f)
+                        else:
+                            m = m * (1.0 - x * w)
+                        a = abs(m)
                         if not lo <= a <= hi:
+                            if not a < inf:
+                                return (out, DIVERGED, row, slot,
+                                        (-N, -N - 1, N)[iw])
                             if a:
                                 j = floor(log2(a))
-                                c = complex(ldexp(c.real, -j),
-                                            ldexp(c.imag, -j))
+                                m = complex(ldexp(m.real, -j),
+                                            ldexp(m.imag, -j))
                                 e += j
                             else:
-                                c, e = 0j, 0
-                        ms[k] = c
-                        es[k] = e
-                        continue
-                    u = keep - aw * spread
-                    if lo <= a * u and a <= hi * u:
-                        ms[k] = c
-                        continue
-                quiet = aw < near or shell < aw <= far_hi
-                slot = 0
-                for x in xs:
-                    if divide:
-                        xw = x * w
-                        f = 1.0 - xw
-                        if (not quiet
-                                and abs(f) <= eps * (1.0 + abs(xw))):
-                            status = DIVERGED if _overflowed(xw) else POLE
-                            return (out, status, row, slot,
-                                    (-N, -N - 1, N)[iw])
-                        m = m * (1.0 / f)
-                    else:
-                        m = m * (1.0 - x * w)
-                    a = abs(m)
-                    if not lo <= a <= hi:
-                        if not a < inf:
-                            return (out, DIVERGED, row, slot,
-                                    (-N, -N - 1, N)[iw])
-                        if a:
-                            j = floor(log2(a))
-                            m = complex(ldexp(m.real, -j),
-                                        ldexp(m.imag, -j))
-                            e += j
-                        else:
-                            m, e = 0j, 0
-                    slot += 1
+                                m, e = 0j, 0
+                        slot += 1
                 ms[k] = m
                 es[k] = e
         except OverflowError:
@@ -437,16 +421,14 @@ def kn_trace_sc(vnum, vden, unum, uden, num3, den3, q: complex, A: complex,
             aup = abs(up)
         except OverflowError:
             aup = inf
-        # K1 and K2 take ck's exponent at once, which rescaling commutes with
-        ck = ms[4]
-        lead = 1.0 - A * qk[off + 1 - N]
+        ck = (ms[4], es[4])
+        lead = (1.0 - A * qk[off + 1 - N], 0)
         vals = []
-        for m, e, zs in ((ms[0], es[0] + es[4], (lead, ck)),
-                         (ms[1], es[1] + es[4], (ck,)),
-                         (ms[2], es[2], ()), (ms[3], es[3], ())):
+        for m, e, zs in zip(ms, es, ((lead, ck), (ck,), (), ())):
             try:
-                for z in zs:
+                for z, ez in zs:
                     m = m * z
+                    e += ez
                     if not lo <= abs(m) <= hi:
                         m, e = _rescale(m, e)
                         if not abs(m) < inf:

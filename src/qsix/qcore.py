@@ -177,12 +177,16 @@ def _qpochhammer_sc(a: complex, ctx: QContext, n: int):
 
 
 def _sc_value(m: complex, e: int) -> complex:
-    """Value of the scale-tracked product m * 2^e."""
+    """Value of the scale-tracked product m * 2^e. The error names it with
+    the larger part of m in [1, 2), the same for every m * 2^e of one
+    value."""
     try:
         return complex(math.ldexp(m.real, e), math.ldexp(m.imag, e))
     except OverflowError:
-        raise DomainError(f"scaled q-product {m} * 2^{e} is out of double "
-                          f"range") from None
+        k = math.frexp(max(abs(m.real), abs(m.imag)))[1] - 1
+        m = complex(math.ldexp(m.real, -k), math.ldexp(m.imag, -k))
+        raise DomainError(f"scaled q-product {m} * 2^{e + k} is out of "
+                          f"double range") from None
 
 
 def qpochhammer_multi(as_: Sequence[complex], ctx: QContext, n: int) -> complex:

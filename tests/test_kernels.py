@@ -62,7 +62,7 @@ from qsix.config import ZERO_EPS
 from qsix.errors import DomainError, PoleError, QSixError
 from qsix.qcore import EvalResult, QContext, TruncationPolicy, _sc_value
 from qsix.series import BaileyParams, TParams
-from qsix._kernels_py import (_FAR, _HI, _KEEP, _KN_STEPS, _LO, BUDGET,
+from qsix._kernels_py import (_KN_STEPS, _LO, _PART_MIN, BUDGET,
                               DIVERGED, OK, POLE, TERMINATED, _OVERFLOW,
                               _crossing, _quiet_edges, _row_cuts, _stop,
                               cpow_int)
@@ -265,6 +265,9 @@ def test_a_modulus_past_double_range_is_diverged_not_an_overflow_error():
 _PAST_RANGE = TruncParams(q=-0.967 - 0.043j, A=0.3 + 0.1j, B=0.2,
                           C=-1.7485695630195712 + 0.2345004799569423j,
                           D=0.25j, E=0.15, N=0)
+#: a trace whose q has an imaginary part 1e-79 of its real part
+_TINY_IMAG = TruncParams(q=0.9 + 9e-80j, A=2.0, B=0.3, C=3.0, D=0.7, E=1.1,
+                         N=0)
 
 
 def test_kn_trace_piece_with_a_modulus_past_double_range_is_domain_error():
@@ -1196,21 +1199,22 @@ def _kn_trace_cases():
     # downward factors that leave double range, the first at N = 1453
     cases.append((sample("trunc", KN_DECAY, 7, 1)[0], 2000))
     cases += [(p, 3000) for p in plain[:8] + band[:4]]
-    # an |x w| on, or an ulp or two off, the edges of the quiet rows (the
-    # shell's 1/4 and 4, and 2^10 of the far rows): vnum's one base at N =
-    # k, and a base of any row of a band draw
-    for s in (0.25, 4.0, _FAR):
+    # an |x w| on, or an ulp or two off, the edges 1/4 and 4 of the quiet
+    # rows: vnum's one base at N = k, and a base of any row of a band draw
+    for s in (0.25, 4.0):
         for eps in (-1e-15, 0.0, 1e-15):
             for k in (1, 3):
                 t = generic.q ** k * s * (1.0 + eps)
                 cases.append((generic.replace(**_KN_STOPS[1](generic, t)), 8))
     for p in rng.sample(band, 30):
-        t = (p.q ** rng.randint(0, 6) * rng.choice((0.25, 4.0, _FAR))
+        t = (p.q ** rng.randint(0, 6) * rng.choice((0.25, 4.0))
              * (1.0 + rng.choice((-1e-15, 1e-15))))
         cases.append((p.replace(**rng.choice(_KN_STOPS)(p, t)), 80))
-    # past the far rows' bound, to DIVERGED after 21796 K_N; and the K3
-    # numerator product at 0 from N = 1 on
-    cases += [(_PAST_RANGE, 21800), (generic.replace(E=4.0, C=12.0), 80)]
+    # past the quiet rows' bound, to DIVERGED after 21796 K_N; the K3
+    # numerator product at 0 from N = 1 on; and a q with a tiny imaginary
+    # part, whose far dividing chains end with a subnormal imaginary part
+    cases += [(_PAST_RANGE, 21800), (generic.replace(E=4.0, C=12.0), 80),
+              (_TINY_IMAG, 1800)]
     return cases
 
 
@@ -1222,10 +1226,10 @@ def test_kn_trace_matches_the_row_step_trace():
         assert (_trace_outcome(ID.kn_trace, p, n_max)
                 == _trace_outcome(ref_kn_trace, p, n_max)), (p, n_max)
         seen |= _trace_covers(p, n_max)
-    kinds = ("near kept", "near redone", "far", "between", "past bound",
-             "tested")
-    assert seen == ({f"{kind} {how}" for kind in kinds
+    assert seen == ({f"{kind} {how}" for kind in ("quiet", "past bound",
+                                                  "tested")
                      for how in ("divided", "multiplied")}
+                    | {"redone divided"}
                     | {f"pole in row {row}" for row in _DIVIDING})
 
 
@@ -1276,27 +1280,23 @@ def _trace_covers(p, n_max: int) -> set:
 
 
 def _step_kind(cut, xs, w, divide: bool, m: complex) -> str:
-    """How the kernel takes a row step of the rows xs on m at the power w:
-    a near row whose chain it keeps or takes again factor by factor, a far
-    row, a quiet row between, a row with every |x w| above 4 but past the
-    far rows' bound, or a row it tests factor by factor."""
-    near, shell, far_lo, far_hi, spread = cut
+    """How the kernel takes a row step of the bases xs on m at the power
+    w: as a quiet row's chain, or again factor by factor where the chain
+    ends with a tiny part, or as a row with every |x w| above 4 but past
+    the quiet rows' bound, or a row it tests factor by factor."""
+    near, far_lo, far_hi = cut
     try:
         aw = abs(w)
     except OverflowError:
         aw = math.inf
-    if aw < near:
+    if aw < near or far_lo < aw <= far_hi:
         c = m
         for x in xs:
             c = c * (1.0 / (1.0 - x * w) if divide else 1.0 - x * w)
-        u = _KEEP - aw * spread
-        kept = _LO <= abs(c) * u and abs(c) <= _HI * u
-        return "near kept" if kept else "near redone"
-    if far_lo <= aw <= far_hi:
-        return "far"
-    if shell < aw:
-        return "between" if aw <= far_hi else "past bound"
-    return "tested"
+        tiny = (0.0 < abs(c.real) < _PART_MIN
+                or 0.0 < abs(c.imag) < _PART_MIN)
+        return "redone" if tiny and abs(c) < _LO else "quiet"
+    return "past bound" if far_lo < aw else "tested"
 
 
 #: points where a piece of K_N is past double range as a value while every
