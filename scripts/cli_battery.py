@@ -227,6 +227,10 @@ def invocations(tmp: str) -> list:
         ["check", "kn-decay", "--q=-0.967,-0.043", "--A", "0.3,0.1", "--B",
          "0.2,0", "--C=-1.7485695630195712,0.2345004799569423", "--D",
          "0,0.25", "--E", "0.15,0", "--n-max", "100000"],
+        # a walk's base CDEX with finite parts but a modulus past the
+        # largest double
+        ["eval", "t", "--q", "0.99,0", "--X", "1,1", "--B", "1e-300,0",
+         "--C", "0.5,0", "--D", "1.7e154,0", "--E", "1.7e154,0"],
     ]
     # A^2 q^2 underflows to 0
     out += [["check", name, *TINY_A] for name in ("kn-decay", "recurrence",

@@ -23,22 +23,22 @@ whose modulus is past the largest double; `qpoch_sc`, `pow_sc` and
 `kn_trace_sc` catch it around their loops, at no cost per factor, and
 stop DIVERGED as for an infinite modulus.
 
-`series_side` skips that test, and the other per-factor tests, on
-"quiet stretches": index ranges, worked out once per walk from log|x| and
-log|q|, over which every |x q^m| stays below 1/4 or above 4. The computed
-x q^m is then below 1/2 or above 2: the incremental q^m drifts by ~1e-12
-relative over 10^4 steps, far inside that factor of 2, and each end of a
-stretch keeps one index more. With eps <= 1/4 the test fires only for
-|x q^m| in [3/5, 5/3], so it cannot fire there. A stretch multiplies the
-same factors in the same order, so every return is bit for bit the one
-that testing each factor gives.
+Both walks skip that test on "quiet" steps, judged per step by `_cuts`
+from the extreme moduli of the step's bases x and the modulus of its
+power w (q^m in `series_side`, q^{+-N} in `kn_trace_sc`): every |x w| is
+below 1/4, or every nonzero |x w| is above 4 and at most a far bound
+(1e250 in `series_side`, 2^(800/n) for a K_N row of n bases), and |w|
+is at most 1e300. With eps <= 1/4 the test fires only for |x w| in
+[3/5, 5/3], and a factor with x = 0 is 1, so it cannot fire on a quiet
+step; w and x w are far from overflow there, so `abs()` cannot raise.
+`series_side` carries |q^m| as one float, multiplied each step by |q|
+or |1/q|, which drifts from the computed |q^m| by about m u relative:
+far inside the gaps between 1/4 and 3/5, 5/3 and 4, 1e300 and overflow.
+A quiet step multiplies the same factors in the same order as a tested
+one, in `series_side` r (1 - t w) / (1 - b w), so every return is bit
+for bit the one that testing each factor gives.
 
-`kn_trace_sc` takes most of its row steps on "quiet rows", judged per
-step from the row's largest and smallest nonzero |x| and |w| for the
-power w of the step: every |x w| is below 1/4, or every nonzero |x w| is
-above 4 and at most 2^(800/n), n the row's count. No pole test can fire
-there: with eps <= 1/4 it fires only for |x w| in [3/5, 5/3], and a
-factor with x = 0 is 1. So the step is one chain m f_1 ... f_n, the
+`kn_trace_sc` takes a quiet row step as one chain m f_1 ... f_n, the
 factors multiplied in the row's order with no test, then one range test
 and the rescale. Each factor is within [3/4, 5/4] or [3, 2^(800/n) + 1]
 in modulus, or the reciprocal, so from |m| <= 2^8 no partial product
@@ -107,16 +107,11 @@ _OVERFLOW = 1e150
 #: the smallest normal double: a product below it has lost digits
 _TINY = sys.float_info.min
 
-#: quiet stretches: factors with |x q^m| outside [1/4, 4]; log of 4
-_LOG_SHELL = math.log(4.0)
 #: largest eps for which a quiet factor's zero or pole test cannot fire
 _QUIET_EPS = 0.25
-#: no stretch for an |x| outside [1e-280, 1e280], or past a step whose
-#: |q^m| leaves [1e-300, 1e300] or, downward, whose |x q^m| tops 1e250
-_X_MIN = 1e-280
-_X_MAX = 1e280
-_LOG_NORMAL = math.log(1e300)
-_LOG_HUGE = math.log(1e250)
+#: largest |w| of a quiet step: w, computed or carried, is far from
+#: overflow there
+_W_MAX = 1e300
 #: log of the largest modulus of a complex with two finite parts, sqrt(2)
 #: times the largest double (the literal 1.8e308 is already inf)
 _LOG_MAX = math.log(sys.float_info.max) + 0.5 * math.log(2.0)
@@ -263,22 +258,23 @@ _CHAIN_LOG2 = 800
 _PART_MIN = 2.0 ** 53 * sys.float_info.min
 
 
-def _row_cuts(xs):
-    """(near, far_lo, far_hi) of a K_N trace row at a power w: the row is
-    quiet where |w| < near or far_lo < |w| <= far_hi. A row with an x
-    that is not finite is never quiet."""
+def _cuts(xs, far: float):
+    """(near, far_lo, far_hi) of the bases xs: a step at the power w is
+    quiet where |w| < near or far_lo < |w| <= far_hi, so that every
+    |x w| is below 1/4, or every nonzero |x w| above 4 and at most far,
+    and |w| is at most _W_MAX. Bases with an x that is not finite, or
+    whose moduli sum past the largest double, are never quiet."""
     try:
-        mags = [abs(x) for x in xs]
+        mags = list(map(abs, xs))
     except OverflowError:
         mags = [math.inf]
-    if not all(a < math.inf for a in mags):
+    if not sum(mags) < math.inf:
         return 0.0, math.inf, 0.0
     big = max(mags, default=0.0)
     if not big:
-        return math.inf, math.inf, 0.0
-    small = min(a for a in mags if a)
-    return (0.25 / big, 4.0 / small,
-            math.ldexp(1.0, _CHAIN_LOG2 // len(xs)) / big)
+        return _W_MAX, math.inf, 0.0
+    return (min(0.25 / big, _W_MAX), 4.0 / min(filter(None, mags)),
+            min(far / big, _W_MAX))
 
 
 def kn_trace_sc(vnum, vden, unum, uden, num3, den3, q: complex, A: complex,
@@ -332,9 +328,11 @@ def kn_trace_sc(vnum, vden, unum, uden, num3, den3, q: complex, A: complex,
     es = [0] * 5
     # each step with its row's bases and quiet cuts (a scalar step reads
     # neither); the first N skips the steps on q^-N
-    steps = [(k, row, iw, divide, rows[row] if row >= 0 else (),
-              *_row_cuts(rows[row] if row >= 0 else ()))
-             for k, row, iw, divide in _KN_STEPS]
+    steps = []
+    for k, row, iw, divide in _KN_STEPS:
+        xs = rows[row] if row >= 0 else ()
+        far = math.ldexp(1.0, _CHAIN_LOG2 // (len(xs) or 1))
+        steps.append((k, row, iw, divide, xs, *_cuts(xs, far)))
     first = [step for step in steps if step[2]]
     up = down = 1.0 + 0j
     aup = adown = 1.0
@@ -565,58 +563,6 @@ def _inf_product(a: complex, q: complex, euler, max_terms: int,
     return value, abs(acc) * bound, k + len(coeffs), 0, OK
 
 
-def _quiet_edges(xs, absq: float, down: bool, eps: float) -> list:
-    """Steps at which a walk enters or leaves a quiet stretch, the last
-    first, for popping; [] when it has none.
-
-    At step s the factors are 1 - x q^m, m = s upward and m = -(s + 1)
-    downward, for each x in xs. A step is quiet when every |x q^m| lies
-    outside [1/4, 4], with one index to spare at each end, while |q^m|
-    stays within [1e-300, 1e300] and, downward, every |x q^m| below 1e250
-    (one index to spare again). The stretches taken are the one before the
-    first factor nears the shell and the one after the last has left it;
-    only the extreme moduli of xs decide them. A zero x never vanishes a
-    factor.
-    """
-    if not (0.0 < absq < 1.0 and eps <= _QUIET_EPS):
-        return []
-    small = math.inf
-    big = 0.0
-    for x in xs:
-        ax = abs(x)
-        if ax:
-            if ax < small:
-                small = ax
-            if ax > big:
-                big = ax
-    if not (_X_MIN <= small and 0.0 < big <= _X_MAX):
-        return []
-    lg = -math.log(absq)
-    end = math.ceil(_LOG_NORMAL / lg) - 2
-    # the factor of x is in the shell for steps between (c - log 4)/lg - off
-    # and (c + log 4)/lg - off, c = log|x| upward and -log|x| downward; the
-    # smallest c enters it first and the largest leaves it last
-    if down:
-        off = 1.0
-        first = -math.log(big)
-        last = -math.log(small)
-        huge = math.ceil((_LOG_HUGE + first) / lg) - 2
-        if huge < end:
-            end = huge
-    else:
-        off = 0.0
-        first = math.log(small)
-        last = math.log(big)
-    lead = math.ceil((first - _LOG_SHELL) / lg - off) - 1
-    trail = math.floor((last + _LOG_SHELL) / lg - off) + 2
-    if trail < 0:
-        trail = 0
-    edges = [end, trail] if trail < end else []
-    if 0 < lead:
-        edges += (lead if lead < end else end, 0)
-    return edges
-
-
 def _overflowed(w: complex) -> bool:
     """Whether x q^m has left double range; read only where the zero or pole
     test fired, which an infinite |x q^m| passes as inf <= inf."""
@@ -690,16 +636,16 @@ def series_side(num, den, q: complex, z: complex, direction: int,
     peak is the largest |t(n)| of the steps taken; over the sum it
     measures how much term rounding a consumer of the sum inherits.
 
-    Steps on a quiet stretch (`_quiet_edges`: every |x q^m| outside
-    [1/4, 4], and below 1e250 downward) skip the zero and pole tests,
-    which cannot fire there. A step off the stretches computes each
-    factor once, for its test and for the step ratio; where a test fires,
-    or abs() overflows on an x q^m, `_tested_stop` takes the zero tests
-    and then the pole tests in order, so the stop is the first that
-    testing in that order meets. The ratio product, the term, peak and
-    the tail test run on every step. The overflow test runs where a term
-    sets a new peak (a term over 1e150 has already stopped the walk), and
-    a NaN term is caught where it does not.
+    A quiet step (module docstring: every |x q^m| below 1/4, or every
+    nonzero one above 4 and at most 1e250) skips the zero and pole tests,
+    which cannot fire there. Any other step computes each factor once,
+    for its test and for the step ratio; where a test fires, or abs()
+    overflows on an x q^m, `_tested_stop` takes the zero tests and then
+    the pole tests in order, so the stop is the first that testing in
+    that order meets. The ratio product, the term, peak and the tail test
+    run on every step. The overflow test runs where a term sets a new
+    peak (a term over 1e150 has already stopped the walk), and a NaN term
+    is caught where it does not.
 
     A step whose x q^m has left double range ends the walk DIVERGED: the
     zero and pole tests cannot tell such a factor from a vanished one.
@@ -741,16 +687,16 @@ def series_side(num, den, q: complex, z: complex, direction: int,
     # below it (their zeros are poles); bad_is_num flags a num-side factor
     tops, bots, top_is_num = (den, num, 0) if down else (num, den, 1)
     pairs = tuple(zip(tops, bots))
-    edges = _quiet_edges((*num, *den), abs(q), down,
-                         zero_eps if zero_eps > pole_eps else pole_eps)
-    edge = edges.pop() if edges else -1
-    quiet = False
+    # |q^m| for the next step's factors, carried by its own multiplier
+    aq = abs(1.0 / q) if down else abs(q)
+    aqe = aq if down else 1.0
+    if zero_eps > _QUIET_EPS or pole_eps > _QUIET_EPS:
+        near, far_lo, far_hi = 0.0, math.inf, 0.0
+    else:
+        near, far_lo, far_hi = _cuts((*num, *den), 1e250)
     while steps < limit:
-        if steps == edge:
-            quiet = not quiet
-            edge = edges.pop() if edges else -1
         r = step_z
-        if quiet:
+        if aqe < near or far_lo < aqe <= far_hi:
             for t, b in pairs:
                 r = r * (1.0 - t * qe) / (1.0 - b * qe)
         else:
@@ -798,6 +744,7 @@ def series_side(num, den, q: complex, z: complex, direction: int,
         else:
             run = 0
         prev_abs = abs_term
+        aqe *= aq
         left -= 1
         if left:
             qe = qe / q if down else qe * q

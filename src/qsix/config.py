@@ -12,7 +12,9 @@ POLE_EPS = 1e-12
 #: relative distance at which a numerator factor counts as an exact zero
 ZERO_EPS = 5e-15
 
-#: incremental series evaluation refreshes the running term this often
+#: a series walk refreshes its running power q^m by exact integer
+#: exponentiation every this many steps; the ratio product stays
+#: incremental
 RECOMPUTE_EVERY = 64
 
 #: consecutive satisfying terms before a walk's tail counts as converged

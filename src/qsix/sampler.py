@@ -214,23 +214,35 @@ def _kind(kind: str) -> tuple:
     return _KINDS[kind]
 
 
-#: kind -> the expressions of the bases that violations() holds to the
-#: pole margin: every base of the kind's table BASES but q, whose (q;q)
-#: factors 1 - q^{k+1} cannot vanish, and X, which `_audited` adds
-_AUDITED = {kind: tuple(f for name, f in cls.BASES.items()
+#: kind -> the names and expressions of the bases that violations()
+#: holds to the pole margin: every base of the kind's table BASES but q,
+#: whose (q;q) factors 1 - q^{k+1} cannot vanish, and X, which
+#: `_audited` adds
+_AUDITED = {kind: tuple((name, f) for name, f in cls.BASES.items()
                         if name not in ("q", "X"))
             for kind, (cls, _) in _KINDS.items()}
 
 
-def _audited(kind: str, p) -> list:
-    """The values of the bases that violations() holds to the pole margin,
-    X among them but at X = q exactly: there the (X;q) zeros collapse the
-    downward side of T by design (the unilateral specialization), while
-    off that point they are poles."""
-    xs = [f(p) for f in _AUDITED[kind]]
+def _audited(kind: str, p) -> tuple:
+    """(xs, bad): xs the values of the bases that violations() holds to
+    the pole margin, X among them but at X = q exactly: there the (X;q)
+    zeros collapse the downward side of T by design (the unilateral
+    specialization), while off that point they are poles. bad is None,
+    or the name of the first base that divides by zero or whose modulus
+    is not a finite double, where xs stops."""
+    xs = []
+    for name, f in _AUDITED[kind]:
+        try:
+            x = f(p)
+            if abs(x) < math.inf:
+                xs.append(x)
+                continue
+        except (ZeroDivisionError, OverflowError):
+            pass
+        return xs, name
     if kind == "t_params" and p.X != p.q:
         xs.append(p.X)
-    return xs
+    return xs, None
 
 
 def violations(kind: str, params, constraints: SampleConstraints) -> list:
@@ -253,6 +265,11 @@ def violations(kind: str, params, constraints: SampleConstraints) -> list:
             out.append(f"|{name}| = {abs(v):.6g} outside "
                        f"param_modulus_range")
 
+    xs, bad = _audited(kind, p)
+    if bad is not None:
+        # the series argument and the pole margin read the table's bases
+        out.append(f"factor base {bad} out of double range")
+        return out
     arg = abs(p.series_arg)
     if kind == "trunc" and "kn_decay_base_min" in con.convergence_caps:
         mn = con.cap("kn_decay_base_min")
@@ -267,7 +284,7 @@ def violations(kind: str, params, constraints: SampleConstraints) -> list:
             out.append(f"|a^2 q/(bcde)| = {arg:.6g} exceeds cap")
     elif not con.cap("t_arg_min") <= arg <= con.cap("t_arg_max"):
         out.append(f"|C/q^3| = {arg:.6g} outside t arg caps")
-    x = margin_hit(_audited(kind, p), q, con.pole_margin)
+    x = margin_hit(xs, q, con.pole_margin)
     if x is not None:
         out.append(f"factor base {x:.6g} within pole margin of a q-shift "
                    f"of 1")

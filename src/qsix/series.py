@@ -249,10 +249,15 @@ def _side(num, den, q, z, direction, vwp_a, fixed, policy,
     Returns (acc, tail, used, terminated, peak); peak is the kernel's
     largest |term|.
     """
-    acc, tail, used, status, bad_is_num, bad_slot, bad_exp, peak = \
-        _K.series_side(tuple(num), tuple(den), q, z, direction, vwp_a,
-                       vwp_a != 0, fixed, policy.tail_tol, policy.max_terms,
-                       STAGNATION_WINDOW, POLE_EPS, ZERO_EPS, RECOMPUTE_EVERY)
+    try:
+        acc, tail, used, status, bad_is_num, bad_slot, bad_exp, peak = \
+            _K.series_side(tuple(num), tuple(den), q, z, direction, vwp_a,
+                           vwp_a != 0, fixed, policy.tail_tol,
+                           policy.max_terms, STAGNATION_WINDOW, POLE_EPS,
+                           ZERO_EPS, RECOMPUTE_EVERY)
+    except OverflowError:
+        # a base whose modulus abs() refuses: its x q^m is out of range
+        status = _K.DIVERGED
     if status == _K.POLE:
         if bad_is_num:
             name = (num_names[bad_slot] if num_names

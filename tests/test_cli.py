@@ -251,6 +251,15 @@ def test_check_divergent_series_exit_code():
     assert "did not converge" in r.stderr
 
 
+def test_eval_t_base_whose_modulus_overflows_abs_exit_code():
+    # the denominator CDEX has finite parts but a modulus past the largest
+    # double; this used to exit 1 with a raw OverflowError
+    r = run("eval", "t", "--q", "0.99,0", "--X", "1,1", "--B", "1e-300,0",
+            "--C", "0.5,0", "--D", "1.7e154,0", "--E", "1.7e154,0")
+    assert r.returncode == 3
+    assert r.stderr == "did not converge: series terms fail to decay\n"
+
+
 def test_check_out_of_range_index_is_domain_error():
     # U_{-400} ~ -2.57+0.47j is in range, but the right side converts its
     # numerator and denominator q-products separately, and those halves

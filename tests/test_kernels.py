@@ -16,11 +16,14 @@ piece whose parts are finite but whose modulus is past the largest
 double (a stop, not a raw OverflowError), and `qpoch_inf_row` and
 `qpochhammer_inf` on their memory at |q| near 1.
 
-`series_side` skips its zero and pole tests on quiet stretches. A seeded
-fuzz holds it to `repr`-equal returns with a reference copy that tests
-every factor, on inputs that put factors on, next to and far from their
-zeros and poles, and asserts that it reached every stop status, fixed
-mode, a stretch left, a zero term and recompute_every 0 and 1.
+`series_side` skips its zero and pole tests on quiet steps, judged by
+the cuts of `_cuts`. A seeded fuzz holds it to `repr`-equal returns with
+a reference copy that tests every factor, on inputs that put factors on,
+next to and far from their zeros and poles, and on walks whose factors
+sit on the cuts, at eps up to and past 1/4. It asserts that it reached
+every stop status, fixed mode, a quiet step below 1/4 and one above 4, a
+tested step after a quiet one, a downward step tested past the far
+bound, a zero term and recompute_every 0 and 1.
 
 `qpoch_inf` and `qpoch_inf_row` take a head of factors, then Euler's
 series. Two fuzzes hold them to a reference that tests every head factor
@@ -62,10 +65,10 @@ from qsix.config import ZERO_EPS
 from qsix.errors import DomainError, PoleError, QSixError
 from qsix.qcore import EvalResult, QContext, TruncationPolicy, _sc_value
 from qsix.series import BaileyParams, TParams
-from qsix._kernels_py import (_KN_STEPS, _LO, _PART_MIN, BUDGET,
-                              DIVERGED, OK, POLE, TERMINATED, _OVERFLOW,
-                              _crossing, _quiet_edges, _row_cuts, _stop,
-                              cpow_int)
+from qsix._kernels_py import (_CHAIN_LOG2, _KN_STEPS, _LO, _PART_MIN,
+                              BUDGET, DIVERGED, OK, POLE, TERMINATED,
+                              _OVERFLOW, _QUIET_EPS, _crossing, _cuts,
+                              _stop, cpow_int)
 
 ARGS = (1e-15, 10000, 3, 1e-12, 5e-15, 64)
 
@@ -415,7 +418,7 @@ def test_series_side_stop_status(side, status, used, bad_exp):
 
 
 # --- the walk with every factor tested, kept as the reference that the
-# quiet stretches must reproduce bit for bit ---
+# quiet steps must reproduce bit for bit ---
 
 
 def ref_series_side(num, den, q: complex, z: complex, direction: int,
@@ -1021,24 +1024,77 @@ def test_kn_limit_matches_products_taken_one_at_a_time(monkeypatch):
     assert got == [_value_outcome(ID.kn_limit, p) for p in points]
 
 
+def _series_side_edges():
+    """Walks whose factors sit on the cuts of the quiet rule: an |x q^k|
+    at 1/4 or 4 times (1 - 1e-15, 1, 1 + 1e-15), or where eps = 1/4
+    fires (0.62, 1.6), at eps up to and past 1/4, bases near 1e250, 1e280
+    and 1e-280 (past the far bound within a few steps, or far beyond the
+    shell), tiny bases walked until q^m overflows, and a zero base."""
+    q = 0.6 + 0.3j
+    cases = []
+    for s in (0.25, 0.62, 1.6, 4.0):
+        for eps in (-1e-15, 0.0, 1e-15):
+            for k, direction in ((3, 1), (-4, -1), (12, 1), (-12, -1)):
+                x = s * (1.0 + eps) * q ** -k
+                for num, den in (((x,), (0j,)), ((0j,), (x,)),
+                                 ((x, 0.02 + 0j), (0.01j, 0j))):
+                    # the fuzz's eps, the widest eps of the rule, and a
+                    # wider one, which no step may skip
+                    for tests in ((1e-12, 5e-15), (0.25, 0.25),
+                                  (0.7, 1e-12), (1e-12, 0.7)):
+                        for fixed in (-1, 30):
+                            cases.append((num, den, q, 0.7 + 0j, direction,
+                                          0j, False, fixed, *ARGS[:3],
+                                          *tests, ARGS[5]))
+    for big in (1e250, 3e279, 1e280, 1e-280, 2.5e-281):
+        for direction in (1, -1):
+            for num, den in (((big, 0.3 + 0j), (big * 1j, 0.7 + 0j)),
+                             ((big,), (big * (1 + 1e-9),)),
+                             ((0.4 + 0j,), (big,))):
+                for fixed in (-1, 40, 400):
+                    cases.append((num, den, 0.5 + 0.1j, 0.9 + 0j, direction,
+                                  0j, False, fixed, *ARGS))
+    # equal tiny bases, whose far (or, subnormal, near) bound is past
+    # double range: downward to where q^m leaves it, with every term 1
+    for x, q_tiny, fixed in (
+            (3e-100 - 1e-100j, -0.22 + 0.32j, 2000),
+            (2e-250j, -0.22 + 0.32j, 2000),
+            (-1.1386794e-315 + 9.14354895e-316j,
+             0.5212163484423193 - 0.6738449464001812j, 5000)):
+        cases.append(((x,), (x,), q_tiny, 1 + 0j, -1, 0j, False, fixed,
+                      *ARGS))
+    for direction in (1, -1):
+        for fixed in (-1, 25):
+            cases += [((0j, 2.0 + 0j), (0.3 + 0j, 0j), q, 0.5 + 0j,
+                       direction, 0.2 + 0j, True, fixed, *ARGS),
+                      ((0j,), (0j,), q, 0.5 + 0j, direction, 0j, False,
+                       fixed, *ARGS)]
+    return cases
+
+
 def test_series_side_matches_the_fully_tested_walk():
     rng = random.Random(13)
     cases = [_series_side_args(rng) for _ in range(3000)]
     cases += [side + (-1, *ARGS) for side, *_ in SIDES_STOPPED]
+    cases += _series_side_edges()
     seen = set()
     for args in cases:
         assert (_outcome(K.series_side, args)
                 == _outcome(ref_series_side, args)), args
         seen |= _walk_covers(args)
     assert seen == {OK, TERMINATED, POLE, BUDGET, DIVERGED, "fixed",
-                    "stretch left", "zero term", "recompute 0",
+                    "quiet near", "quiet far", "tested after quiet",
+                    "tested past far", "zero term", "recompute 0",
                     "recompute 1"}
 
 
 def _walk_covers(args) -> set:
-    """What a walk of the fuzz reached: its stop status, fixed mode, a
-    quiet stretch entered and left, an adaptive step after a zero term (so
-    prev_abs == 0), and two steps at recompute_every 0 or 1."""
+    """What a walk of the fuzz reached: its stop status, fixed mode, the
+    kinds of step that `_cuts` tells apart (quiet with every |x q^m| below
+    1/4, quiet with every nonzero one above 4, a tested step after a
+    quiet one, and a downward step tested for an |x q^m| past the far
+    bound), an adaptive step after a zero term (so prev_abs == 0), and
+    two steps at recompute_every 0 or 1."""
     try:
         used, status = ref_series_side(*args)[2:4]
     except ArithmeticError:
@@ -1050,11 +1106,25 @@ def _walk_covers(args) -> set:
         seen.add("fixed")
     if used > 1 and every in (0, 1):
         seen.add(f"recompute {every}")
-    # the steps at which the walk enters and leaves its stretches, in turn
-    edges = _quiet_edges((*num, *den), abs(q), direction < 0,
-                         max(pole_eps, zero_eps))[::-1]
-    if any(used > end for end in edges[1::2]):
-        seen.add("stretch left")
+    # the kernel's |q^m| and cuts for the steps taken
+    down = direction < 0
+    aqe, aq = (abs(1.0 / q), abs(1.0 / q)) if down else (1.0, abs(q))
+    near, far_lo, far_hi = (_cuts((*num, *den), 1e250)
+                            if max(pole_eps, zero_eps) <= _QUIET_EPS
+                            else (0.0, math.inf, 0.0))
+    quiet = False
+    for _ in range(used):
+        if aqe < near:
+            seen.add("quiet near")
+        elif far_lo < aqe <= far_hi:
+            seen.add("quiet far")
+        else:
+            if quiet:
+                seen.add("tested after quiet")
+            if down and far_lo < aqe:
+                seen.add("tested past far")
+        quiet = aqe < near or far_lo < aqe <= far_hi
+        aqe *= aq
     if fixed < 0 and _zero_term(args, used - 1):
         seen.add("zero term")
     return seen
@@ -1254,7 +1324,7 @@ def _trace_covers(p, n_max: int) -> set:
     rows = [p.bases(names) for names in
             (ID._V_NUM[1:], ID._V_DEN, ID._U_NUM, ID._U_DEN[:-1],
              ID._K3_NUM, ID._K3_DEN)]
-    cuts = [_row_cuts(xs) for xs in rows]
+    cuts = [_cuts(xs, math.ldexp(1.0, _CHAIN_LOG2 // len(xs))) for xs in rows]
     ms = [(1.0 + 0j, 0)] * 4
     up = down = 1.0 + 0j
     for N in range(n_max + 1):

@@ -1,5 +1,4 @@
 import cmath
-import functools
 import hashlib
 import json
 import math
@@ -10,7 +9,7 @@ from qsix import (DEFAULT_CAPS, SampleConstraints, TParams,
                   TruncationPolicy, check_Q_constancy, cli, identities,
                   sample, sampler, series, violations)
 from qsix._backend import margin_hit
-from qsix.errors import DomainError, Unsatisfiable
+from qsix.errors import DomainError, QSixError, Unsatisfiable
 from qsix.identities import check_bailey, compute_U, compute_V
 from qsix.report import render_sweep, to_jsonable
 
@@ -108,6 +107,29 @@ def test_impossible_margin_is_unsatisfiable():
     con = SampleConstraints(pole_margin=0.9, max_rejections=50)
     with pytest.raises(Unsatisfiable):
         sample("trunc", con, seed=1, count=1)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("moduli", [(1e100, 1e150), (1e-200, 1e-150)])
+def test_extreme_parameter_moduli_give_draws_or_a_qsix_error(kind, moduli):
+    # bases of the table past double range, or dividing by a product that
+    # underflows to 0, are a reason of violations(), not a raw
+    # ValueError or ZeroDivisionError
+    con = SampleConstraints(param_modulus_range=moduli, max_rejections=50)
+    try:
+        draws = sample(kind, con, seed=1, count=2)
+    except QSixError:
+        return
+    for p in draws:
+        assert violations(kind, p, con) == []
+
+
+def test_base_out_of_double_range_is_a_violation():
+    p = TParams(q=0.5, X=1.0, B=1e-200, C=1e-100, D=1e-200, E=1.0)
+    assert violations("t_params", p, SampleConstraints()) == [
+        "|B| = 1e-200 outside param_modulus_range",
+        "|D| = 1e-200 outside param_modulus_range",
+        "factor base q/BCDEX^2 out of double range"]
 
 
 def test_constraint_validation():
@@ -331,9 +353,6 @@ def _ref_first(xs, q, margin):
     return next((x for x in xs if _ref_margin_bad(x, q, margin)), None)
 
 
-_FACTORS = {kind: functools.partial(sampler._audited, kind)
-            for kind in ("trunc", "bailey_a", "t_params")}
-
 #: |q| ranges: the default one and both ends of it and of (0, 1)
 _Q_RANGES = ((0.25, 0.7), (0.25, 0.26), (0.69, 0.7), (0.02, 0.03),
              (0.97, 0.98))
@@ -344,14 +363,14 @@ def test_margin_audit_matches_the_shell_loop(margin):
     # the kernel's audit visits only the band where the test can fire;
     # its first bad factor base must be the full shell loop's
     hits = misses = 0
-    for kind, factors in _FACTORS.items():
+    for kind in KINDS:
         for index, qr in enumerate(_Q_RANGES):
             con = SampleConstraints(q_modulus_range=qr)
             rng = sampler._rng(18, index)
             for _ in range(20):
                 p = sampler._draw_once(kind, rng, con)
                 q = p.q
-                xs = factors(p)
+                xs = sampler._audited(kind, p)[0]
                 # bases next to q^-j, and a zero base among them
                 near = []
                 for _ in range(6):
@@ -457,7 +476,7 @@ def test_audit_covers_every_base_a_check_divides_by(identity, monkeypatch):
         try:
             return runner(p, policy, tols)
         finally:
-            audited = sampler._audited(kind, p)
+            audited = sampler._audited(kind, p)[0]
             for x in set(seen):
                 assert (x == 0 or x == p.q or _in_orbit(x, audited, p.q)
                         or identity == "rogers"

@@ -209,6 +209,13 @@ def test_vwp_rejects_zero_argument():
         vwp_psi6(0.5, (0.3, 0.4, 0.5, 0.6), 0.0, QContext(0.5))
 
 
+def test_vwp_base_whose_modulus_overflows_abs_diverges():
+    # a q^2/c has finite parts but a modulus past the largest double:
+    # NonConvergence, not a raw OverflowError
+    with pytest.raises(NonConvergence, match="series terms fail to decay"):
+        vwp_psi6(1.7e308, (0.5 + 0.5j, 1, 1, 1), 0.5, QContext(0.99))
+
+
 def test_vwp_rejects_zero_parameter():
     with pytest.raises(DomainError):
         vwp_psi6(0.5, (0.0, 0.4, 0.5, 0.6), 0.2, QContext(0.5))
