@@ -3,9 +3,11 @@
 Each invocation runs as `python -m qsix.cli ARG...` in a child process
 that imports qsix from the given source tree. The battery covers every
 eval form, every check in text and json, every `--help` page, a seeded
-sweep per identity alone and with each numeric flag, the error cases
-of `tests/test_cli.py`, parse edge cases, and one named pole per row
-family that reads the factor-base tables. One line per invocation:
+sweep per identity alone and with each numeric flag, walks whose
+certified tails take each path (a limit ratio near 1 or 0, a loose
+tolerance, a short budget), the error cases of `tests/test_cli.py`,
+parse edge cases, and one named pole per row family that reads the
+factor-base tables. One line per invocation:
 
     EXIT SHA256(stdout) SHA256(stderr) ARG...
 
@@ -51,6 +53,12 @@ ROGERS = ["--q", "0.5,0", "--B", "0.3,0", "--C", "0.1,0", "--D", "0.35,0",
           "--E", "0.45,0"]
 WEIER = ["--b", "0.6,0.2", "--c", "1.3,-0.4", "--x", "0.8,0.5",
          "--z", "1.1,0.3"]
+#: |z| = 0.949: a long upward walk, whose limit ratio is z
+PSI_EDGE = ["--z", "0.9,0.3", "--q", "0.5,0", "--num", "2,0", "--num",
+            "0.3,0", "--den", "0.7,0", "--den", "0.4,0"]
+#: a zero den base: downward it is a top base, and the limit ratio is 0
+ZERO_TOP = ["--z", "0.4,0", "--q", "0.5,0", "--num", "0.45,0", "--num",
+            "0,0.3", "--den", "0,0", "--den", "0.7,0"]
 
 EVALS = {
     "pochhammer": ["--a", "0.5,0", "--q", "0.5,0", "--n", "3"],
@@ -125,6 +133,14 @@ def invocations(tmp: str) -> list:
         if form not in ("pochhammer", "s-trunc"):
             out.append(["eval", form, *args, "--tail-tol", "0.5"])
             out.append(["eval", form, *args, "--max-terms", "1"])
+    # certified walk tails: the long walk, T(X;C) at |C/q^3| = 0.89, a
+    # limit ratio of 0, and the long walk at a loose tail_tol and out of
+    # its budget
+    out += [["eval", "psi", *PSI_EDGE],
+            ["eval", "t", *T_ROW[:6], "--C", "0.11125,0", *T_ROW[8:]],
+            ["eval", "psi", *ZERO_TOP],
+            ["eval", "psi", *PSI_EDGE, "--tail-tol", "0.5"],
+            ["eval", "psi", *PSI_EDGE, "--max-terms", "5"]]
     for name, args in CHECKS.items():
         out.append(["check", name, *args])
         out.append(["check", name, *args, "--format", "json"])

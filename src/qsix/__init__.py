@@ -13,8 +13,7 @@ __version__ = "0.1.0"
 #: access (PEP 562), so `import qsix.cli` loads only the layers it runs.
 _HOMES = {
     "_backend": ("backend_name",),
-    "config": ("POLE_EPS", "RECOMPUTE_EVERY", "STAGNATION_WINDOW",
-               "ZERO_EPS"),
+    "config": ("POLE_EPS", "RECOMPUTE_EVERY", "ZERO_EPS"),
     "errors": ("BudgetExceeded", "DomainError", "IllConditioned",
                "NonConvergence", "PoleError", "QSixError", "Unsatisfiable"),
     "identities": (

@@ -16,6 +16,3 @@ ZERO_EPS = 5e-15
 #: exponentiation every this many steps; the ratio product stays
 #: incremental
 RECOMPUTE_EVERY = 64
-
-#: consecutive satisfying terms before a walk's tail counts as converged
-STAGNATION_WINDOW = 3

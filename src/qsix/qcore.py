@@ -43,17 +43,15 @@ class TruncationPolicy(Record):
     """Caps shared by every infinite sum and product.
 
     tail_tol
-        for a walk, the magnitude below which a term counts toward
-        stagnation; for an infinite product, the relative truncation
-        error it is taken to.
+        for a walk, the goal of its certified tail bound: a walk stops
+        where the bound on the rest, after its geometric tail is added,
+        is at most tail_tol (1 + |partial sum|); for an infinite
+        product, the relative truncation error it is taken to.
     max_terms
         hard budget per one-sided sum, or per product's head of factors.
     hump_max
         cap on a series' term hump max(1, max |term|) / |sum|; a sum over
         it raises IllConditioned. Products are not capped.
-
-    A walk is declared converged after STAGNATION_WINDOW consecutive
-    satisfying terms; products do not use it.
     """
 
     tail_tol: float
@@ -96,11 +94,12 @@ class QContext(Record):
 class EvalResult(Record):
     """Value of a truncated evaluation plus its accounting.
 
-    est_error bounds the truncation error: of a sum under the
-    geometric-tail assumption, of an infinite product (a;q)_inf by the
-    tail bound of Euler's series. Rounding is not included. terminated is
-    True when the result is exact (the sum or product ended on a
-    vanishing factor rather than a tolerance).
+    est_error bounds the truncation error: of a sum, after the geometric
+    tail of each direction's limit ratio is added, by a majorant of every
+    later step ratio (certified, not estimated); of an infinite product
+    (a;q)_inf by the tail bound of Euler's series. Rounding is not
+    included. terminated is True when the result is exact (the sum or
+    product ended on a vanishing factor rather than a tolerance).
     """
 
     value: complex

@@ -45,6 +45,9 @@ class SweepReport(Record):
 
     results hold one entry per draw, ordered by draw_index, each carrying
     the drawn params and either a residual report or a classified error.
+    constraints, results and summary hold JSON-ready values, as
+    `build_sweep_report` makes them; `sweep_to_json` dumps them as they
+    stand.
     """
 
     identity: str
@@ -94,7 +97,10 @@ def build_sweep_report(identity: str, seed: int, constraints,
 
 
 def sweep_to_json(report: SweepReport) -> str:
-    doc = {"schema": SCHEMA, **to_jsonable(report)}
+    """The report as schema-tagged JSON. Its fields are dumped as they
+    stand: `build_sweep_report` has converted them with `to_jsonable`
+    already."""
+    doc = dict(zip(report._fields, report._values(report)), schema=SCHEMA)
     return json.dumps(doc, sort_keys=True, indent=2) + "\n"
 
 

@@ -15,12 +15,14 @@ bases the kind's parameter class names in its table BASES) and the
 opt-in diff_amp_max. Conditioning is judged on the walks the consuming
 check makes: `sample_checked` runs the check on each candidate and
 redraws from the same stream while it raises IllConditioned, which a sum
-raises when its term hump is over its policy's hump_max. sample("bailey_a")
-passes it one such check, the bilateral sum in (a; b, c, d, e) that its
-checks make; a direct caller of sample("t_params") or sample("trunc")
-gets the cap by summing under TruncationPolicy(hump_max=...). Where a
-check is seldom conditioned, its sweep draws from a narrower region
-instead of redrawing (q-constancy's q_modulus_range).
+raises when its term hump is over its policy's hump_max, or
+NonConvergence, which a sum raises where it diverges at the draw.
+sample("bailey_a") passes it one such check, the bilateral sum in
+(a; b, c, d, e) that its checks make; a direct caller of
+sample("t_params") or sample("trunc") gets the cap by summing under
+TruncationPolicy(hump_max=...). Where a check is seldom conditioned, its
+sweep draws from a narrower region instead of redrawing (q-constancy's
+q_modulus_range).
 """
 
 from __future__ import annotations
@@ -30,7 +32,8 @@ from collections.abc import Mapping
 
 from ._backend import margin_hit
 from ._record import Record, set_field
-from .errors import DomainError, IllConditioned, PoleError, Unsatisfiable
+from .errors import (DomainError, IllConditioned, NonConvergence,
+                     PoleError, Unsatisfiable)
 from .qcore import QContext, TruncationPolicy, _index
 from .series import BaileyParams, TParams, TruncParams, _bailey_sum
 
@@ -342,7 +345,9 @@ def sample(kind: str, constraints: SampleConstraints, seed: int,
 
     trunc draws carry N = 0; window sizes are the consumer's choice.
     bailey_a draws also keep check_bailey("a")'s bilateral sum within the
-    constraints' hump_max; its other errors propagate.
+    constraints' hump_max, and convergent: a candidate whose sum diverges
+    (as where a base's modulus sends the terms past double range, or the
+    argument underflows to 0) is redrawn. Its other errors propagate.
     Raises Unsatisfiable when a draw index exhausts max_rejections.
     """
     policy = TruncationPolicy(hump_max=constraints.cap("hump_max"))
@@ -359,11 +364,14 @@ def sample_checked(kind: str, constraints: SampleConstraints, seed: int,
                    count: int, check) -> list:
     """(params, check(params)) for count draws keyed by (seed, draw index).
 
-    A candidate is accepted when it passes violations() and check does not
-    raise IllConditioned on it; otherwise the next candidate is drawn from
-    the same stream. Any other error of check propagates. Raises
-    Unsatisfiable when a draw index exhausts max_rejections; it names how
-    many candidates the check's hump cap refused, and the last refusal.
+    A candidate is accepted when it passes violations() and check raises
+    no NonConvergence on it: neither IllConditioned (a sum over its hump
+    cap) nor another non-convergence (a sum that diverges at the draw,
+    or runs out of its term budget). Otherwise the next candidate is
+    drawn from the same stream. Any other error of check propagates.
+    Raises Unsatisfiable when a draw index exhausts max_rejections; it
+    names how many candidates the check refused for each reason, and
+    the last refusal.
     """
     count = _index(count, "count")
     if count < 0:
@@ -371,7 +379,7 @@ def sample_checked(kind: str, constraints: SampleConstraints, seed: int,
     out = []
     for index in range(count):
         rng = _rng(seed, index)
-        ill = 0
+        ill = diverged = 0
         for _ in range(constraints.max_rejections):
             p = _draw_once(kind, rng, constraints)
             if violations(kind, p, constraints):
@@ -381,9 +389,15 @@ def sample_checked(kind: str, constraints: SampleConstraints, seed: int,
                 break
             except IllConditioned as exc:
                 ill, last = ill + 1, exc
+            except NonConvergence as exc:
+                diverged, last = diverged + 1, exc
         else:
-            why = f", {ill} over the check's hump_max (last: {last})" \
-                if ill else ""
+            why = "".join(
+                f", {n} {reason}" for n, reason in
+                ((ill, "over the check's hump_max"),
+                 (diverged, "whose check's sum did not converge")) if n)
+            if why:
+                why += f" (last: {last})"
             raise Unsatisfiable(
                 f"draw {index} for kind {kind!r} exhausted "
                 f"{constraints.max_rejections} rejections{why}")

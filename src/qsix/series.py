@@ -13,7 +13,7 @@ from types import SimpleNamespace
 
 from . import _backend as _K
 from ._record import Record, set_field
-from .config import POLE_EPS, RECOMPUTE_EVERY, STAGNATION_WINDOW, ZERO_EPS
+from .config import POLE_EPS, RECOMPUTE_EVERY, ZERO_EPS
 from .errors import BudgetExceeded, DomainError, IllConditioned, \
     NonConvergence, PoleError
 from .qcore import DEFAULT_POLICY, EvalResult, QContext, TruncationPolicy, \
@@ -253,8 +253,8 @@ def _side(num, den, q, z, direction, vwp_a, fixed, policy,
         acc, tail, used, status, bad_is_num, bad_slot, bad_exp, peak = \
             _K.series_side(tuple(num), tuple(den), q, z, direction, vwp_a,
                            vwp_a != 0, fixed, policy.tail_tol,
-                           policy.max_terms, STAGNATION_WINDOW, POLE_EPS,
-                           ZERO_EPS, RECOMPUTE_EVERY)
+                           policy.max_terms, 0, POLE_EPS, ZERO_EPS,
+                           RECOMPUTE_EVERY)
     except OverflowError:
         # a base whose modulus abs() refuses: its x q^m is out of range
         status = _K.DIVERGED

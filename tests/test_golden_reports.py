@@ -16,21 +16,21 @@ DIGESTS = {
     "abel":
         "253315019d9564f1acb49f35fb0488d7bac196147ddde8fc38dc936050d49423",
     "bailey-a":
-        "295dc2a30efaf75b8e778878afe2dfe3060134d256893bcc6fe9f3fe4a752b40",
+        "dc849be3933ecdc2f9c2f588c1ea95cf157ea89195c80fdfc15ef7c8d44699f3",
     "bailey-x":
-        "88cc5aa7d363944bbc9cc473dff2604d86a8f230624f1fa7af638ac37ff259a5",
+        "e3becf9c9339e593eaa078325719b5a4398232fe2b7b9284149a3591fd8893a1",
     "kn-decay":
         "5abaf9c7a781fef33e84c8e5103d83a68a25549fb7bffa503da1b0a68e6dcd86",
     "q-constancy":
-        "1bb4c66cdc1305be91a8792e40bb71fe7ea50d796c2319de8462a4642dcd316a",
+        "351cc6b236b8c94fb94947bec32792951aeacaa83651c1c44573d6bcebfbcf0f",
     "recurrence":
         "0d8b877305da44ccef58c5a2be14292d3554d8291b784bb18256b3dcea498463",
     "remark1":
         "aed3c4d6064630dc4ea444dd0ff42dfc026bf0bb5901a63159f0ba50f7022099",
     "rogers":
-        "07f95342f362922bade60e17928d4cca6e5c5f3fd101b063ccab9275b712228d",
+        "aa98801c88be09e81a7afeb0c0ef4c651e459d8d4c3c24900e64b1f4e7c4a2d2",
     "t-recursion":
-        "ed77c3e52ed9ee109b5ac6507a622cc70a08a0c78744e5fca48b0956a3597993",
+        "affd5d6f2985df9625b3aeebf534013b50f88bbd6c7c04aa8af4b5e3307f3007",
     "udiff":
         "a336c3c69ad7fd2feffc3d5505f1b27c20f1b0007e8e2f7f375f0ee010894b94",
     "vdiff":

@@ -17,13 +17,19 @@ double (a stop, not a raw OverflowError), and `qpoch_inf_row` and
 `qpochhammer_inf` on their memory at |q| near 1.
 
 `series_side` skips its zero and pole tests on quiet steps, judged by
-the cuts of `_cuts`. A seeded fuzz holds it to `repr`-equal returns with
-a reference copy that tests every factor, on inputs that put factors on,
-next to and far from their zeros and poles, and on walks whose factors
-sit on the cuts, at eps up to and past 1/4. It asserts that it reached
-every stop status, fixed mode, a quiet step below 1/4 and one above 4, a
+the cuts of `_cuts`, and works out its tail bound only where a cheap
+lower bound on it passes. A seeded fuzz holds it to `repr`-equal returns
+with a reference copy that tests every factor and works out the bound on
+every step past the crossings, on inputs that put factors on, next to
+and far from their zeros and poles, and on walks whose factors sit on
+the cuts, at eps up to and past 1/4. It asserts that it reached every
+stop status, fixed mode, a quiet step below 1/4 and one above 4, a
 tested step after a quiet one, a downward step tested past the far
-bound, a zero term and recompute_every 0 and 1.
+bound, a zero term, recompute_every 0 and 1, a stop with a summed tail,
+one with a limit ratio of 0 and a walk with no majorant below 1.
+Against 40-digit mpmath, the sum with its added tail is within the
+returned bound plus the terms' rounding on sampled walks of each kind,
+near the edge of convergence and at |q| near 0.9, at three tail_tol.
 
 `qpoch_inf` and `qpoch_inf_row` take a head of factors, then Euler's
 series. Two fuzzes hold them to a reference that tests every head factor
@@ -370,12 +376,15 @@ def test_series_side_sum_matches_plain_sum(side):
     acc, tail, used, status = K.series_side(num, den, q, z, 1, 0j, False,
                                             fixed, *ARGS)[:4]
     assert status == K.OK
-    want = sum(psi_term_oracle(num, den, q, z, n) for n in range(1, used + 1))
-    assert acc == pytest.approx(want, rel=1e-13)
     if fixed >= 0:
         assert (used, tail) == (fixed, 0.0)
     else:
-        assert 0.0 < tail < 1e-15
+        # the adaptive sum adds its geometric tail: it is the whole sum
+        # to within the bound it reports
+        assert 0.0 <= tail <= 1e-15 * (1.0 + abs(acc))
+        used = 200
+    want = sum(psi_term_oracle(num, den, q, z, n) for n in range(1, used + 1))
+    assert acc == pytest.approx(want, rel=1e-13)
 
 
 def test_series_side_long_downward_walk_ends_ok():
@@ -385,12 +394,17 @@ def test_series_side_long_downward_walk_ends_ok():
     q, X, B, C, D, E = 0.5, 1.2, 0.3, 0.1102, 0.35, 0.45
     num = tuple(map(complex, (B*C*D*E*X*q, B*X*q, D*X*q, E*X*q)))
     den = tuple(map(complex, (X, C*D*E*X, B*C*E*X, B*C*D*X)))
-    out = K.series_side(num, den, complex(q), complex(C / q ** 3), -1,
-                        complex(B*C*D*E*X*X), True, -1,
-                        1e-15, 10000, 6, 1e-12, 5e-15, 64)
+    args = (num, den, complex(q), complex(C / q ** 3), -1,
+            complex(B*C*D*E*X*X), True)
+    out = K.series_side(*args, -1, 1e-15, 10000, 6, 1e-12, 5e-15, 64)
     assert out[3] == K.OK
-    assert out[2] > 250
     assert math.isfinite(abs(out[0])) and out[1] < 1e-12
+    # the certified tail stops the walk within a few dozen steps; the
+    # same walk taken to 400 steps stays in range and agrees with it
+    long = K.series_side(*args, 400, 1e-15, 10000, 6, 1e-12, 5e-15, 64)
+    assert (long[2], long[3]) == (400, K.OK)
+    assert out[2] < 100
+    assert abs(long[0] - out[0]) <= out[1] + 1e-14 * abs(long[0])
 
 
 # (num, den, q, z, direction, vwp_a, use_vwp), status, used, bad_exp
@@ -403,10 +417,12 @@ SIDES_STOPPED = [
      K.DIVERGED, 196, 0),
     (((0.3 + 0.1j, 0.9j), (0.7 - 0.2j, 1.3 + 0j), 0.45 + 0.1j, 0.6 - 0.3j,
       -1, 0.5 + 0.2j, True), K.DIVERGED, 110, 0),
-    # q^-917 overflows while the terms are still about 2e-3: den[0] q^m is
-    # inf, which the zero test reads as inf <= inf; not a termination
-    (((1.3 + 0.2j, -1.1j), (0.4 - 0.1j, 0.5 + 0j), 0.45 + 0.1j, 0.6 - 0.3j,
-      -1, 0.05 + 0.02j, True), K.DIVERGED, 916, 0),
+    # q^-917 overflows while the terms are still about 2e-2: den[0] q^m
+    # is inf, which the zero test reads as inf <= inf; not a termination.
+    # The limit ratio is 1.0006 in modulus, so no tail bound stops the
+    # walk first (at z = 0.6 - 0.3j it is 0.9996, and the walk ends OK)
+    (((1.3 + 0.2j, -1.1j), (0.4 - 0.1j, 0.5 + 0j), 0.45 + 0.1j,
+      0.5994 - 0.2997j, -1, 0.05 + 0.02j, True), K.DIVERGED, 916, 0),
 ]
 
 
@@ -417,6 +433,107 @@ def test_series_side_stop_status(side, status, used, bad_exp):
     assert out[1] == (0.0 if status == K.TERMINATED else math.inf)
 
 
+def _mp_side(side, used: int):
+    """(sum, sum of |t_k| for k <= used) of one direction of a walk, in
+    40-digit mpmath: its terms by the same step ratios, to three terms in
+    a row below 1e-36 of the sum after the step `used`, where the walk
+    certified that every later step ratio is below 1."""
+    num, den, q, z, direction, vwp_a, use_vwp = side
+    down = direction < 0
+    with mpmath.workdps(40):
+        q, z, a = mpmath.mpc(q), mpmath.mpc(z), mpmath.mpc(vwp_a)
+        tops, bots = [[mpmath.mpc(x) for x in row]
+                      for row in ((den, num) if down else (num, den))]
+        qm, shift = (1 / q, q ** -2) if down else (mpmath.mpc(1), q ** 2)
+        g, q2n = mpmath.mpc(1), mpmath.mpc(1)
+        total, absum = mpmath.mpc(0), mpmath.mpf(0)
+        k = small = 0
+        while k <= used or small < 3:
+            k += 1
+            g *= 1 / z if down else z
+            for t, b in zip(tops, bots):
+                g *= (1 - t * qm) / (1 - b * qm)
+            q2n *= shift
+            term = g * (1 - a * q2n) / (1 - a) if use_vwp else g
+            total += term
+            if k <= used:
+                absum += abs(term)
+            small = small + 1 if abs(term) < 1e-36 * (1 + abs(total)) else 0
+            qm = qm / q if down else qm * q
+        return complex(total), float(absum)
+
+
+def _walks_of(monkeypatch, fn, *args):
+    """The (num, den, q, z, direction, vwp_a, use_vwp) of each walk that
+    fn(*args) takes."""
+    got = []
+    kernel = K.series_side
+
+    def spy(*walk):
+        got.append(walk[:7])
+        return kernel(*walk)
+
+    with monkeypatch.context() as m:
+        m.setattr(K, "series_side", spy)
+        fn(*args)
+    return got
+
+
+def _tail_walks(monkeypatch):
+    """(name, side) of the walks whose tails are held to mpmath."""
+    walks = []
+    for name, kind, con, fn in (
+            ("bailey_a", "bailey_a", SampleConstraints(),
+             lambda p: ID.check_bailey("a", p)),
+            ("t_params", "t_params", SampleConstraints(), S.eval_T),
+            ("|q| near 0.9", "bailey_a",
+             SampleConstraints(q_modulus_range=(0.88, 0.9)),
+             lambda p: ID.check_bailey("a", p))):
+        for p in sample(kind, con, 5, 3):
+            walks += [(name, w) for w in _walks_of(monkeypatch, fn, p)]
+    walks += [("rogers", w) for w in _walks_of(
+        monkeypatch, ID.check_rogers, 0.3, 0.1, 0.35, 0.45, QContext(0.5))]
+    walks += [
+        # |z| = 0.95 upward; a limit ratio of modulus 0.95 downward
+        ("disk edge", ((0.3 + 0.1j, -0.5j), (0.7 + 0j, 1.3 + 0.2j),
+                       0.5 + 0.2j, 0.95 * cmath.exp(0.3j), 1, 0j, False)),
+        ("disk edge", ((1.3 + 0.2j, -1.1j), (0.4 - 0.1j, 0.5 + 0j),
+                       0.45 + 0.1j, (0.6 - 0.3j) * (0.99957 / 0.95), -1,
+                       0.05 + 0.02j, True)),
+        # a zero top base downward: the limit ratio is 0
+        ("limit ratio 0", ((0.5 + 0j, 0.2j), (0j, 0.3 + 0j), 0.6 + 0.1j,
+                           0.4 + 0j, -1, 0j, False))]
+    return walks
+
+
+#: walks whose terms all have one sign and whose step ratios attain the
+#: majorant: the error of the summed tail is close to its bound
+_ALIGNED = [((-0.8 + 0j,), (0.6 + 0j,), 0.9 + 0j, 0.1 + 0j, 1, 0j, False),
+            ((3.0 + 0j,), (-0.8 + 0j,), 0.9 + 0j, -0.5 + 0j, -1, 0j, False)]
+
+
+@pytest.mark.parametrize("tail_tol", [1e-15, 1e-8, 1e-4])
+def test_series_side_tail_bounds_the_remainder(tail_tol, monkeypatch):
+    # the sum with its geometric tail added is within the returned tail,
+    # plus the rounding of the terms summed, of the whole sum
+    kinds = set()
+    for name, side in _tail_walks(monkeypatch) + [("aligned", w)
+                                                  for w in _ALIGNED]:
+        acc, tail, used, status = K.series_side(
+            *side, -1, tail_tol, 10000, 3, 1e-12, 5e-15, 64)[:4]
+        assert status == K.OK, (name, side)
+        assert tail >= 0.0
+        whole, absum = _mp_side(side, used)
+        err = abs(whole - acc)
+        assert err <= tail + 16 * _U * (used + 2) * absum, (name, side)
+        if name == "aligned" and tail_tol > 1e-15:
+            assert err >= 0.8 * tail, side
+        kinds.add((name, side[4]))
+    assert kinds >= {(name, d) for d in (1, -1) for name in (
+        "bailey_a", "t_params", "|q| near 0.9", "disk edge", "aligned")}
+    assert {("rogers", 1), ("limit ratio 0", -1)} <= kinds
+
+
 # --- the walk with every factor tested, kept as the reference that the
 # quiet steps must reproduce bit for bit ---
 
@@ -425,12 +542,17 @@ def ref_series_side(num, den, q: complex, z: complex, direction: int,
                     vwp_a: complex, use_vwp: bool, fixed_terms: int,
                     tail_tol: float, max_terms: int, window: int,
                     pole_eps: float, zero_eps: float, recompute_every: int):
-    """`series_side` with no quiet stretch: every factor of every step
-    pays its zero or pole test."""
+    """`series_side` with no quiet stretch and no screen before the tail
+    bound: every factor of every step pays its zero or pole test, and
+    every adaptive step past the last crossing works out the bound."""
     down = direction < 0
     one_minus_a = 1.0 - vwp_a if use_vwp else 1.0 + 0j
     step_z = 1.0 / z if down else z
+    # the factors on top of the step multiplier (their zeros terminate) and
+    # below it (their zeros are poles); bad_is_num flags a num-side factor
+    tops, bots, top_is_num = (den, num, 0) if down else (num, den, 1)
     n_min = 0
+    rule = None
     if fixed_terms < 0:
         lg = -math.log(abs(q))
         for x in num:
@@ -443,18 +565,17 @@ def ref_series_side(num, den, q: complex, z: complex, direction: int,
                 n_min = half
         if n_min > max_terms // 2:
             n_min = max_terms // 2
+        rule = ref_tail_rule(tops, bots, step_z, q,
+                             vwp_a if use_vwp else 0j, down)
     acc = 0j
     g = 1.0 + 0j            # prod (num;q)_n / (den;q)_n * z^n at current n
     qe = 1.0 / q if down else 1.0 + 0j   # q^m for the next step's factors
     h = 1.0 + 0j            # g * q^{2n} for the prefactor
     qsq = q * q
-    prev_abs = 1.0          # |t(0)|
     peak = 0.0              # max |t(n)| over the steps taken
-    run = 0
     steps = 0
-    # the factors on top of the step multiplier (their zeros terminate) and
-    # below it (their zeros are poles); bad_is_num flags a num-side factor
-    tops, bots, top_is_num = (den, num, 0) if down else (num, den, 1)
+    # s of the next step: |q^m| upward, 1/|q^m| downward
+    s = abs(q) if down else 1.0
     nt = len(tops)
     nb = len(bots)
     npair = nt if nt < nb else nb
@@ -502,21 +623,92 @@ def ref_series_side(num, den, q: complex, z: complex, direction: int,
             peak = abs_term
         if abs_term > _OVERFLOW or abs_term != abs_term:
             return acc, float("inf"), steps, DIVERGED, 0, 0, 0, peak
-        if fixed_terms < 0:
-            ratio = abs_term / prev_abs if prev_abs > 0.0 else 2.0
-            if (steps >= n_min and ratio < 1.0
-                    and abs_term <= tail_tol * (1.0 + abs(acc))):
-                run += 1
-                if run >= window:
-                    tail = abs_term * ratio / (1.0 - ratio)
-                    return acc, tail, steps, OK, 0, 0, 0, peak
-            else:
-                run = 0
-            prev_abs = abs_term
+        s *= abs(q)
+        if rule is not None and steps >= n_min:
+            tail = ref_tail_bound(abs_term, s, rule)
+            if tail <= tail_tol * (1.0 + abs(acc)):
+                rho_inf = rule[4]
+                if rho_inf:
+                    acc += term * rho_inf / (1.0 - rho_inf)
+                return acc, tail, steps, OK, 0, 0, 0, peak
         if recompute_every > 0 and steps % recompute_every == 0:
             qe = cpow_int(q, -(steps + 1) if down else steps)
         else:
             qe = qe / q if down else qe * q
+
+
+def ref_tail_rule(tops, bots, step_z, q, vwp_a, down):
+    """(c0, k0, coeffs, vwp, rho_inf) of a walk's certified tail, or None
+    where none can hold. The step ratio is rho_inf (1 + delta) with |1 +
+    delta| at most prod (1 + T s) / (1 - B s) over (T, B) = (|top|,
+    |bot|) upward and (1/|top|, 1/|bot|) downward, and (|a q^2|, |a|) or
+    (1/|a|, 1/|a q^2|) at s^2 for the very-well-poised factor; a zero top
+    downward takes T = 0 and s / |bot| out as a factor of the limit."""
+    c0 = abs(step_z)
+    k0 = 0
+    rho_inf = step_z
+    coeffs = []
+    try:
+        for t, b in zip(tops, bots):
+            if down:
+                if b == 0:
+                    return None
+                rho_inf = rho_inf * t / b
+                if t == 0:
+                    c0 = c0 / abs(b)
+                    k0 += 1
+                    coeffs.append((1.0 / abs(b), 1.0 / abs(b)))
+                else:
+                    c0 = c0 * abs(t) / abs(b)
+                    coeffs.append((1.0 / abs(t) + 1.0 / abs(b),
+                                   1.0 / abs(b)))
+            else:
+                coeffs.append((abs(t) + abs(b), abs(b)))
+        vwp = None
+        if vwp_a != 0:
+            if down:
+                rho_inf = rho_inf / (q * q)
+                c0 = c0 / abs(q * q)
+                bot = 1.0 / (abs(vwp_a) * abs(q * q))
+                vwp = (1.0 / abs(vwp_a) + bot, bot)
+            else:
+                vwp = (abs(vwp_a) * abs(q * q) + abs(vwp_a), abs(vwp_a))
+    except ZeroDivisionError:
+        return None
+    if k0:
+        return c0, k0, coeffs, vwp, 0j
+    if not c0 < 1.0:
+        return None
+    return c0, k0, coeffs, vwp, rho_inf
+
+
+def ref_tail_bound(at, s, rule):
+    """|t_n| (rb / (1 - rb) - rho / (1 - rho)), rb the majorant of every
+    later step ratio and rho its limit (0 where k0 > 0), or inf where the
+    majorant is not below 1; epsilon = rb / rho - 1 summed factor by
+    factor as (1 + e)(1 + f) - 1, so it keeps its digits."""
+    c0, k0, coeffs, vwp = rule[:4]
+    e = 0.0
+    factors = [(tb, b, s) for tb, b in coeffs]
+    if vwp:
+        factors.append((*vwp, s * s))
+    for tb, b, x in factors:
+        d = 1.0 - b * x
+        if not d > 0.0:
+            return math.inf
+        f = tb * x / d
+        e = e + f + e * f
+    if k0:
+        rb = c0 * s ** k0 * (1.0 + e)
+        rho = 0.0
+        gap = rb
+    else:
+        gap = c0 * e
+        rb = c0 + gap
+        rho = c0
+    if not rb < 1.0:
+        return math.inf
+    return at * gap / ((1.0 - rb) * (1.0 - rho))
 
 
 def _outcome(kernel, args):
@@ -1085,7 +1277,8 @@ def test_series_side_matches_the_fully_tested_walk():
     assert seen == {OK, TERMINATED, POLE, BUDGET, DIVERGED, "fixed",
                     "quiet near", "quiet far", "tested after quiet",
                     "tested past far", "zero term", "recompute 0",
-                    "recompute 1"}
+                    "recompute 1", "summed tail", "limit ratio 0",
+                    "no majorant"}
 
 
 def _walk_covers(args) -> set:
@@ -1093,17 +1286,28 @@ def _walk_covers(args) -> set:
     kinds of step that `_cuts` tells apart (quiet with every |x q^m| below
     1/4, quiet with every nonzero one above 4, a tested step after a
     quiet one, and a downward step tested for an |x q^m| past the far
-    bound), an adaptive step after a zero term (so prev_abs == 0), and
-    two steps at recompute_every 0 or 1."""
+    bound), an adaptive step after a zero term (whose tail test reads
+    |t_n| = 0), two steps at recompute_every 0 or 1, and the kinds of
+    tail: a stop with a summed geometric tail, a stop whose limit ratio
+    is 0 (a zero top base downward: nothing is added), and a walk out of
+    budget with no majorant below 1."""
     try:
         used, status = ref_series_side(*args)[2:4]
     except ArithmeticError:
         return set()
-    num, den, q, _, direction = args[:5]
+    num, den, q, z, direction, vwp_a, use_vwp = args[:7]
     fixed, pole_eps, zero_eps, every = args[7], *args[11:]
     seen = {status}
     if fixed >= 0:
         seen.add("fixed")
+    else:
+        rule = ref_tail_rule(*((den, num) if direction < 0 else (num, den)),
+                             1.0 / z if direction < 0 else z, q,
+                             vwp_a if use_vwp else 0j, direction < 0)
+        if status == OK:
+            seen.add("limit ratio 0" if rule[1] else "summed tail")
+        elif status == BUDGET and rule is None:
+            seen.add("no majorant")
     if used > 1 and every in (0, 1):
         seen.add(f"recompute {every}")
     # the kernel's |q^m| and cuts for the steps taken

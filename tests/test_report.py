@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 import math
 
@@ -96,6 +98,43 @@ def test_csv_joins_lists_with_semicolons():
     rows = [(0, {"xs": [1, 2, 3]}, rep())]
     text = sweep_to_csv(build_sweep_report("demo", 1, {}, rows))
     assert "1;2;3" in text
+
+
+def _cells(prefix, value, into):
+    """A report entry as the strings of its CSV cells."""
+    if isinstance(value, dict):
+        for k, v in value.items():
+            _cells(f"{prefix}.{k}" if prefix else k, v, into)
+    else:
+        into[prefix] = (";".join(map(str, value)) if isinstance(value, list)
+                        else "" if value is None else str(value))
+    return into
+
+
+def test_json_and_csv_round_trip_a_sweep():
+    rows = [(0, {"a": 0.5 + 0.25j, "xs": [1, 2.5]}, rep(note="x, \"y\"")),
+            (1, {"a": complex(math.inf, -0.0), "n": None},
+             rep(passed=False, rel=float("nan")).replace(
+                 lhs=complex(math.nan, 1.0))),
+            (2, {"a": 1j}, PoleError("factor 1 - b*q^(2) vanishes"))]
+    cons = {"caps": (0.25, 0.7), "margin": 1e-6}
+    report = build_sweep_report("demo", 5, cons, rows)
+    text = sweep_to_json(report)
+    # the JSON is the document of the report converted as a whole, byte
+    # for byte, and reads back to it
+    whole = {"schema": SCHEMA, **to_jsonable(report)}
+    assert text == json.dumps(whole, sort_keys=True, indent=2) + "\n"
+    doc = json.loads(text)
+    assert doc == whole
+    assert doc["constraints"] == {"caps": [0.25, 0.7], "margin": 1e-6}
+    assert doc["results"][1]["params"]["a"] == {"re": "inf", "im": -0.0}
+    # each CSV row reads back to the cells of its JSON entry, the cells
+    # it lacks empty
+    back = list(csv.DictReader(io.StringIO(sweep_to_csv(report))))
+    cells = [_cells("", entry, {}) for entry in doc["results"]]
+    header = sorted({key for c in cells for key in c})
+    assert [list(row) for row in back] == [header] * len(cells)
+    assert back == [{key: c.get(key, "") for key in header} for c in cells]
 
 
 def test_render_rejects_unknown_format():

@@ -5,7 +5,7 @@ import math
 
 import pytest
 
-from qsix import (DEFAULT_CAPS, SampleConstraints, TParams,
+from qsix import (DEFAULT_CAPS, QContext, SampleConstraints, TParams,
                   TruncationPolicy, check_Q_constancy, cli, identities,
                   sample, sampler, series, violations)
 from qsix._backend import margin_hit
@@ -107,6 +107,36 @@ def test_impossible_margin_is_unsatisfiable():
     con = SampleConstraints(pole_margin=0.9, max_rejections=50)
     with pytest.raises(Unsatisfiable):
         sample("trunc", con, seed=1, count=1)
+
+
+@pytest.mark.parametrize("moduli, refused", [
+    # terms past double range: the walk diverges on every candidate
+    ((1e50, 1e100), 33),
+    # some candidates' argument a^2 q/(bcde) underflows to 0, where the
+    # bilateral sum diverges
+    ((1e-300, 1e300), 4)])
+def test_bailey_a_candidates_whose_sum_diverges_are_refused(moduli, refused):
+    con = SampleConstraints(param_modulus_range=moduli, max_rejections=50)
+    with pytest.raises(Unsatisfiable) as got:
+        sample("bailey_a", con, 1, 2)
+    assert (f"exhausted 50 rejections, {refused} whose check's sum did "
+            f"not converge (last: " in str(got.value))
+
+
+def test_a_candidate_whose_argument_underflows_to_0_is_redrawn():
+    # the first candidate of draw 0 that passes violations() has a^2 q/
+    # (bcde) = 0, where the sum raises NonConvergence: it is redrawn
+    con = SampleConstraints(param_modulus_range=(1e-300, 1e300),
+                            max_rejections=50)
+    args = []
+
+    def check(p):
+        args.append(p.series_arg)
+        return series._bailey_sum(p, QContext(p.q))
+
+    with pytest.raises(Unsatisfiable, match="4 whose check's sum did not"):
+        sampler.sample_checked("bailey_a", con, 1, 1, check)
+    assert args[0] == 0 and len(args) == 4
 
 
 @pytest.mark.parametrize("kind", KINDS)
