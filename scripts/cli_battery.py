@@ -59,6 +59,9 @@ PSI_EDGE = ["--z", "0.9,0.3", "--q", "0.5,0", "--num", "2,0", "--num",
 #: a zero den base: downward it is a top base, and the limit ratio is 0
 ZERO_TOP = ["--z", "0.4,0", "--q", "0.5,0", "--num", "0.45,0", "--num",
             "0,0.3", "--den", "0,0", "--den", "0.7,0"]
+#: a zero num base, a zero bottom downward, cancelled by a zero den base
+ZERO_BOTTOM = ["--q", "0.5,0", "--z", "0.5,0", "--num", "0,0", "--num",
+               "0.9,0", "--den", "0,0", "--den", "0.1,0"]
 
 EVALS = {
     "pochhammer": ["--a", "0.5,0", "--q", "0.5,0", "--n", "3"],
@@ -134,11 +137,12 @@ def invocations(tmp: str) -> list:
             out.append(["eval", form, *args, "--tail-tol", "0.5"])
             out.append(["eval", form, *args, "--max-terms", "1"])
     # certified walk tails: the long walk, T(X;C) at |C/q^3| = 0.89, a
-    # limit ratio of 0, and the long walk at a loose tail_tol and out of
-    # its budget
+    # limit ratio of 0, a zero bottom base that a zero top cancels, and
+    # the long walk at a loose tail_tol and out of its budget
     out += [["eval", "psi", *PSI_EDGE],
             ["eval", "t", *T_ROW[:6], "--C", "0.11125,0", *T_ROW[8:]],
             ["eval", "psi", *ZERO_TOP],
+            ["eval", "psi", *ZERO_BOTTOM],
             ["eval", "psi", *PSI_EDGE, "--tail-tol", "0.5"],
             ["eval", "psi", *PSI_EDGE, "--max-terms", "5"]]
     for name, args in CHECKS.items():

@@ -55,16 +55,21 @@ is within |t_n| (rb / (1 - rb) - rho / (1 - rho)) = |t_n| rho eps /
 ((1 - rb) (1 - rho)): each later ratio product (1 + delta_1) ...
 (1 + delta_k) is within (1 + eps)^k - 1 of 1. eps is built factor by
 factor as e + f + e f, f = (T + B) s / (1 - B s), so it keeps its digits
-however small. A zero top base downward gives rho_inf = 0: its factor is
-(s / |bottom|) / (1 - s / |bottom|), so rb = c0 s^k0 (1 + eps) for k0
-zero tops, nothing is added and the bound is |t_n| rb / (1 - rb). A zero
-bottom base downward, or rho >= 1, leaves no majorant below 1: the walk
-runs to its budget or diverges. The walk stops at the first step past
-the crossings whose bound is at most tail_tol (1 + |acc|), acc before
-the added tail, and returns the bound; rounding is not included. As
-eps >= s sum (T + B), the bound is at least twice |t_n| s slope, slope =
-c0 sum (T + B) / (2 (1 - c0)^2), so it is worked out only on steps where
-that passes the goal.
+however small. Downward a factor 1 - x w with x = 0 is 1 and does not
+grow like |x w| = |x| / s: each zero top takes one power of s out of
+the step ratio and each zero bottom puts one in, with T or B 0 for the
+zero base. So with k0 the number of zero tops less the number of zero
+bottoms, and c0 the modulus of the limit taken over the nonzero bases
+alone, the step ratio is within c0 s^k0 (1 + eps). At k0 = 0, rho_inf
+is that limit; at k0 > 0, rho_inf = 0: nothing is
+added and the bound is |t_n| rb / (1 - rb), rb = c0 s^k0 (1 + eps). At
+k0 < 0 the terms grow, and at k0 = 0 with rho >= 1 they do not fall: no
+majorant below 1, and the walk runs to its budget or diverges. The walk
+stops at the first step past the crossings whose bound is at most
+_TAIL_SHARE tail_tol (1 + |acc|), acc before the added tail, and returns
+the bound; rounding is not included. As eps >= s sum (T + B), the bound
+is at least twice |t_n| s slope, slope = c0 sum (T + B) / (2 (1 -
+c0)^2), so it is worked out only on steps where that passes the goal.
 
 `kn_trace_sc` takes a quiet row step as one chain m f_1 ... f_n, the
 factors multiplied in the row's order with no test, then one range test
@@ -143,6 +148,13 @@ _W_MAX = 1e300
 #: log of the largest modulus of a complex with two finite parts, sqrt(2)
 #: times the largest double (the literal 1.8e308 is already inf)
 _LOG_MAX = math.log(sys.float_info.max) + 0.5 * math.log(2.0)
+
+#: share of tail_tol (1 + |partial|) that a walk's certified rest is held
+#: to. The summed tail's error can come near its bound, where the stop on
+#: three small terms that it replaced fell far below its goal on most
+#: walks; at 1/32 a sum whose sides cancel keeps about the digits that
+#: stop gave it.
+_TAIL_SHARE = 0.03125
 
 #: pole-margin audit: the guard on the band's log at each end
 _MARGIN_GUARD = 1e-6
@@ -657,12 +669,12 @@ def series_side(num, den, q: complex, z: complex, direction: int,
     adaptive mode, which adds the geometric tail t_n rho_inf / (1 -
     rho_inf) of the limit ratio and stops at the first step n whose
     certified bound on the rest (module docstring, `_tail_bound`) is at
-    most tail_tol * (1 + |partial|); that bound is the returned tail. The
-    test is held off until the step index passes every factor base's
-    unit-modulus crossing |x q^e| = 1: term profiles can dip and then hump
-    while factors cross one, but no new growth can start past the last
-    crossing. window is not used: the stop needs no run of small terms,
-    and the argument is kept for the benchmark's self-test.
+    most _TAIL_SHARE * tail_tol * (1 + |partial|); that bound is the
+    returned tail. The test is held off until the step index passes every
+    factor base's unit-modulus crossing |x q^e| = 1: term profiles can dip
+    and then hump while factors cross one, but no new growth can start
+    past the last crossing. window is not used: the stop needs no run of
+    small terms, and the argument is kept for the benchmark's self-test.
 
     peak is the largest |t(n)| of the steps taken; over the sum it
     measures how much term rounding a consumer of the sum inherits.
@@ -774,7 +786,7 @@ def series_side(num, den, q: complex, z: complex, direction: int,
         # abs_term s slope is at most half the bound (module docstring),
         # so the bound is worked out only on steps where it can pass
         if steps >= n_min:
-            goal = tail_tol * (1.0 + abs(acc))
+            goal = _TAIL_SHARE * tail_tol * (1.0 + abs(acc))
             if abs_term * s * slope <= goal:
                 tail = _tail_bound(abs_term, s, rule)
                 if tail <= goal:
@@ -801,10 +813,11 @@ def _tail_rule(pairs, step_z: complex, q: complex, vwp_a: complex,
                down: bool):
     """The constants of a walk's certified tail (module docstring), (c0,
     k0, coeffs, rho_inf, slope), or None where no majorant below 1 can
-    exist: a zero bottom base downward, c0 >= 1 with k0 = 0, or a
-    division by a product that underflowed to 0. coeffs holds (T + B, B,
-    square) per factor of the majorant, square marking the one taken at
-    s^2. vwp_a is 0 without the very-well-poised factor."""
+    exist: more zero bottom bases than zero top bases downward, c0 >= 1
+    with k0 = 0, or a division by a product that underflowed to 0. coeffs
+    holds (T + B, B, square) per factor of the majorant, square marking
+    the one taken at s^2. vwp_a is 0 without the very-well-poised
+    factor."""
     c0 = abs(step_z)
     k0 = 0
     rho_inf = step_z
@@ -815,16 +828,23 @@ def _tail_rule(pairs, step_z: complex, q: complex, vwp_a: complex,
             if not down:
                 coeffs.append((at + ab, ab, False))
                 continue
-            if not ab:
-                return None
-            rho_inf = rho_inf * t / b
+            # a zero base's factor is 1: a zero top takes a power of s
+            # out of the step ratio, a zero bottom puts one in
             if at:
-                c0 = c0 * at / ab
-                coeffs.append((1.0 / at + 1.0 / ab, 1.0 / ab, False))
+                rho_inf = rho_inf * t
+                c0 = c0 * at
+                tinv = 1.0 / at
             else:
-                c0 = c0 / ab
                 k0 += 1
-                coeffs.append((1.0 / ab, 1.0 / ab, False))
+                tinv = 0.0
+            if ab:
+                rho_inf = rho_inf / b
+                c0 = c0 / ab
+                binv = 1.0 / ab
+            else:
+                k0 -= 1
+                binv = 0.0
+            coeffs.append((tinv + binv, binv, False))
         if vwp_a:
             av, aq2 = abs(vwp_a), abs(q * q)
             if down:
@@ -835,6 +855,8 @@ def _tail_rule(pairs, step_z: complex, q: complex, vwp_a: complex,
             else:
                 coeffs.append((av * aq2 + av, av, True))
     except ZeroDivisionError:
+        return None
+    if k0 < 0:
         return None
     if k0:
         return c0, k0, coeffs, 0j, 0.0

@@ -45,8 +45,8 @@ class TruncationPolicy(Record):
     tail_tol
         for a walk, the goal of its certified tail bound: a walk stops
         where the bound on the rest, after its geometric tail is added,
-        is at most tail_tol (1 + |partial sum|); for an infinite
-        product, the relative truncation error it is taken to.
+        is at most a 32nd of tail_tol (1 + |partial sum|); for an
+        infinite product, the relative truncation error it is taken to.
     max_terms
         hard budget per one-sided sum, or per product's head of factors.
     hump_max

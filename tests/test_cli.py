@@ -260,6 +260,20 @@ def test_eval_t_base_whose_modulus_overflows_abs_exit_code():
     assert r.stderr == "did not converge: series terms fail to decay\n"
 
 
+def test_eval_psi_sums_downward_past_zero_bottoms_that_zero_tops_cancel():
+    # downward num 0 is a zero bottom base and den 0 a zero top: together
+    # their factor is 1, and the limit ratio (0.1/0.9)/0.5 bounds the tail
+    r = run("eval", "psi", "--q", "0.5,0", "--z", "0.5,0", "--num", "0,0",
+            "--num", "0.9,0", "--den", "0,0", "--den", "0.1,0")
+    assert r.returncode == 0, r.stderr
+    lines = r.stdout.splitlines()
+    est = float(lines[1].split(": ")[1])
+    # the whole sum, to 40 digits, is -0.05927369936465404552701...; the
+    # printed one is within its tail bound plus the rounding of its terms
+    assert abs(complex(lines[0]) + 0.05927369936465404552) <= est + 1e-14
+    assert "terminated: false" in lines
+
+
 def test_check_out_of_range_index_is_domain_error():
     # U_{-400} ~ -2.57+0.47j is in range, but the right side converts its
     # numerator and denominator q-products separately, and those halves

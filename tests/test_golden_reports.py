@@ -16,21 +16,21 @@ DIGESTS = {
     "abel":
         "253315019d9564f1acb49f35fb0488d7bac196147ddde8fc38dc936050d49423",
     "bailey-a":
-        "dc849be3933ecdc2f9c2f588c1ea95cf157ea89195c80fdfc15ef7c8d44699f3",
+        "c4efd84285a6d777d2de56ac80672a643ed435c1406211d0661139f6756f2321",
     "bailey-x":
-        "e3becf9c9339e593eaa078325719b5a4398232fe2b7b9284149a3591fd8893a1",
+        "2e64d57234848facfd35920d1653e41e01bff97a5e2bbc10586ed0dd825dcfba",
     "kn-decay":
         "5abaf9c7a781fef33e84c8e5103d83a68a25549fb7bffa503da1b0a68e6dcd86",
     "q-constancy":
-        "351cc6b236b8c94fb94947bec32792951aeacaa83651c1c44573d6bcebfbcf0f",
+        "906a5d66980946c3058b2e72a396e9c525b002c811adf6f7db7d4608a0f0cf41",
     "recurrence":
         "0d8b877305da44ccef58c5a2be14292d3554d8291b784bb18256b3dcea498463",
     "remark1":
         "aed3c4d6064630dc4ea444dd0ff42dfc026bf0bb5901a63159f0ba50f7022099",
     "rogers":
-        "aa98801c88be09e81a7afeb0c0ef4c651e459d8d4c3c24900e64b1f4e7c4a2d2",
+        "3475c83bf71fb03061e7814cb47395feeeb785528c69b31b3f3e0ac23842a324",
     "t-recursion":
-        "affd5d6f2985df9625b3aeebf534013b50f88bbd6c7c04aa8af4b5e3307f3007",
+        "fd3ef39201abc6e5a989d8bfb7c2487dc5c60c0c556f4a30af6cd40f33033cc4",
     "udiff":
         "a336c3c69ad7fd2feffc3d5505f1b27c20f1b0007e8e2f7f375f0ee010894b94",
     "vdiff":

@@ -73,8 +73,8 @@ from qsix.qcore import EvalResult, QContext, TruncationPolicy, _sc_value
 from qsix.series import BaileyParams, TParams
 from qsix._kernels_py import (_CHAIN_LOG2, _KN_STEPS, _LO, _PART_MIN,
                               BUDGET, DIVERGED, OK, POLE, TERMINATED,
-                              _OVERFLOW, _QUIET_EPS, _crossing, _cuts,
-                              _stop, cpow_int)
+                              _OVERFLOW, _QUIET_EPS, _TAIL_SHARE, _crossing,
+                              _cuts, _stop, cpow_int)
 
 ARGS = (1e-15, 10000, 3, 1e-12, 5e-15, 64)
 
@@ -502,7 +502,13 @@ def _tail_walks(monkeypatch):
                        0.05 + 0.02j, True)),
         # a zero top base downward: the limit ratio is 0
         ("limit ratio 0", ((0.5 + 0j, 0.2j), (0j, 0.3 + 0j), 0.6 + 0.1j,
-                           0.4 + 0j, -1, 0j, False))]
+                           0.4 + 0j, -1, 0j, False)),
+        # downward zero bottoms that zero tops cancel, in one pair (its
+        # factor is 1) and across two: the limit ratio is (0.1/0.9)/0.5
+        ("zero bottom", ((0j, 0.9 + 0j), (0j, 0.1 + 0j), 0.5 + 0j,
+                         0.5 + 0j, -1, 0j, False)),
+        ("zero bottom", ((0j, 0.9 + 0j), (0.1 + 0j, 0j), 0.5 + 0j,
+                         0.5 + 0j, -1, 0j, False))]
     return walks
 
 
@@ -531,7 +537,8 @@ def test_series_side_tail_bounds_the_remainder(tail_tol, monkeypatch):
         kinds.add((name, side[4]))
     assert kinds >= {(name, d) for d in (1, -1) for name in (
         "bailey_a", "t_params", "|q| near 0.9", "disk edge", "aligned")}
-    assert {("rogers", 1), ("limit ratio 0", -1)} <= kinds
+    assert {("rogers", 1), ("limit ratio 0", -1),
+            ("zero bottom", -1)} <= kinds
 
 
 # --- the walk with every factor tested, kept as the reference that the
@@ -626,7 +633,7 @@ def ref_series_side(num, den, q: complex, z: complex, direction: int,
         s *= abs(q)
         if rule is not None and steps >= n_min:
             tail = ref_tail_bound(abs_term, s, rule)
-            if tail <= tail_tol * (1.0 + abs(acc)):
+            if tail <= _TAIL_SHARE * tail_tol * (1.0 + abs(acc)):
                 rho_inf = rule[4]
                 if rho_inf:
                     acc += term * rho_inf / (1.0 - rho_inf)
@@ -642,8 +649,9 @@ def ref_tail_rule(tops, bots, step_z, q, vwp_a, down):
     where none can hold. The step ratio is rho_inf (1 + delta) with |1 +
     delta| at most prod (1 + T s) / (1 - B s) over (T, B) = (|top|,
     |bot|) upward and (1/|top|, 1/|bot|) downward, and (|a q^2|, |a|) or
-    (1/|a|, 1/|a q^2|) at s^2 for the very-well-poised factor; a zero top
-    downward takes T = 0 and s / |bot| out as a factor of the limit."""
+    (1/|a|, 1/|a q^2|) at s^2 for the very-well-poised factor. Downward a
+    zero top takes T = 0 and a power of s out of the limit, a zero bottom
+    B = 0 and a power of s into it; k0 counts the powers taken out."""
     c0 = abs(step_z)
     k0 = 0
     rho_inf = step_z
@@ -651,17 +659,20 @@ def ref_tail_rule(tops, bots, step_z, q, vwp_a, down):
     try:
         for t, b in zip(tops, bots):
             if down:
-                if b == 0:
-                    return None
-                rho_inf = rho_inf * t / b
+                T = B = 0.0
                 if t == 0:
-                    c0 = c0 / abs(b)
                     k0 += 1
-                    coeffs.append((1.0 / abs(b), 1.0 / abs(b)))
                 else:
-                    c0 = c0 * abs(t) / abs(b)
-                    coeffs.append((1.0 / abs(t) + 1.0 / abs(b),
-                                   1.0 / abs(b)))
+                    rho_inf = rho_inf * t
+                    c0 = c0 * abs(t)
+                    T = 1.0 / abs(t)
+                if b == 0:
+                    k0 -= 1
+                else:
+                    rho_inf = rho_inf / b
+                    c0 = c0 / abs(b)
+                    B = 1.0 / abs(b)
+                coeffs.append((T + B, B))
             else:
                 coeffs.append((abs(t) + abs(b), abs(b)))
         vwp = None
@@ -674,6 +685,8 @@ def ref_tail_rule(tops, bots, step_z, q, vwp_a, down):
             else:
                 vwp = (abs(vwp_a) * abs(q * q) + abs(vwp_a), abs(vwp_a))
     except ZeroDivisionError:
+        return None
+    if k0 < 0:
         return None
     if k0:
         return c0, k0, coeffs, vwp, 0j
@@ -1278,7 +1291,7 @@ def test_series_side_matches_the_fully_tested_walk():
                     "quiet near", "quiet far", "tested after quiet",
                     "tested past far", "zero term", "recompute 0",
                     "recompute 1", "summed tail", "limit ratio 0",
-                    "no majorant"}
+                    "no majorant", "zero bottom"}
 
 
 def _walk_covers(args) -> set:
@@ -1289,7 +1302,8 @@ def _walk_covers(args) -> set:
     bound), an adaptive step after a zero term (whose tail test reads
     |t_n| = 0), two steps at recompute_every 0 or 1, and the kinds of
     tail: a stop with a summed geometric tail, a stop whose limit ratio
-    is 0 (a zero top base downward: nothing is added), and a walk out of
+    is 0 (a zero top base downward: nothing is added), a downward stop
+    with a zero bottom base that a zero top cancels, and a walk out of
     budget with no majorant below 1."""
     try:
         used, status = ref_series_side(*args)[2:4]
@@ -1306,6 +1320,8 @@ def _walk_covers(args) -> set:
                              vwp_a if use_vwp else 0j, direction < 0)
         if status == OK:
             seen.add("limit ratio 0" if rule[1] else "summed tail")
+            if direction < 0 and 0 in num:
+                seen.add("zero bottom")
         elif status == BUDGET and rule is None:
             seen.add("no majorant")
     if used > 1 and every in (0, 1):
