@@ -6,8 +6,9 @@ eval form, every check in text and json, every `--help` page, a seeded
 sweep per identity alone and with each numeric flag, walks whose
 certified tails take each path (a limit ratio near 1 or 0, a loose
 tolerance, a short budget), the error cases of `tests/test_cli.py`,
-parse edge cases, and one named pole per row family that reads the
-factor-base tables. One line per invocation:
+parse edge cases, one named pole per row family that reads the
+factor-base tables, and closed products whose sides leave double range.
+One line per invocation:
 
     EXIT SHA256(stdout) SHA256(stderr) ARG...
 
@@ -119,6 +120,24 @@ POLES = [
     ["eval", "rogers-closed", "--q", "0.5,0", "--B", "0.4,0", "--C", "2.5,0",
      "--D", "2,0", "--E", "0.45,0"],
     ["check", "t-recursion", *T_ROW[:6], "--C", "0.125,0", *T_ROW[8:]],
+]
+
+#: a TParams point whose closed product, multiplied in plain doubles,
+#: read nan+nanj; |C/q^3| = 11, so its check stops outside the disk
+NAN_X = ["--q=-0.18115973131141394,-0.8815787836326237",
+         "--X=-1.773375900379609,-0.5520030827411011",
+         "--B=38.861601651773746,64.05338499090672",
+         "--C=1.8021446552423817,-7.808670029005259",
+         "--D=63.74163310592326,-30.706402677125617",
+         "--E=0.040273557367232024,-0.02007848830519172"]
+#: closed products whose sides, multiplied in plain doubles, leave double
+#: range: bailey-a at q = 0.995, whose numerator's products multiply to
+#: about 3.9e-443 (the product reads 5.1e-226), and the NAN_X point
+SCALED = [
+    ["check", "bailey-a", "--q", "0.995,0", "--a", "0.5,0", "--b", "2,0",
+     "--c", "2.5,0", "--d", "3,0", "--e", "3.5,0"],
+    ["check", "bailey-x", *NAN_X],
+    ["eval", "bailey-closed-x", *NAN_X],
 ]
 
 #: a value per numeric flag that moves the output of a sweep that reads it
@@ -277,7 +296,7 @@ def invocations(tmp: str) -> list:
     out += [["check", "weierstrass", *WEIER, flag, value]
             for flag, value in (("--q", "0.9,0"), ("--tail-tol", "0.5"),
                                 ("--max-terms", "1"))]
-    return out + POLES
+    return out + POLES + SCALED
 
 
 def _sha(data: bytes) -> str:

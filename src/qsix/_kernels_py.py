@@ -11,8 +11,8 @@ factorials that grow superexponentially in |n| stay representable.
 `kn_trace_sc` carries the products of the boundary term K_N from N to
 N+1 for a whole decay trace in one call, with the factors, tests and
 rescaling of `qpoch_sc` and `pow_sc`, and assembles each K_N from them.
-`qpoch_sc`, `kn_trace_sc` and `qpoch_inf_row` read their tolerances from
-`config`.
+`qpoch_sc`, `kn_trace_sc` and `qpoch_inf_ratio` read their tolerances
+from `config`.
 
 A factor 1 - x q^m counts as vanished when |1 - x q^m| <= eps (1 + |x q^m|).
 Once q^m has left double range that test reads inf <= inf, so each branch
@@ -88,9 +88,9 @@ a dividing row, is taken again by the loop. (A part of a partial product
 can still be subnormal where the end's parts are not; that needs inputs
 whose parts differ in size by more than 2^200.)
 
-`qpoch_inf_row` takes (x;q)_inf for every x of a row in one call, a lone
-product (`qpoch_inf`) being a row of one base. With tau = min(1/4,
-1 - |q|), a product is a head of factors 1 - x q^k, taken while
+`qpoch_inf_ratio` takes the products (x;q)_inf over a row of top bases
+over those over a row of bottom bases, which may be empty. With tau =
+min(1/4, 1 - |q|), a product is a head of factors 1 - x q^k, taken while
 |x q^k| >= tau, times (y;q)_inf at y = x q^k by one Horner pass of
 Euler's series (Gasper and Rahman, Basic Hypergeometric Series, 2nd ed.,
 (1.3.16)):
@@ -108,10 +108,11 @@ product's; rounding is not included. Values take +, -, * and / alone.
 
 The head tests each factor for a zero, the budget max_terms and double
 range: a head or value that overflows, or falls below the smallest normal
-double and so loses digits, stops DIVERGED; no subnormal or 0 is returned
-as a product that did not vanish. For eps up to 3/5 the zero test fires
-only where |x q^k| >= 1/4 >= tau, so the head reaches every factor that
-it can vanish.
+double and so loses digits, stops DIVERGED. For eps up to 3/5 the zero
+test fires only where |x q^k| >= 1/4 >= tau, so the head reaches every
+factor that it can vanish. Each side of a ratio is scale-tracked as
+`qpoch_sc`'s products are, so only a final value out of the normal range
+stops DIVERGED, and where plain doubles stay in range it is theirs.
 
 `margin_hit`, the sampler's pole-margin audit, tests 1 - x q^j for every
 integer j, at a margin m in (0, 1). As |1 - y| >= ||y| - 1|,
@@ -498,38 +499,85 @@ def _rescale(m: complex, e: int):
 
 def qpoch_inf(a: complex, q: complex, tail_tol: float, max_terms: int,
               window: int, zero_eps: float):
-    """(a;q)_infinity = prod_{k>=0} (1 - a q^k), with a truncation bound.
-
-    The product of the row (a,) as `qpoch_inf_row` takes it, with zero_eps
-    as the eps of its zero test. Returns (value, est_error, terms,
-    terminated, status): terms counts the head's factors and the series'
-    terms, and status is OK, BUDGET or DIVERGED. window is not used: the
-    program calls only the row, and this form and its arguments are kept
-    for the benchmark's self-test.
-    """
+    """(a;q)_infinity, one product of `qpoch_inf_ratio` with zero_eps as
+    the eps of its zero test: (value, est_error, terms, terminated,
+    status), terms counting the head's factors and the series' terms.
+    window is not used: the program calls only the ratio kernel, and this
+    form is kept for the benchmark's self-test."""
     return _inf_product(a, q, _euler(q, tail_tol), max_terms, zero_eps)
 
 
-def qpoch_inf_row(xs, q: complex, tail_tol: float, max_terms: int):
-    """(x;q)_infinity for each x of xs in turn, as described in the module
-    docstring, with zero_eps ZERO_EPS.
+def qpoch_inf_ratio(tops, bots, q: complex, tail_tol: float,
+                    max_terms: int):
+    """prod (x;q)_infinity over tops over the same over bots, with zero_eps
+    ZERO_EPS. Returns (value, est_error, terms, terminated, status, slot),
+    slot counting the products, tops first: the first product that stops
+    (BUDGET or DIVERGED) or of bots that vanishes (POLE), or else their
+    count, with status DIVERGED for a value out of the normal range.
 
-    Returns (out, status, slot). out holds each product's (value,
-    est_error, terms, terminated) up to the first product whose status is
-    not OK; status is that product's (BUDGET or DIVERGED) and slot its
-    index in xs, or OK and 0 when every product is OK.
-
-    >>> qpoch_inf_row((0j, 0.5 + 0j), 0.5 + 0j, 1e-15, 1)
-    ([((1+0j), 0.0, 1, 1)], 3, 1)
+    >>> qpoch_inf_ratio((0.5 + 0j,), (2 + 0j,), 0.5 + 0j, 1e-15, 99)[4:]
+    (2, 1)
     """
     euler = _euler(q, tail_tol)
-    out = []
-    for slot, x in enumerate(xs):
-        r = _inf_product(x, q, euler, max_terms, ZERO_EPS)
-        if r[4] != OK:
-            return out, r[4], slot
-        out.append(r[:4])
-    return out, OK, 0
+    tm, terr, te, _, terms, texact, status, slot = _inf_side(
+        tops, q, euler, max_terms, 0, False)
+    if status == OK:
+        bm, berr, be, babs, bterms, bexact, status, slot = _inf_side(
+            bots, q, euler, max_terms, slot, True)
+        terms += bterms
+    if status != OK:
+        return 0j, math.inf, terms, 0, status, slot
+    if bots:
+        tm = tm / bm
+        terr = (terr + abs(tm) * berr) / babs
+        te -= be
+    try:
+        value = complex(math.ldexp(tm.real, te), math.ldexp(tm.imag, te))
+        size = abs(value)
+    except OverflowError:
+        size = math.inf
+    if tm and not _TINY <= size < math.inf:
+        return 0j, math.inf, terms, 0, DIVERGED, slot
+    try:
+        est = math.ldexp(terr, te)
+    except OverflowError:
+        est = math.inf
+    return value, est, terms, texact and bexact, OK, slot
+
+
+def _inf_side(xs, q: complex, euler, max_terms: int, slot: int,
+              pole: bool):
+    """One side of `qpoch_inf_ratio` from slot on: (m, err, e, |m|, terms,
+    exact, status, slot), the product over xs from the first as it is
+    being m * 2^e, its bound err * 2^e (first order plus the bounds'
+    product). A v out of [1e-300, 1e300], where m v could leave double
+    range, and an m v out of [_LO, _HI] are rescaled; a zero m keeps its
+    signs. With pole, a vanishing product stops the side (POLE)."""
+    m, err, e, am, terms, exact = 1.0 + 0j, 0.0, 0, 1.0, 0, True
+    lo, hi = _LO, _HI
+    for x in xs:
+        v, est, t, done, status = _inf_product(x, q, euler, max_terms,
+                                               ZERO_EPS)
+        if status != OK or pole and not v:
+            return m, err, e, am, terms + t, exact, status or POLE, slot
+        av = abs(v)
+        if not 1e-300 <= av <= 1e300 and v:
+            v, k = _rescale(v, 0)
+            s = math.ldexp(1.0, -k)
+            est, av, e = est * s, av * s, e + k
+        mv = m * v if terms else v
+        err = am * est + av * err + err * est
+        a = abs(mv)
+        if not lo <= a <= hi and mv:
+            k = e
+            mv, e = _rescale(mv, e)
+            err *= math.ldexp(1.0, k - e)
+            a = abs(mv)
+        m, am = mv, a
+        terms += t
+        exact = exact and done or not mv
+        slot += 1
+    return m, err, e, am, terms, exact, OK, slot
 
 
 def _euler(q: complex, tail_tol: float):

@@ -96,10 +96,12 @@ class EvalResult(Record):
 
     est_error bounds the truncation error: of a sum, after the geometric
     tail of each direction's limit ratio is added, by a majorant of every
-    later step ratio (certified, not estimated); of an infinite product
-    (a;q)_inf by the tail bound of Euler's series. Rounding is not
-    included. terminated is True when the result is exact (the sum or
-    product ended on a vanishing factor rather than a tolerance).
+    later step ratio (certified); of (a;q)_inf by the tail bound of
+    Euler's series, and of a product or ratio of such products by their
+    bounds composed to first order, the value being scale-tracked so that
+    only one out of double range raises. Rounding is not included.
+    terminated is True when the result is exact (it ended on a vanishing
+    factor rather than a tolerance).
     """
 
     value: complex
@@ -213,19 +215,7 @@ def qpochhammer_inf(a: complex, ctx: QContext) -> EvalResult:
     >>> round(abs(r.value), 9)
     0.288788095
     """
-    val, est, terms, exact = _infs((a,), ctx)[0]
-    return EvalResult(val, est, terms, bool(exact))
-
-
-def _stop_error(status: int, a: complex, policy: TruncationPolicy):
-    """The error of a product (a;q)_inf that stopped with the kernel
-    status BUDGET or DIVERGED."""
-    if status == _K.BUDGET:
-        return BudgetExceeded(
-            f"(a;q)_inf with a = {a}: the head takes more than "
-            f"{policy.max_terms} factors")
-    return DomainError(
-        f"(a;q)_inf with a = {a}: the product is out of double range")
+    return _inf_ratio(ctx, *_complex_row((a,)))
 
 
 def _complex_row(xs) -> tuple:
@@ -240,54 +230,37 @@ def _complex_row(xs) -> tuple:
     return row, None
 
 
-def _inf_row(ctx: QContext, row: list) -> tuple:
-    """(results, stop): the raw (value, est_error, terms, terminated) of
-    (x;q)_inf for each complex x of row, from one kernel call, up to the
-    first product that stops, and that product's error, or None.
-
-    A caller raises the error after its own tests on the results, and an
-    error of an input after the row only when no product stopped, so that
-    every error comes in the order of the row, as when each product is
-    taken in turn."""
+def _inf_ratio(ctx: QContext, tops: list, err=None, bots=(),
+               den=()) -> EvalResult:
+    """prod (x;q)_inf over the complex row tops over that over bots, den
+    naming bots, from one kernel call. The first error is raised as taking
+    each product in turn meets it: a product's stop, a vanishing one of
+    bots, err (an input's, past the rows), then a value out of range."""
     p = ctx.policy
-    out, status, slot = _K.qpoch_inf_row(row, ctx.q, p.tail_tol, p.max_terms)
-    if status != _K.OK:
-        return out, _stop_error(status, row[slot], p)
-    return out, None
-
-
-def _infs(xs, ctx: QContext) -> list:
-    """The raw (x;q)_inf of each x of xs, from one kernel row; the first
-    error, in the order of taking each product in turn, is raised."""
-    row, err = _complex_row(xs)
-    out, stop = _inf_row(ctx, row)
-    err = stop or err
+    value, est, terms, exact, status, slot = _K.qpoch_inf_ratio(
+        tops, bots, ctx.q, p.tail_tol, p.max_terms)
+    if status == _K.POLE:
+        name = den[slot - len(tops)]
+        raise PoleError(f"denominator product ({name};q)_inf vanishes",
+                        factor=name)
+    if status != _K.OK and slot < len(tops) + len(bots):
+        a = [*tops, *bots][slot]
+        if status == _K.BUDGET:
+            raise BudgetExceeded(
+                f"(a;q)_inf with a = {a}: the head takes more than "
+                f"{p.max_terms} factors")
+        raise DomainError(
+            f"(a;q)_inf with a = {a}: the product is out of double range")
     if err is not None:
         raise err
-    return out
-
-
-#: the empty product, where `_fold` starts
-_ONE = (1.0 + 0j, 0.0, 0, True)
-
-
-def _fold(results, acc: tuple = _ONE) -> tuple:
-    """acc times each raw product (value, est_error, terms, terminated) of
-    results in turn: the values multiply, the error bounds compose to
-    first order plus their product, the terms add, and the result is
-    exact when both sides are or its value is 0."""
-    v, e, t, x = acc
-    for rv, re, rt, rx in results:
-        e = abs(v) * re + abs(rv) * e + e * re
-        v = v * rv
-        t += rt
-        x = bool(x and rx) or v == 0
-    return v, e, t, x
+    if status != _K.OK:
+        raise DomainError("the composed product is out of double range")
+    return EvalResult(value, est, terms, bool(exact))
 
 
 def qpochhammer_inf_multi(as_: Sequence[complex], ctx: QContext) -> EvalResult:
     """prod_i (a_i;q)_infinity with composed error bound."""
-    return EvalResult(*_fold(_infs(as_, ctx)))
+    return _inf_ratio(ctx, *_complex_row(as_))
 
 
 def theta(x: complex, ctx: QContext) -> EvalResult:
@@ -296,19 +269,12 @@ def theta(x: complex, ctx: QContext) -> EvalResult:
     Satisfies the inversion symmetry theta(x) = theta(q/x) and vanishes
     exactly at x in {q^k : k integer}. x must be nonzero.
     """
-    return EvalResult(*_thetas((x,), ctx)[0])
+    return theta_multi((x,), ctx)
 
 
 def theta_multi(xs: Sequence[complex], ctx: QContext) -> EvalResult:
-    """prod_i theta(x_i; q)."""
-    return EvalResult(*_fold(_thetas(xs, ctx)))
-
-
-def _thetas(xs, ctx: QContext) -> list:
-    """theta(x) for each x of xs as a raw result: (x;q)_inf times
-    (q/x;q)_inf, all from one kernel row."""
-    out = _infs(_theta_bases(xs, ctx.q), ctx)
-    return [_fold((out[i + 1],), out[i]) for i in range(0, len(out), 2)]
+    """prod_i theta(x_i; q), over the flat row x_1, q/x_1, x_2, ..."""
+    return _inf_ratio(ctx, *_complex_row(_theta_bases(xs, ctx.q)))
 
 
 def _theta_bases(xs, q: complex):

@@ -17,7 +17,7 @@ from .config import POLE_EPS, RECOMPUTE_EVERY, ZERO_EPS
 from .errors import BudgetExceeded, DomainError, IllConditioned, \
     NonConvergence, PoleError
 from .qcore import DEFAULT_POLICY, EvalResult, QContext, TruncationPolicy, \
-    _as_complex, _complex_row, _fold, _index, _inf_row
+    _as_complex, _complex_row, _index, _inf_ratio
 
 
 class SeriesSpec(Record):
@@ -430,31 +430,17 @@ def eval_T(p: TParams,
 
 def _ratio_inf(ctx: QContext, p: _Point, num, den) -> EvalResult:
     """Ratio of the infinite products over p's bases named in num and in
-    den, all from one kernel row; a vanishing denominator product raises
+    den, from one kernel call; a vanishing denominator product raises
     PoleError naming it. Errors come in the order of taking num's
     products, then den's bases, then den's products, in turn."""
-    row, err = _complex_row(p.bases(num))
+    top, err = _complex_row(p.bases(num))
+    bot = []
     if err is None:
         try:
-            bot = p.bases(den)
+            bot, err = _complex_row(p.bases(den))
         except ZeroDivisionError as exc:
             err = exc
-        else:
-            bot, err = _complex_row(bot)
-            row += bot
-    out, stop = _inf_row(ctx, row)
-    err = stop or err
-    for name, r in zip(den, out[len(num):]):
-        if r[0] == 0:
-            raise PoleError(f"denominator product ({name};q)_inf vanishes",
-                            factor=name)
-    if err is not None:
-        raise err
-    tv, te, tt, tx = _fold(out[:len(num)])
-    bv, be, bt, bx = _fold(out[len(num):])
-    value = tv / bv
-    est = (te + abs(value) * be) / abs(bv)
-    return EvalResult(value, est, tt + bt, tx and bx)
+    return _inf_ratio(ctx, top, err, bot, den)
 
 
 #: the rows of the rogers product, and of the collapsed T iteration, in the

@@ -20,7 +20,7 @@ DIGESTS = {
     "bailey-x":
         "2e64d57234848facfd35920d1653e41e01bff97a5e2bbc10586ed0dd825dcfba",
     "kn-decay":
-        "5abaf9c7a781fef33e84c8e5103d83a68a25549fb7bffa503da1b0a68e6dcd86",
+        "f61fb77634560eb4f0fbac1263ec45fceb17a47d5e3863a3e6c1d148e09c827f",
     "q-constancy":
         "906a5d66980946c3058b2e72a396e9c525b002c811adf6f7db7d4608a0f0cf41",
     "recurrence":

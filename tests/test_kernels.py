@@ -10,10 +10,10 @@ range. The walk statistic of `series_side` (largest |term|) is checked
 against the same sums, and every stop status is pinned on a walk that
 reaches it, including walks whose running power q^m leaves double range.
 `qpoch_inf` is pinned on a loose tail_tol, on values that leave double
-range after their head, and it and `qpoch_inf_row` on bases that are not
-finite. `qpoch_sc`, `pow_sc` and `kn_trace` are pinned on a factor or a
-piece whose parts are finite but whose modulus is past the largest
-double (a stop, not a raw OverflowError), and `qpoch_inf_row` and
+range after their head, and it and `qpoch_inf_ratio` on bases that are
+not finite. `qpoch_sc`, `pow_sc` and `kn_trace` are pinned on a factor or
+a piece whose parts are finite but whose modulus is past the largest
+double (a stop, not a raw OverflowError), and `qpoch_inf_ratio` and
 `qpochhammer_inf` on their memory at |q| near 1.
 
 `series_side` skips its zero and pole tests on quiet steps, judged by
@@ -31,18 +31,25 @@ Against 40-digit mpmath, the sum with its added tail is within the
 returned bound plus the terms' rounding on sampled walks of each kind,
 near the edge of convergence and at |q| near 0.9, at three tail_tol.
 
-`qpoch_inf` and `qpoch_inf_row` take a head of factors, then Euler's
+`qpoch_inf` and `qpoch_inf_ratio` take a head of factors, then Euler's
 series. Two fuzzes hold them to a reference that tests every head factor
 and multiplies the rest of the product out: the same stops (exact zeros
 at every zero eps drawn, the budget, overflow, underflow, bases that are
-not finite, a row's first stop and its slot) bit for bit, the same count
-of series terms, and otherwise values within est_error plus the rounding
-of both tails. The mpmath test bounds the error by est_error plus a
+not finite, a ratio's first stop or vanishing bottom product and its
+slot) bit for bit, the same count of series terms, and otherwise values
+within est_error plus the rounding of both tails. The ratio is held to
+mpmath's ratio of its lone products within the rounding of its fold,
+with the same composed bound, or refused where that ratio is out of the
+normal double range, on rows whose sides and ratios leave double range
+at each end. The mpmath test bounds the error by est_error plus a
 multiple of u per |q| band. The closed products, `qpochhammer_inf_multi`,
 `theta`, `theta_multi` and `kn_limit`, which take their products from
-row calls, are held to products taken one `qpochhammer_inf` call at a
-time and composed by the product rule they used before: the same value,
-or the same exception and message.
+ratio calls, are held to products taken one `qpochhammer_inf` call at a
+time and multiplied in plain doubles from the first: the same value, or
+the same exception and message, wherever that product stays in the
+normal double range; where it leaves it, the value is held to mpmath's
+product of the same lone products, or must raise DomainError. Three
+draws whose plain product read 0, nan+nanj or inf are pinned.
 
 `kn_trace_sc` carries a whole K_N decay trace in one call. Another fuzz
 holds `kn_trace` to a reference trace that makes one `qpoch_sc` call per
@@ -320,11 +327,9 @@ def test_non_finite_base_is_diverged_at_its_slot(a, tail_tol):
     _, est, terms, exact, status = K.qpoch_inf(a, 0.5 + 0j, tail_tol, 10000,
                                                3, 5e-15)
     assert (est, terms, exact, status) == (math.inf, 1, 0, K.DIVERGED)
-    out, status, slot = K.qpoch_inf_row((0.5 + 0j, a, 0.25 + 0j), 0.5 + 0j,
-                                        tail_tol, 10000)
-    assert (len(out), status, slot) == (1, K.DIVERGED, 1)
-    assert out[0] == K.qpoch_inf(0.5 + 0j, 0.5 + 0j, tail_tol, 10000, 3,
-                                 5e-15)[:4]
+    out = K.qpoch_inf_ratio((0.5 + 0j,), (a, 0.25 + 0j), 0.5 + 0j,
+                            tail_tol, 10000)
+    assert out[4:] == (K.DIVERGED, 1)
 
 
 def _mp_qpoch_inf(a: complex, q: complex):
@@ -900,53 +905,128 @@ def test_qpoch_inf_matches_the_fully_tested_product():
                     ("exact zero", 0.25), ("exact zero", 0.3)}
 
 
-def ref_qpoch_inf_row(xs, q: complex, tail_tol: float, max_terms: int):
-    """`qpoch_inf_row` as `ref_qpoch_inf` run base by base."""
+def ref_qpoch_inf_ratio(tops, bots, q: complex, tail_tol: float,
+                        max_terms: int):
+    """The stops of `qpoch_inf_ratio` as `ref_qpoch_inf` run base by base:
+    (out, status, slot), out holding each product up to the first that
+    stops, or of bots that vanishes (POLE), with that status and slot, or
+    every product, OK and their count."""
     out = []
-    for slot, x in enumerate(xs):
+    for slot, x in enumerate((*tops, *bots)):
         r = ref_qpoch_inf(x, q, tail_tol, max_terms, None, ZERO_EPS)
         if r[3] != OK:
             return out, r[3], slot
+        if slot >= len(tops) and r[0] == 0:
+            return out, POLE, slot
         out.append(r)
-    return out, OK, 0
+    return out, OK, len(out)
 
 
-def _row_args(rng):
-    """A row of up to 6 bases of `_param`, one in ten of them 0 and one in
+def _row(rng, q, size: int) -> list:
+    """Up to size bases of `_param`, one in ten of them 0 and one in
     thirty not finite."""
-    _, q, tail_tol, max_terms = _qpoch_inf_args(rng)[:4]
-    xs = [0j if u < 0.1 else
-          rng.choice((complex(math.inf, 0.0), complex(math.nan, 1.0)))
-          if u > 29 / 30 else _param(rng, q)
-          for u in (rng.random() for _ in range(rng.randint(0, 6)))]
-    return xs, q, tail_tol, max_terms
+    return [0j if u < 0.1 else
+            rng.choice((complex(math.inf, 0.0), complex(math.nan, 1.0)))
+            if u > 29 / 30 else _param(rng, q)
+            for u in (rng.random() for _ in range(rng.randint(0, size)))]
 
 
-def test_qpoch_inf_row_matches_the_fully_tested_product():
+#: rows whose ratio leaves double range at each end, and whose top side
+#: leaves it at each end where the ratio does not: (-2^36;q)_inf and
+#: (-2^40;q)_inf are about 3.5e201 and 7.9e247 at q = 1/2, and
+#: (0.3;0.999)_inf about 2.3e-142
+_EDGE_RATIOS = [((-2.0 ** 36, -2.0 ** 36), (-2.0 ** 36,), 0.5),
+                ((-2.0 ** 40, -2.0 ** 40), (0.5875,), 0.5),
+                ((0.3, 0.3, 0.3), (0.3, 0.3), 0.999),
+                ((0.3, 0.3, 0.3), (), 0.999)]
+
+
+def _ratio_cases():
+    """Arguments of `qpoch_inf_ratio`: rows of up to 4 bases each from
+    `_row`, one in eight with no bots, and the edge rows."""
     rng = random.Random(17)
+    cases = []
+    for _ in range(1500):
+        _, q, tail_tol, max_terms = _qpoch_inf_args(rng)[:4]
+        bots = [] if rng.random() < 0.125 else _row(rng, q, 4)
+        cases.append((_row(rng, q, 4), bots, q, tail_tol, max_terms))
+    for tops, bots, q in _EDGE_RATIOS:
+        cases.append(([complex(x) for x in tops],
+                      [complex(x) for x in bots], complex(q), 1e-15, 10000))
+    return cases
+
+
+def _mp_fold(results):
+    """The product of the lone results (value, est_error, ...) in mpmath,
+    its bound composed as the kernel does, and its partial products."""
+    v, e, partial = mpmath.mpf(1), mpmath.mpf(0), []
+    for i, (rv, re, *_) in enumerate(results):
+        rv = mpmath.mpc(rv)
+        e = re if not i else abs(v) * re + abs(rv) * e + e * re
+        v = rv if not i else v * rv
+        partial.append(v)
+    return v, e, partial
+
+
+def _outside(x) -> str:
+    """"above" or "below" where the nonzero mpmath modulus x is out of the
+    normal double range, else ""."""
+    if x > sys.float_info.max:
+        return "above"
+    return "below" if 0 < x < sys.float_info.min else ""
+
+
+def test_qpoch_inf_ratio_matches_the_fully_tested_product():
+    # stops and slots as the reference run base by base meets them; each
+    # product of a ratio that runs through within its reference's bound,
+    # and the ratio within the fold's rounding of the lone products'
+    # ratio in mpmath, with the bound composed from theirs, or refused
+    # where that ratio is out of the normal double range
     seen = set()
-    for _ in range(1200):
-        args = _row_args(rng)
-        xs, q, tail_tol = args[:3]
-        out, status, slot = K.qpoch_inf_row(*args)
-        want, w_status, w_slot = ref_qpoch_inf_row(*args)
-        assert (len(out), status, slot) == (len(want), w_status, w_slot)
-        for got, w in zip(out, want):
-            _assert_product((*got, OK), w, q, tail_tol)
-        seen.add(status)
-        seen.update("zero base" if x == 0 else "exact zero" if r[3] else OK
-                    for x, r in zip(xs, out))
-        if status != OK:
+    for args in _ratio_cases():
+        tops, bots, q, tail_tol, max_terms = args
+        value, est, terms, exact, status, slot = K.qpoch_inf_ratio(*args)
+        want, w_status, w_slot = ref_qpoch_inf_ratio(*args)
+        seen.add(w_status)
+        if w_status != OK:
+            assert (status, slot) == (w_status, w_slot), args
             if slot:
                 seen.add("stop in mid-row")
-            if not _in_range(xs[slot]):
+            if not _in_range([*tops, *bots][slot]):
                 seen.add("not finite")
-            elif status == DIVERGED:
-                seen.add(_diverged_kind(K.qpoch_inf(
-                    xs[slot], q, tail_tol, args[3], 3, ZERO_EPS)[0]))
-    assert seen == {OK, BUDGET, DIVERGED, "zero base", "exact zero",
-                    "stop in mid-row", "not finite", "underflow",
-                    "overflow"}
+            continue
+        row = [*tops, *bots]
+        lone = [K.qpoch_inf(x, q, tail_tol, max_terms, 3, ZERO_EPS)
+                for x in row]
+        for got, w in zip(lone, want):
+            _assert_product(got, w, q, tail_tol)
+        seen.update("zero base" if x == 0 else "exact zero" if r[3] else OK
+                    for x, r in zip(row, lone))
+        n = len(tops)
+        assert terms == sum(r[2] for r in lone)
+        if len(row) == 1 and not bots:
+            assert (repr(value), est, terms, exact) == (
+                repr(lone[0][0]), *lone[0][1:4])
+        with mpmath.workdps(30):
+            tv, te, tp = _mp_fold(lone[:n])
+            bv, be, bp = _mp_fold(lone[n:])
+            ratio = tv / bv
+            bound = (te + abs(ratio) * be) / abs(bv)
+            end = _outside(abs(ratio))
+            if end:
+                seen.add("ratio " + end)
+                assert (status, slot) == (DIVERGED, len(row)), args
+                continue
+            assert (status, slot) == (OK, len(row)), args
+            if any(_outside(abs(x)) for x in tp + bp):
+                seen.add("side leaves range")
+            assert abs(value - ratio) <= 8 * len(row) * _U * abs(ratio)
+            assert abs(est - bound) <= 1e-12 * bound
+        assert exact == ((all(r[3] for r in lone[:n]) or tv == 0)
+                         and all(r[3] for r in lone[n:]))
+    assert seen == {OK, BUDGET, DIVERGED, POLE, "zero base", "exact zero",
+                    "stop in mid-row", "not finite", "ratio above",
+                    "ratio below", "side leaves range"}
 
 
 @pytest.mark.parametrize("a, q", [(0.5875 + 0j, 0.999 + 0j),
@@ -1005,23 +1085,37 @@ def test_qpochhammer_inf_near_one_holds_no_list_of_factors():
 
 
 @pytest.mark.parametrize("x", [0.5 + 0j, 0.2 + 0j])
-def test_qpoch_inf_row_builds_no_power_past_max_terms(x):
+def test_qpoch_inf_ratio_builds_no_power_past_max_terms(x):
     # at |q| = 0.9999 the heads of 0.2 and 0.5 run to about k = 76,000
     # and 85,000; the budget stops them at 50 factors, with no more
     # memory than the call's few constants
     tracemalloc.start()
     try:
-        out = K.qpoch_inf_row((x,), 0.9999 + 0j, 1e-15, 50)
+        out = K.qpoch_inf_ratio((0j,), (x,), 0.9999 + 0j, 1e-15, 50)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert out == ([], K.BUDGET, 0)
+    assert out[4:] == (K.BUDGET, 1)
     assert peak < 4096
 
 
 # --- the infinite-product compositions, against products taken one
-# `qpochhammer_inf` call at a time and the product rule that composed
-# them before the row kernel ---
+# `qpochhammer_inf` call at a time and multiplied in plain doubles, or in
+# mpmath where the plain product leaves double range ---
+
+
+class _LeftRange(Exception):
+    """A plain-double product of lone products whose partial value or
+    bound left the normal double range; tops and bots hold the lone
+    results of its top and bottom rows."""
+
+    def __init__(self, tops, bots):
+        super().__init__()
+        self.tops, self.bots = tops, bots
+
+
+def _normal_or_zero(x) -> bool:
+    return x == 0 or _normal(x)
 
 
 def ref_mul(a: EvalResult, b: EvalResult) -> EvalResult:
@@ -1033,41 +1127,112 @@ def ref_mul(a: EvalResult, b: EvalResult) -> EvalResult:
     return EvalResult(value, est, a.terms_used + b.terms_used, exact)
 
 
+def ref_fold(results):
+    """The lone results multiplied in turn by `ref_mul` from the first (1
+    for none), or None where a partial value or bound leaves the normal
+    double range."""
+    out = results[0] if results else EvalResult(1.0 + 0j, 0.0, 0, True)
+    for r in results[1:]:
+        out = ref_mul(out, r)
+        if not (_normal_or_zero(out.value)
+                and _normal_or_zero(out.est_error)):
+            return None
+    return out
+
+
+def ref_products(tops, bots=()):
+    """The lone results of tops, folded by `ref_fold`, over those of bots;
+    _LeftRange where a fold or the ratio leaves the normal double range."""
+    top, bot = ref_fold(tops), ref_fold(bots)
+    if top is None or bot is None:
+        raise _LeftRange(tops, bots)
+    if not bots:
+        return top
+    value = top.value / bot.value
+    est = (top.est_error + abs(value) * bot.est_error) / abs(bot.value)
+    if not (_normal_or_zero(value) and _normal_or_zero(est)):
+        raise _LeftRange(tops, bots)
+    return EvalResult(value, est, top.terms_used + bot.terms_used,
+                      top.terminated and bot.terminated)
+
+
 def ref_qpochhammer_inf_multi(as_, ctx):
-    out = EvalResult(1.0 + 0j, 0.0, 0, True)
-    for a in as_:
-        out = ref_mul(out, Q.qpochhammer_inf(a, ctx))
+    return ref_products([Q.qpochhammer_inf(a, ctx) for a in as_])
+
+
+def _ref_theta_row(xs, ctx) -> list:
+    """(x;q)_inf and (q/x;q)_inf for each x of xs in turn."""
+    out = []
+    for x in xs:
+        x = Q._as_complex(x)
+        if x == 0:
+            raise DomainError("theta requires x != 0")
+        out += [Q.qpochhammer_inf(x, ctx), Q.qpochhammer_inf(ctx.q / x, ctx)]
     return out
 
 
 def ref_theta(x, ctx):
-    x = Q._as_complex(x)
-    if x == 0:
-        raise DomainError("theta requires x != 0")
-    return ref_mul(Q.qpochhammer_inf(x, ctx),
-                   Q.qpochhammer_inf(ctx.q / x, ctx))
+    return ref_products(_ref_theta_row((x,), ctx))
 
 
 def ref_theta_multi(xs, ctx):
-    out = EvalResult(1.0 + 0j, 0.0, 0, True)
-    for x in xs:
-        out = ref_mul(out, ref_theta(x, ctx))
-    return out
+    return ref_products(_ref_theta_row(xs, ctx))
 
 
 def ref_ratio_inf(ctx, p, num, den):
-    top = ref_qpochhammer_inf_multi(p.bases(num), ctx)
-    bot = EvalResult(1.0 + 0j, 0.0, 0, True)
+    tops = [Q.qpochhammer_inf(a, ctx) for a in p.bases(num)]
+    bots = []
     for name, val in p.pairs(den):
         r = Q.qpochhammer_inf(val, ctx)
         if r.value == 0:
             raise PoleError(f"denominator product ({name};q)_inf vanishes",
                             factor=name)
-        bot = ref_mul(bot, r)
-    value = top.value / bot.value
-    est = (top.est_error + abs(value) * bot.est_error) / abs(bot.value)
-    return EvalResult(value, est, top.terms_used + bot.terms_used,
-                      top.terminated and bot.terminated)
+        bots.append(r)
+    return ref_products(tops, bots)
+
+
+def _with_ref_ratio(fn):
+    """fn with `series._ratio_inf` replaced by `ref_ratio_inf`."""
+    def ref(*args):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(S, "_ratio_inf", ref_ratio_inf)
+            return fn(*args)
+    return ref
+
+
+def _assert_outcome(fn, ref, *args) -> str:
+    """fn's outcome against ref's: the same repr, or where ref's plain
+    product leaves double range ("rescued"), a value within the fold's
+    rounding of mpmath's product of the same lone products, with the
+    bound composed from theirs, or DomainError where that product is out
+    of the normal range ("refused"). Returns the kind of outcome."""
+    try:
+        want = _value_outcome(ref, *args)
+    except _LeftRange as left:
+        sides = [[(r.value, r.est_error) for r in side]
+                 for side in (left.tops, left.bots)]
+        with mpmath.workdps(30):
+            tv, te, _ = _mp_fold(sides[0])
+            bv, be, _ = _mp_fold(sides[1])
+            ratio = tv / bv
+            bound = (te + abs(ratio) * be) / abs(bv)
+            if _outside(abs(ratio)):
+                assert _value_outcome(fn, *args) == repr((
+                    "DomainError", "the composed product is out of double "
+                    "range", None)), args
+                return "refused"
+            got = fn(*args)
+            n = len(sides[0]) + len(sides[1])
+            assert abs(got.value - ratio) <= 8 * n * _U * abs(ratio), args
+            assert abs(got.est_error - bound) <= 1e-12 * bound + 1e-323
+        rows = left.tops + list(left.bots)
+        assert got.terms_used == sum(r.terms_used for r in rows)
+        assert got.terminated == (
+            (all(r.terminated for r in left.tops) or tv == 0)
+            and all(r.terminated for r in left.bots))
+        return "rescued"
+    assert _value_outcome(fn, *args) == want, args
+    return _kind(want)
 
 
 def _value_outcome(fn, *args):
@@ -1145,18 +1310,15 @@ def _closed_cases():
     return cases
 
 
-def test_closed_products_match_products_taken_one_at_a_time(monkeypatch):
-    cases = _closed_cases()
-    got = [_value_outcome(*case) for case in cases]
-    monkeypatch.setattr(S, "_ratio_inf", ref_ratio_inf)
-    want = [_value_outcome(*case) for case in cases]
-    for case, g, w in zip(cases, got, want):
-        assert g == w, case
+def test_closed_products_match_products_taken_one_at_a_time():
+    kinds = [_assert_outcome(case[0], _with_ref_ratio(case[0]), *case[1:])
+             for case in _closed_cases()]
     # ZeroDivisionError: a base that divides by parameters whose product
-    # underflows to 0
-    assert {_kind(w) for w in want} == {
-        "value", "PoleError", "BudgetExceeded", "DomainError",
-        "ZeroDivisionError"}
+    # underflows to 0. rescued: the products multiplied in plain doubles
+    # left double range, where they read nan+nanj
+    assert set(kinds) == {"value", "PoleError", "BudgetExceeded",
+                          "DomainError", "ZeroDivisionError", "rescued"}
+    assert kinds.count("rescued") == 9
 
 
 #: bases of synthetic rows: a product in range, one with a vanishing
@@ -1204,19 +1366,14 @@ def _product_rows():
     (Q.qpochhammer_inf_multi, ref_qpochhammer_inf_multi),
     (Q.theta_multi, ref_theta_multi)])
 def test_products_of_a_row_match_products_taken_one_at_a_time(fn, ref):
-    kinds = set()
-    for xs, ctx in _product_rows():
-        want = _value_outcome(ref, xs, ctx)
-        assert _value_outcome(fn, xs, ctx) == want, (xs, ctx)
-        kinds.add(_kind(want))
+    kinds = {_assert_outcome(fn, ref, xs, ctx) for xs, ctx in _product_rows()}
     assert kinds == {"value", "BudgetExceeded", "DomainError"}
 
 
 def test_theta_matches_two_products_taken_one_at_a_time():
     for xs, ctx in _product_rows():
         for x in xs[:1]:
-            assert (_value_outcome(Q.theta, x, ctx)
-                    == _value_outcome(ref_theta, x, ctx)), (x, ctx)
+            _assert_outcome(Q.theta, ref_theta, x, ctx)
 
 
 def test_kn_limit_matches_products_taken_one_at_a_time(monkeypatch):
@@ -1227,6 +1384,52 @@ def test_kn_limit_matches_products_taken_one_at_a_time(monkeypatch):
     monkeypatch.setattr(ID, "qpochhammer_inf_multi",
                         ref_qpochhammer_inf_multi)
     assert got == [_value_outcome(ID.kn_limit, p) for p in points]
+
+
+def test_closed_product_of_sides_below_double_range_keeps_its_value():
+    # at q = 0.995 the numerator's products multiply to about 3.9e-443,
+    # the denominator's to 7.7e-218; in plain doubles the ratio read 0j
+    # with est_error 0. mpmath.qp does not converge here, so the kernel's
+    # 18 lone products are multiplied in mpmath
+    p = BaileyParams(q=0.995, a=0.5, b=2, c=2.5, d=3, e=3.5)
+    lone = [K.qpoch_inf(x, p.q, 1e-15, 10000, 3, ZERO_EPS)
+            for x in p.bases(S._BAILEY_NUM + S._BAILEY_DEN)]
+    assert {r[4] for r in lone} == {OK}
+    r = S.bailey_closed_a(p)
+    with mpmath.workdps(30):
+        want = (mpmath.fprod(mpmath.mpc(v[0]) for v in lone[:9])
+                / mpmath.fprod(mpmath.mpc(v[0]) for v in lone[9:]))
+        assert abs(r.value - want) <= 1e-13 * abs(want)
+        assert 0.0 < r.est_error <= 1e-13 * abs(want)
+    assert 5.1e-226 < abs(r.value) < 5.2e-226
+
+
+def test_closed_product_whose_plain_fold_read_nan_keeps_its_value():
+    # a _closed_cases draw whose products, multiplied in plain doubles,
+    # read nan+nanj; against the ratio of 50-digit mpmath products
+    p = TParams(q=-0.18115973131141394 - 0.8815787836326237j,
+                X=-1.773375900379609 - 0.5520030827411011j,
+                B=38.861601651773746 + 64.05338499090672j,
+                C=1.8021446552423817 - 7.808670029005259j,
+                D=63.74163310592326 - 30.706402677125617j,
+                E=0.040273557367232024 - 0.02007848830519172j)
+    r = S.bailey_closed_X(p)
+    with mpmath.workdps(50):
+        q = mpmath.mpc(p.q)
+        want = (mpmath.fprod(mpmath.qp(mpmath.mpc(x), q)
+                             for x in p.bases(S._Q_NUM + S._F_NUM))
+                / mpmath.fprod(mpmath.qp(mpmath.mpc(x), q)
+                               for x in p.bases(S._Q_DEN + S._F_DEN)))
+        assert abs(r.value - want) <= 1e-13 * abs(want)
+    assert abs(r.value - (0.268037298451 - 1.86821074859j)) < 1e-11
+
+
+def test_product_of_products_out_of_double_range_is_domain_error():
+    # (-1e10;1/2)_inf is about 1e169; the product of two, about 1e338,
+    # read inf+0j in plain doubles
+    with pytest.raises(DomainError) as got:
+        Q.qpochhammer_inf_multi([-1e10, -1e10], QContext(0.5))
+    assert str(got.value) == "the composed product is out of double range"
 
 
 def _series_side_edges():

@@ -190,15 +190,25 @@ def _inf_outcomes() -> list:
 
 
 def test_infinite_products_take_only_the_row_kernel(monkeypatch):
+    # each public product is one call of the kernel that takes rows of
+    # bases, qpoch_inf_ratio, and none of the lone kernel
     want = _inf_outcomes()
     assert any(w.startswith("BudgetExceeded") for w in want)
     assert any(w.startswith("DomainError") for w in want)
+    calls = []
+    ratio = qcore._K.qpoch_inf_ratio
 
     def lone(*args):
         raise AssertionError("the lone qpoch_inf kernel was called")
 
+    def counted(*args):
+        calls.append(args)
+        return ratio(*args)
+
     monkeypatch.setattr(qcore._K, "qpoch_inf", lone)
+    monkeypatch.setattr(qcore._K, "qpoch_inf_ratio", counted)
     assert _inf_outcomes() == want
+    assert len(calls) == len(want)
 
 
 def test_theta_zeros_on_q_powers():

@@ -435,13 +435,13 @@ def _record_divisors(monkeypatch) -> list:
     position to append every base a check divides by to the returned
     list: the dividing rows of a series walk (and its kernel parameter a,
     over 1 - a), of a finite product and of the K_N trace, the factors of
-    `_nabla_den`, and the base of every infinite product row (numerator
-    bases are held to it too). Every walk is also held to rows num and den
+    `_nabla_den`, and every base of an infinite-product ratio (its top
+    row's are held to it too). Every walk is also held to rows num and den
     of equal length, the only rows `series_side` takes."""
     seen = []
     K = series._K
-    side, sc, trace, inf_row = (K.series_side, K.qpoch_sc, K.kn_trace_sc,
-                                K.qpoch_inf_row)
+    side, sc, trace, inf_ratio = (K.series_side, K.qpoch_sc, K.kn_trace_sc,
+                                  K.qpoch_inf_ratio)
     nabla_den = identities._nabla_den
 
     def series_side(num, den, q, z, direction, vwp_a, use_vwp, *rest):
@@ -461,9 +461,9 @@ def _record_divisors(monkeypatch) -> list:
         seen.extend((*vnum, *vden, *unum, *uden, *den3))
         return trace(vnum, vden, unum, uden, num3, den3, *rest)
 
-    def qpoch_inf_row(xs, *rest):
-        seen.extend(xs)
-        return inf_row(xs, *rest)
+    def qpoch_inf_ratio(tops, bots, *rest):
+        seen.extend((*tops, *bots))
+        return inf_ratio(tops, bots, *rest)
 
     def _nabla_den(pairs):
         seen.extend(x for _, x in pairs)
@@ -471,7 +471,7 @@ def _record_divisors(monkeypatch) -> list:
 
     for name, fn in (("series_side", series_side), ("qpoch_sc", qpoch_sc),
                      ("kn_trace_sc", kn_trace_sc),
-                     ("qpoch_inf_row", qpoch_inf_row)):
+                     ("qpoch_inf_ratio", qpoch_inf_ratio)):
         monkeypatch.setattr(K, name, fn)
     monkeypatch.setattr(identities, "_nabla_den", _nabla_den)
     return seen
